@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core_model import (Coupling, PowerSeries, SystemParams, coupling_gradient,
                          eval_coupling, series_sqrt_reciprocal, series_vstar)
@@ -149,6 +148,8 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
         raise FrontlabError(f"search interval {interval} must be bounded with lo < hi")
     if tol <= 0:
         raise FrontlabError("tol must be positive")
+    # imported here: scipy.optimize would add ~0.25 s to every `import frontlab`
+    from scipy.optimize import brentq
 
     n = max(int(math.ceil((hi - lo) / scan_step)), 8)
     grid = np.linspace(lo, hi, n + 1)

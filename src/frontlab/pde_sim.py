@@ -10,6 +10,7 @@ spectra for cross-validation against the Evans-function predictions.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -162,15 +163,23 @@ def neumann_d2(n_x: int, h: float) -> sp.csr_matrix:
                     format="csr")
 
 
-def neumann_d1(n_x: int, h: float) -> sp.csr_matrix:
-    """Centered first derivative; mirrored ghosts zero it at the boundary."""
+def _neumann_d1_bands(n_x: int, h: float):
+    """Super- and sub-diagonal of the centered first derivative.
+
+    The mirrored ghosts zero it at both boundary nodes.
+    """
     coef = 1.0 / (2.0 * h)
     upper = np.full(n_x - 1, coef)
     lower = np.full(n_x - 1, -coef)
-    mat = sp.diags([lower, upper], offsets=(-1, 1), format="lil")
-    mat[0, 1] = 0.0
-    mat[-1, -2] = 0.0
-    return mat.tocsr()
+    upper[0] = 0.0
+    lower[-1] = 0.0
+    return upper, lower
+
+
+def neumann_d1(n_x: int, h: float) -> sp.csr_matrix:
+    """Centered first derivative; mirrored ghosts zero it at the boundary."""
+    upper, lower = _neumann_d1_bands(n_x, h)
+    return sp.diags([lower, upper], offsets=(-1, 1), format="csr")
 
 
 def _solve_implicit(coeff: float, rhs: np.ndarray, h: float) -> np.ndarray:
@@ -366,8 +375,131 @@ def _coupling_grad_arrays(coupling: Coupling, v: np.ndarray):
     return grad
 
 
+def _csc_layout(shape, groups):
+    """Sorted CSC structure holding every (rows, cols) group of entries.
+
+    Returns indptr, indices and, for each group, the positions of its
+    entries in the data array.
+    """
+    rows = np.concatenate([r for r, _c in groups])
+    cols = np.concatenate([c for _r, c in groups])
+    order = np.lexsort((rows, cols))
+    where = np.empty(len(order), dtype=np.intp)
+    where[order] = np.arange(len(order))
+    indptr = np.zeros(shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
+    bounds = np.cumsum([0] + [len(r) for r, _c in groups])
+    return (indptr, rows[order].astype(np.int32),
+            [where[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+@dataclass(frozen=True)
+class _JacobianPattern:
+    """CSC structure of the comoving Jacobian with its coupling-free values.
+
+    `static` holds the eps^2 D2 blocks and the identity blocks, `d1` the raw
+    D1 values; each stored value's row block (0 for U, j + 1 for V_j) picks
+    its c-scale and, in the dynamic Jacobian, its divisor 1 or tau_j.
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    static: np.ndarray
+    d1: np.ndarray
+    row_block: np.ndarray
+    row_tau: np.ndarray
+    uu: np.ndarray             # positions of the U-U diagonal
+    uv: np.ndarray             # (N, n_x) positions of the U-V_j diagonals
+    pin_row: np.ndarray        # positions in the center node's U row
+    pin_diag: int
+
+
+def _jacobian_pattern(params: SystemParams, grid: Grid) -> _JacobianPattern:
+    nx, n = grid.n_x, params.n_slow
+    eps2 = params.epsilon ** 2
+    size = (n + 1) * nx
+    i = np.arange(nx)
+    tri_rows = np.concatenate([i[1:], i, i[:-1]])
+    tri_cols = np.concatenate([i[:-1], i, i[1:]])
+    on_diag = slice(nx - 1, 2 * nx - 1)
+    d2_up, d2_diag, d2_lo = _neumann_d2_banded(nx, grid.h)
+    d2 = np.concatenate([d2_lo[:-1], d2_diag, d2_up[1:]])
+    d1_up, d1_lo = _neumann_d1_bands(nx, grid.h)
+    d1 = np.concatenate([d1_lo, np.zeros(nx), d1_up])
+
+    groups = [(tri_rows, tri_cols)]
+    for j in range(n):
+        off = (j + 1) * nx
+        groups += [(i, off + i), (off + i, i), (off + tri_rows, off + tri_cols)]
+    indptr, indices, pos = _csc_layout((size, size), groups)
+    static = np.zeros(len(indices))
+    d1_vals = np.zeros(len(indices))
+    static[pos[0]] = eps2 * d2
+    d1_vals[pos[0]] = d1
+    for j in range(n):
+        _uv, vu, vv = pos[1 + 3 * j:4 + 3 * j]
+        static[vu] = eps2
+        block = eps2 * params.d[j] ** 2 * d2
+        block[on_diag] -= eps2
+        static[vv] = block
+        d1_vals[vv] = d1
+    row_block = indices // nx
+    row_tau = np.concatenate([[1.0], params.tau])[row_block]
+    uu = pos[0][on_diag]
+    center = nx // 2
+    return _JacobianPattern(
+        shape=(size, size), indptr=indptr, indices=indices, static=static,
+        d1=d1_vals, row_block=row_block, row_tau=row_tau, uu=uu,
+        uv=np.stack([pos[1 + 3 * j] for j in range(n)]),
+        pin_row=np.flatnonzero(indices == center), pin_diag=int(uu[center]))
+
+
+@dataclass(frozen=True)
+class _BorderLayout:
+    """Positions of J, the phase row, the extra columns and the arclength
+    row in the CSC data of a bordered matrix."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    jac: np.ndarray
+    phase: np.ndarray
+    columns: np.ndarray
+    arc: np.ndarray | None
+
+
+def _border_layout(pat: _JacobianPattern, center: int, n_cols: int,
+                   with_arc: bool) -> _BorderLayout:
+    size = pat.shape[0]
+    jac_cols = np.repeat(np.arange(size), np.diff(pat.indptr))
+    shape = (size + 1 + with_arc, size + n_cols)
+    extra_cols = np.repeat(size + np.arange(n_cols), size)
+    groups = [(pat.indices, jac_cols), (np.array([size]), np.array([center])),
+              (np.tile(np.arange(size), n_cols), extra_cols)]
+    if with_arc:
+        groups.append((np.full(shape[1], size + 1), np.arange(shape[1])))
+    indptr, indices, pos = _csc_layout(shape, groups)
+    return _BorderLayout(shape=shape, indptr=indptr, indices=indices, jac=pos[0],
+                         phase=pos[1], columns=pos[2],
+                         arc=pos[3] if with_arc else None)
+
+
+def _csc(data, layout):
+    # fresh index arrays, so that no caller can alter the cached ones
+    return sp.csc_matrix((data, layout.indices.copy(), layout.indptr.copy()),
+                         shape=layout.shape)
+
+
 class _FrontSystem:
-    """Discretized comoving steady system and its sparse Jacobian."""
+    """Discretized comoving steady system and its sparse Jacobian.
+
+    The CSC pattern of the Jacobian and its coupling-free values are built
+    on first use and cached per (params, grid); the coupling only enters
+    the values.  `with_coupling` gives a view at another coupling that
+    shares the cache, so every matrix assembly after the first only writes
+    values.
+    """
 
     def __init__(self, params: SystemParams, coupling: Coupling, grid: Grid):
         self.params = params
@@ -378,6 +510,12 @@ class _FrontSystem:
         self.d2 = neumann_d2(self.nx, grid.h)
         self.d1 = neumann_d1(self.nx, grid.h)
         self.center = self.nx // 2
+        self._layouts = {}
+
+    def with_coupling(self, coupling: Coupling) -> "_FrontSystem":
+        view = copy.copy(self)
+        view.coupling = coupling
+        return view
 
     @property
     def size(self):
@@ -402,21 +540,46 @@ class _FrontSystem:
                        + eps ** 2 * (u - v[j]))
         return np.concatenate(out)
 
+    def _pattern(self) -> _JacobianPattern:
+        if "jacobian" not in self._layouts:
+            self._layouts["jacobian"] = _jacobian_pattern(self.params, self.grid)
+        return self._layouts["jacobian"]
+
     def jacobian(self, x, c):
-        p = self.params
-        eps = p.epsilon
+        pat = self._pattern()
+        eps = self.params.epsilon
         u, v = self.split(x)
-        grad = _coupling_grad_arrays(self.coupling, v)
-        blocks = [[None] * (self.n + 1) for _ in range(self.n + 1)]
-        blocks[0][0] = (eps ** 2 * self.d2 + eps ** 2 * c * self.d1
-                        + sp.diags(1.0 - 3.0 * u ** 2))
-        for j in range(self.n):
-            blocks[0][j + 1] = sp.diags(-eps * grad[j])
-            blocks[j + 1][0] = sp.identity(self.nx) * eps ** 2
-            blocks[j + 1][j + 1] = (eps ** 2 * p.d[j] ** 2 * self.d2
-                                    + eps ** 2 * c * p.tau[j] * self.d1
-                                    - eps ** 2 * sp.identity(self.nx))
-        return sp.bmat(blocks, format="csc")
+        c_scale = np.array([eps ** 2 * c] + [eps ** 2 * c * t for t in self.params.tau])
+        data = pat.static + c_scale[pat.row_block] * pat.d1
+        data[pat.uu] += 1.0 - 3.0 * u ** 2
+        data[pat.uv] = -eps * _coupling_grad_arrays(self.coupling, v)
+        return _csc(data, pat)
+
+    def pinned_jacobian(self, x, c):
+        """Jacobian with the center U equation traded for the pin U = 0."""
+        pat = self._pattern()
+        jac = self.jacobian(x, c)
+        jac.data[pat.pin_row] = 0.0
+        jac.data[pat.pin_diag] = 1.0
+        return jac
+
+    def bordered(self, jac, columns, arc=None):
+        """[[J, B], [e_center, 0], [arc]] for J = `jacobian(...)`.
+
+        `columns` are B's columns (each of length `size`); the optional dense
+        `arc` row has length size + len(columns).
+        """
+        key = (len(columns), arc is not None)
+        if key not in self._layouts:
+            self._layouts[key] = _border_layout(self._pattern(), self.center, *key)
+        layout = self._layouts[key]
+        data = np.empty(len(layout.indices))
+        data[layout.jac] = jac.data
+        data[layout.phase] = 1.0
+        data[layout.columns] = np.concatenate(columns)
+        if arc is not None:
+            data[layout.arc] = arc
+        return _csc(data, layout)
 
     def residual_c_derivative(self, x):
         p = self.params
@@ -440,12 +603,10 @@ class _FrontSystem:
         return np.concatenate([du, np.zeros(self.n * self.nx)])
 
     def dynamic_jacobian(self, x, c):
-        """Jacobian of the time-dependent system (with the 1/tau_j scaling)."""
-        jac = self.jacobian(x, c).tolil()
-        for j in range(self.n):
-            rows = slice((j + 1) * self.nx, (j + 2) * self.nx)
-            jac[rows, :] = jac[rows, :] / self.params.tau[j]
-        return jac.tocsc()
+        """Jacobian of the time-dependent system (V_j rows divided by tau_j)."""
+        jac = self.jacobian(x, c)
+        jac.data /= self._pattern().row_tau
+        return jac
 
 
 @dataclass
@@ -469,7 +630,6 @@ def _damped_newton(system, x0, c, res_tol, max_iter, mode, c0=0.0):
     mode 'stationary': unknown x, the center U equation traded for U = 0.
     mode 'travelling': unknowns (x, c), phase appended.
     """
-    nx = system.nx
     ic = system.center
     x = x0.copy()
     c = float(c0 if mode == "travelling" else c)
@@ -487,10 +647,7 @@ def _damped_newton(system, x0, c, res_tol, max_iter, mode, c0=0.0):
             if norm <= res_tol:
                 full = system.residual(x, c)
                 return x, c, norm, it, True, abs(full[ic])
-            jac = system.jacobian(x, c).tolil()
-            jac[ic, :] = 0.0
-            jac[ic, ic] = 1.0
-            delta = splu(jac.tocsc()).solve(-r)
+            delta = splu(system.pinned_jacobian(x, c)).solve(-r)
             damping = 1.0
             while damping > 1e-4:
                 cand = x + damping * delta
@@ -503,12 +660,8 @@ def _damped_newton(system, x0, c, res_tol, max_iter, mode, c0=0.0):
             norm = float(np.max(np.abs(r)))
             if norm <= res_tol:
                 return x, c, norm, it, True, 0.0
-            jac = system.jacobian(x, c)
-            dc = system.residual_c_derivative(x)
-            phase_row = np.zeros(system.size + 1)
-            phase_row[ic] = 1.0
-            big = sp.vstack([sp.hstack([jac, sp.csc_matrix(dc[:, None])]),
-                             sp.csr_matrix(phase_row[None, :])], format="csc")
+            big = system.bordered(system.jacobian(x, c),
+                                  [system.residual_c_derivative(x)])
             delta = splu(big).solve(-r)
             damping = 1.0
             while damping > 1e-4:
@@ -749,9 +902,8 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
             break
         tangent /= tn
         pred = w_cur + step_len * tangent
-        corrected = _bordered_correct(system, kind, index, coupling, pred,
-                                      tangent, w_cur, step_len, profile_weight,
-                                      res_tol)
+        corrected = _bordered_correct(system, kind, index, pred, tangent, w_cur,
+                                      step_len, profile_weight, res_tol)
         if corrected is None:
             if step_len <= ds_min:
                 truncated = "corrector failed at minimum step"
@@ -792,13 +944,14 @@ def _branch_point(sol: FrontSolution, p_val: float, n_eigs: int,
                        eigenvalues=eigs, stable=stable, tag="none")
 
 
-def _bordered_correct(system, kind, index, coupling, w, tangent, w_old,
-                      step_len, profile_weight, res_tol, max_iter=12):
+def _bordered_correct(system, kind, index, w, tangent, w_old, step_len,
+                      profile_weight, res_tol, max_iter=12):
     nx1 = system.size
     for _ in range(max_iter):
         x, c, p = w[:nx1], w[nx1], w[nx1 + 1]
-        system.coupling = _set_coupling_param(coupling, kind, index, p)
-        r = system.residual(x, c)
+        coupling = _set_coupling_param(system.coupling, kind, index, p)
+        at_p = system.with_coupling(coupling)
+        r = at_p.residual(x, c)
         phase = x[system.center]
         arc = (profile_weight ** 2 * float(np.dot(tangent[:nx1], w[:nx1] - w_old[:nx1]))
                + tangent[nx1] * (w[nx1] - w_old[nx1])
@@ -806,18 +959,11 @@ def _bordered_correct(system, kind, index, coupling, w, tangent, w_old,
         big_r = np.concatenate([r, [phase, arc]])
         if np.max(np.abs(big_r)) <= res_tol:
             return w
-        jac = system.jacobian(x, c)
-        dc = system.residual_c_derivative(x)
-        dp = system.residual_param_derivative(x, kind, index)
-        phase_row = np.zeros(nx1 + 2)
-        phase_row[system.center] = 1.0
         arc_row = np.concatenate([profile_weight ** 2 * tangent[:nx1],
                                   [tangent[nx1], tangent[nx1 + 1]]])
-        big = sp.vstack([
-            sp.hstack([jac, sp.csc_matrix(dc[:, None]), sp.csc_matrix(dp[:, None])]),
-            sp.csr_matrix(phase_row[None, :]),
-            sp.csr_matrix(arc_row[None, :]),
-        ], format="csc")
+        big = at_p.bordered(at_p.jacobian(x, c),
+                            [at_p.residual_c_derivative(x),
+                             at_p.residual_param_derivative(x, kind, index)], arc_row)
         try:
             delta = splu(big).solve(-big_r)
         except RuntimeError:

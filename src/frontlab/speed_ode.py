@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core_model import Coupling, SystemParams, worker_count
 from .designer import design_evans_degeneracy, linear_unfolding_map
@@ -26,6 +25,13 @@ from .errors import ConvergenceError, FrontlabError
 from .existence import gamma0_taylor
 
 BLOWUP_NORM = 1e8
+
+
+def _solve_ivp(*args, **kwargs):
+    # imported on first use: scipy.integrate pulls in scipy.optimize, which
+    # would add ~0.25 s to every `import frontlab`
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -230,9 +236,9 @@ def integrate(ode, initial, t_end: float, tol: float = 1e-8,
         return float(np.linalg.norm(y)) - BLOWUP_NORM
     blow_up.terminal = True
 
-    sol = solve_ivp(rhs, (0.0, float(t_end)), y0, method="RK45",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True,
-                    t_eval=t_eval, events=blow_up)
+    sol = _solve_ivp(rhs, (0.0, float(t_end)), y0, method="RK45",
+                     rtol=tol, atol=tol * 1e-2, dense_output=True,
+                     t_eval=t_eval, events=blow_up)
     blew = bool(sol.t_events[0].size)
     return Trajectory(t=sol.t, y=sol.y, blew_up=blew, dense=sol.sol)
 
@@ -388,9 +394,9 @@ def _shoot_once(nf, tol, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-10,
         return float(np.linalg.norm(y - p)) - escape_radius
     escape.terminal = True
 
-    sol = solve_ivp(lambda _t, y: nf.field_at(y), (0.0, t_max), y0,
-                    method="RK45", rtol=integrator_tol,
-                    atol=integrator_tol * 1e-2, events=(section, escape))
+    sol = _solve_ivp(lambda _t, y: nf.field_at(y), (0.0, t_max), y0,
+                     method="RK45", rtol=integrator_tol,
+                     atol=integrator_tol * 1e-2, events=(section, escape))
     # Crossing #1 is the outbound transit of the departing manifold; the
     # genuine first *return* to the section is crossing #2.
     if sol.t_events[0].size >= 2:
@@ -415,9 +421,9 @@ def _branch_endpoints(nf, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-8):
         def escape(_t, y):
             return float(np.linalg.norm(y)) - BLOWUP_NORM
         escape.terminal = True
-        sol = solve_ivp(lambda _t, y: nf.field_at(y), (0.0, t_max), y0,
-                        method="RK45", rtol=integrator_tol,
-                        atol=integrator_tol * 1e-2, events=escape)
+        sol = _solve_ivp(lambda _t, y: nf.field_at(y), (0.0, t_max), y0,
+                         method="RK45", rtol=integrator_tol,
+                         atol=integrator_tol * 1e-2, events=escape)
         yf = sol.y[:, -1]
         nearest = min((eq, other), key=lambda e: np.linalg.norm(yf - e.state))
         out.append((sign, nearest.c_star))
@@ -519,8 +525,8 @@ def lyapunov_max(ode, initial, t_end: float, renorm_interval: float,
     n_chunks = int(math.ceil(t_end / renorm_interval))
     logs = []
     for _ in range(n_chunks):
-        sol = solve_ivp(rhs, (0.0, renorm_interval), y, method="RK45",
-                        rtol=tol, atol=tol * 1e-2)
+        sol = _solve_ivp(rhs, (0.0, renorm_interval), y, method="RK45",
+                         rtol=tol, atol=tol * 1e-2)
         y = sol.y[:, -1]
         if np.linalg.norm(y[:dim]) > BLOWUP_NORM:
             raise ConvergenceError("trajectory blew up during exponent estimation")

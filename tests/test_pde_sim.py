@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import frontlab as fl
 from frontlab import Coupling, FrontlabError, SystemParams
@@ -263,6 +264,130 @@ class TestSteadySolvers:
         fine = abs(speeds[1] - speeds[2])
         assert coarse <= 4.0 * fine * 1.6   # second-order with slack
         assert coarse >= 2.0 * fine         # and genuinely decreasing
+
+
+def _bmat_jacobian(system, x, c):
+    """Block-by-block assembly of the comoving Jacobian with `sp.bmat`."""
+    p = system.params
+    eps = p.epsilon
+    u, v = system.split(x)
+    grad = ps._coupling_grad_arrays(system.coupling, v)
+    n, nx = system.n, system.nx
+    blocks = [[None] * (n + 1) for _ in range(n + 1)]
+    blocks[0][0] = (eps ** 2 * system.d2 + eps ** 2 * c * system.d1
+                    + sp.diags(1.0 - 3.0 * u ** 2))
+    for j in range(n):
+        blocks[0][j + 1] = sp.diags(-eps * grad[j])
+        blocks[j + 1][0] = sp.identity(nx) * eps ** 2
+        blocks[j + 1][j + 1] = (eps ** 2 * p.d[j] ** 2 * system.d2
+                                + eps ** 2 * c * p.tau[j] * system.d1
+                                - eps ** 2 * sp.identity(nx))
+    return sp.bmat(blocks, format="csc")
+
+
+def _assert_same_entries(a, b):
+    assert a.shape == b.shape
+    assert (a != b).nnz == 0
+
+
+@pytest.fixture(params=["n1_cubic", "n3"])
+def perturbed_system(request, transcritical_set):
+    """A small system at c != 0, off its steady state, on 41 nodes."""
+    if request.param == "n1_cubic":
+        params = SystemParams(epsilon=0.2, tau=(0.7,), d=(1.3,))
+        coupling = Coupling(0.05, (2.0,), (0.3,), higher=(-1.0, 0.4))
+        other = Coupling(-0.1, (1.5,), (0.2,), higher=(0.5, -0.2))
+    else:
+        params, coupling = transcritical_set
+        other = Coupling(coupling.gamma + 0.1, tuple(a * 1.1 for a in coupling.alpha),
+                         tuple(b - 0.2 for b in coupling.beta))
+    grid = ps.make_grid(4.0, 41)
+    rng = np.random.default_rng(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # under-resolved on purpose: kept small
+        state = ps.initial_front_state(params, coupling, grid, c=0.4)
+    x = np.concatenate([state.u, state.v.ravel()])
+    x += rng.uniform(-0.1, 0.1, x.shape)
+    return ps._FrontSystem(params, coupling, grid), x, 0.37, other
+
+
+class TestJacobian:
+    def test_matches_central_differences(self, perturbed_system):
+        system, x, c, _other = perturbed_system
+        jac = system.jacobian(x, c).toarray()
+        step = 1e-6
+        fd = np.empty_like(jac)
+        for k in range(system.size):
+            e = np.zeros(system.size)
+            e[k] = step
+            fd[:, k] = (system.residual(x + e, c) - system.residual(x - e, c)) / (2 * step)
+        assert np.max(np.abs(fd - jac)) <= 1e-7 * np.max(np.abs(jac))
+
+    def test_cached_assembly_equals_bmat(self, perturbed_system):
+        system, x, c, other = perturbed_system
+        original = system.coupling
+        _assert_same_entries(system.jacobian(x, c), _bmat_jacobian(system, x, c))
+        _assert_same_entries(system.jacobian(x, 0.0), _bmat_jacobian(system, x, 0.0))
+        system.coupling = other        # same system and cached pattern
+        _assert_same_entries(system.jacobian(x, -c), _bmat_jacobian(system, x, -c))
+        view = system.with_coupling(original)
+        _assert_same_entries(view.jacobian(x, c), _bmat_jacobian(view, x, c))
+        assert system.coupling is other
+
+    def test_dynamic_jacobian_is_row_scaled(self, perturbed_system):
+        system, x, c, _other = perturbed_system
+        row_tau = np.concatenate([np.ones(system.nx)]
+                                 + [np.full(system.nx, t) for t in system.params.tau])
+        jac = system.jacobian(x, c)
+        dynamic = system.dynamic_jacobian(x, c)
+        # each V_j row divided by tau_j, as the row-wise assembly did; the
+        # product with diag(1 / tau_j) agrees to rounding
+        assert np.array_equal(dynamic.toarray(), jac.toarray() / row_tau[:, None])
+        scaled = sp.diags(1.0 / row_tau) @ jac
+        assert abs(dynamic - scaled).max() <= 4e-16 * abs(scaled).max()
+
+    def test_pinned_row_is_unit_vector(self, perturbed_system):
+        system, x, c, _other = perturbed_system
+        ic = system.center
+        pinned = system.pinned_jacobian(x, c).toarray()
+        unit = np.zeros(system.size)
+        unit[ic] = 1.0
+        assert np.array_equal(pinned[ic], unit)
+        jac = system.jacobian(x, c).toarray()
+        assert np.array_equal(np.delete(pinned, ic, axis=0), np.delete(jac, ic, axis=0))
+
+    def test_bordered_matrices(self, perturbed_system):
+        system, x, c, _other = perturbed_system
+        jac = system.jacobian(x, c)
+        dc = system.residual_c_derivative(x)
+        dp = system.residual_param_derivative(x, "alpha", 0)
+        phase = np.zeros(system.size + 2)
+        phase[system.center] = 1.0
+        arc = np.random.default_rng(3).uniform(-1.0, 1.0, system.size + 2)
+        travelling = sp.vstack([sp.hstack([jac, dc[:, None]]), phase[None, :-1]])
+        _assert_same_entries(system.bordered(jac, [dc]), travelling)
+        corrector = sp.vstack([sp.hstack([jac, dc[:, None], dp[:, None]]),
+                               phase[None, :], arc[None, :]])
+        _assert_same_entries(system.bordered(jac, [dc, dp], arc), corrector)
+
+    def test_continuation_leaves_its_system_unchanged(self, cusp_setup, monkeypatch):
+        params, _ = cusp_setup
+        template = Coupling(0.05, (1.45,), (0.0,), higher=(-1.0,))
+        made = []
+
+        class Recording(ps._FrontSystem):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append((self, self.coupling))
+
+        monkeypatch.setattr(ps, "_FrontSystem", Recording)
+        grid = ps.make_grid(20.0, 401, params.epsilon)
+        points = ps.continue_branch(params, template, "alpha1", (1.2, 1.7), ds=0.03,
+                                    grid=grid, max_points=5, guess_c=-1.3,
+                                    compute_spectra=False)
+        assert len(points) == 5
+        assert len({pt.param for pt in points}) == 5
+        assert made and all(system.coupling is coupling for system, coupling in made)
 
 
 class TestSpectrum:
