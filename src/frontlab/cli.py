@@ -17,15 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .core_model import Coupling, SystemParams, model_from_dict, model_to_dict
+from .core_model import _MODEL_KEYS, Coupling, SystemParams, model_from_dict, model_to_dict
 from .errors import FrontlabError
 
 CSV_HEADER = "# frontlab v1"
 
-_RUN_KEYS = {
-    "n_slow", "epsilon", "tau", "d", "gamma", "alpha", "beta", "higher",
-    "seed", "output_dir", "pde", "ode",
-}
+_RUN_ONLY_KEYS = {"seed", "output_dir", "pde", "ode"}
+_RUN_KEYS = set(_MODEL_KEYS) | _RUN_ONLY_KEYS
 _PDE_KEYS = {"domain_half_length", "n_x", "dt", "t_end", "output_stride",
              "perturbation"}
 _PERTURBATION_KEYS = {"mode", "amplitude", "width", "center", "lam"}
@@ -59,16 +57,12 @@ def load_run_config(path) -> RunConfig:
     ode = doc.get("ode", {})
     if set(ode) - _ODE_KEYS:
         raise FrontlabError(f"unknown ode keys: {sorted(set(ode) - _ODE_KEYS)}")
-    model_doc = {k: v for k, v in doc.items()
-                 if k not in ("seed", "output_dir", "pde", "ode")}
+    model_doc = {k: v for k, v in doc.items() if k not in _RUN_ONLY_KEYS}
     params, coupling = model_from_dict(model_doc)
     return RunConfig(params=params, coupling=coupling,
                      seed=int(doc.get("seed", 0)),
                      output_dir=doc.get("output_dir", "."),
                      pde=pde, ode=ode, raw=doc)
-
-
-from .core_model import worker_count  # noqa: F401  (env-capped sweep workers)
 
 
 def _write_manifest(cfg: RunConfig, outdir, command, extra=None):

@@ -28,15 +28,6 @@ DISTINCTNESS_RTOL = 1e-10
 DEFAULT_SERIES_ORDER = 12
 
 
-def worker_count() -> int:
-    """Worker cap from FRONTLAB_THREADS (default 1: fully serial runs)."""
-    import os
-    try:
-        return max(1, int(os.environ.get("FRONTLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def double_factorial(n: int) -> int:
     """n!! -- product of positive integers up to n with the parity of n.
 
@@ -60,6 +51,12 @@ def _min_relative_gap(values):
         return 0.0
     sorted_vals = np.sort(values)
     return float(np.min(np.diff(sorted_vals))) / scale
+
+
+def _require_finite(**fields):
+    for name, values in fields.items():
+        if not all(math.isfinite(x) for x in values):
+            raise FrontlabError(f"{name} must be finite, got {values}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,7 @@ class SystemParams:
             raise FrontlabError("need at least one slow component")
         if len(d) != n:
             raise FrontlabError(f"len(d)={len(d)} != len(tau)={n}")
+        _require_finite(epsilon=(self.epsilon,), tau=tau, d=d)
         if not self.epsilon > 0:
             raise FrontlabError(f"epsilon must be positive, got {self.epsilon}")
         if any(t <= 0 for t in tau):
@@ -142,6 +140,7 @@ class Coupling:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "higher", higher)
+        _require_finite(gamma=(self.gamma,), alpha=alpha, beta=beta, higher=higher)
         if len(beta) != len(alpha):
             raise FrontlabError(f"len(beta)={len(beta)} != len(alpha)={len(alpha)}")
         if higher and len(alpha) != 1:
@@ -168,42 +167,81 @@ class Coupling:
     def __call__(self, v):
         return eval_coupling(self, v)
 
+    def _slot(self, name: str):
+        """Field and index of a named coefficient (index None for gamma)."""
+        if name == "gamma":
+            return "gamma", None
+        for field in ("alpha", "beta"):
+            for j in range(self.n_slow):
+                if name == f"{field}{j + 1}":
+                    return field, j
+        raise FrontlabError(
+            f"coupling parameter {name!r} must be 'gamma', 'alpha<j>' or "
+            f"'beta<j>' with 1 <= j <= {self.n_slow}")
 
-def eval_coupling(coupling: Coupling, v) -> float:
-    """Evaluate F at a point (or pointwise over trailing array axes).
+    def param(self, name: str) -> float:
+        """Value of the coefficient named 'gamma', 'alpha<j>' or 'beta<j>'."""
+        field, j = self._slot(name)
+        return self.gamma if j is None else getattr(self, field)[j]
 
-    Accepts v of shape (N,) or (N, ...) for vectorized grid evaluation.
+    def with_param(self, name: str, value: float) -> "Coupling":
+        """Copy with the named coefficient set to value."""
+        field, j = self._slot(name)
+        if j is not None:
+            value = tuple(value if i == j else x
+                          for i, x in enumerate(getattr(self, field)))
+        return replace(self, **{field: value})
+
+
+def _components(coupling: Coupling, v) -> list:
+    """The N components of v: the floats of an N-vector, the rows of an
+    (N, ...) grid, or the entries of a sequence of PowerSeries."""
+    if isinstance(v, (list, tuple)) and v and isinstance(v[0], PowerSeries):
+        comps = list(v)
+    else:
+        arr = np.atleast_1d(np.asarray(v, dtype=float))
+        # Python floats are cheaper to combine than numpy scalars
+        comps = arr.tolist() if arr.ndim == 1 else list(arr)
+    if len(comps) != coupling.n_slow:
+        raise FrontlabError(
+            f"expected {coupling.n_slow} components, got {len(comps)}")
+    return comps
+
+
+def eval_coupling(coupling: Coupling, v):
+    """F at v, written with + and * alone so that one expression serves an
+    N-vector (float result), an (N, ...) grid (pointwise over the trailing
+    axes) and a sequence of N PowerSeries (the composed series).
+
+    Zero coefficients add exact zeros and are skipped: a series product
+    costs far more than the test.
     """
-    v = np.asarray(v, dtype=float)
-    n = coupling.n_slow
-    if v.shape[0] != n:
-        raise FrontlabError(f"expected {n} components, got shape {v.shape}")
-    alpha = np.asarray(coupling.alpha)
-    beta = np.asarray(coupling.beta)
-    out = coupling.gamma + np.tensordot(alpha, v, axes=1) \
-        + np.tensordot(beta, v * v, axes=1)
+    v = _components(coupling, v)
+    linear = quadratic = 0.0 * v[0]
+    for a, b, vj in zip(coupling.alpha, coupling.beta, v):
+        if a:
+            linear = linear + a * vj
+        if b:
+            quadratic = quadratic + b * (vj * vj)
+    out = coupling.gamma + linear + quadratic
     if coupling.higher:
-        v1 = v[0]
-        for k, coeff in enumerate(coupling.higher, start=3):
-            out = out + coeff * v1 ** k
-    if np.ndim(out) == 0:
-        return float(out)
+        power = v[0] * v[0]
+        for coeff in coupling.higher:
+            power = power * v[0]
+            out = out + coeff * power
     return out
 
 
-def coupling_gradient(coupling: Coupling, v) -> np.ndarray:
-    """Exact partial derivatives dF/dV_j at v."""
-    v = np.asarray(v, dtype=float)
-    n = coupling.n_slow
-    if v.shape != (n,):
-        raise FrontlabError(f"expected {n} components, got shape {v.shape}")
-    grad = np.asarray(coupling.alpha) + 2.0 * np.asarray(coupling.beta) * v
-    if coupling.higher:
-        v1 = v[0]
-        grad = grad.copy()
-        for k, coeff in enumerate(coupling.higher, start=3):
-            grad[0] += k * coeff * v1 ** (k - 1)
-    return grad
+def coupling_gradient(coupling: Coupling, v):
+    """Exact partial derivatives dF/dV_j at v, for the same forms of v as
+    eval_coupling: an (N,) or (N, ...) array, or a list of N PowerSeries."""
+    v = _components(coupling, v)
+    grad = [a + (2.0 * b) * vj for a, b, vj in zip(coupling.alpha, coupling.beta, v)]
+    power = v[0]
+    for k, coeff in enumerate(coupling.higher, start=3):
+        power = power * v[0]
+        grad[0] = grad[0] + (k * coeff) * power
+    return grad if isinstance(v[0], PowerSeries) else np.array(grad)
 
 
 @dataclass(frozen=True)

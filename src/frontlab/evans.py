@@ -68,6 +68,12 @@ def evans_eval(ctx: EvansContext, lam: complex) -> complex:
     lam = complex(lam)
     if _on_cut(ctx, lam):
         raise BranchCutError(f"lambda = {lam} is within {CUT_CLEARANCE} of a branch cut")
+    return evans_eval_unchecked(ctx, lam)
+
+
+def evans_eval_unchecked(ctx: EvansContext, lam: complex) -> complex:
+    """E0 without the cut-proximity guard (contours stay off the cuts)."""
+    lam = complex(lam)
     total = lam
     c = ctx.c
     for j in range(ctx.params.n_slow):
@@ -424,18 +430,3 @@ def evans_roots(ctx: EvansContext, region, tol: float = 1e-9) -> RootSet:
         box, tol=tol, cuts=ctx.branch_points)
     roots = sorted(roots, key=lambda rm: (rm[0].real, rm[0].imag))
     return RootSet(roots=tuple(roots), contour=box, winding_total=total)
-
-
-def evans_eval_unchecked(ctx: EvansContext, lam: complex) -> complex:
-    """E0 without the cut-proximity guard (contours stay off the cuts)."""
-    lam = complex(lam)
-    total = lam
-    c = ctx.c
-    for j in range(ctx.params.n_slow):
-        tau, d, g = ctx.params.tau[j], ctx.params.d[j], ctx.grad[j]
-        if g == 0.0:
-            continue
-        base = c * c * tau * tau + 4.0 * d * d
-        total += 3.0 * SQRT2 * g * (1.0 / cmath.sqrt(base + 4.0 * d * d * tau * lam)
-                                    - 1.0 / math.sqrt(base))
-    return total

@@ -50,28 +50,10 @@ def gamma0_derivative(params: SystemParams, coupling: Coupling, c: float) -> flo
     return float(np.dot(grad, v_star_derivative(params, c))) - SQRT2 / 3.0
 
 
-def _coupling_series(coupling: Coupling, vj_series) -> PowerSeries:
-    """Compose the coupling polynomial with per-component series of V_j."""
-    out = PowerSeries.constant(coupling.gamma, vj_series[0].order)
-    for j, vs in enumerate(vj_series):
-        if coupling.alpha[j]:
-            out = out + coupling.alpha[j] * vs
-        if coupling.beta[j]:
-            out = out + coupling.beta[j] * (vs * vs)
-    if coupling.higher:
-        v1 = vj_series[0]
-        pk = v1 * v1
-        for k, coeff in enumerate(coupling.higher, start=3):
-            pk = pk * v1
-            if coeff:
-                out = out + coeff * pk
-    return out
-
-
 def gamma0_taylor(params: SystemParams, coupling: Coupling, order: int) -> PowerSeries:
     """Taylor series of Gamma0 at c = 0 to the given order."""
     vj = [series_vstar(params, j, order) for j in range(1, params.n_slow + 1)]
-    series = _coupling_series(coupling, vj)
+    series = eval_coupling(coupling, vj)
     lin = [0.0] * (order + 1)
     lin[1] = -SQRT2 / 3.0
     return series + PowerSeries(tuple(lin))
@@ -94,7 +76,7 @@ def gamma0_series_at(params: SystemParams, coupling: Coupling, center: float,
              tau * tau], order=order)
         shifted = PowerSeries.from_coeffs([center, 1.0], order=order)
         vj.append(tau * shifted * series_sqrt_reciprocal(w))
-    series = _coupling_series(coupling, vj)
+    series = eval_coupling(coupling, vj)
     lin = [0.0] * (order + 1)
     lin[0] = -SQRT2 / 3.0 * center
     lin[1] = -SQRT2 / 3.0
@@ -293,49 +275,6 @@ def front_profile(params: SystemParams, coupling: Coupling, c: float,
 
 # -- fold curves --------------------------------------------------------------
 
-_PLANE_PARAMS = ("gamma", "alpha", "beta")
-
-
-def _parse_plane_param(name: str, n_slow: int):
-    """'gamma' | 'alpha1'..'alphaN' | 'beta1'..'betaN' -> (kind, index)."""
-    if name == "gamma":
-        return ("gamma", 0)
-    for kind in ("alpha", "beta"):
-        if name.startswith(kind):
-            try:
-                j = int(name[len(kind):])
-            except ValueError:
-                break
-            if not 1 <= j <= n_slow:
-                raise FrontlabError(f"{name}: component index out of range 1..{n_slow}")
-            return (kind, j - 1)
-    raise FrontlabError(
-        f"plane parameter {name!r} must be 'gamma', 'alpha<j>' or 'beta<j>'")
-
-
-def _zeroed(coupling: Coupling, spec):
-    kind, j = spec
-    if kind == "gamma":
-        return Coupling(0.0, coupling.alpha, coupling.beta, coupling.higher)
-    values = list(getattr(coupling, kind))
-    values[j] = 0.0
-    if kind == "alpha":
-        return Coupling(coupling.gamma, tuple(values), coupling.beta, coupling.higher)
-    return Coupling(coupling.gamma, coupling.alpha, tuple(values), coupling.higher)
-
-
-def _basis_function(params, spec, c):
-    """d Gamma0 / d(plane parameter) and its c-derivative at speed c."""
-    kind, j = spec
-    if kind == "gamma":
-        return 1.0, 0.0
-    vs = v_star(params, c)[j]
-    dvs = v_star_derivative(params, c)[j]
-    if kind == "alpha":
-        return vs, dvs
-    return vs * vs, 2.0 * vs * dvs
-
-
 @dataclass(frozen=True)
 class FoldBranch:
     """Polyline of fold points in a coupling-parameter plane, tagged by c."""
@@ -359,11 +298,12 @@ def fold_curves(params: SystemParams, coupling_template: Coupling, plane,
     solve per sample; polylines break where the solve degenerates or the
     point leaves the box.  Returns a list of FoldBranch.
     """
-    px = _parse_plane_param(plane[0], params.n_slow)
-    py = _parse_plane_param(plane[1], params.n_slow)
+    px, py = plane
+    base = coupling_template.with_param(px, 0.0).with_param(py, 0.0)
     if px == py:
         raise FrontlabError("plane parameters must differ")
-    base = _zeroed(_zeroed(coupling_template, px), py)
+    zero = Coupling(0.0, (0.0,) * params.n_slow, (0.0,) * params.n_slow)
+    unit_x, unit_y = zero.with_param(px, 1.0), zero.with_param(py, 1.0)
     xmin, xmax, ymin, ymax = (float(b) for b in box)
 
     if c_range is None:
@@ -384,9 +324,12 @@ def fold_curves(params: SystemParams, coupling_template: Coupling, plane,
         current_pts, current_cs = [], []
 
     for c in cs:
-        fx, dfx = _basis_function(params, px, c)
-        fy, dfy = _basis_function(params, py, c)
-        a = np.array([[fx, fy], [dfx, dfy]])
+        # Gamma0 is affine in each plane parameter: its coefficient is
+        # F_unit(Vstar(c)), whose c-derivative is grad F_unit . Vstar'(c)
+        vs, dvs = v_star(params, c), v_star_derivative(params, c)
+        a = np.array([[eval_coupling(unit, vs) for unit in (unit_x, unit_y)],
+                      [float(np.dot(coupling_gradient(unit, vs), dvs))
+                       for unit in (unit_x, unit_y)]])
         rhs = -np.array([gamma0(params, base, c),
                          gamma0_derivative(params, base, c)])
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]

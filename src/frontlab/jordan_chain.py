@@ -197,21 +197,16 @@ class ChainProfile:
             inner = SQRT2 / (2.0 * eps) / np.cosh(y / (SQRT2 * eps)) ** 2
             out = np.where(np.abs(y) <= w, inner, 0.0)
             return float(out) if out.ndim == 0 else out
+        # the front's slow fields, held at their interface-edge values inside
+        v0 = np.stack([np.where(y >= 0, self._front.v(j, np.maximum(y, w)),
+                                self._front.v(j, np.minimum(y, -w)))
+                       for j in range(1, self.params.n_slow + 1)])
+        grad = coupling_gradient(self.coupling, v0)
         slow = np.zeros_like(y, dtype=float)
-        for j in range(1, self.params.n_slow + 1):
-            vj0 = np.where(y >= 0, self._front.v(j, np.maximum(y, w)),
-                           self._front.v(j, np.minimum(y, -w)))
-            grad_nl = (2.0 * self.coupling.beta[j - 1] * vj0
-                       + (self._higher_grad(vj0) if j == 1 else 0.0))
-            slow += (self.coupling.alpha[j - 1] + grad_nl) * self._slow_v(j, y)
+        for j in range(self.params.n_slow):
+            slow += grad[j] * self._slow_v(j + 1, y)
         out = np.where(np.abs(y) <= w, self.fast_value, -0.5 * eps * slow)
         return float(out) if out.ndim == 0 else out
-
-    def _higher_grad(self, v1):
-        acc = np.zeros_like(v1)
-        for kk, coeff in enumerate(self.coupling.higher, start=3):
-            acc = acc + kk * coeff * v1 ** (kk - 1)
-        return acc
 
     def _slow_v(self, j, y):
         # even reflection: v^k_-(x) = v^k_+(-x)

@@ -21,7 +21,7 @@ from scipy.linalg import solve_banded
 from scipy.sparse.linalg import eigs as sparse_eigs
 from scipy.sparse.linalg import splu
 
-from .core_model import Coupling, SystemParams, eval_coupling
+from .core_model import Coupling, SystemParams, coupling_gradient, eval_coupling
 from .errors import ConvergenceError, FrontlabError
 from .existence import front_profile
 from .jordan_chain import ChainProfile
@@ -363,18 +363,6 @@ def simulate(state: PdeState, t_end: float, output_stride: int = 10,
 
 # -- steady solvers -------------------------------------------------------------
 
-def _coupling_grad_arrays(coupling: Coupling, v: np.ndarray):
-    """dF/dV_j elementwise over the grid, shape (N, n_x)."""
-    n = coupling.n_slow
-    grad = np.empty_like(v)
-    for j in range(n):
-        grad[j] = coupling.alpha[j] + 2.0 * coupling.beta[j] * v[j]
-    if coupling.higher:
-        for k, coeff in enumerate(coupling.higher, start=3):
-            grad[0] += k * coeff * v[0] ** (k - 1)
-    return grad
-
-
 def _csc_layout(shape, groups):
     """Sorted CSC structure holding every (rows, cols) group of entries.
 
@@ -552,7 +540,7 @@ class _FrontSystem:
         c_scale = np.array([eps ** 2 * c] + [eps ** 2 * c * t for t in self.params.tau])
         data = pat.static + c_scale[pat.row_block] * pat.d1
         data[pat.uu] += 1.0 - 3.0 * u ** 2
-        data[pat.uv] = -eps * _coupling_grad_arrays(self.coupling, v)
+        data[pat.uv] = -eps * coupling_gradient(self.coupling, v)
         return _csc(data, pat)
 
     def pinned_jacobian(self, x, c):
@@ -590,16 +578,13 @@ class _FrontSystem:
             out.append(eps ** 2 * p.tau[j] * (self.d1 @ v[j]))
         return np.concatenate(out)
 
-    def residual_param_derivative(self, x, kind, index):
-        """dR/d(coupling parameter); only the U rows are touched."""
-        eps = self.params.epsilon
+    def residual_param_derivative(self, x, name):
+        """dR/dp for the coupling parameter `name`; only the U rows are
+        touched.  F is affine in p, so dF/dp is F of the coupling whose only
+        nonzero entry is p = 1."""
         _u, v = self.split(x)
-        if kind == "gamma":
-            du = -eps * np.ones(self.nx)
-        elif kind == "alpha":
-            du = -eps * v[index]
-        else:
-            du = -eps * v[index] ** 2
+        zero = Coupling(0.0, (0.0,) * self.n, (0.0,) * self.n)
+        du = -self.params.epsilon * eval_coupling(zero.with_param(name, 1.0), v)
         return np.concatenate([du, np.zeros(self.n * self.nx)])
 
     def dynamic_jacobian(self, x, c):
@@ -816,22 +801,6 @@ class BranchPoint:
         return max(z.real for z in pairs)
 
 
-def _set_coupling_param(coupling: Coupling, kind, index, value):
-    if kind == "gamma":
-        return Coupling(value, coupling.alpha, coupling.beta, coupling.higher)
-    vals = list(getattr(coupling, kind))
-    vals[index] = value
-    if kind == "alpha":
-        return Coupling(coupling.gamma, tuple(vals), coupling.beta, coupling.higher)
-    return Coupling(coupling.gamma, coupling.alpha, tuple(vals), coupling.higher)
-
-
-def _get_coupling_param(coupling: Coupling, kind, index):
-    if kind == "gamma":
-        return coupling.gamma
-    return getattr(coupling, kind)[index]
-
-
 def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
                     prange, ds: float, grid: Grid | None = None,
                     max_points: int = 200, n_eigs: int = 8,
@@ -847,11 +816,8 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
     between accepted points.  The branch is truncated (and the truncation
     reported on the last point) if the corrector fails at ds_min.
     """
-    from .existence import _parse_plane_param
-
-    kind, index = _parse_plane_param(free_param, params.n_slow)
     p_lo, p_hi = float(min(prange)), float(max(prange))
-    p0 = _get_coupling_param(coupling, kind, index)
+    p0 = coupling.param(free_param)
     if not p_lo <= p0 <= p_hi:
         raise FrontlabError(f"starting parameter {p0} outside range [{p_lo}, {p_hi}]")
     if grid is None:
@@ -860,7 +826,7 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
         ds_max = 4.0 * ds
 
     def solve_at(p_val, guess_state, c_guess):
-        coup = _set_coupling_param(coupling, kind, index, p_val)
+        coup = coupling.with_param(free_param, p_val)
         return solve_travelling_front(params, coup, guess=guess_state,
                                       guess_c=c_guess, grid=grid,
                                       res_tol=res_tol)
@@ -902,7 +868,7 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
             break
         tangent /= tn
         pred = w_cur + step_len * tangent
-        corrected = _bordered_correct(system, kind, index, pred, tangent, w_cur,
+        corrected = _bordered_correct(system, free_param, pred, tangent, w_cur,
                                       step_len, profile_weight, res_tol)
         if corrected is None:
             if step_len <= ds_min:
@@ -914,7 +880,7 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
         step_len = min(ds_max, 1.15 * step_len)
         p_val = w_cur[-1]
         c_val = w_cur[-2]
-        coup = _set_coupling_param(coupling, kind, index, p_val)
+        coup = coupling.with_param(free_param, p_val)
         state = _state_from_vector(system, w_cur[:nx1], params, coup, grid)
         sol = FrontSolution(state=state, c=float(c_val), residual=0.0,
                             iterations=0, converged=True)
@@ -944,13 +910,12 @@ def _branch_point(sol: FrontSolution, p_val: float, n_eigs: int,
                        eigenvalues=eigs, stable=stable, tag="none")
 
 
-def _bordered_correct(system, kind, index, w, tangent, w_old, step_len,
+def _bordered_correct(system, free_param, w, tangent, w_old, step_len,
                       profile_weight, res_tol, max_iter=12):
     nx1 = system.size
     for _ in range(max_iter):
         x, c, p = w[:nx1], w[nx1], w[nx1 + 1]
-        coupling = _set_coupling_param(system.coupling, kind, index, p)
-        at_p = system.with_coupling(coupling)
+        at_p = system.with_coupling(system.coupling.with_param(free_param, p))
         r = at_p.residual(x, c)
         phase = x[system.center]
         arc = (profile_weight ** 2 * float(np.dot(tangent[:nx1], w[:nx1] - w_old[:nx1]))
@@ -963,7 +928,7 @@ def _bordered_correct(system, kind, index, w, tangent, w_old, step_len,
                                   [tangent[nx1], tangent[nx1 + 1]]])
         big = at_p.bordered(at_p.jacobian(x, c),
                             [at_p.residual_c_derivative(x),
-                             at_p.residual_param_derivative(x, kind, index)], arc_row)
+                             at_p.residual_param_derivative(x, free_param)], arc_row)
         try:
             delta = splu(big).solve(-big_r)
         except RuntimeError:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core_model import Coupling, SystemParams, worker_count
+from .core_model import Coupling, SystemParams
 from .designer import design_evans_degeneracy, linear_unfolding_map
 from .errors import ConvergenceError, FrontlabError
 from .existence import gamma0_taylor
@@ -451,8 +451,6 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
     if nf.mu_bar >= 0:
         raise FrontlabError("necessary condition violated: need mu_bar < 0")
 
-    sweep = [float(s) for s in sweep]
-
     def at(nb):
         return replace(nf, nu=(nf.nu[0], nf.nu[1], nb))
 
@@ -460,13 +458,8 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
         return _shoot_once(at(nb), tol, t_max=t_max,
                            integrator_tol=integrator_tol)
 
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trace = list(pool.map(shoot, sweep))   # ordered, deterministic
-    else:
-        trace = [shoot(nb) for nb in sweep]
+    sweep = [float(s) for s in sweep]
+    trace = [shoot(nb) for nb in sweep]
     if all(p.status == "no-saddle-focus" for p in trace):
         raise FrontlabError("no saddle-focus(1u,2s) equilibrium anywhere in the sweep")
 
@@ -481,8 +474,7 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
         best = None
         for _ in range(max_bisect):
             midv = 0.5 * (lo + hi)
-            pm = _shoot_once(at(midv), tol, t_max=t_max,
-                             integrator_tol=integrator_tol)
+            pm = shoot(midv)
             if pm.status != "ok":
                 break
             best = pm

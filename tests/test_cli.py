@@ -51,6 +51,21 @@ class TestDispatch:
         obj = json.loads(capsys.readouterr().err.strip())
         assert obj["error"] == "DesignError"
 
+    def test_non_finite_config_exit_1(self, tmp_path, capsys):
+        # JSON 1e309 reads as inf; it is rejected where the model is built
+        path = tmp_path / "inf.json"
+        path.write_text('{"epsilon": 0.05, "tau": [1e309], "d": [1.0], "alpha": [0.9]}')
+        rc = dispatch(["--config", str(path), "--output-dir", str(tmp_path),
+                       "gamma", "--roots"])
+        assert rc == 1
+        assert "tau must be finite" in capsys.readouterr().err
+
+    def test_bad_fold_plane_name_exit_1(self, n1_config, tmp_path, capsys):
+        rc = dispatch(["--config", n1_config, "--output-dir", str(tmp_path),
+                       "gamma", "--folds", "alpha0,gamma,0,1,0,1,11,11"])
+        assert rc == 1
+        assert "coupling parameter 'alpha0'" in capsys.readouterr().err
+
     def test_missing_config(self, capsys):
         assert dispatch(["gamma", "--roots"]) == 1
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams,
                       coupling_gradient, double_factorial, eval_coupling,
@@ -27,6 +29,13 @@ class TestSystemParams:
             SystemParams(epsilon=0.1, tau=(1.0, -2.0), d=(1.0, 1.0))
         with pytest.raises(FrontlabError):
             SystemParams(epsilon=0.1, tau=(1.0, 2.0), d=(1.0,))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tau": (1e309,)}, {"d": (float("nan"),)}, {"epsilon": float("inf")}])
+    def test_rejects_non_finite(self, kwargs):
+        base = {"epsilon": 0.1, "tau": (1.0,), "d": (1.0,)}
+        with pytest.raises(FrontlabError, match="must be finite"):
+            SystemParams(**{**base, **kwargs})
 
     def test_distinctness_flags(self):
         p = SystemParams(epsilon=0.1, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
@@ -86,6 +95,110 @@ class TestCoupling:
     def test_higher_requires_single_component(self):
         with pytest.raises(FrontlabError):
             Coupling(0.0, (1.0, 1.0), (0.0, 0.0), higher=(1.0,))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": (float("nan"),)}, {"higher": (float("inf"),)},
+        {"gamma": 1e309}, {"beta": (-float("inf"),)}])
+    def test_rejects_non_finite(self, kwargs):
+        base = {"gamma": 0.0, "alpha": (1.0,), "beta": (0.0,)}
+        with pytest.raises(FrontlabError, match="must be finite"):
+            Coupling(**{**base, **kwargs})
+
+
+_NAMES_N3 = ["gamma", "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3"]
+
+
+class TestCouplingParam:
+    coupling = Coupling(0.5, (1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+
+    def test_values(self):
+        assert [self.coupling.param(name) for name in _NAMES_N3] == [
+            0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize("name", _NAMES_N3)
+    def test_round_trip(self, name):
+        changed = self.coupling.with_param(name, -7.25)
+        assert changed.param(name) == -7.25
+        for other in _NAMES_N3:
+            if other != name:
+                assert changed.param(other) == self.coupling.param(other)
+        assert changed.with_param(name, self.coupling.param(name)) == self.coupling
+
+    def test_keeps_the_tail(self):
+        cubic = Coupling(0.0, (2.0,), (0.0,), higher=(-1.0,))
+        assert cubic.with_param("beta1", 0.5).higher == (-1.0,)
+
+    @pytest.mark.parametrize("name", ["alpha0", "alpha4", "alpha01", "beta", "higher3",
+                                      "delta", ""])
+    def test_bad_names(self, name):
+        with pytest.raises(FrontlabError, match="coupling parameter"):
+            self.coupling.param(name)
+        with pytest.raises(FrontlabError, match="coupling parameter"):
+            self.coupling.with_param(name, 1.0)
+
+    def test_non_finite_value(self):
+        with pytest.raises(FrontlabError, match="must be finite"):
+            self.coupling.with_param("alpha2", float("nan"))
+
+
+_coef = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def _coupling_and_grid(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    tail = draw(st.lists(_coef, min_size=1, max_size=3)) \
+        if n == 1 and draw(st.booleans()) else []
+    coupling = Coupling(draw(_coef), tuple(draw(st.lists(_coef, min_size=n, max_size=n))),
+                        tuple(draw(st.lists(_coef, min_size=n, max_size=n))),
+                        higher=tuple(tail))
+    n_x = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.floats(-1.5, 1.5, allow_nan=False),
+                          min_size=n * n_x, max_size=n * n_x))
+    return coupling, np.array(cells).reshape(n, n_x)
+
+
+class TestOneEvaluator:
+    """eval_coupling and coupling_gradient give the same numbers on every form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coupling_and_grid())
+    def test_grid_equals_columns(self, case):
+        coupling, grid = case
+        values = eval_coupling(coupling, grid)
+        grads = coupling_gradient(coupling, grid)
+        assert values.shape == grid.shape[1:] and grads.shape == grid.shape
+        for k in range(grid.shape[1]):
+            assert values[k] == eval_coupling(coupling, grid[:, k])
+            assert np.array_equal(grads[:, k], coupling_gradient(coupling, grid[:, k]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coupling_and_grid())
+    def test_constant_series_equal_vector(self, case):
+        coupling, grid = case
+        v = grid[:, 0]
+        series = [PowerSeries.constant(vj, 4) for vj in v]
+        value = eval_coupling(coupling, series)
+        assert value.coeffs[0] == eval_coupling(coupling, v)
+        assert value.coeffs[1:] == (0.0,) * 4
+        grads = coupling_gradient(coupling, series)
+        assert [g.coeffs[0] for g in grads] == list(coupling_gradient(coupling, v))
+
+    def test_series_matches_polynomial(self):
+        # F(t, -2t) for F = 1 + 2 V1 - V2 + 3 V1^2 + V2^2: 1 + 4t + 7t^2
+        coupling = Coupling(1.0, (2.0, -1.0), (3.0, 1.0))
+        t = PowerSeries.identity(3)
+        assert eval_coupling(coupling, [t, -2.0 * t]).coeffs == (1.0, 4.0, 7.0, 0.0)
+        grads = coupling_gradient(coupling, [t, -2.0 * t])
+        assert [g.coeffs for g in grads] == [(2.0, 6.0, 0.0, 0.0), (-1.0, -4.0, 0.0, 0.0)]
+
+    def test_component_count_checked(self):
+        coupling = Coupling(0.0, (1.0, 2.0), (0.0, 0.0))
+        for bad in (np.zeros(3), np.zeros((1, 5)), 0.5, [PowerSeries((1.0,))]):
+            with pytest.raises(FrontlabError, match="expected 2 components"):
+                eval_coupling(coupling, bad)
+            with pytest.raises(FrontlabError, match="expected 2 components"):
+                coupling_gradient(coupling, bad)
 
 
 class TestPowerSeries:

@@ -271,7 +271,7 @@ def _bmat_jacobian(system, x, c):
     p = system.params
     eps = p.epsilon
     u, v = system.split(x)
-    grad = ps._coupling_grad_arrays(system.coupling, v)
+    grad = fl.coupling_gradient(system.coupling, v)
     n, nx = system.n, system.nx
     blocks = [[None] * (n + 1) for _ in range(n + 1)]
     blocks[0][0] = (eps ** 2 * system.d2 + eps ** 2 * c * system.d1
@@ -360,7 +360,7 @@ class TestJacobian:
         system, x, c, _other = perturbed_system
         jac = system.jacobian(x, c)
         dc = system.residual_c_derivative(x)
-        dp = system.residual_param_derivative(x, "alpha", 0)
+        dp = system.residual_param_derivative(x, "alpha1")
         phase = np.zeros(system.size + 2)
         phase[system.center] = 1.0
         arc = np.random.default_rng(3).uniform(-1.0, 1.0, system.size + 2)
@@ -369,6 +369,16 @@ class TestJacobian:
         corrector = sp.vstack([sp.hstack([jac, dc[:, None], dp[:, None]]),
                                phase[None, :], arc[None, :]])
         _assert_same_entries(system.bordered(jac, [dc, dp], arc), corrector)
+
+    @pytest.mark.parametrize("name", ["gamma", "alpha1", "beta1"])
+    def test_param_derivative_is_unit_difference(self, perturbed_system, name):
+        # R is affine in each coupling parameter p: dR/dp = R(p + 1) - R(p)
+        system, x, c, _other = perturbed_system
+        coupling = system.coupling
+        at_p1 = system.with_coupling(coupling.with_param(name, coupling.param(name) + 1.0))
+        r0, r1 = system.residual(x, c), at_p1.residual(x, c)
+        diff = system.residual_param_derivative(x, name) - (r1 - r0)
+        assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(r0))
 
     def test_continuation_leaves_its_system_unchanged(self, cusp_setup, monkeypatch):
         params, _ = cusp_setup
@@ -388,6 +398,17 @@ class TestJacobian:
         assert len(points) == 5
         assert len({pt.param for pt in points}) == 5
         assert made and all(system.coupling is coupling for system, coupling in made)
+
+
+@pytest.mark.parametrize("name", ["alpha0", "alpha2", "beta", "higher3", "delta"])
+def test_bad_parameter_name_rejected_alike(cusp_setup, name):
+    # N = 1, so alpha2 is alpha_{N+1}
+    params, coupling = cusp_setup
+    with pytest.raises(FrontlabError, match="coupling parameter") as from_folds:
+        fl.fold_curves(params, coupling, (name, "gamma"), (0.0, 1.0, 0.0, 1.0), n_c=11)
+    with pytest.raises(FrontlabError, match="coupling parameter") as from_branch:
+        ps.continue_branch(params, coupling, name, (0.0, 1.0), ds=0.1)
+    assert str(from_folds.value) == str(from_branch.value)
 
 
 class TestSpectrum:
