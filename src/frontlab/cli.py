@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -41,9 +42,20 @@ class RunConfig:
     raw: dict
 
 
+def _read_json(path, what):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FrontlabError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise FrontlabError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def load_run_config(path) -> RunConfig:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "config")
+    if not isinstance(doc, dict):
+        raise FrontlabError(f"config {path} must hold a JSON object")
     unknown = set(doc) - _RUN_KEYS
     if unknown:
         raise FrontlabError(f"unknown configuration keys: {sorted(unknown)}")
@@ -111,11 +123,9 @@ def _cmd_gamma(args, cfg, outdir):
                    list(enumerate(series.coeffs)))
         wrote.append(path)
     if args.folds:
-        px, py, xmin, xmax, ymin, ymax, nx, ny = args.folds.split(",")
-        branches = existence.fold_curves(
-            cfg.params, cfg.coupling, (px, py),
-            (float(xmin), float(xmax), float(ymin), float(ymax)),
-            n_c=max(int(nx), int(ny)))
+        px, py, xmin, xmax, ymin, ymax, nx, ny = args.folds
+        branches = existence.fold_curves(cfg.params, cfg.coupling, (px, py),
+                                         (xmin, xmax, ymin, ymax), n_c=max(nx, ny))
         path = os.path.join(outdir, "gamma_folds.csv")
         rows = []
         for bi, branch in enumerate(branches):
@@ -145,8 +155,7 @@ def _cmd_evans(args, cfg, outdir):
     if args.bound:
         print(f"root bound: {evans.evans_root_bound(ctx):.17g}")
     if args.roots:
-        xmin, xmax, ymin, ymax = (float(v) for v in args.roots.split(","))
-        rootset = evans.evans_roots(ctx, (xmin, xmax, ymin, ymax))
+        rootset = evans.evans_roots(ctx, args.roots)
         path = os.path.join(outdir, "evans_roots.csv")
         rows = [(_fmt_complex(z)[0], _fmt_complex(z)[1], m)
                 for z, m in rootset.roots]
@@ -177,8 +186,7 @@ def _cmd_design(args, cfg, outdir):
         coupling = design.coupling()
         print("singular_limit_only: true")
     elif target.startswith("imprint:"):
-        with open(target.split(":", 1)[1]) as fh:
-            targets = json.load(fh)
+        targets = _read_json(target.split(":", 1)[1], "imprint targets")
         coupling = designer.imprint_scalar_singularity(params, targets)
     else:
         raise FrontlabError(f"unknown design target {target!r}")
@@ -208,19 +216,11 @@ def _cmd_jordan(args, cfg, outdir):
     return 0
 
 
-def _parse_nf(spec_str):
-    from .speed_ode import ScaledNF
-    vals = [float(v) for v in spec_str.split(",")]
-    if len(vals) != 7:
-        raise FrontlabError("--nf needs nu0,l,m,n,a11,a12,delta")
-    nu0, l_, m_, n_, a11, a12, delta = vals
-    return ScaledNF(nu0=nu0, nu=(l_, m_, n_), a11=a11, a12=a12, delta=delta)
-
-
 def _cmd_ode(args, cfg, outdir):
     from . import speed_ode as so
     if args.nf:
-        ode = _parse_nf(args.nf)
+        nu0, l_, m_, n_, a11, a12, delta = args.nf
+        ode = so.ScaledNF(nu0=nu0, nu=(l_, m_, n_), a11=a11, a12=a12, delta=delta)
     elif args.from_analysis:
         ode = so.build_from_analysis(cfg.params, cfg.coupling,
                                      n_prime=cfg.ode.get("n_prime", cfg.params.n_slow),
@@ -249,9 +249,7 @@ def _cmd_ode(args, cfg, outdir):
         _write_csv(path, ["t"] + [f"c{k + 1}" for k in range(dim)], rows)
         print(path)
     if args.shoot:
-        lo, hi, steps = args.shoot.split(",")
-        result = so.shilnikov_shoot(ode, np.linspace(float(lo), float(hi),
-                                                     int(steps)))
+        result = so.shilnikov_shoot(ode, np.linspace(*args.shoot))
         path = os.path.join(outdir, "ode_shoot.csv")
         _write_csv(path, ["nu_bar", "miss", "status", "rho_s"],
                    [(p.nu_bar, p.miss, p.status, p.rho_s) for p in result.trace])
@@ -317,9 +315,8 @@ def _cmd_pde_sim(args, cfg, outdir):
 
 def _cmd_pde_continue(args, cfg, outdir):
     pde_sim, grid = _pde_setup(cfg)
-    lo, hi = (float(v) for v in args.range.split(","))
     points = pde_sim.continue_branch(cfg.params, cfg.coupling, args.free_param,
-                                     (lo, hi), ds=args.ds, grid=grid,
+                                     args.range, ds=args.ds, grid=grid,
                                      max_points=args.max_points)
     path = os.path.join(outdir, "branch.csv")
     rows = []
@@ -343,6 +340,35 @@ def _cmd_verify(args, cfg, outdir):
     return 1 if failures else 0
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not a positive count")
+    return value
+
+
+def _comma_list(*kinds):
+    """argparse `type=` for a comma list of exactly len(kinds) values, the
+    i-th converted by kinds[i]; a bad list is a usage error (exit 2)."""
+    def parse(text):
+        parts = text.split(",")
+        if len(parts) != len(kinds):
+            raise argparse.ArgumentTypeError(
+                f"expected {len(kinds)} comma-separated values, got {len(parts)}")
+        try:
+            return tuple(kind(part) for kind, part in zip(kinds, parts))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="frontlab",
@@ -356,13 +382,14 @@ def build_parser():
     p = sub.add_parser("gamma", help="existence function: roots, series, folds")
     p.add_argument("--roots", action="store_true")
     p.add_argument("--taylor", type=int, default=None, metavar="M")
-    p.add_argument("--folds", default=None,
-                   metavar="px,py,xmin,xmax,ymin,ymax,nx,ny")
+    p.add_argument("--folds", default=None, metavar="px,py,xmin,xmax,ymin,ymax,nx,ny",
+                   type=_comma_list(str, str, *[_finite] * 4, _count, _count))
 
     p = sub.add_parser("evans", help="Evans function: series, bound, roots")
     p.add_argument("--at", type=float, default=0.0, metavar="c")
     p.add_argument("--taylor", type=int, default=None, metavar="M")
-    p.add_argument("--roots", default=None, metavar="xmin,xmax,ymin,ymax")
+    p.add_argument("--roots", default=None, metavar="xmin,xmax,ymin,ymax",
+                   type=_comma_list(*[_finite] * 4))
     p.add_argument("--bound", action="store_true")
 
     p = sub.add_parser("design", help="parameter sets with prescribed degeneracies")
@@ -375,17 +402,20 @@ def build_parser():
 
     p = sub.add_parser("ode", help="reduced speed ODE")
     p.add_argument("--from-analysis", action="store_true")
-    p.add_argument("--nf", default=None, metavar="nu0,l,m,n,a11,a12,delta")
+    p.add_argument("--nf", default=None, metavar="nu0,l,m,n,a11,a12,delta",
+                   type=_comma_list(*[_finite] * 7))
     p.add_argument("--integrate", type=float, default=None, metavar="T")
     p.add_argument("--equilibria", action="store_true")
-    p.add_argument("--shoot", default=None, metavar="numin,numax,steps")
+    p.add_argument("--shoot", default=None, metavar="numin,numax,steps",
+                   type=_comma_list(_finite, _finite, _count))
     p.add_argument("--lyapunov", type=float, default=None, metavar="T")
 
     p = sub.add_parser("pde-sim", help="direct simulation with freezing speed")
 
     p = sub.add_parser("pde-continue", help="pseudo-arclength continuation")
     p.add_argument("--free-param", required=True)
-    p.add_argument("--range", required=True, metavar="lo,hi")
+    p.add_argument("--range", required=True, metavar="lo,hi",
+                   type=_comma_list(_finite, _finite))
     p.add_argument("--ds", type=float, default=0.01)
     p.add_argument("--max-points", type=int, default=120)
 

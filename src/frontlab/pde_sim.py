@@ -1,23 +1,27 @@
 """Direct solver for the (N+1)-component fast/slow reaction-diffusion system.
 
-Method of lines on a uniform grid with homogeneous Neumann boundaries:
-IMEX time stepping (implicit tridiagonal diffusion, explicit reaction
-with optional Strang splitting), freezing-based speed extraction, damped
-Newton solvers for stationary and travelling fronts with a phase condition,
-pseudo-arclength continuation with fold/Hopf detection, and linearization
-spectra for cross-validation against the Evans-function predictions.
+Method of lines on a uniform grid with homogeneous Neumann boundaries.  One
+discretized system, `_FrontSystem`, holds the (N+1, n_x) layout, the
+Neumann stencils, the per-row diffusion, advection and mass coefficients
+and the reaction rows, and every solver runs on it: IMEX time stepping
+(implicit tridiagonal diffusion, explicit reaction, optional Strang
+splitting) with freezing-based speed extraction, damped Newton solvers for
+stationary and travelling fronts with a phase condition, pseudo-arclength
+continuation with fold/Hopf detection, and linearization spectra for
+cross-validation against the Evans-function predictions.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import eigs as sparse_eigs
 from scipy.sparse.linalg import splu
 
@@ -85,10 +89,6 @@ class PdeState:
     def sup_bounds(self):
         return float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v)))
 
-    def within_box(self, r: float) -> bool:
-        su, sv = self.sup_bounds()
-        return su <= r and sv <= r
-
     def copy(self):
         return replace(self, u=self.u.copy(), v=self.v.copy())
 
@@ -129,79 +129,18 @@ def perturb_with_profile(state: PdeState, profile: ChainProfile,
     dv = np.stack([np.real(np.asarray(profile.v(j, x), dtype=complex))
                    for j in range(1, state.params.n_slow + 1)])
     scale = max(np.max(np.abs(du)), np.max(np.abs(dv)))
-    out = state.copy()
-    out.u = out.u + amplitude * du / scale
-    out.v = out.v + amplitude * dv / scale
-    return out
+    return replace(state, u=state.u + amplitude * du / scale,
+                   v=state.v + amplitude * dv / scale)
 
 
 def perturb_with_bump(state: PdeState, amplitude: float, width: float = 1.0,
                       center: float = 0.0) -> PdeState:
     x = state.grid.x
     bump = amplitude * np.exp(-((x - center) / width) ** 2)
-    out = state.copy()
-    out.u = out.u + bump
-    return out
+    return replace(state, u=state.u + bump, v=state.v.copy())
 
 
-# -- discrete operators --------------------------------------------------------
-
-def _neumann_d2_banded(n_x: int, h: float):
-    """Banded (1,1) representation of the mirrored-ghost Laplacian."""
-    inv = 1.0 / (h * h)
-    upper = np.full(n_x, inv)
-    lower = np.full(n_x, inv)
-    diag = np.full(n_x, -2.0 * inv)
-    upper[1] = 2.0 * inv    # ghost mirror at the left boundary node
-    lower[-2] = 2.0 * inv   # and at the right
-    return upper, diag, lower
-
-
-def neumann_d2(n_x: int, h: float) -> sp.csr_matrix:
-    upper, diag, lower = _neumann_d2_banded(n_x, h)
-    return sp.diags([lower[:-1], diag, upper[1:]], offsets=(-1, 0, 1),
-                    format="csr")
-
-
-def _neumann_d1_bands(n_x: int, h: float):
-    """Super- and sub-diagonal of the centered first derivative.
-
-    The mirrored ghosts zero it at both boundary nodes.
-    """
-    coef = 1.0 / (2.0 * h)
-    upper = np.full(n_x - 1, coef)
-    lower = np.full(n_x - 1, -coef)
-    upper[0] = 0.0
-    lower[-1] = 0.0
-    return upper, lower
-
-
-def neumann_d1(n_x: int, h: float) -> sp.csr_matrix:
-    """Centered first derivative; mirrored ghosts zero it at the boundary."""
-    upper, lower = _neumann_d1_bands(n_x, h)
-    return sp.diags([lower, upper], offsets=(-1, 1), format="csr")
-
-
-def _solve_implicit(coeff: float, rhs: np.ndarray, h: float) -> np.ndarray:
-    """Solve (I - coeff * D2) x = rhs with the Neumann tridiagonal."""
-    n = len(rhs)
-    upper, diag, lower = _neumann_d2_banded(n, h)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -coeff * upper[1:]
-    ab[1] = 1.0 - coeff * diag
-    ab[2, :-1] = -coeff * lower[:-1]
-    return solve_banded((1, 1), ab, rhs)
-
-
-def reaction_terms(state: PdeState):
-    """Explicit reaction parts: (U - U^3 - eps F(V), eps^2 (U - V_j)/tau_j)."""
-    p, coup = state.params, state.coupling
-    f_of_v = eval_coupling(coup, state.v)
-    ru = state.u - state.u ** 3 - p.epsilon * f_of_v
-    rv = p.epsilon ** 2 * (state.u[None, :] - state.v) \
-        / np.asarray(p.tau)[:, None]
-    return ru, rv
-
+# -- time stepping -------------------------------------------------------------
 
 def stable_reaction_dt(params: SystemParams) -> float:
     """Explicit-reaction step bound: 0.5 / max(2, eps^2 / min tau)."""
@@ -220,51 +159,9 @@ def step(state: PdeState, dt: float, strang: bool = False) -> PdeState:
     """
     if dt <= 0:
         raise FrontlabError("dt must be positive")
-    dt_max = stable_reaction_dt(state.params)
-    n_sub = max(1, int(math.ceil(dt / dt_max)))
-    sub = dt / n_sub
-    out = state.copy()
-    for _ in range(n_sub):
-        out = _step_once(out, sub, strang)
-    return out
-
-
-def _diffusion_coefficients(params: SystemParams):
-    eps2 = params.epsilon ** 2
-    return eps2, eps2 * np.asarray(params.d) ** 2 / np.asarray(params.tau)
-
-
-def _step_once(state: PdeState, dt: float, strang: bool) -> PdeState:
-    h = state.grid.h
-    cu, cv = _diffusion_coefficients(state.params)
-    if not strang:
-        ru, rv = reaction_terms(state)
-        u_new = _solve_implicit(dt * cu, state.u + dt * ru, h)
-        v_new = np.empty_like(state.v)
-        for j in range(state.params.n_slow):
-            v_new[j] = _solve_implicit(dt * cv[j], state.v[j] + dt * rv[j], h)
-        return replace(state, t=state.t + dt, u=u_new, v=v_new)
-
-    # Strang: half reaction (Heun), full Crank-Nicolson diffusion, half reaction
-    half = 0.5 * dt
-
-    def _react(st, step_len):
-        r1u, r1v = reaction_terms(st)
-        pred = replace(st, u=st.u + step_len * r1u, v=st.v + step_len * r1v)
-        r2u, r2v = reaction_terms(pred)
-        return replace(st, u=st.u + 0.5 * step_len * (r1u + r2u),
-                       v=st.v + 0.5 * step_len * (r1v + r2v))
-
-    mid = _react(state, half)
-    d2 = neumann_d2(state.grid.n_x, h)
-    u_new = _solve_implicit(0.5 * dt * cu, mid.u + 0.5 * dt * cu * (d2 @ mid.u), h)
-    v_new = np.empty_like(mid.v)
-    for j in range(state.params.n_slow):
-        v_new[j] = _solve_implicit(0.5 * dt * cv[j],
-                                   mid.v[j] + 0.5 * dt * cv[j] * (d2 @ mid.v[j]), h)
-    out = replace(mid, u=u_new, v=v_new)
-    out = _react(out, half)
-    return replace(out, t=state.t + dt)
+    system = _FrontSystem(state.params, state.coupling, state.grid)
+    x, t = system.advance(system.flat(state), state.t, dt, strang)
+    return system.state(x, t)
 
 
 # -- time simulation with freezing diagnostics ---------------------------------
@@ -328,28 +225,32 @@ def simulate(state: PdeState, t_end: float, output_stride: int = 10,
     """
     if dt is None:
         dt = default_dt(state.params)
-    front_position(state.u, state.grid.x)   # validates the single-front shape
-    margin = state.grid.half_length - 2.0 * math.sqrt(state.params.epsilon)
+    grid = state.grid
+    nodes = grid.x
+    front_position(state.u, nodes)   # validates the single-front shape
+    margin = grid.half_length - 2.0 * math.sqrt(state.params.epsilon)
+    system = _FrontSystem(state.params, state.coupling, grid)
+    x, t = system.flat(state), state.t
 
     n_steps = int(round(t_end / dt))
     ts, pos, spd, sup_u, sup_v = [], [], [], [], []
     trapping = False
     aborted = None
-    current = state
     for istep in range(1, n_steps + 1):
-        prev_u = current.u
-        current = step(current, dt, strang=strang)
+        prev_u = x[:grid.n_x]
+        x, t = system.advance(x, t, dt, strang)
         if istep % output_stride == 0 or istep == n_steps:
+            u, v = system.split(x)
             try:
-                p = front_position(current.u, current.grid.x)
+                p = front_position(u, nodes)
             except FrontlabError:
                 aborted = "front count changed"
                 break
-            su, sv = current.sup_bounds()
+            su, sv = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
             trapping = trapping or su > trap_radius or sv > trap_radius
-            ts.append(current.t)
+            ts.append(t)
             pos.append(p)
-            spd.append(freezing_speed(prev_u, current.u, dt, current.grid.h))
+            spd.append(freezing_speed(prev_u, u, dt, grid.h))
             sup_u.append(su)
             sup_v.append(sv)
             if abs(p) > margin:
@@ -358,10 +259,39 @@ def simulate(state: PdeState, t_end: float, output_stride: int = 10,
     return SimResult(t=np.asarray(ts), position=np.asarray(pos),
                      speed=np.asarray(spd), sup_u=np.asarray(sup_u),
                      sup_v=np.asarray(sup_v), trapping_violated=trapping,
-                     aborted=aborted, final_state=current)
+                     aborted=aborted, final_state=system.state(x, t))
 
 
-# -- steady solvers -------------------------------------------------------------
+# -- the discretized system ----------------------------------------------------
+
+def _neumann_stencils(n_x: int, h: float):
+    """(sub, main, super)-diagonals of the mirrored-ghost Laplacian D2 and
+    of the centered first derivative D1, which has no main diagonal and
+    which the mirrored ghosts zero at both boundary nodes."""
+    inv, coef = 1.0 / (h * h), 1.0 / (2.0 * h)
+    d2 = (np.full(n_x - 1, inv), np.full(n_x, -2.0 * inv), np.full(n_x - 1, inv))
+    d2[0][-1] = d2[2][0] = 2.0 * inv      # the ghost mirrors
+    d1 = (np.full(n_x - 1, -coef), None, np.full(n_x - 1, coef))
+    d1[0][-1] = d1[2][0] = 0.0
+    return d2, d1
+
+
+def _apply_rows(X, lower, diag, upper):
+    """A tridiagonal stencil applied to every row of X, summed from zero in
+    column order as a CSR row product is, so the two agree bit for bit."""
+    out = np.zeros_like(X)
+    out[:, 1:] += lower * X[:, :-1]
+    if diag is not None:
+        out += diag * X
+    out[:, :-1] += upper * X[:, 1:]
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_store(params: SystemParams, grid: Grid) -> dict:
+    """The patterns, layouts and factors all systems on (params, grid) share."""
+    return {}
+
 
 def _csc_layout(shape, groups):
     """Sorted CSC structure holding every (rows, cols) group of entries.
@@ -385,9 +315,9 @@ def _csc_layout(shape, groups):
 class _JacobianPattern:
     """CSC structure of the comoving Jacobian with its coupling-free values.
 
-    `static` holds the eps^2 D2 blocks and the identity blocks, `d1` the raw
-    D1 values; each stored value's row block (0 for U, j + 1 for V_j) picks
-    its c-scale and, in the dynamic Jacobian, its divisor 1 or tau_j.
+    `static` holds the diffusion D2 blocks and the linear reaction blocks,
+    `d1` the raw D1 values; each stored value's row block (0 for U, j + 1
+    for V_j) picks its advection and, in the dynamic Jacobian, its mass.
     """
 
     shape: tuple
@@ -396,25 +326,21 @@ class _JacobianPattern:
     static: np.ndarray
     d1: np.ndarray
     row_block: np.ndarray
-    row_tau: np.ndarray
     uu: np.ndarray             # positions of the U-U diagonal
     uv: np.ndarray             # (N, n_x) positions of the U-V_j diagonals
     pin_row: np.ndarray        # positions in the center node's U row
     pin_diag: int
 
 
-def _jacobian_pattern(params: SystemParams, grid: Grid) -> _JacobianPattern:
-    nx, n = grid.n_x, params.n_slow
-    eps2 = params.epsilon ** 2
-    size = (n + 1) * nx
+def _jacobian_pattern(system: "_FrontSystem") -> _JacobianPattern:
+    nx, n = system.nx, system.n
+    size = system.size
     i = np.arange(nx)
     tri_rows = np.concatenate([i[1:], i, i[:-1]])
     tri_cols = np.concatenate([i[:-1], i, i[1:]])
     on_diag = slice(nx - 1, 2 * nx - 1)
-    d2_up, d2_diag, d2_lo = _neumann_d2_banded(nx, grid.h)
-    d2 = np.concatenate([d2_lo[:-1], d2_diag, d2_up[1:]])
-    d1_up, d1_lo = _neumann_d1_bands(nx, grid.h)
-    d1 = np.concatenate([d1_lo, np.zeros(nx), d1_up])
+    d2 = np.concatenate(system.d2_bands)
+    d1 = np.concatenate([system.d1_bands[0], np.zeros(nx), system.d1_bands[2]])
 
     groups = [(tri_rows, tri_cols)]
     for j in range(n):
@@ -423,24 +349,23 @@ def _jacobian_pattern(params: SystemParams, grid: Grid) -> _JacobianPattern:
     indptr, indices, pos = _csc_layout((size, size), groups)
     static = np.zeros(len(indices))
     d1_vals = np.zeros(len(indices))
-    static[pos[0]] = eps2 * d2
+    static[pos[0]] = system.diffusion[0] * d2
     d1_vals[pos[0]] = d1
     for j in range(n):
         _uv, vu, vv = pos[1 + 3 * j:4 + 3 * j]
-        static[vu] = eps2
-        block = eps2 * params.d[j] ** 2 * d2
-        block[on_diag] -= eps2
+        static[vu] = system.eps2
+        block = system.diffusion[j + 1] * d2
+        block[on_diag] -= system.eps2
         static[vv] = block
         d1_vals[vv] = d1
     row_block = indices // nx
-    row_tau = np.concatenate([[1.0], params.tau])[row_block]
     uu = pos[0][on_diag]
-    center = nx // 2
     return _JacobianPattern(
         shape=(size, size), indptr=indptr, indices=indices, static=static,
-        d1=d1_vals, row_block=row_block, row_tau=row_tau, uu=uu,
+        d1=d1_vals, row_block=row_block, uu=uu,
         uv=np.stack([pos[1 + 3 * j] for j in range(n)]),
-        pin_row=np.flatnonzero(indices == center), pin_diag=int(uu[center]))
+        pin_row=np.flatnonzero(indices == system.center),
+        pin_diag=int(uu[system.center]))
 
 
 @dataclass(frozen=True)
@@ -480,13 +405,22 @@ def _csc(data, layout):
 
 
 class _FrontSystem:
-    """Discretized comoving steady system and its sparse Jacobian.
+    """The discretized system, the one place that knows the discretization.
 
-    The CSC pattern of the Jacobian and its coupling-free values are built
-    on first use and cached per (params, grid); the coupling only enters
-    the values.  `with_coupling` gives a view at another coupling that
-    shares the cache, so every matrix assembly after the first only writes
-    values.
+    The fields are one flat vector (U, V_1, ..., V_N), an (N+1, n_x) array
+    of rows.  On the Neumann stencils D2 and D1, in the frame moving at
+    eps^2 c, row k reads
+
+        mass_k dX_k/dt = diffusion_k D2 X_k + eps^2 c mass_k D1 X_k + reaction_k(X)
+
+    with diffusion eps^2 (1, d_j^2), mass (1, tau_j) and reaction
+    (U - U^3 - eps F(V), eps^2 (U - V_j)).  `residual` is the right-hand
+    side; `advance` steps it in time at c = 0; `jacobian` and its pinned,
+    bordered and dynamic forms feed Newton, spectra and continuation.  What
+    depends only on (params, grid), the Jacobian pattern, the bordered
+    layouts and the implicit-diffusion factors, is built on first use and
+    shared by every system on them; `with_coupling` gives a view at another
+    coupling.
     """
 
     def __init__(self, params: SystemParams, coupling: Coupling, grid: Grid):
@@ -495,10 +429,12 @@ class _FrontSystem:
         self.grid = grid
         self.nx = grid.n_x
         self.n = params.n_slow
-        self.d2 = neumann_d2(self.nx, grid.h)
-        self.d1 = neumann_d1(self.nx, grid.h)
         self.center = self.nx // 2
-        self._layouts = {}
+        self.eps2 = params.epsilon ** 2
+        self.diffusion = self.eps2 * np.concatenate([[1.0], np.asarray(params.d) ** 2])
+        self.mass = np.concatenate([[1.0], params.tau])
+        self.d2_bands, self.d1_bands = _neumann_stencils(self.nx, grid.h)
+        self._layouts = _shared_store(params, grid)
 
     def with_coupling(self, coupling: Coupling) -> "_FrontSystem":
         view = copy.copy(self)
@@ -510,37 +446,111 @@ class _FrontSystem:
         return (self.n + 1) * self.nx
 
     def split(self, x):
-        u = x[:self.nx]
-        v = x[self.nx:].reshape(self.n, self.nx)
-        return u, v
+        return x[:self.nx], x[self.nx:].reshape(self.n, self.nx)
+
+    def flat(self, state: PdeState) -> np.ndarray:
+        return np.concatenate([state.u, state.v.ravel()])
+
+    def state(self, x, t: float = 0.0) -> PdeState:
+        u, v = self.split(x)
+        return PdeState(t=t, u=u.copy(), v=v.copy(), params=self.params,
+                        coupling=self.coupling, grid=self.grid)
+
+    def _rows(self, x):
+        return x.reshape(self.n + 1, self.nx)
+
+    def _advection(self, c):
+        return self.eps2 * c * self.mass
+
+    def reaction(self, X, out):
+        """Add the reaction rows of the (N+1, n_x) fields X to `out` term by
+        term, so that a residual starting from its stencil rows rounds as
+        the written-out sum does, and return `out`."""
+        u, v = X[0], X[1:]
+        out[0] += u
+        out[0] -= u ** 3
+        out[0] -= self.params.epsilon * eval_coupling(self.coupling, v)
+        out[1:] += self.eps2 * (u - v)
+        return out
 
     def residual(self, x, c):
-        p = self.params
-        eps = p.epsilon
-        u, v = self.split(x)
-        f_of_v = eval_coupling(self.coupling, v)
-        ru = eps ** 2 * (self.d2 @ u) + eps ** 2 * c * (self.d1 @ u) \
-            + u - u ** 3 - eps * f_of_v
-        out = [ru]
-        for j in range(self.n):
-            out.append(eps ** 2 * p.d[j] ** 2 * (self.d2 @ v[j])
-                       + eps ** 2 * c * p.tau[j] * (self.d1 @ v[j])
-                       + eps ** 2 * (u - v[j]))
-        return np.concatenate(out)
+        X = self._rows(x)
+        out = self.diffusion[:, None] * _apply_rows(X, *self.d2_bands) \
+            + self._advection(c)[:, None] * _apply_rows(X, *self.d1_bands)
+        return self.reaction(X, out).ravel()
+
+    def residual_c_derivative(self, x):
+        return (self._advection(1.0)[:, None]
+                * _apply_rows(self._rows(x), *self.d1_bands)).ravel()
+
+    def residual_param_derivative(self, x, name):
+        """dR/dp for the coupling parameter `name`; only the U rows are
+        touched.  F is affine in p, so dF/dp is F of the coupling whose only
+        nonzero entry is p = 1."""
+        _u, v = self.split(x)
+        zero = Coupling(0.0, (0.0,) * self.n, (0.0,) * self.n)
+        du = -self.params.epsilon * eval_coupling(zero.with_param(name, 1.0), v)
+        return np.concatenate([du, np.zeros(self.n * self.nx)])
+
+    # -- time stepping on the flat vector
+
+    def _implicit(self, scale):
+        """k = scale diffusion_k / mass_k per row and the LU factors of the
+        block-diagonal I - k D2 on the flat vector; the last pair is kept."""
+        cached = self._layouts.get("implicit")
+        if cached is None or cached[0] != scale:
+            k = (scale * (self.diffusion / self.mass))[:, None]
+            lower, diag, upper = self.d2_bands
+            off = np.zeros((2, self.n + 1, self.nx))   # zero where rows meet
+            off[:, :, :-1] = -k * np.stack([lower, upper])[:, None]
+            factors = dgttrf(off[0].ravel()[:-1], (1.0 - k * diag).ravel(),
+                             off[1].ravel()[:-1])[:5]
+            cached = self._layouts["implicit"] = (scale, k, factors)
+        return cached[1:]
+
+    def _rate(self, X):
+        return self.reaction(X, np.zeros_like(X)) / self.mass[:, None]
+
+    def _heun(self, X, step_len):
+        r1 = self._rate(X)
+        r2 = self._rate(X + step_len * r1)
+        return X + 0.5 * step_len * (r1 + r2)
+
+    def advance(self, x, t, dt, strang=False):
+        """March the flat fields x from time t by dt; returns (x, t).  First
+        order: explicit reaction, then implicit diffusion; `strang`: Heun
+        reaction half steps around a Crank-Nicolson diffusion step.  Steps
+        above the explicit-reaction bound are split into equal substeps."""
+        n_sub = max(1, int(math.ceil(dt / stable_reaction_dt(self.params))))
+        sub = dt / n_sub
+        half = 0.5 * sub
+        k, factors = self._implicit(half if strang else sub)
+        X = self._rows(x)
+        for _ in range(n_sub):
+            if strang:
+                X = self._heun(X, half)
+                rhs = X + k * _apply_rows(X, *self.d2_bands)
+            else:
+                rhs = X + sub * self._rate(X)
+            X = self._rows(dgttrs(*factors, rhs.ravel(), overwrite_b=1)[0])
+            if strang:
+                X = self._heun(X, half)
+            t = t + sub
+        return X.ravel(), t
+
+    # -- Jacobians
 
     def _pattern(self) -> _JacobianPattern:
         if "jacobian" not in self._layouts:
-            self._layouts["jacobian"] = _jacobian_pattern(self.params, self.grid)
+            self._layouts["jacobian"] = _jacobian_pattern(self)
         return self._layouts["jacobian"]
 
     def jacobian(self, x, c):
         pat = self._pattern()
-        eps = self.params.epsilon
         u, v = self.split(x)
-        c_scale = np.array([eps ** 2 * c] + [eps ** 2 * c * t for t in self.params.tau])
-        data = pat.static + c_scale[pat.row_block] * pat.d1
+        data = pat.static + self._advection(c)[pat.row_block] * pat.d1
         data[pat.uu] += 1.0 - 3.0 * u ** 2
-        data[pat.uv] = -eps * coupling_gradient(self.coupling, v)
+        data[pat.uv] = -self.params.epsilon * coupling_gradient(self.coupling, v)
         return _csc(data, pat)
 
     def pinned_jacobian(self, x, c):
@@ -569,28 +579,10 @@ class _FrontSystem:
             data[layout.arc] = arc
         return _csc(data, layout)
 
-    def residual_c_derivative(self, x):
-        p = self.params
-        eps = p.epsilon
-        u, v = self.split(x)
-        out = [eps ** 2 * (self.d1 @ u)]
-        for j in range(self.n):
-            out.append(eps ** 2 * p.tau[j] * (self.d1 @ v[j]))
-        return np.concatenate(out)
-
-    def residual_param_derivative(self, x, name):
-        """dR/dp for the coupling parameter `name`; only the U rows are
-        touched.  F is affine in p, so dF/dp is F of the coupling whose only
-        nonzero entry is p = 1."""
-        _u, v = self.split(x)
-        zero = Coupling(0.0, (0.0,) * self.n, (0.0,) * self.n)
-        du = -self.params.epsilon * eval_coupling(zero.with_param(name, 1.0), v)
-        return np.concatenate([du, np.zeros(self.n * self.nx)])
-
     def dynamic_jacobian(self, x, c):
         """Jacobian of the time-dependent system (V_j rows divided by tau_j)."""
         jac = self.jacobian(x, c)
-        jac.data /= self._pattern().row_tau
+        jac.data /= self.mass[self._pattern().row_block]
         return jac
 
 
@@ -609,63 +601,43 @@ class FrontSolution:
         return self.state.params.epsilon ** 2 * self.c
 
 
-def _damped_newton(system, x0, c, res_tol, max_iter, mode, c0=0.0):
-    """Shared damped-Newton core for the pinned and extended systems.
-
-    mode 'stationary': unknown x, the center U equation traded for U = 0.
-    mode 'travelling': unknowns (x, c), phase appended.
-    """
+def _damped_newton(system, x0, c, res_tol, max_iter, travelling):
+    """Damped Newton, stationary (unknown x at speed c, the center U equation
+    traded for the pin U = 0) or travelling (unknowns (x, c), the pin
+    appended); each step is halved until the residual's sup norm drops."""
     ic = system.center
-    x = x0.copy()
-    c = float(c0 if mode == "travelling" else c)
 
-    def pinned_residual(x):
-        r = system.residual(x, c)
-        r = r.copy()
-        r[ic] = x[ic]
+    def split(w):
+        return (w[:-1], w[-1]) if travelling else (w, c)
+
+    def residual(w):
+        r = system.residual(*split(w))
+        if travelling:
+            return np.append(r, w[ic])
+        r[ic] = w[ic]
         return r
 
+    def matrix(w):
+        x, cw = split(w)
+        if not travelling:
+            return system.pinned_jacobian(x, cw)
+        return system.bordered(system.jacobian(x, cw), [system.residual_c_derivative(x)])
+
+    w = np.append(x0, float(c)) if travelling else x0.copy()
     for it in range(1, max_iter + 1):
-        if mode == "stationary":
-            r = pinned_residual(x)
-            norm = float(np.max(np.abs(r)))
-            if norm <= res_tol:
-                full = system.residual(x, c)
-                return x, c, norm, it, True, abs(full[ic])
-            delta = splu(system.pinned_jacobian(x, c)).solve(-r)
-            damping = 1.0
-            while damping > 1e-4:
-                cand = x + damping * delta
-                if np.max(np.abs(pinned_residual(cand))) < norm or damping <= 1e-4:
-                    break
-                damping *= 0.5
-            x = x + damping * delta
-        else:
-            r = np.append(system.residual(x, c), x[ic])
-            norm = float(np.max(np.abs(r)))
-            if norm <= res_tol:
-                return x, c, norm, it, True, 0.0
-            big = system.bordered(system.jacobian(x, c),
-                                  [system.residual_c_derivative(x)])
-            delta = splu(big).solve(-r)
-            damping = 1.0
-            while damping > 1e-4:
-                cand_x = x + damping * delta[:-1]
-                cand_c = c + damping * delta[-1]
-                cand_r = np.append(system.residual(cand_x, cand_c), cand_x[ic])
-                if np.max(np.abs(cand_r)) < norm or damping <= 1e-4:
-                    break
-                damping *= 0.5
-            x = x + damping * delta[:-1]
-            c = c + damping * delta[-1]
-    final = np.max(np.abs(system.residual(x, c)))
-    return x, c, float(final), max_iter, False, 0.0
-
-
-def _state_from_vector(system, x, params, coupling, grid):
-    u, v = system.split(x)
-    return PdeState(t=0.0, u=u.copy(), v=v.copy(), params=params,
-                    coupling=coupling, grid=grid)
+        r = residual(w)
+        norm = float(np.max(np.abs(r)))
+        if norm <= res_tol:
+            x, cw = split(w)
+            dropped = 0.0 if travelling else abs(system.residual(x, cw)[ic])
+            return x, cw, norm, it, True, dropped
+        delta = splu(matrix(w)).solve(-r)
+        damping = 1.0
+        while damping > 1e-4 and not np.max(np.abs(residual(w + damping * delta))) < norm:
+            damping *= 0.5
+        w = w + damping * delta
+    x, cw = split(w)
+    return x, cw, float(np.max(np.abs(system.residual(x, cw)))), max_iter, False, 0.0
 
 
 def solve_stationary_front(params: SystemParams, coupling: Coupling,
@@ -682,17 +654,14 @@ def solve_stationary_front(params: SystemParams, coupling: Coupling,
             20.0, _default_nx(params, 20.0), params.epsilon)
     system = _FrontSystem(params, coupling, grid)
     seed = guess if guess is not None else initial_front_state(params, coupling, grid)
-    x0 = np.concatenate([seed.u, seed.v.ravel()])
     x, _c, norm, its, ok, dropped = _damped_newton(
-        system, x0, 0.0, res_tol, max_iter, "stationary")
+        system, system.flat(seed), 0.0, res_tol, max_iter, travelling=False)
     if not ok:
         raise ConvergenceError(
             f"stationary Newton stalled at residual {norm:.3e} after {its} iterations",
-            best=_state_from_vector(system, x, params, coupling, grid),
-            diagnostics={"residual": norm})
-    return FrontSolution(state=_state_from_vector(system, x, params, coupling, grid),
-                         c=0.0, residual=norm, iterations=its, converged=ok,
-                         dropped_equation_residual=dropped)
+            best=system.state(x), diagnostics={"residual": norm})
+    return FrontSolution(state=system.state(x), c=0.0, residual=norm, iterations=its,
+                         converged=ok, dropped_equation_residual=dropped)
 
 
 def solve_travelling_front(params: SystemParams, coupling: Coupling,
@@ -706,16 +675,14 @@ def solve_travelling_front(params: SystemParams, coupling: Coupling,
     system = _FrontSystem(params, coupling, grid)
     seed = guess if guess is not None else initial_front_state(
         params, coupling, grid, c=guess_c)
-    x0 = np.concatenate([seed.u, seed.v.ravel()])
     x, c, norm, its, ok, _ = _damped_newton(
-        system, x0, None, res_tol, max_iter, "travelling", c0=guess_c)
+        system, system.flat(seed), guess_c, res_tol, max_iter, travelling=True)
     if not ok:
         raise ConvergenceError(
             f"travelling Newton stalled at residual {norm:.3e} after {its} iterations",
-            best=_state_from_vector(system, x, params, coupling, grid),
-            diagnostics={"residual": norm, "c": c})
-    return FrontSolution(state=_state_from_vector(system, x, params, coupling, grid),
-                         c=float(c), residual=norm, iterations=its, converged=ok)
+            best=system.state(x), diagnostics={"residual": norm, "c": c})
+    return FrontSolution(state=system.state(x), c=float(c), residual=norm,
+                         iterations=its, converged=ok)
 
 
 def _default_nx(params, half_length):
@@ -748,8 +715,7 @@ def linearization_spectrum(solution: FrontSolution, count: int = 8,
     """
     state = solution.state
     system = _FrontSystem(state.params, state.coupling, state.grid)
-    x = np.concatenate([state.u, state.v.ravel()])
-    jac = system.dynamic_jacobian(x, solution.c)
+    jac = system.dynamic_jacobian(system.flat(state), solution.c)
     size = jac.shape[0]
     if method == "auto":
         method = "dense" if size <= DENSE_EIG_LIMIT else "sparse"
@@ -847,8 +813,7 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
     nx1 = system.size
 
     def pack(sol, p_val):
-        return np.concatenate([sol.state.u, sol.state.v.ravel(),
-                               [sol.c], [p_val]])
+        return np.concatenate([system.flat(sol.state), [sol.c, p_val]])
 
     w_prev = pack(sol0, p0)
     w_cur = pack(sol1, p0 + dp0)
@@ -880,8 +845,8 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
         step_len = min(ds_max, 1.15 * step_len)
         p_val = w_cur[-1]
         c_val = w_cur[-2]
-        coup = coupling.with_param(free_param, p_val)
-        state = _state_from_vector(system, w_cur[:nx1], params, coup, grid)
+        at_p = system.with_coupling(coupling.with_param(free_param, p_val))
+        state = at_p.state(w_cur[:nx1])
         sol = FrontSolution(state=state, c=float(c_val), residual=0.0,
                             iterations=0, converged=True)
         points.append(_branch_point(sol, float(p_val), n_eigs, compute_spectra))

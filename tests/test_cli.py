@@ -69,6 +69,39 @@ class TestDispatch:
     def test_missing_config(self, capsys):
         assert dispatch(["gamma", "--roots"]) == 1
 
+    # config None is the valid N = 1 config, "absent" a path to no file
+    @pytest.mark.parametrize("config, argv, code, message", [
+        (None, ["gamma", "--folds", "alpha1,gamma,0,1"], 2, "expected 8"),
+        (None, ["gamma", "--folds", "alpha1,gamma,0,1,0,1,0,11"], 2, "positive count"),
+        (None, ["evans", "--roots", "1,2"], 2, "expected 4"),
+        (None, ["evans", "--roots", "0,1,nan,1"], 2, "not a finite number"),
+        (None, ["ode", "--nf", "a,b,c,d,e,f,g"], 2, "could not convert"),
+        (None, ["ode", "--shoot=1,2"], 2, "expected 3"),
+        (None, ["pde-continue", "--free-param", "gamma", "--range", "1"], 2, "expected 2"),
+        ("absent", ["gamma", "--roots"], 1, "cannot read config"),
+        ('{"epsilon": 0.05,', ["gamma", "--roots"], 1, "not valid JSON"),
+        ("[1, 2]", ["gamma", "--roots"], 1, "JSON object"),
+    ])
+    def test_malformed_values_exit_2_bad_config_exit_1(self, n1_config, tmp_path, capsys,
+                                                       config, argv, code, message):
+        path = tmp_path / "given.json"
+        if config is None:
+            path = n1_config
+        elif config != "absent":
+            path.write_text(config)
+        out = tmp_path / "run"
+        rc = dispatch(["--config", str(path), "--output-dir", str(out), "--json-errors"]
+                      + argv)
+        assert rc == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        if code == 2:   # rejected while parsing, before anything is written
+            assert not (out / "manifest.json").exists()
+        else:
+            obj = json.loads(err.strip())
+            assert obj["error"] == "FrontlabError" and message in obj["message"]
+
     def test_gamma_outputs_and_manifest(self, n1_config, tmp_path, capsys):
         out = tmp_path / "run"
         rc = dispatch(["--config", n1_config, "--output-dir", str(out),

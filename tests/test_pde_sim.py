@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 import frontlab as fl
 from frontlab import Coupling, FrontlabError, SystemParams
@@ -266,21 +267,118 @@ class TestSteadySolvers:
         assert coarse >= 2.0 * fine         # and genuinely decreasing
 
 
+# -- references: the component-by-component formulas on CSR operators -----------
+
+def _csr_d2(n_x, h):
+    """Mirrored-ghost Neumann Laplacian."""
+    inv = 1.0 / (h * h)
+    upper = np.full(n_x, inv)
+    lower = np.full(n_x, inv)
+    upper[1] = 2.0 * inv
+    lower[-2] = 2.0 * inv
+    return sp.diags([lower[:-1], np.full(n_x, -2.0 * inv), upper[1:]],
+                    offsets=(-1, 0, 1), format="csr")
+
+
+def _csr_d1(n_x, h):
+    """Centered first derivative, zero at both boundary nodes."""
+    coef = 1.0 / (2.0 * h)
+    upper = np.full(n_x - 1, coef)
+    lower = np.full(n_x - 1, -coef)
+    upper[0] = 0.0
+    lower[-1] = 0.0
+    return sp.diags([lower, upper], offsets=(-1, 1), format="csr")
+
+
+def _reference_residual(system, x, c):
+    p = system.params
+    eps = p.epsilon
+    d2, d1 = _csr_d2(system.nx, system.grid.h), _csr_d1(system.nx, system.grid.h)
+    u, v = system.split(x)
+    out = [eps ** 2 * (d2 @ u) + eps ** 2 * c * (d1 @ u)
+           + u - u ** 3 - eps * fl.eval_coupling(system.coupling, v)]
+    for j in range(system.n):
+        out.append(eps ** 2 * p.d[j] ** 2 * (d2 @ v[j])
+                   + eps ** 2 * c * p.tau[j] * (d1 @ v[j])
+                   + eps ** 2 * (u - v[j]))
+    return np.concatenate(out)
+
+
+def _reference_c_derivative(system, x):
+    p = system.params
+    d1 = _csr_d1(system.nx, system.grid.h)
+    u, v = system.split(x)
+    return np.concatenate([p.epsilon ** 2 * (d1 @ u)]
+                          + [p.epsilon ** 2 * p.tau[j] * (d1 @ v[j])
+                             for j in range(system.n)])
+
+
+def _reference_reaction(p, coupling, u, v):
+    """(U - U^3 - eps F(V), eps^2 (U - V_j) / tau_j)."""
+    ru = u - u ** 3 - p.epsilon * fl.eval_coupling(coupling, v)
+    rv = p.epsilon ** 2 * (u[None, :] - v) / np.asarray(p.tau)[:, None]
+    return ru, rv
+
+
+def _reference_solve(coeff, rhs, h):
+    """(I - coeff D2) x = rhs by `solve_banded`."""
+    n = len(rhs)
+    d2 = _csr_d2(n, h)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -coeff * d2.diagonal(1)
+    ab[1] = 1.0 - coeff * d2.diagonal()
+    ab[2, :-1] = -coeff * d2.diagonal(-1)
+    return solve_banded((1, 1), ab, rhs)
+
+
+def _reference_step(state, dt, strang):
+    """One IMEX step, component by component, sub-stepped like `ps.step`."""
+    p, h = state.params, state.grid.h
+    n_sub = max(1, int(math.ceil(dt / ps.stable_reaction_dt(p))))
+    dt = dt / n_sub
+    eps2 = p.epsilon ** 2
+    coef = np.concatenate([[eps2], eps2 * np.asarray(p.d) ** 2 / np.asarray(p.tau)])
+    d2 = _csr_d2(state.grid.n_x, h)
+
+    def react(u, v, step_len):
+        r1u, r1v = _reference_reaction(p, state.coupling, u, v)
+        r2u, r2v = _reference_reaction(p, state.coupling, u + step_len * r1u,
+                                       v + step_len * r1v)
+        return u + 0.5 * step_len * (r1u + r2u), v + 0.5 * step_len * (r1v + r2v)
+
+    t, u, v = state.t, state.u.copy(), state.v.copy()
+    for _ in range(n_sub):
+        if strang:
+            u, v = react(u, v, 0.5 * dt)
+            rows = [row + 0.5 * dt * k * (d2 @ row)
+                    for row, k in zip([u, *v], coef)]
+            rows = [_reference_solve(0.5 * dt * k, row, h) for row, k in zip(rows, coef)]
+            u, v = react(rows[0], np.stack(rows[1:]), 0.5 * dt)
+        else:
+            ru, rv = _reference_reaction(p, state.coupling, u, v)
+            u = _reference_solve(dt * coef[0], u + dt * ru, h)
+            v = np.stack([_reference_solve(dt * coef[j + 1], v[j] + dt * rv[j], h)
+                          for j in range(p.n_slow)])
+        t = t + dt
+    return t, u, v
+
+
 def _bmat_jacobian(system, x, c):
     """Block-by-block assembly of the comoving Jacobian with `sp.bmat`."""
     p = system.params
     eps = p.epsilon
+    d2, d1 = _csr_d2(system.nx, system.grid.h), _csr_d1(system.nx, system.grid.h)
     u, v = system.split(x)
     grad = fl.coupling_gradient(system.coupling, v)
     n, nx = system.n, system.nx
     blocks = [[None] * (n + 1) for _ in range(n + 1)]
-    blocks[0][0] = (eps ** 2 * system.d2 + eps ** 2 * c * system.d1
+    blocks[0][0] = (eps ** 2 * d2 + eps ** 2 * c * d1
                     + sp.diags(1.0 - 3.0 * u ** 2))
     for j in range(n):
         blocks[0][j + 1] = sp.diags(-eps * grad[j])
         blocks[j + 1][0] = sp.identity(nx) * eps ** 2
-        blocks[j + 1][j + 1] = (eps ** 2 * p.d[j] ** 2 * system.d2
-                                + eps ** 2 * c * p.tau[j] * system.d1
+        blocks[j + 1][j + 1] = (eps ** 2 * p.d[j] ** 2 * d2
+                                + eps ** 2 * c * p.tau[j] * d1
                                 - eps ** 2 * sp.identity(nx))
     return sp.bmat(blocks, format="csc")
 
@@ -311,6 +409,52 @@ def perturbed_system(request, transcritical_set):
     return ps._FrontSystem(params, coupling, grid), x, 0.37, other
 
 
+class TestOneSystem:
+    """The flat-vector system reproduces the component-by-component formulas
+    bit for bit."""
+
+    def test_residual_equals_reference(self, perturbed_system):
+        system, x, c, _other = perturbed_system
+        for speed in (c, 0.0, -2.5):
+            assert np.array_equal(system.residual(x, speed),
+                                  _reference_residual(system, x, speed))
+        assert np.array_equal(system.residual_c_derivative(x),
+                              _reference_c_derivative(system, x))
+
+    @pytest.mark.parametrize("strang", [False, True])
+    def test_step_equals_reference(self, perturbed_system, strang):
+        system, x, _c, _other = perturbed_system
+        state = system.state(x, t=0.3)
+        bound = ps.stable_reaction_dt(system.params)
+        for dt in (0.01, 2.5 * bound):       # the second one takes 3 substeps
+            t, u, v = _reference_step(state, dt, strang)
+            out = ps.step(state, dt, strang=strang)
+            assert out.t == t
+            assert np.array_equal(out.u, u)
+            assert np.array_equal(out.v, v)
+        cur, ref = state, (state.t, state.u, state.v)
+        for _ in range(20):
+            cur = ps.step(cur, 0.01, strang=strang)
+            ref = _reference_step(ps.PdeState(t=ref[0], u=ref[1], v=ref[2],
+                                              params=state.params,
+                                              coupling=state.coupling,
+                                              grid=state.grid), 0.01, strang)
+        assert np.array_equal(cur.u, ref[1]) and np.array_equal(cur.v, ref[2])
+
+    def test_simulate_leaves_its_input_unchanged(self, small_ac):
+        params, _zero, grid = small_ac
+        state = ps.initial_front_state(params, Coupling(0.1, (0.5,), (0.0,)), grid)
+        u0, v0 = state.u.copy(), state.v.copy()
+        out = ps.simulate(state, 0.5, output_stride=10, dt=0.01)
+        assert np.array_equal(state.u, u0) and np.array_equal(state.v, v0)
+        assert state.t == 0.0
+        assert not np.shares_memory(out.final_state.u, state.u)
+        assert not np.shares_memory(out.final_state.v, state.v)
+        stepped = ps.step(state, 0.01)
+        assert np.array_equal(state.u, u0) and np.array_equal(state.v, v0)
+        assert not np.shares_memory(stepped.v, state.v)
+
+
 class TestJacobian:
     def test_matches_central_differences(self, perturbed_system):
         system, x, c, _other = perturbed_system
@@ -333,6 +477,15 @@ class TestJacobian:
         view = system.with_coupling(original)
         _assert_same_entries(view.jacobian(x, c), _bmat_jacobian(view, x, c))
         assert system.coupling is other
+
+    def test_systems_on_equal_params_and_grid_share_the_pattern(self, perturbed_system):
+        # every solve builds its own system; the pattern is built once
+        system, x, c, other = perturbed_system
+        params = SystemParams(epsilon=system.params.epsilon, tau=system.params.tau,
+                              d=system.params.d)
+        twin = ps._FrontSystem(params, other, ps.make_grid(4.0, 41))
+        assert twin._pattern() is system._pattern()
+        _assert_same_entries(twin.jacobian(x, c), _bmat_jacobian(twin, x, c))
 
     def test_dynamic_jacobian_is_row_scaled(self, perturbed_system):
         system, x, c, _other = perturbed_system
