@@ -169,27 +169,23 @@ def _cmd_evans(args, cfg, outdir):
 
 def _cmd_design(args, cfg, outdir):
     from . import designer
-    target = args.target
+    kind, arg = args.target
     params = cfg.params
-    if target.startswith("evans:"):
-        ell = int(target.split(":", 1)[1])
-        alpha = designer.design_evans_degeneracy(params, ell)
+    if kind == "evans":
+        alpha = designer.design_evans_degeneracy(params, arg)
         coupling = Coupling(0.0, tuple(alpha), (0.0,) * params.n_slow)
-    elif target.startswith("gamma:"):
-        m = int(target.split(":", 1)[1])
-        alpha, beta, gamma = designer.design_gamma_degeneracy(params, m)
+    elif kind == "gamma":
+        alpha, beta, gamma = designer.design_gamma_degeneracy(params, arg)
         coupling = Coupling(gamma, tuple(alpha), tuple(beta))
-    elif target == "simultaneous":
+    elif kind == "simultaneous":
         design = designer.design_simultaneous(params.d, params.tau[0],
                                               epsilon=params.epsilon)
         params = design.params
         coupling = design.coupling()
         print("singular_limit_only: true")
-    elif target.startswith("imprint:"):
-        targets = _read_json(target.split(":", 1)[1], "imprint targets")
-        coupling = designer.imprint_scalar_singularity(params, targets)
     else:
-        raise FrontlabError(f"unknown design target {target!r}")
+        targets = _read_json(arg, "imprint targets")
+        coupling = designer.imprint_scalar_singularity(params, targets)
     path = os.path.join(outdir, "design.json")
     with open(path, "w") as fh:
         json.dump(model_to_dict(params, coupling), fh, indent=2)
@@ -369,8 +365,38 @@ def _comma_list(*kinds):
     return parse
 
 
+def _design_target(text):
+    """argparse `type=` for `design --target`: (kind, argument), with the
+    order of `evans:L` and `gamma:M` an int; anything else is a usage error."""
+    kind, _, arg = text.partition(":")
+    if kind in ("evans", "gamma"):
+        try:
+            return kind, int(arg)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{kind}: needs an integer order, got {arg!r}") from None
+    if text == "simultaneous" or (kind == "imprint" and arg):
+        return kind, arg
+    raise argparse.ArgumentTypeError(f"unknown design target {text!r}")
+
+
+class _UsageError(Exception):
+    """An argparse usage error, raised instead of printed so that `dispatch`
+    can report it as plain text or, under --json-errors, as a JSON object."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.usage = parser.format_usage() + f"{parser.prog}: error: {message}"
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the parent's class, so they raise too
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frontlab",
         description="front dynamics toolbox for 1-fast/N-slow reaction-diffusion systems")
     parser.add_argument("--config", help="path to JSON configuration")
@@ -393,7 +419,7 @@ def build_parser():
     p.add_argument("--bound", action="store_true")
 
     p = sub.add_parser("design", help="parameter sets with prescribed degeneracies")
-    p.add_argument("--target", required=True,
+    p.add_argument("--target", required=True, type=_design_target,
                    metavar="evans:L|gamma:M|simultaneous|imprint:FILE")
 
     p = sub.add_parser("jordan", help="chain eigenfunction profiles")
@@ -440,11 +466,21 @@ _NEEDS_CONFIG = {"gamma", "evans", "design", "jordan", "ode", "pde-sim",
                  "pde-continue", "verify"}
 
 
+def _print_json_error(name, exc):
+    print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
+
+
 def dispatch(argv) -> int:
     """Parse and run; 0 on success, 1 on domain errors, 2 on usage errors."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as exc:
+        if "--json-errors" in argv:
+            _print_json_error("UsageError", exc)
+        else:
+            print(exc.usage, file=sys.stderr)
+        return 2
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     json_errors = getattr(args, "json_errors", False)
@@ -463,8 +499,7 @@ def dispatch(argv) -> int:
         return _COMMANDS[args.command](args, cfg, outdir)
     except FrontlabError as exc:
         if json_errors:
-            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-                  file=sys.stderr)
+            _print_json_error(type(exc).__name__, exc)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1

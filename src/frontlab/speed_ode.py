@@ -213,7 +213,8 @@ class Trajectory:
 
 def integrate(ode, initial, t_end: float, tol: float = 1e-8,
               t_eval=None, with_position: bool = False) -> Trajectory:
-    """Adaptive RK45 trajectory of the speed ODE (or scaled normal form).
+    """Adaptive DOP853 (8th-order Dormand-Prince) trajectory of the speed ODE
+    (or scaled normal form).
 
     Aborts on blow-up (state norm above 1e8) and returns the partial
     trajectory flagged.  With `with_position` a front-position coordinate a
@@ -236,7 +237,7 @@ def integrate(ode, initial, t_end: float, tol: float = 1e-8,
         return float(np.linalg.norm(y)) - BLOWUP_NORM
     blow_up.terminal = True
 
-    sol = _solve_ivp(rhs, (0.0, float(t_end)), y0, method="RK45",
+    sol = _solve_ivp(rhs, (0.0, float(t_end)), y0, method="DOP853",
                      rtol=tol, atol=tol * 1e-2, dense_output=True,
                      t_eval=t_eval, events=blow_up)
     blew = bool(sol.t_events[0].size)
@@ -395,7 +396,7 @@ def _shoot_once(nf, tol, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-10,
     escape.terminal = True
 
     sol = _solve_ivp(lambda _t, y: nf.field_at(y), (0.0, t_max), y0,
-                     method="RK45", rtol=integrator_tol,
+                     method="DOP853", rtol=integrator_tol,
                      atol=integrator_tol * 1e-2, events=(section, escape))
     # Crossing #1 is the outbound transit of the departing manifold; the
     # genuine first *return* to the section is crossing #2.
@@ -422,7 +423,7 @@ def _branch_endpoints(nf, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-8):
             return float(np.linalg.norm(y)) - BLOWUP_NORM
         escape.terminal = True
         sol = _solve_ivp(lambda _t, y: nf.field_at(y), (0.0, t_max), y0,
-                         method="RK45", rtol=integrator_tol,
+                         method="DOP853", rtol=integrator_tol,
                          atol=integrator_tol * 1e-2, events=escape)
         yf = sol.y[:, -1]
         nearest = min((eq, other), key=lambda e: np.linalg.norm(yf - e.state))
@@ -439,8 +440,10 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
     front.  For each swept value the one-dimensional unstable manifold is
     integrated to its first return to the mid-plane between the equilibria;
     the signed miss distance is the unstable-eigenbasis coordinate of the
-    return point.  Sign changes are bisected; returned candidates have
-    |miss| < tol.  An empty candidate list always carries the full trace.
+    return point.  Each sign change is narrowed by the Illinois variant of
+    regula falsi (Dowell and Jarratt, BIT 11, 1971), at most `max_bisect`
+    shots; returned candidates have |miss| < tol.  An empty candidate list
+    always carries the full trace.
     """
     if nf.dim != 3:
         raise FrontlabError("shooting is defined for the three-dimensional form")
@@ -470,21 +473,27 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
         if _sign(left.miss) * _sign(right.miss) >= 0:
             continue
         lo, hi = left.nu_bar, right.nu_bar
-        flo = left.miss
+        flo, fhi = left.miss, right.miss
+        kept = 0     # +1: lo was kept last time, -1: hi was
         best = None
         for _ in range(max_bisect):
-            midv = 0.5 * (lo + hi)
-            pm = shoot(midv)
+            pm = shoot(hi - fhi * (hi - lo) / (fhi - flo))
             if pm.status != "ok":
                 break
             best = pm
             if abs(pm.miss) < tol:
                 break
+            # the Illinois step: an end kept twice in a row has its miss halved
             if _sign(pm.miss) == _sign(flo):
-                lo = midv
-                flo = pm.miss
+                lo, flo = pm.nu_bar, pm.miss
+                if kept == -1:
+                    fhi *= 0.5
+                kept = -1
             else:
-                hi = midv
+                hi, fhi = pm.nu_bar, pm.miss
+                if kept == 1:
+                    flo *= 0.5
+                kept = 1
         if best is not None and abs(best.miss) < tol:
             candidates.append(ShootCandidate(nu_bar=best.nu_bar,
                                              miss=best.miss, rho_s=best.rho_s))
@@ -517,7 +526,7 @@ def lyapunov_max(ode, initial, t_end: float, renorm_interval: float,
     n_chunks = int(math.ceil(t_end / renorm_interval))
     logs = []
     for _ in range(n_chunks):
-        sol = _solve_ivp(rhs, (0.0, renorm_interval), y, method="RK45",
+        sol = _solve_ivp(rhs, (0.0, renorm_interval), y, method="DOP853",
                          rtol=tol, atol=tol * 1e-2)
         y = sol.y[:, -1]
         if np.linalg.norm(y[:dim]) > BLOWUP_NORM:

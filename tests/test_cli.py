@@ -36,6 +36,21 @@ class TestDispatch:
     def test_usage_error_exit_2(self, n1_config, tmp_path, capsys):
         assert dispatch(["--config", n1_config, "gamma", "--bogus-flag"]) == 2
         assert dispatch(["not-a-command"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: frontlab")
+        assert "frontlab: error: argument command: invalid choice" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evans", "--roots", "1,2"], "argument --roots: expected 4"),
+        (["gamma", "--bogus-flag"], "unrecognized arguments: --bogus-flag"),
+        (["not-a-command"], "invalid choice: 'not-a-command'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_json(self, n1_config, capsys, argv, message):
+        assert dispatch(["--config", n1_config, "--json-errors"] + argv) == 2
+        obj = json.loads(capsys.readouterr().err)
+        assert obj == {"error": "UsageError", "message": obj["message"]}
+        assert message in obj["message"]
 
     def test_domain_error_exit_1(self, n1_config, tmp_path, capsys):
         rc = dispatch(["--config", n1_config, "--output-dir", str(tmp_path),
@@ -81,6 +96,9 @@ class TestDispatch:
         ("absent", ["gamma", "--roots"], 1, "cannot read config"),
         ('{"epsilon": 0.05,', ["gamma", "--roots"], 1, "not valid JSON"),
         ("[1, 2]", ["gamma", "--roots"], 1, "JSON object"),
+        (None, ["design", "--target", "evans:x"], 2, "needs an integer order, got 'x'"),
+        (None, ["design", "--target", "gamma:"], 2, "needs an integer order, got ''"),
+        (None, ["design", "--target", "imprint:"], 2, "unknown design target 'imprint:'"),
     ])
     def test_malformed_values_exit_2_bad_config_exit_1(self, n1_config, tmp_path, capsys,
                                                        config, argv, code, message):
@@ -94,13 +112,14 @@ class TestDispatch:
                       + argv)
         assert rc == code
         err = capsys.readouterr().err
-        assert message in err
         assert "Traceback" not in err
+        obj = json.loads(err.strip())
+        assert message in obj["message"]
         if code == 2:   # rejected while parsing, before anything is written
+            assert obj["error"] == "UsageError"
             assert not (out / "manifest.json").exists()
         else:
-            obj = json.loads(err.strip())
-            assert obj["error"] == "FrontlabError" and message in obj["message"]
+            assert obj["error"] == "FrontlabError"
 
     def test_gamma_outputs_and_manifest(self, n1_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -115,16 +134,48 @@ class TestDispatch:
         header = (out / "gamma_roots.csv").read_text().splitlines()[0]
         assert header == "# frontlab v1"
 
-    def test_deterministic_output(self, n3_config, tmp_path):
+    def test_deterministic_output(self, n3_config, tmp_path, capsys):
+        # every subcommand twice: the same files with the same bytes, and
+        # the same standard output up to the output directory's name
+        with open(n3_config) as fh:
+            doc = json.load(fh)
+        doc["pde"] = {"domain_half_length": 1.5, "n_x": 201, "dt": 0.01,
+                      "t_end": 0.5}
+        config = write_config(tmp_path, doc, name="n3_pde.json")
+        runs = [
+            ["gamma", "--roots", "--taylor", "5",
+             "--folds", "alpha1,gamma,2.5,2.7,-0.01,0.01,5,5"],
+            ["evans", "--taylor", "5", "--roots=-0.05,0.05,-0.05,0.05", "--bound"],
+            ["design", "--target", "gamma:7"],
+            ["jordan", "--k", "1", "--ell", "3"],
+            ["ode", "--nf=-1.0,0,-1.0,-0.6,1.0,0,0", "--equilibria",
+             "--integrate", "30", "--shoot=-0.8,-0.6,3"],
+            ["ode", "--nf=-1.0,0,-0.5,-3.9,1.0,0,0", "--lyapunov", "20"],
+            ["ode", "--from-analysis", "--equilibria", "--integrate", "10"],
+            ["pde-sim"],
+            ["pde-continue", "--free-param", "gamma", "--range=-0.01,0.01",
+             "--ds", "0.005", "--max-points", "2"],
+            ["verify", "--suite", "paper-params"],
+        ]
         outs = []
         for name in ("a", "b"):
-            out = tmp_path / name
-            rc = dispatch(["--config", n3_config, "--output-dir", str(out),
-                           "evans", "--taylor", "5",
-                           "--roots=-0.05,0.05,-0.05,0.05"])
-            assert rc == 0
-            outs.append((out / "evans_roots.csv").read_bytes()
-                        + (out / "evans_taylor.csv").read_bytes())
+            files, stdout = {}, []
+            for i, argv in enumerate(runs):
+                out = tmp_path / name / str(i)
+                rc = dispatch(["--config", config, "--output-dir", str(out)] + argv)
+                assert rc == 0, argv
+                stdout.append(capsys.readouterr().out.replace(str(out), "OUT"))
+                files.update({(i, p.name): p.read_bytes() for p in out.iterdir()})
+            outs.append((files, stdout))
+        files = outs[0][0]
+        assert {name for _i, name in files} >= {
+            "manifest.json", "gamma_roots.csv", "gamma_taylor.csv",
+            "gamma_folds.csv", "evans_taylor.csv", "evans_roots.csv",
+            "design.json", "jordan_profile.csv", "ode_equilibria.json",
+            "ode_trajectory.csv", "ode_shoot.csv", "pde_timeseries.csv",
+            "pde_final_profile.csv", "branch.csv"}
+        assert "candidate nu_bar=" in outs[0][1][4]
+        assert "lyapunov_max: " in outs[0][1][5]
         assert outs[0] == outs[1]
 
     def test_design_gamma_target(self, n3_config, tmp_path, capsys):

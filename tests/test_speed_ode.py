@@ -73,14 +73,18 @@ class TestIntegrate:
 
     def test_harmonic_energy_drift(self):
         # c1'' = -c1 embedded as the linear part; epsilon = 1 so one period is 2 pi
-        tol = 1e-9
+        tol, periods = 1e-9, 1000
         ode = SpeedODE(n_prime=2, a0=0.0, a_lin=(-1.0, 0.0), a_quad=(0.0, 0.0),
                        epsilon=1.0)
-        t_end = 2 * math.pi * 1000
+        t_end = 2 * math.pi * periods
         tr = integrate(ode, np.array([1.0, 0.0]), t_end, tol=tol,
                        t_eval=np.array([0.0, t_end]))
         energy = tr.y[0] ** 2 + tr.y[1] ** 2
-        assert abs(energy[-1] - energy[0]) <= 1e3 * tol * 10
+        assert abs(energy[-1] - energy[0]) <= periods * tol * 10
+        # phase against the closed form (cos t, -sin t): the global error of
+        # a step-size control at rtol = tol grows by at most ~tol per period
+        exact = np.array([math.cos(t_end), -math.sin(t_end)])
+        assert np.max(np.abs(tr.y[:, -1] - exact)) <= periods * tol
 
     def test_blow_up_detection(self):
         ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
@@ -222,6 +226,35 @@ class TestShilnikovShoot:
                               t_max=300.0, integrator_tol=1e-11)
         assert refined.status == "ok"
         assert abs(refined.miss) < 10 * 1e-6
+
+    def test_regula_falsi_beats_bisection(self, monkeypatch):
+        # the criterion-10 sweep: the candidate lies inside its sign-change
+        # bracket, matches a tight shot at the same nu_bar, and takes fewer
+        # root-iteration shots than the 17 that midpoint bisection needs
+        from frontlab import speed_ode
+        shots = []
+        shoot_once = speed_ode._shoot_once
+
+        def counted(*args, **kwargs):
+            shots.append(args[0].nu_bar)
+            return shoot_once(*args, **kwargs)
+        monkeypatch.setattr(speed_ode, "_shoot_once", counted)
+        tol = 1e-6
+        nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
+        result = shilnikov_shoot(nf, np.linspace(-1.0, -0.25, 7), tol=tol,
+                                 t_max=300.0)
+        assert len(result.candidates) == 1
+        cand = result.candidates[0]
+        brackets = [(a.nu_bar, b.nu_bar) for a, b in zip(result.trace, result.trace[1:])
+                    if a.status == b.status == "ok" and a.miss * b.miss < 0]
+        assert len(brackets) == 1
+        lo, hi = brackets[0]
+        assert lo < cand.nu_bar < hi
+        assert 0 < len(shots) - len(result.trace) < 17
+        reference = shoot_once(replace(nf, nu=(0.0, -1.0, cand.nu_bar)), tol,
+                               t_max=300.0, integrator_tol=1e-12)
+        assert reference.status == "ok"
+        assert abs(reference.miss - cand.miss) < 10 * tol
 
     def test_no_sign_change_returns_full_trace(self):
         nf = ScaledNF.shilnikov(-1.0, -0.5, -1.6, a11=1.0)
