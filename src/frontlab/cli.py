@@ -28,7 +28,7 @@ _RUN_KEYS = set(_MODEL_KEYS) | _RUN_ONLY_KEYS
 _PDE_KEYS = {"domain_half_length", "n_x", "dt", "t_end", "output_stride",
              "perturbation"}
 _PERTURBATION_KEYS = {"mode", "amplitude", "width", "center", "lam"}
-_ODE_KEYS = {"n_prime", "h", "nu0", "nu", "a11", "a12", "delta"}
+_ODE_KEYS = {"n_prime", "h"}
 
 
 @dataclass
@@ -244,6 +244,8 @@ def _cmd_ode(args, cfg, outdir):
                 for i, t in enumerate(traj.t)]
         _write_csv(path, ["t"] + [f"c{k + 1}" for k in range(dim)], rows)
         print(path)
+        if traj.blew_up:
+            print(f"blew up at t={traj.t[-1]:.6g}", file=sys.stderr)
     if args.shoot:
         result = so.shilnikov_shoot(ode, np.linspace(*args.shoot))
         path = os.path.join(outdir, "ode_shoot.csv")
@@ -339,14 +341,21 @@ def _cmd_verify(args, cfg, outdir):
 def _finite(text):
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive(text):
+    value = _finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
     return value
 
 
 def _count(text):
     value = int(text)
     if value < 1:
-        raise ValueError(f"{text!r} is not a positive count")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive count")
     return value
 
 
@@ -412,7 +421,7 @@ def build_parser():
                    type=_comma_list(str, str, *[_finite] * 4, _count, _count))
 
     p = sub.add_parser("evans", help="Evans function: series, bound, roots")
-    p.add_argument("--at", type=float, default=0.0, metavar="c")
+    p.add_argument("--at", type=_finite, default=0.0, metavar="c")
     p.add_argument("--taylor", type=int, default=None, metavar="M")
     p.add_argument("--roots", default=None, metavar="xmin,xmax,ymin,ymax",
                    type=_comma_list(*[_finite] * 4))
@@ -430,11 +439,11 @@ def build_parser():
     p.add_argument("--from-analysis", action="store_true")
     p.add_argument("--nf", default=None, metavar="nu0,l,m,n,a11,a12,delta",
                    type=_comma_list(*[_finite] * 7))
-    p.add_argument("--integrate", type=float, default=None, metavar="T")
+    p.add_argument("--integrate", type=_positive, default=None, metavar="T")
     p.add_argument("--equilibria", action="store_true")
     p.add_argument("--shoot", default=None, metavar="numin,numax,steps",
                    type=_comma_list(_finite, _finite, _count))
-    p.add_argument("--lyapunov", type=float, default=None, metavar="T")
+    p.add_argument("--lyapunov", type=_positive, default=None, metavar="T")
 
     p = sub.add_parser("pde-sim", help="direct simulation with freezing speed")
 
@@ -442,7 +451,7 @@ def build_parser():
     p.add_argument("--free-param", required=True)
     p.add_argument("--range", required=True, metavar="lo,hi",
                    type=_comma_list(_finite, _finite))
-    p.add_argument("--ds", type=float, default=0.01)
+    p.add_argument("--ds", type=_positive, default=0.01)
     p.add_argument("--max-points", type=int, default=120)
 
     p = sub.add_parser("verify", help="run built-in verification suites")

@@ -1,15 +1,14 @@
 """Reduced front-speed dynamics on the center manifold.
 
-At a designed multiplicity-(N'+1) zero root the reduced ODE for the speed
-vector c = (c_1, .., c_N') has nilpotent linear part plus a scalar
-nonlinearity in the last row:
+At a designed multiplicity-(N'+1) zero root the speed vector obeys one
+companion-form ODE, a nilpotent shift with a scalar nonlinearity in the last
+row, z' = s (z_2, .., z_n, a0 + a.z + z_1 (q.z)).  `SpeedODE` is that ODE in
+the speeds c, and `ScaledNF` the same ODE after the delta-rescaling of
+Dumortier, Ibanez and Kokubu (Dyn. Syst. 16, 2001).
 
-    dc_k/dt  = eps^2 c_{k+1},            k < N',
-    dc_N'/dt = eps^2 (a_0 + sum_j a_j c_j + c_1 sum_j a1j c_j).
-
-This module builds that ODE from the existence/Evans analysis, integrates
-it, classifies equilibria (saddle-focus detection), shoots for homoclinic
-connections over a coefficient sweep, and estimates Lyapunov exponents.
+This module builds the speed ODE from the existence/Evans analysis,
+integrates it, classifies equilibria (saddle-focus detection), shoots for
+homoclinic connections and estimates Lyapunov exponents.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core_model import Coupling, SystemParams
+from .core_model import Coupling, SystemParams, _require_finite
 from .designer import design_evans_degeneracy, linear_unfolding_map
 from .errors import ConvergenceError, FrontlabError
 from .existence import gamma0_taylor
@@ -34,9 +33,62 @@ def _solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
+class _CompanionForm:
+    """z' = s (z_2, .., z_n, a0 + a.z + z_1 (q.z)); each dataclass maps its
+    fields to (a0, a, q, s) in `__post_init__`, so `replace` recomputes them.
+
+    The last row is summed in plain floats: a shooting sweep evaluates the
+    field ~15,000 times, and one numpy dot on a 3-vector costs more than
+    the whole row.
+    """
+
+    def _set_form(self, a0, a, q, s):
+        a0, a, q, s = float(a0), tuple(map(float, a)), tuple(map(float, q)), float(s)
+        if not a or len(q) != len(a):
+            raise FrontlabError("need n >= 1 linear and n quadratic coefficients")
+        _require_finite(coefficients=(a0, s) + a + q)
+        object.__setattr__(self, "_form", (a0, a, q, s))
+
+    @property
+    def dim(self):
+        return len(self._form[1])
+
+    def last_row(self, z):
+        """a0 + a.z + z_1 (q.z), without the time scale s."""
+        a0, a, q, _s = self._form
+        lin = quad = 0.0
+        for x, a_j, q_j in zip(z, a, q):
+            lin += a_j * x
+            quad += q_j * x
+        return a0 + lin + z[0] * quad
+
+    def field_at(self, z):
+        z = np.asarray(z, dtype=float).tolist()
+        s = self._form[3]
+        return np.array([s * x for x in z[1:] + [self.last_row(z)]])
+
+    def jacobian_at(self, z):
+        z = np.asarray(z, dtype=float).tolist()
+        _a0, a, q, s = self._form
+        row = [a_j + z[0] * q_j for a_j, q_j in zip(a, q)]
+        for x, q_j in zip(z, q):
+            row[0] += q_j * x
+        jac = np.zeros((len(a), len(a)))
+        for k in range(len(a) - 1):
+            jac[k, k + 1] = s
+        jac[-1] = [s * r for r in row]
+        return jac
+
+    def scalar_equilibrium_coeffs(self):
+        """(a0, a_1, q_1): the last row on the line z = (c, 0, .., 0)."""
+        a0, a, q, _s = self._form
+        return (a0, a[0], q[0])
+
+
 @dataclass(frozen=True)
-class SpeedODE:
-    """Nilpotent speed ODE with quadratic c_1-coupling in the last row."""
+class SpeedODE(_CompanionForm):
+    """The speed ODE c' = eps^2 (c_2, .., c_N', a0 + a_lin.c + c_1 a_quad.c):
+    the companion form with (a0, a, q, s) = (a0, a_lin, a_quad, eps^2)."""
 
     n_prime: int
     a0: float
@@ -46,51 +98,21 @@ class SpeedODE:
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.n_prime < 1:
-            raise FrontlabError("dimension must be >= 1")
         if len(self.a_lin) != self.n_prime or len(self.a_quad) != self.n_prime:
             raise FrontlabError("a_lin and a_quad must have n_prime entries")
         object.__setattr__(self, "a_lin", tuple(float(a) for a in self.a_lin))
         object.__setattr__(self, "a_quad", tuple(float(a) for a in self.a_quad))
-
-    @property
-    def dim(self):
-        return self.n_prime
-
-    def last_row(self, c):
-        quad = c[0] * float(np.dot(self.a_quad, c))
-        return self.a0 + float(np.dot(self.a_lin, c)) + quad
-
-    def field_at(self, c):
-        c = np.asarray(c, dtype=float)
-        out = np.empty_like(c)
-        out[:-1] = c[1:]
-        out[-1] = self.last_row(c)
-        return self.epsilon ** 2 * out
-
-    def jacobian_at(self, c):
-        c = np.asarray(c, dtype=float)
-        n = self.n_prime
-        jac = np.zeros((n, n))
-        for k in range(n - 1):
-            jac[k, k + 1] = 1.0
-        row = np.asarray(self.a_lin) + c[0] * np.asarray(self.a_quad)
-        row[0] += float(np.dot(self.a_quad, c))
-        jac[-1, :] = row
-        return self.epsilon ** 2 * jac
-
-    def scalar_equilibrium_coeffs(self):
-        """(a0, a1, a11) of the restriction to the c = (c, 0, .., 0) line."""
-        return (self.a0, self.a_lin[0], self.a_quad[0])
+        self._set_form(self.a0, self.a_lin, self.a_quad, self.epsilon ** 2)
 
 
 @dataclass(frozen=True)
-class ScaledNF:
-    """Rescaled normal form: z_k' = z_{k+1}, z_N'' = nu0 + nu.z + quadratics.
+class ScaledNF(_CompanionForm):
+    """Rescaled normal form z' = (z_2, .., z_n, nu0 + nu.z + a11 z_1^2
+    + a12 delta z_1 z_2) in slow time: the companion form with
+    (a0, a, q, s) = (nu0, nu, (a11, a12 delta, 0, ..), 1).
 
-    The last row is nu0 + sum_k nu_k z_k + a11 z1^2 + a12 delta z1 z2; in
-    the saddle-focus normal form the z1-linear term has been shifted away,
-    so nu = (0, mu_bar, nu_bar) and nu0 plays the role of lambda_bar.
+    In the saddle-focus normal form the z_1-linear term has been shifted
+    away, so nu = (0, mu_bar, nu_bar) and nu0 plays the role of lambda_bar.
     """
 
     nu0: float
@@ -101,8 +123,9 @@ class ScaledNF:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
-        if len(self.nu) < 1:
-            raise FrontlabError("nu must have at least one entry")
+        n = len(self.nu)
+        q = ((self.a11, self.a12 * self.delta) + (0.0,) * n)[:n]
+        self._set_form(self.nu0, self.nu, q, 1.0)
 
     @classmethod
     def shilnikov(cls, lam_bar, mu_bar, nu_bar, a11, a12=0.0, delta=0.0,
@@ -132,42 +155,8 @@ class ScaledNF:
         return self.nu[2] if len(self.nu) >= 3 else 0.0
 
     @property
-    def dim(self):
-        return len(self.nu)
-
-    @property
     def epsilon(self):
         return 1.0   # already in slow time
-
-    def last_row(self, z):
-        out = self.nu0 + float(np.dot(self.nu, z)) + self.a11 * z[0] ** 2
-        if len(z) >= 2:
-            out += self.a12 * self.delta * z[0] * z[1]
-        return out
-
-    def field_at(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
-        out[:-1] = z[1:]
-        out[-1] = self.last_row(z)
-        return out
-
-    def jacobian_at(self, z):
-        z = np.asarray(z, dtype=float)
-        n = len(z)
-        jac = np.zeros((n, n))
-        for k in range(n - 1):
-            jac[k, k + 1] = 1.0
-        row = np.asarray(self.nu, dtype=float).copy()
-        row[0] += 2.0 * self.a11 * z[0]
-        if n >= 2:
-            row[0] += self.a12 * self.delta * z[1]
-            row[1] += self.a12 * self.delta * z[0]
-        jac[-1, :] = row
-        return jac
-
-    def scalar_equilibrium_coeffs(self):
-        return (self.nu0, self.nu[0], self.a11)
 
 
 def build_from_analysis(params: SystemParams, coupling: Coupling,
@@ -222,6 +211,8 @@ def integrate(ode, initial, t_end: float, tol: float = 1e-8,
     """
     if tol <= 0:
         raise FrontlabError("tol must be positive")
+    if not 0 < t_end < math.inf:
+        raise FrontlabError(f"t_end must be positive and finite, got {t_end}")
     y0 = np.asarray(initial, dtype=float)
     if with_position:
         # the front position rides along as a last coordinate, da/dt = eps^2 c_1
@@ -252,10 +243,7 @@ class Equilibrium:
 
     @property
     def state(self):
-        n = len(self.eigenvalues)
-        out = np.zeros(n)
-        out[0] = self.c_star
-        return out
+        return np.array([self.c_star] + [0.0] * (len(self.eigenvalues) - 1))
 
 
 def classify_eigenvalues(eigs, hyper_tol=1e-9) -> str:
@@ -300,9 +288,7 @@ def equilibria_and_classification(ode, hyper_tol=1e-9):
             roots = sorted([(-a1 - sq) / (2.0 * a11), (-a1 + sq) / (2.0 * a11)])
     out = []
     for c_star in roots:
-        state = np.zeros(ode.dim)
-        state[0] = c_star
-        eigs = np.linalg.eigvals(ode.jacobian_at(state))
+        eigs = np.linalg.eigvals(ode.jacobian_at([c_star] + [0.0] * (ode.dim - 1)))
         eigs = tuple(sorted(eigs, key=lambda z: (-z.real, z.imag)))
         out.append(Equilibrium(c_star=float(c_star), eigenvalues=eigs,
                                kind=classify_eigenvalues(eigs, hyper_tol)))
@@ -511,8 +497,8 @@ def lyapunov_max(ode, initial, t_end: float, renorm_interval: float,
     every `renorm_interval`; the exponent is the mean log-growth per unit of
     the ODE's own time, with the leading transient chunks discarded.
     """
-    if renorm_interval <= 0 or t_end <= renorm_interval:
-        raise FrontlabError("need 0 < renorm_interval < t_end")
+    if not 0 < renorm_interval < t_end < math.inf:
+        raise FrontlabError("need 0 < renorm_interval < t_end < inf")
     rng = np.random.default_rng(seed)
     dim = len(np.asarray(initial))
     v = rng.standard_normal(dim)

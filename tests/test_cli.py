@@ -99,6 +99,21 @@ class TestDispatch:
         (None, ["design", "--target", "evans:x"], 2, "needs an integer order, got 'x'"),
         (None, ["design", "--target", "gamma:"], 2, "needs an integer order, got ''"),
         (None, ["design", "--target", "imprint:"], 2, "unknown design target 'imprint:'"),
+        (None, ["ode", "--nf=-1,0,-1,-0.6,1,0,0", "--integrate", "nan"], 2,
+         "'nan' is not a finite number"),
+        (None, ["ode", "--nf=-1,0,-1,-0.6,1,0,0", "--integrate", "inf"], 2,
+         "'inf' is not a finite number"),
+        (None, ["ode", "--nf=-1,0,-1,-0.6,1,0,0", "--integrate", "-5"], 2,
+         "'-5' is not a positive number"),
+        (None, ["ode", "--nf=-1,0,-1,-0.6,1,0,0", "--lyapunov", "nan"], 2,
+         "'nan' is not a finite number"),
+        (None, ["pde-continue", "--free-param", "gamma", "--range=-1,1", "--ds", "nan"], 2,
+         "'nan' is not a finite number"),
+        (None, ["evans", "--at", "nan"], 2, "'nan' is not a finite number"),
+        ('{"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": [0.9], "ode": '
+         '{"nu0": -1, "nu": [0, -1, -0.6], "a11": 1, "a12": 0, "delta": 0}}',
+         ["ode", "--nf=-1,0,-1,-0.6,1,0,0", "--equilibria"], 1,
+         "unknown ode keys: ['a11', 'a12', 'delta', 'nu', 'nu0']"),
     ])
     def test_malformed_values_exit_2_bad_config_exit_1(self, n1_config, tmp_path, capsys,
                                                        config, argv, code, message):
@@ -204,6 +219,21 @@ class TestDispatch:
         eqs = json.loads((out / "ode_equilibria.json").read_text())
         assert any(e["kind"] == "saddle-focus(1u,2s)" for e in eqs)
         assert (out / "ode_trajectory.csv").exists()
+
+    def test_ode_blow_up_reported(self, n1_config, tmp_path, capsys):
+        # the README's Shil'nikov form leaves every bounded set near t = 10;
+        # the (-1, -0.5, -3.9) form settles on a periodic orbit
+        def run(nf):
+            out = tmp_path / nf
+            assert dispatch(["--config", n1_config, "--output-dir", str(out),
+                             "ode", f"--nf={nf}", "--integrate", "30"]) == 0
+            rows = (out / "ode_trajectory.csv").read_text().splitlines()[2:]
+            return rows, capsys.readouterr().err
+        rows, err = run("-1.0,0,-1.0,-0.6,1.0,0,0")
+        assert len(rows) < 2001
+        assert err == f"blew up at t={float(rows[-1].split(',')[0]):.6g}\n"
+        rows, err = run("-1.0,0,-0.5,-3.9,1.0,0,0")
+        assert len(rows) == 2001 and err == ""
 
     def test_verify_paper_params(self, n3_config, tmp_path, capsys):
         rc = dispatch(["--config", n3_config, "--output-dir", str(tmp_path),

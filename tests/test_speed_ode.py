@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontlab import (Coupling, FrontlabError, ScaledNF, SpeedODE,
                       SystemParams, build_from_analysis,
@@ -56,6 +58,87 @@ class TestStructure:
         assert np.allclose(tr1.y[:-1], tr2.y[:-1], atol=1e-9)
 
 
+_coef = st.floats(-2.0, 2.0, allow_nan=False)
+
+# |computed - written-out| <= ROW_RTOL * (sum of the written-out terms' sizes):
+# a few roundings of at most 2^-53 each, whatever the summation order
+ROW_RTOL = 1e-14
+
+
+def _speed_ode_rows(ode, c):
+    """SpeedODE's scale, last-row terms and Jacobian-row terms, written out:
+    eps^2 (a0 + a.c + c_1 a_quad.c)."""
+    n, a, q = ode.n_prime, ode.a_lin, ode.a_quad
+    terms = [ode.a0] + [a[j] * c[j] for j in range(n)] + [c[0] * q[j] * c[j] for j in range(n)]
+    grad = [[a[j], c[0] * q[j]] for j in range(n)]
+    grad[0] += [q[j] * c[j] for j in range(n)]
+    return ode.epsilon ** 2, terms, grad
+
+
+def _scaled_nf_rows(nf, z):
+    """ScaledNF's scale, last-row terms and Jacobian-row terms, written out:
+    nu0 + nu.z + a11 z_1^2 + a12 delta z_1 z_2."""
+    n, nu, b = len(nf.nu), nf.nu, nf.a12 * nf.delta
+    terms = [nf.nu0] + [nu[j] * z[j] for j in range(n)] + [nf.a11 * z[0] ** 2]
+    grad = [[nu[j]] for j in range(n)]
+    grad[0].append(2.0 * nf.a11 * z[0])
+    if n >= 2:
+        terms.append(b * z[0] * z[1])
+        grad[0].append(b * z[1])
+        grad[1].append(b * z[0])
+    return 1.0, terms, grad
+
+
+def _close(got, scale, terms):
+    return abs(got - scale * sum(terms)) <= ROW_RTOL * scale * sum(abs(t) for t in terms)
+
+
+@st.composite
+def _forms(draw):
+    n = draw(st.integers(1, 4))
+    vec = st.lists(_coef, min_size=n, max_size=n).map(tuple)
+    ode = SpeedODE(n_prime=n, a0=draw(_coef), a_lin=draw(vec), a_quad=draw(vec),
+                   epsilon=draw(st.floats(0.01, 1.0)))
+    nf = ScaledNF(nu0=draw(_coef), nu=draw(vec), a11=draw(_coef), a12=draw(_coef),
+                  delta=draw(_coef))
+    return ode, nf, np.array(draw(vec)), draw(vec)
+
+
+class TestOneCompanionForm:
+    """SpeedODE and ScaledNF against their last rows written out by hand."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_forms(), st.sampled_from([math.nan, math.inf]))
+    def test_field_and_jacobian_against_written_out_rows(self, case, bad):
+        ode, nf, z, nu_new = case
+        n = len(z)
+        # replace must recompute the form: nf_new is checked against rows
+        # written out from its own, new nu
+        nf_new = replace(nf, nu=nu_new)
+        for form, rows in ((ode, _speed_ode_rows), (nf, _scaled_nf_rows),
+                           (nf_new, _scaled_nf_rows)):
+            scale, terms, grad = rows(form, z)
+            field_ = form.field_at(z)
+            assert form.dim == n and field_.shape == (n,)
+            assert np.array_equal(field_[:-1], scale * z[1:])
+            assert _close(field_[-1], scale, terms)
+            jac = form.jacobian_at(z)
+            assert np.array_equal(jac[:-1], scale * np.eye(n, k=1)[:-1])
+            assert all(_close(jac[-1, j], scale, grad[j]) for j in range(n))
+        assert ode.scalar_equilibrium_coeffs() == (ode.a0, ode.a_lin[0], ode.a_quad[0])
+        for form in (nf, nf_new):
+            assert form.scalar_equilibrium_coeffs() == (form.nu0, form.nu[0], form.a11)
+        # a non-finite coefficient is rejected where the form is built
+        spoiled = [dict(a0=bad), dict(epsilon=bad), dict(a_lin=(bad,) + ode.a_lin[1:]),
+                   dict(a_quad=ode.a_quad[:-1] + (bad,))]
+        spoiled_nf = [dict(nu0=bad), dict(a11=bad), dict(nu=nf.nu[:-1] + (bad,))]
+        if n >= 2:   # a12 and delta enter from dimension 2 on
+            spoiled_nf += [dict(a12=bad, delta=1.0), dict(delta=bad)]
+        for form, changes in [(ode, c) for c in spoiled] + [(nf, c) for c in spoiled_nf]:
+            with pytest.raises(FrontlabError, match="must be finite"):
+                replace(form, **changes)
+
+
 class TestIntegrate:
     def test_zero_field_constant(self):
         ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(0.0,), a_quad=(0.0,), epsilon=0.4)
@@ -85,6 +168,14 @@ class TestIntegrate:
         # a step-size control at rtol = tol grows by at most ~tol per period
         exact = np.array([math.cos(t_end), -math.sin(t_end)])
         assert np.max(np.abs(tr.y[:, -1] - exact)) <= periods * tol
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -5.0])
+    def test_bad_t_end_rejected(self, t_end):
+        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(-1.0,), a_quad=(0.0,), epsilon=1.0)
+        with pytest.raises(FrontlabError, match="t_end"):
+            integrate(ode, np.array([1.0]), t_end)
+        with pytest.raises(FrontlabError, match="t_end"):
+            lyapunov_max(ode, np.array([1.0]), t_end, 1.0)
 
     def test_blow_up_detection(self):
         ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
