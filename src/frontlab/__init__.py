@@ -19,10 +19,9 @@ from .existence import (FrontProfile, fold_curves, front_profile, gamma0,
 from .evans import (EvansContext, RootSet, essential_spectrum_bound,
                     evans_context, evans_eval, evans_root_bound, evans_roots,
                     evans_taylor_c0)
-from .designer import (DegeneracySpec, design_evans_degeneracy,
-                       design_gamma_degeneracy, design_simultaneous,
-                       imprint_scalar_singularity, linear_unfolding_map,
-                       vandermonde_solve)
+from .designer import (design_evans_degeneracy, design_gamma_degeneracy,
+                       design_simultaneous, imprint_scalar_singularity,
+                       linear_unfolding_map, vandermonde_solve)
 from .jordan_chain import (ChainProfile, JordanPolynomial, chain_profile,
                            eigenfunction_c0, jordan_poly, verify_chain_ode)
 from .speed_ode import (ScaledNF, SpeedODE, build_from_analysis,

@@ -69,15 +69,16 @@ def load_run_config(path) -> RunConfig:
     ode = doc.get("ode", {})
     if set(ode) - _ODE_KEYS:
         raise FrontlabError(f"unknown ode keys: {sorted(set(ode) - _ODE_KEYS)}")
+    _check_run_values(doc)
     model_doc = {k: v for k, v in doc.items() if k not in _RUN_ONLY_KEYS}
     params, coupling = model_from_dict(model_doc)
     return RunConfig(params=params, coupling=coupling,
-                     seed=int(doc.get("seed", 0)),
+                     seed=doc.get("seed", 0),
                      output_dir=doc.get("output_dir", "."),
                      pde=pde, ode=ode, raw=doc)
 
 
-def _write_manifest(cfg: RunConfig, outdir, command, extra=None):
+def _write_manifest(cfg: RunConfig, outdir, command):
     os.makedirs(outdir, exist_ok=True)
     manifest = {
         "tool": "frontlab",
@@ -86,8 +87,6 @@ def _write_manifest(cfg: RunConfig, outdir, command, extra=None):
         "config": cfg.raw,
         "seed": cfg.seed,
     }
-    if extra:
-        manifest.update(extra)
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -334,7 +333,7 @@ def _cmd_pde_continue(args, cfg, outdir):
 
 def _cmd_verify(args, cfg, outdir):
     from .verify import run_suite
-    failures = run_suite(args.suite, cfg)
+    failures = run_suite(args.suite)
     return 1 if failures else 0
 
 
@@ -357,6 +356,59 @@ def _count(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive count")
     return value
+
+
+def _natural(value):
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a non-negative integer")
+    return value
+
+
+def _mode(value):
+    if value not in ("bump", "eigenfunction"):
+        raise argparse.ArgumentTypeError(f"{value!r} is not 'bump' or 'eigenfunction'")
+    return value
+
+
+#: Converter of each run value a config may set, by `section.key`.
+_RUN_VALUES = {
+    "seed": _natural,
+    "pde.domain_half_length": _positive,
+    "pde.n_x": _count,
+    "pde.dt": _positive,
+    "pde.t_end": _positive,
+    "pde.output_stride": _count,
+    "pde.perturbation.mode": _mode,
+    "pde.perturbation.amplitude": _finite,
+    "pde.perturbation.width": _positive,
+    "pde.perturbation.center": _finite,
+    "pde.perturbation.lam": _finite,
+    "ode.n_prime": _count,
+    "ode.h": _positive,
+}
+
+
+def _check_run_values(doc):
+    """Reject a run value that its converter in _RUN_VALUES refuses, naming
+    it by `section.key`; integer keys take JSON integers only, numbers JSON
+    numbers (not strings or booleans, nor integers too large for a float)."""
+    for path, convert in _RUN_VALUES.items():
+        *sections, key = path.split(".")
+        section = doc
+        for name in sections:
+            section = section.get(name, {})
+        if key not in section:
+            continue
+        value = section[key]
+        kinds = int if convert in (_natural, _count) else (int, float)
+        try:
+            if convert is not _mode and (isinstance(value, bool)
+                                         or not isinstance(value, kinds)):
+                kind = "integer" if kinds is int else "number"
+                raise argparse.ArgumentTypeError(f"{value!r} is not a JSON {kind}")
+            convert(value)
+        except (argparse.ArgumentTypeError, OverflowError) as exc:
+            raise FrontlabError(f"{path}: {exc}") from None
 
 
 def _comma_list(*kinds):
@@ -471,10 +523,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
 }
 
-_NEEDS_CONFIG = {"gamma", "evans", "design", "jordan", "ode", "pde-sim",
-                 "pde-continue", "verify"}
-
-
 def _print_json_error(name, exc):
     print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
 
@@ -494,17 +542,11 @@ def dispatch(argv) -> int:
         return int(exc.code) if exc.code else 0
     json_errors = getattr(args, "json_errors", False)
     try:
-        if args.command in _NEEDS_CONFIG:
-            if not args.config:
-                raise FrontlabError(f"{args.command} requires --config")
-            cfg = load_run_config(args.config)
-        else:
-            cfg = None
-        outdir = args.output_dir or (cfg.output_dir if cfg else ".")
-        os.makedirs(outdir, exist_ok=True)
-        if cfg is not None:
-            _write_manifest(cfg, outdir, args.command)
-        np.random.seed(cfg.seed if cfg else 0)
+        if not args.config:
+            raise FrontlabError(f"{args.command} requires --config")
+        cfg = load_run_config(args.config)
+        outdir = args.output_dir or cfg.output_dir
+        _write_manifest(cfg, outdir, args.command)
         return _COMMANDS[args.command](args, cfg, outdir)
     except FrontlabError as exc:
         if json_errors:

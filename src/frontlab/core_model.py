@@ -10,7 +10,6 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -112,9 +111,6 @@ class SystemParams:
         """True iff the ratios tau_j/d_j are pairwise distinct (same tolerance)."""
         return _min_relative_gap(self.ratio) > DISTINCTNESS_RTOL
 
-    def with_epsilon(self, epsilon: float) -> "SystemParams":
-        return replace(self, epsilon=epsilon)
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -160,9 +156,6 @@ class Coupling:
         return (abs(self.gamma) + sum(abs(a) for a in self.alpha)
                 + sum(abs(b) for b in self.beta)
                 + sum(abs(hk) for hk in self.higher))
-
-    def is_affine(self) -> bool:
-        return not self.higher and all(b == 0.0 for b in self.beta)
 
     def __call__(self, v):
         return eval_coupling(self, v)
@@ -322,16 +315,6 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def power(self, k: int) -> "PowerSeries":
-        out = PowerSeries.constant(1.0, self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner(x)); inner must have zero constant term."""
         if inner.coeffs[0] != 0.0:
@@ -352,11 +335,6 @@ class PowerSeries:
             acc = sum(self.coeffs[k] * out[n - k] for k in range(1, n + 1))
             out.append(-acc / c0)
         return PowerSeries(tuple(out))
-
-    def derivative(self) -> "PowerSeries":
-        if self.order == 0:
-            return PowerSeries((0.0,))
-        return PowerSeries(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
     def __call__(self, x: float) -> float:
         acc = 0.0
@@ -444,13 +422,3 @@ def model_from_dict(doc: dict):
         raise FrontlabError(f"alpha has {coupling.n_slow} entries for {n} slow components")
     return params, coupling
 
-
-def dump_model(params: SystemParams, coupling: Coupling, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(params, coupling), fh, indent=2)
-        fh.write("\n")
-
-
-def load_model(path):
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core_model import Coupling, DISTINCTNESS_RTOL, SystemParams, series_vstar
+from .core_model import (Coupling, DISTINCTNESS_RTOL, SystemParams, _min_relative_gap,
+                         series_vstar)
 from .errors import DesignError, DistinctnessError
 from .evans import evans_taylor_c0
 from .existence import SQRT2
@@ -26,45 +27,8 @@ from .existence import SQRT2
 CONDITION_WARN = 1e8
 
 
-@dataclass(frozen=True)
-class DegeneracySpec:
-    """A validated degeneracy request.
-
-    kind is one of 'evans' (zero root of multiplicity ell+1, 1 <= ell <= N),
-    'gamma' (existence function of order m, 0 <= m <= 2N+1), 'simultaneous'
-    (both maximal), or 'imprint' (N = 1 target Taylor coefficients).
-    """
-
-    kind: str
-    order: int = 0
-    targets: tuple = ()
-
-    def validate(self, n_slow: int):
-        if self.kind == "evans":
-            if not 1 <= self.order <= n_slow:
-                raise DesignError(
-                    f"Evans zero-root multiplicity {self.order + 1} out of range; "
-                    f"the maximum is N+1 = {n_slow + 1}")
-        elif self.kind == "gamma":
-            if not 0 <= self.order <= 2 * n_slow + 1:
-                raise DesignError(
-                    f"existence degeneracy order {self.order} out of range; "
-                    f"the maximum is 2N+1 = {2 * n_slow + 1}")
-        elif self.kind == "imprint":
-            if n_slow != 1:
-                raise DesignError("imprinting requires N = 1")
-        elif self.kind != "simultaneous":
-            raise DesignError(f"unknown degeneracy kind {self.kind!r}")
-        return self
-
-
 def _check_distinct(nodes, what):
-    nodes = np.asarray(nodes, dtype=float)
-    if len(nodes) < 2:
-        return
-    scale = np.max(np.abs(nodes))
-    gaps = np.diff(np.sort(nodes))
-    gap = float(np.min(gaps)) / scale if scale else 0.0
+    gap = _min_relative_gap(nodes)
     if gap <= DISTINCTNESS_RTOL:
         raise DistinctnessError(
             f"{what} are too close for a Vandermonde solve "
@@ -118,7 +82,10 @@ def design_evans_degeneracy(params: SystemParams, ell: int | None = None,
     n = params.n_slow
     if ell is None:
         ell = n
-    DegeneracySpec("evans", ell).validate(n)
+    if not 1 <= ell <= n:
+        raise DesignError(
+            f"Evans zero-root multiplicity {ell + 1} out of range; "
+            f"the maximum is N+1 = {n + 1}")
     if not params.pairwise_distinct_tau:
         raise DistinctnessError("tau values must be pairwise distinct")
     tau = np.asarray(params.tau)
@@ -163,7 +130,10 @@ def design_gamma_degeneracy(params: SystemParams, m: int):
         trailing zeros and the even-order conditions solved in between.
     """
     n = params.n_slow
-    DegeneracySpec("gamma", m).validate(n)
+    if not 0 <= m <= 2 * n + 1:
+        raise DesignError(
+            f"existence degeneracy order {m} out of range; "
+            f"the maximum is 2N+1 = {2 * n + 1}")
     if not params.pairwise_distinct_ratio:
         raise DistinctnessError("ratios tau_j/d_j must be pairwise distinct")
     if not params.pairwise_distinct_tau:
@@ -230,8 +200,8 @@ class SimultaneousDesign:
     alpha: tuple
     singular_limit_only: bool = True
 
-    def coupling(self, gamma: float = 0.0) -> Coupling:
-        return Coupling(gamma, self.alpha, (0.0,) * len(self.alpha))
+    def coupling(self) -> Coupling:
+        return Coupling(0.0, self.alpha, (0.0,) * len(self.alpha))
 
 
 def design_simultaneous(d, tau1: float, epsilon: float = 0.01) -> SimultaneousDesign:
@@ -296,7 +266,7 @@ def imprint_scalar_singularity(params: SystemParams, targets) -> Coupling:
 
 
 def linear_unfolding_map(params: SystemParams, alpha_perturbation,
-                         ell: int | None = None, base_alpha=None) -> np.ndarray:
+                         ell: int | None = None) -> np.ndarray:
     """Characteristic coefficients of the small Evans roots under perturbation.
 
     At a multiplicity-(ell+1) base point, the Evans function divided by
@@ -309,15 +279,13 @@ def linear_unfolding_map(params: SystemParams, alpha_perturbation,
     n = params.n_slow
     if ell is None:
         ell = n
-    DegeneracySpec("evans", ell).validate(n)
+    base = design_evans_degeneracy(params, ell)
     delta = np.asarray(alpha_perturbation, dtype=float)
     if delta.shape != (n,):
         raise DesignError(f"alpha_perturbation must have {n} entries")
     if np.linalg.norm(delta) > 0.1:
         raise DesignError("perturbation too large for the frozen-linearization map "
                           "(norm must be <= 0.1)")
-    base = np.asarray(base_alpha, dtype=float) if base_alpha is not None \
-        else design_evans_degeneracy(params, ell)
 
     # e_i = coefficient of lambda^(i+1) in the Evans expansion (the series of
     # E0/lambda); base entries e*_ell..e*_{2 ell - 1} build the frozen

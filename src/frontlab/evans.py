@@ -29,6 +29,9 @@ SQRT2 = math.sqrt(2.0)
 #: Distance below which a point counts as sitting on a branch cut.
 CUT_CLEARANCE = 1e-12
 
+#: Samples per edge of every winding contour.
+_EDGE_SAMPLES = 24
+
 
 @dataclass(frozen=True)
 class EvansContext:
@@ -39,10 +42,6 @@ class EvansContext:
     c: float
     grad: tuple
     branch_points: tuple
-
-    @property
-    def rightmost_branch_point(self) -> float:
-        return max(self.branch_points)
 
 
 def evans_context(params: SystemParams, coupling: Coupling, c: float = 0.0) -> EvansContext:
@@ -57,10 +56,10 @@ def evans_context(params: SystemParams, coupling: Coupling, c: float = 0.0) -> E
                         branch_points=tuple(float(b) for b in bps))
 
 
-def _on_cut(ctx: EvansContext, lam: complex, clearance: float = CUT_CLEARANCE) -> bool:
-    if abs(lam.imag) > clearance:
+def _on_cut(ctx: EvansContext, lam: complex) -> bool:
+    if abs(lam.imag) > CUT_CLEARANCE:
         return False
-    return any(lam.real <= bp + clearance for bp in ctx.branch_points)
+    return any(lam.real <= bp + CUT_CLEARANCE for bp in ctx.branch_points)
 
 
 def evans_eval(ctx: EvansContext, lam: complex) -> complex:
@@ -160,25 +159,27 @@ class _WindingFailure(Exception):
         self.box = box
 
 
-def _boundary_path(box, n_per_edge):
+def _boundary_path(box):
     xmin, xmax, ymin, ymax = box
-    bottom = [complex(x, ymin) for x in np.linspace(xmin, xmax, n_per_edge, endpoint=False)]
-    right = [complex(xmax, y) for y in np.linspace(ymin, ymax, n_per_edge, endpoint=False)]
-    top = [complex(x, ymax) for x in np.linspace(xmax, xmin, n_per_edge, endpoint=False)]
-    left = [complex(xmin, y) for y in np.linspace(ymax, ymin, n_per_edge, endpoint=False)]
+    n = _EDGE_SAMPLES
+    bottom = [complex(x, ymin) for x in np.linspace(xmin, xmax, n, endpoint=False)]
+    right = [complex(xmax, y) for y in np.linspace(ymin, ymax, n, endpoint=False)]
+    top = [complex(x, ymax) for x in np.linspace(xmax, xmin, n, endpoint=False)]
+    left = [complex(xmin, y) for y in np.linspace(ymax, ymin, n, endpoint=False)]
     return bottom + right + top + left
 
 
-def _winding_number(f, box, df=None, n_per_edge=24, max_depth=42,
-                    zero_scale=1e-13):
+def _winding_number(f, box, df=None):
     """Winding of f along the box boundary via phase-continuity tracking.
 
     Each consecutive phase increment is kept below pi/2 by recursive segment
     refinement.  The principal-phase rule alone can alias a near-full turn
     between two samples, so when a derivative is supplied, segments longer
     than the Newton step |f/f'| (a root-distance proxy) are refined as well.
+    Refinement stops at depth 42; samples below 1e-13 of the largest
+    boundary value count as a root on the contour.
     """
-    pts = _boundary_path(box, n_per_edge)
+    pts = _boundary_path(box)
     pts.append(pts[0])
     try:
         vals = [f(z) for z in pts]
@@ -197,7 +198,7 @@ def _winding_number(f, box, df=None, n_per_edge=24, max_depth=42,
     total = 0.0
     for i in range(len(pts) - 1):
         total += _phase_increment(f, df, pts[i], pts[i + 1], vals[i], vals[i + 1],
-                                  max_depth, zero_scale * scale, diam)
+                                  42, 1e-13 * scale, diam)
     turns = total / (2.0 * math.pi)
     rounded = int(round(turns))
     if abs(turns - rounded) > 0.25:
@@ -244,13 +245,13 @@ class _BoundaryZero(Exception):
         self.where = where
 
 
-def _winding_with_nudge(f, box, cuts=(), df=None, **kwargs):
+def _winding_with_nudge(f, box, cuts=(), df=None):
     """Winding number, retrying with slightly inflated boxes on boundary hits."""
     original = tuple(box)
     box = original
     for attempt in range(6):
         try:
-            return _winding_number(f, box, df=df, **kwargs), box
+            return _winding_number(f, box, df=df), box
         except _BoundaryZero:
             pad = (1e-6 + attempt * 3e-6) * max(box[1] - box[0], box[3] - box[2], 1e-6)
             box = (box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad)
@@ -274,7 +275,7 @@ def _clear_of_cuts(box, cuts, original):
     return (xmin, xmax, ymin, ymax)
 
 
-def _split_around_cuts(box, cuts, margin_floor=1e-6):
+def _split_around_cuts(box, cuts):
     """Decompose a box into sub-boxes whose closures avoid the cut rays.
 
     The cuts are the real intervals (-inf, bp]; right of the rightmost
@@ -286,7 +287,7 @@ def _split_around_cuts(box, cuts, margin_floor=1e-6):
     bp = max(cuts) if cuts else -math.inf
     if not cuts or ymin > 0.0 or ymax < 0.0 or xmin > bp:
         return [box]
-    margin = margin_floor * max(1.0, xmax - xmin, ymax - ymin)
+    margin = 1e-6 * max(1.0, xmax - xmin, ymax - ymin)
     split_x = bp + margin
     pieces = []
     if xmax > split_x:
@@ -303,7 +304,7 @@ def _split_around_cuts(box, cuts, margin_floor=1e-6):
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.59, 0.41, 0.67, 0.33)
 
 
-def _quadrisect(f, box, w, n_per_edge, df=None):
+def _quadrisect(f, box, w, df=None):
     """Split a box into four children whose boundaries avoid all roots.
 
     If a subdivision line passes (numerically) through a root, retry with a
@@ -315,8 +316,7 @@ def _quadrisect(f, box, w, n_per_edge, df=None):
         children = [(box[0], xm, box[2], ym), (xm, box[1], box[2], ym),
                     (box[0], xm, ym, box[3]), (xm, box[1], ym, box[3])]
         try:
-            ws = [_winding_number(f, child, df=df, n_per_edge=n_per_edge)
-                  for child in children]
+            ws = [_winding_number(f, child, df=df) for child in children]
         except (_BoundaryZero, _WindingFailure):
             continue
         if sum(ws) == w:
@@ -325,13 +325,13 @@ def _quadrisect(f, box, w, n_per_edge, df=None):
         f"could not quadrisect box {box} without pinning a root on the cut lines")
 
 
-def holomorphic_roots(f, df, box, tol=1e-9, cuts=(), newton_tol=1e-12,
-                      max_depth=60, n_per_edge=24):
+def holomorphic_roots(f, df, box, tol=1e-9, cuts=()):
     """Roots of an analytic f inside a rectangle by winding + quadrisection.
 
-    Boxes are quadrisected until they hold winding <= 1 (simple root, Newton
-    polished) or have diameter < tol (reported as a multiplicity cluster).
-    Returns (roots, winding_total) where roots is a list of (location, mult).
+    Boxes are quadrisected, at most 60 levels deep, until they hold winding
+    <= 1 (simple root, Newton polished to |f| <= 1e-12) or have diameter
+    < tol (reported as a multiplicity cluster).  Returns (roots,
+    winding_total) where roots is a list of (location, mult).
     """
     pieces = _split_around_cuts(tuple(float(b) for b in box), cuts)
     roots = []
@@ -340,7 +340,7 @@ def holomorphic_roots(f, df, box, tol=1e-9, cuts=(), newton_tol=1e-12,
     stack = []
     for piece in pieces:
         # only the outermost contour is nudged outward on a boundary hit
-        w, piece = _winding_with_nudge(f, piece, cuts, df=df, n_per_edge=n_per_edge)
+        w, piece = _winding_with_nudge(f, piece, cuts, df=df)
         winding_total += w
         if w:
             stack.append((piece, w, 0))
@@ -350,8 +350,7 @@ def holomorphic_roots(f, df, box, tol=1e-9, cuts=(), newton_tol=1e-12,
         diam = math.hypot(b[1] - b[0], b[3] - b[2])
         if w == 1:
             root = _newton_polish(f, df, complex(0.5 * (b[0] + b[1]),
-                                                 0.5 * (b[2] + b[3])),
-                                  b, newton_tol)
+                                                 0.5 * (b[2] + b[3])), b)
             if root is not None:
                 roots.append((root, 1))
                 continue
@@ -363,11 +362,10 @@ def holomorphic_roots(f, df, box, tol=1e-9, cuts=(), newton_tol=1e-12,
         elif diam < tol:
             roots.append((complex(0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])), w))
             continue
-        if depth >= max_depth:
-            raise FrontlabError(
-                f"winding {w} not resolved above depth {max_depth} in box {b}")
+        if depth >= 60:
+            raise FrontlabError(f"winding {w} not resolved above depth 60 in box {b}")
         try:
-            children = _quadrisect(f, b, w, n_per_edge, df=df)
+            children = _quadrisect(f, b, w, df=df)
         except FrontlabError:
             # Evaluation noise exceeds |f| on every trial contour: an
             # m-fold cluster cannot be localized more tightly than the
@@ -379,12 +377,13 @@ def holomorphic_roots(f, df, box, tol=1e-9, cuts=(), newton_tol=1e-12,
     return roots, winding_total
 
 
-def _newton_polish(f, df, z, box, newton_tol, max_iter=80):
+def _newton_polish(f, df, z, box):
     """Newton iteration confined to (a slightly inflated copy of) the box.
 
-    Returns None when the iteration leaves the box or stalls above the
-    tolerance, in which case the caller subdivides further.
+    Returns None when the iteration leaves the box or stalls above |f| =
+    1e-12 within 80 steps, in which case the caller subdivides further.
     """
+    newton_tol = 1e-12
     span = max(box[1] - box[0], box[3] - box[2])
     pad = 0.25 * span
     lo_x, hi_x = box[0] - pad, box[1] + pad
@@ -395,7 +394,7 @@ def _newton_polish(f, df, z, box, newton_tol, max_iter=80):
         return (box[0] - slack <= zz.real <= box[1] + slack
                 and box[2] - slack <= zz.imag <= box[3] + slack)
 
-    for _ in range(max_iter):
+    for _ in range(80):
         try:
             fz = f(z)
             dfz = df(z)
@@ -414,7 +413,7 @@ def _newton_polish(f, df, z, box, newton_tol, max_iter=80):
     return None
 
 
-def evans_roots(ctx: EvansContext, region, tol: float = 1e-9) -> RootSet:
+def evans_roots(ctx: EvansContext, region) -> RootSet:
     """Roots of E0 in a rectangle (xmin, xmax, ymin, ymax) of the plane.
 
     The search region is decomposed around the branch cuts (a strip of width
@@ -427,6 +426,6 @@ def evans_roots(ctx: EvansContext, region, tol: float = 1e-9) -> RootSet:
     roots, total = holomorphic_roots(
         lambda z: evans_eval_unchecked(ctx, z),
         lambda z: evans_derivative(ctx, z),
-        box, tol=tol, cuts=ctx.branch_points)
+        box, cuts=ctx.branch_points)
     roots = sorted(roots, key=lambda rm: (rm[0].real, rm[0].imag))
     return RootSet(roots=tuple(roots), contour=box, winding_total=total)

@@ -25,6 +25,10 @@ from .errors import FrontlabError
 
 SQRT2 = math.sqrt(2.0)
 
+#: |Gamma0| at which a root counts as found: the brentq bracket width, the
+#: Newton polish target and the scale of the de-duplication distance.
+ROOT_TOL = 1e-12
+
 
 def v_star(params: SystemParams, c: float) -> np.ndarray:
     """Plateau values of the slow components behind/ahead of the interface."""
@@ -92,15 +96,15 @@ def _multiplicity_cap(params: SystemParams, coupling: Coupling) -> int:
     return cap
 
 
-def root_multiplicity(params: SystemParams, coupling: Coupling, root: float,
-                      rtol: float = 1e-8) -> int:
-    """Estimate the multiplicity of a root by recentred Taylor coefficients."""
+def root_multiplicity(params: SystemParams, coupling: Coupling, root: float) -> int:
+    """Estimate the multiplicity of a root by recentred Taylor coefficients:
+    the order of the first one above 1e-8 of the largest."""
     cap = _multiplicity_cap(params, coupling)
     series = gamma0_series_at(params, coupling, root, cap)
     coeffs = np.abs(series.coeffs)
     scale = max(coeffs.max(), 1e-300)
     for k, a in enumerate(coeffs):
-        if a > rtol * scale:
+        if a > 1e-8 * scale:
             return max(k, 1)
     return cap
 
@@ -115,12 +119,12 @@ def default_search_radius(coupling: Coupling) -> float:
 
 
 def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
-                 tol: float = 1e-12, scan_step: float = 0.05):
+                 scan_step: float = 0.05):
     """All roots of Gamma0 in the interval, with multiplicity estimates.
 
     Sign changes on a scan grid are refined by bisection (brentq); local
-    minima of |Gamma0| below tol catch even-multiplicity roots.  Output is
-    sorted ascending as (root, multiplicity) pairs.
+    minima of |Gamma0| below ROOT_TOL catch even-multiplicity roots.  Output
+    is sorted ascending as (root, multiplicity) pairs.
     """
     if interval is None:
         r = default_search_radius(coupling)
@@ -128,8 +132,6 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
     lo, hi = float(interval[0]), float(interval[1])
     if not (hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise FrontlabError(f"search interval {interval} must be bounded with lo < hi")
-    if tol <= 0:
-        raise FrontlabError("tol must be positive")
     # imported here: scipy.optimize would add ~0.25 s to every `import frontlab`
     from scipy.optimize import brentq
 
@@ -141,7 +143,7 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
 
     def _add(root):
         for r0 in roots:
-            if abs(r0 - root) <= max(10 * tol, 1e-9 * max(1.0, abs(root))):
+            if abs(r0 - root) <= max(10 * ROOT_TOL, 1e-9 * max(1.0, abs(root))):
                 return
         roots.append(root)
 
@@ -152,18 +154,18 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
             _add(a)
         elif fa * fb < 0.0:
             root = brentq(lambda c: gamma0(params, coupling, c), a, b,
-                          xtol=tol, rtol=4 * np.finfo(float).eps)
-            _add(_polish_newton(params, coupling, root, tol))
+                          xtol=ROOT_TOL, rtol=4 * np.finfo(float).eps)
+            _add(_polish_newton(params, coupling, root))
     if vals[-1] == 0.0:
         _add(grid[-1])
 
     # Even-multiplicity roots: interior local minima of |Gamma0| that dip
-    # under tol never produce a sign change, so chase them separately.
+    # under ROOT_TOL never produce a sign change, so chase them separately.
     absvals = np.abs(vals)
     for i in range(1, n):
         if absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]:
-            cand = _polish_newton(params, coupling, grid[i], tol)
-            if abs(gamma0(params, coupling, cand)) <= tol and lo <= cand <= hi:
+            cand = _polish_newton(params, coupling, grid[i])
+            if abs(gamma0(params, coupling, cand)) <= ROOT_TOL and lo <= cand <= hi:
                 _add(cand)
 
     roots.sort()
@@ -175,10 +177,10 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
                       endpoint_values=(float(vals[0]), float(vals[-1])))
 
 
-def _polish_newton(params, coupling, x, tol, max_iter=60):
-    for _ in range(max_iter):
+def _polish_newton(params, coupling, x):
+    for _ in range(60):
         f = gamma0(params, coupling, x)
-        if abs(f) <= tol:
+        if abs(f) <= ROOT_TOL:
             break
         df = gamma0_derivative(params, coupling, x)
         if df == 0.0:
@@ -290,7 +292,7 @@ class FoldBranch:
 
 
 def fold_curves(params: SystemParams, coupling_template: Coupling, plane,
-                box, n_c: int = 2001, c_range=None, tol: float = 1e-12):
+                box, n_c: int = 2001, c_range=None):
     """Fold set {Gamma0 = 0, dGamma0/dc = 0} projected to a parameter plane.
 
     Both admissible plane parameters (gamma, alpha_j, beta_j) enter Gamma0
@@ -334,7 +336,7 @@ def fold_curves(params: SystemParams, coupling_template: Coupling, plane,
                          gamma0_derivative(params, base, c)])
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         scale = max(np.abs(a).max(), 1.0)
-        if abs(det) <= max(tol, 1e-14) * scale * scale:
+        if abs(det) <= 1e-12 * scale * scale:
             _flush()
             continue
         sol = np.linalg.solve(a, rhs)

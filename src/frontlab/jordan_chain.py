@@ -257,11 +257,12 @@ def taylor_condition_residuals(params: SystemParams, coupling: Coupling,
 
 
 def chain_profile(params: SystemParams, coupling: Coupling, k: int,
-                  ell: int, rtol: float = 1e-8) -> ChainProfile:
+                  ell: int) -> ChainProfile:
     """k-th generalized eigenfunction for a multiplicity-(ell+1) zero root.
 
-    Checks the first k solvability conditions on the linear coefficients and
-    raises naming the first violated order.  K_1 = epsilon/(3 sqrt 2); the
+    Checks the first k solvability conditions on the linear coefficients, to
+    1e-8 of max(1, max |alpha_j|), and raises naming the first violated
+    order.  K_1 = epsilon/(3 sqrt 2); the
     fast values K_k for k >= 2 are one order smaller and set to zero here.
     """
     if not 0 <= k <= ell:
@@ -273,7 +274,7 @@ def chain_profile(params: SystemParams, coupling: Coupling, k: int,
     residuals = taylor_condition_residuals(params, coupling, k)
     scale = max(1.0, float(np.max(np.abs(np.asarray(coupling.alpha)))))
     for order, res in enumerate(residuals, start=1):
-        if abs(res) > rtol * scale:
+        if abs(res) > 1e-8 * scale:
             raise FrontlabError(
                 f"solvability condition violated at order {order}: "
                 f"residual {res:.3e} (needs multiplicity >= {k + 1} zero root)")

@@ -33,6 +33,9 @@ from .jordan_chain import ChainProfile
 #: Above this many unknowns the eigensolver switches to shift-invert Arnoldi.
 DENSE_EIG_LIMIT = 4000
 
+#: Residual sup norm at which the continuation's Newton solves stop.
+BRANCH_RES_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -86,38 +89,28 @@ class PdeState:
         if self.u.shape != (nx,) or self.v.shape != (n, nx):
             raise FrontlabError("field shapes inconsistent with grid/params")
 
-    def sup_bounds(self):
-        return float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v)))
-
-    def copy(self):
-        return replace(self, u=self.u.copy(), v=self.v.copy())
-
 
 def initial_front_state(params: SystemParams, coupling: Coupling, grid: Grid,
-                        c: float = 0.0, smooth: bool = True) -> PdeState:
+                        c: float = 0.0) -> PdeState:
     """Seed state from the leading-order front profile at speed c.
 
-    With `smooth` the interface tanh is used globally and the slow fields are
-    matched at y = 0 (where both exponential branches equal the plateau
-    value), avoiding the O(sqrt(eps)) seams of the piecewise profile; Newton
-    then converges in a few steps.
+    The interface tanh is used globally and the slow fields are matched at
+    y = 0 (where both exponential branches equal the plateau value),
+    avoiding the O(sqrt(eps)) seams of the piecewise profile; Newton then
+    converges in a few steps.
     """
     grid.check_resolves(params.epsilon)
     prof = front_profile(params, coupling, c, residual_tol=np.inf)
     x = grid.x
-    if smooth:
-        u = np.tanh(x / (math.sqrt(2.0) * params.epsilon))
-        v = np.empty((params.n_slow, grid.n_x))
-        for j in range(1, params.n_slow + 1):
-            vs = prof.v_star[j - 1]
-            lp = prof.lambda_plus[j - 1]
-            lm = prof.lambda_minus[j - 1]
-            left = (vs + 1.0) * np.exp(lp * x) - 1.0
-            right = (vs - 1.0) * np.exp(lm * x) + 1.0
-            v[j - 1] = np.where(x < 0, left, right)
-    else:
-        u = prof.u(x)
-        v = np.stack([prof.v(j, x) for j in range(1, params.n_slow + 1)])
+    u = np.tanh(x / (math.sqrt(2.0) * params.epsilon))
+    v = np.empty((params.n_slow, grid.n_x))
+    for j in range(1, params.n_slow + 1):
+        vs = prof.v_star[j - 1]
+        lp = prof.lambda_plus[j - 1]
+        lm = prof.lambda_minus[j - 1]
+        left = (vs + 1.0) * np.exp(lp * x) - 1.0
+        right = (vs - 1.0) * np.exp(lm * x) + 1.0
+        v[j - 1] = np.where(x < 0, left, right)
     return PdeState(t=0.0, u=u, v=v, params=params, coupling=coupling, grid=grid)
 
 
@@ -215,13 +208,13 @@ class SimResult:
 
 
 def simulate(state: PdeState, t_end: float, output_stride: int = 10,
-             dt: float | None = None, trap_radius: float = 1.3,
-             strang: bool = False) -> SimResult:
-    """March the PDE, logging front position, freezing speed and sup bounds.
+             dt: float | None = None) -> SimResult:
+    """March the PDE with first-order IMEX steps, logging front position,
+    freezing speed and sup bounds.
 
     Aborts (with partial output) when the front reaches within 2 sqrt(eps)
-    of the boundary.  A sup-norm excursion outside [-trap_radius,
-    trap_radius] is flagged, not fatal.
+    of the boundary.  A sup-norm excursion outside [-1.3, 1.3] is flagged,
+    not fatal.
     """
     if dt is None:
         dt = default_dt(state.params)
@@ -238,7 +231,7 @@ def simulate(state: PdeState, t_end: float, output_stride: int = 10,
     aborted = None
     for istep in range(1, n_steps + 1):
         prev_u = x[:grid.n_x]
-        x, t = system.advance(x, t, dt, strang)
+        x, t = system.advance(x, t, dt)
         if istep % output_stride == 0 or istep == n_steps:
             u, v = system.split(x)
             try:
@@ -247,7 +240,7 @@ def simulate(state: PdeState, t_end: float, output_stride: int = 10,
                 aborted = "front count changed"
                 break
             su, sv = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
-            trapping = trapping or su > trap_radius or sv > trap_radius
+            trapping = trapping or su > 1.3 or sv > 1.3
             ts.append(t)
             pos.append(p)
             spd.append(freezing_speed(prev_u, u, dt, grid.h))
@@ -641,21 +634,21 @@ def _damped_newton(system, x0, c, res_tol, max_iter, travelling):
 
 
 def solve_stationary_front(params: SystemParams, coupling: Coupling,
-                           grid: Grid | None = None, guess: PdeState | None = None,
-                           res_tol: float = 1e-10, max_iter: int = 40) -> FrontSolution:
-    """Damped Newton for the steady front with the pinning U(0) = 0.
+                           grid: Grid | None = None) -> FrontSolution:
+    """Damped Newton for the steady front with the pinning U(0) = 0, from
+    the leading-order profile to a residual sup norm of 1e-10 in at most 40
+    iterations.
 
     The center U equation is traded for the pin; its residual at the solution
     is reported separately (it vanishes only when a stationary front truly
     exists, i.e. for gamma near zero).
     """
     if grid is None:
-        grid = guess.grid if guess is not None else make_grid(
-            20.0, _default_nx(params, 20.0), params.epsilon)
+        grid = make_grid(20.0, _default_nx(params, 20.0), params.epsilon)
     system = _FrontSystem(params, coupling, grid)
-    seed = guess if guess is not None else initial_front_state(params, coupling, grid)
+    seed = initial_front_state(params, coupling, grid)
     x, _c, norm, its, ok, dropped = _damped_newton(
-        system, system.flat(seed), 0.0, res_tol, max_iter, travelling=False)
+        system, system.flat(seed), 0.0, 1e-10, 40, travelling=False)
     if not ok:
         raise ConvergenceError(
             f"stationary Newton stalled at residual {norm:.3e} after {its} iterations",
@@ -666,9 +659,10 @@ def solve_stationary_front(params: SystemParams, coupling: Coupling,
 
 def solve_travelling_front(params: SystemParams, coupling: Coupling,
                            guess: PdeState | None = None, guess_c: float = 0.0,
-                           grid: Grid | None = None, res_tol: float = 1e-10,
-                           max_iter: int = 60) -> FrontSolution:
-    """Extended Newton in (profile, c) with the phase condition appended."""
+                           grid: Grid | None = None,
+                           res_tol: float = 1e-10) -> FrontSolution:
+    """Extended Newton in (profile, c) with the phase condition appended, at
+    most 60 iterations."""
     if grid is None:
         grid = guess.grid if guess is not None else make_grid(
             20.0, _default_nx(params, 20.0), params.epsilon)
@@ -676,7 +670,7 @@ def solve_travelling_front(params: SystemParams, coupling: Coupling,
     seed = guess if guess is not None else initial_front_state(
         params, coupling, grid, c=guess_c)
     x, c, norm, its, ok, _ = _damped_newton(
-        system, system.flat(seed), guess_c, res_tol, max_iter, travelling=True)
+        system, system.flat(seed), guess_c, res_tol, 60, travelling=True)
     if not ok:
         raise ConvergenceError(
             f"travelling Newton stalled at residual {norm:.3e} after {its} iterations",
@@ -770,7 +764,6 @@ class BranchPoint:
 def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
                     prange, ds: float, grid: Grid | None = None,
                     max_points: int = 200, n_eigs: int = 8,
-                    res_tol: float = 1e-9, ds_min: float = 1e-6,
                     ds_max: float | None = None, guess_c: float = 0.0,
                     compute_spectra: bool = True,
                     direction: float = 1.0) -> list:
@@ -779,8 +772,9 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
     Secant predictor with a bordered Newton corrector in (profile, c, p);
     folds are tagged by a sign change of the parameter's arclength
     derivative, Hopf candidates by a complex pair's real part changing sign
-    between accepted points.  The branch is truncated (and the truncation
-    reported on the last point) if the corrector fails at ds_min.
+    between accepted points.  Newton solves stop at BRANCH_RES_TOL.  The
+    branch is truncated (and the truncation reported on the last point) if
+    the corrector fails at the minimum step 1e-6.
     """
     p_lo, p_hi = float(min(prange)), float(max(prange))
     p0 = coupling.param(free_param)
@@ -795,7 +789,7 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
         coup = coupling.with_param(free_param, p_val)
         return solve_travelling_front(params, coup, guess=guess_state,
                                       guess_c=c_guess, grid=grid,
-                                      res_tol=res_tol)
+                                      res_tol=BRANCH_RES_TOL)
 
     sol0 = solve_at(p0, None, guess_c)
     points = [_branch_point(sol0, p0, n_eigs, compute_spectra)]
@@ -834,12 +828,12 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
         tangent /= tn
         pred = w_cur + step_len * tangent
         corrected = _bordered_correct(system, free_param, pred, tangent, w_cur,
-                                      step_len, profile_weight, res_tol)
+                                      step_len, profile_weight)
         if corrected is None:
-            if step_len <= ds_min:
+            if step_len <= 1e-6:
                 truncated = "corrector failed at minimum step"
                 break
-            step_len = max(ds_min, 0.5 * step_len)
+            step_len = max(1e-6, 0.5 * step_len)
             continue
         w_prev, w_cur = w_cur, corrected
         step_len = min(ds_max, 1.15 * step_len)
@@ -876,9 +870,9 @@ def _branch_point(sol: FrontSolution, p_val: float, n_eigs: int,
 
 
 def _bordered_correct(system, free_param, w, tangent, w_old, step_len,
-                      profile_weight, res_tol, max_iter=12):
+                      profile_weight):
     nx1 = system.size
-    for _ in range(max_iter):
+    for _ in range(12):
         x, c, p = w[:nx1], w[nx1], w[nx1 + 1]
         at_p = system.with_coupling(system.coupling.with_param(free_param, p))
         r = at_p.residual(x, c)
@@ -887,7 +881,7 @@ def _bordered_correct(system, free_param, w, tangent, w_old, step_len,
                + tangent[nx1] * (w[nx1] - w_old[nx1])
                + tangent[nx1 + 1] * (w[nx1 + 1] - w_old[nx1 + 1]) - step_len)
         big_r = np.concatenate([r, [phase, arc]])
-        if np.max(np.abs(big_r)) <= res_tol:
+        if np.max(np.abs(big_r)) <= BRANCH_RES_TOL:
             return w
         arc_row = np.concatenate([profile_weight ** 2 * tangent[:nx1],
                                   [tangent[nx1], tangent[nx1 + 1]]])

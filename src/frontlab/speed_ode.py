@@ -25,6 +25,13 @@ from .existence import gamma0_taylor
 
 BLOWUP_NORM = 1e8
 
+#: Real parts (and, in the saddle-focus test, imaginary parts) within this
+#: fraction of max(1, |eigenvalue|) count as zero.
+HYPER_TOL = 1e-9
+
+#: Distance from the saddle-focus at which unstable-manifold orbits start.
+SEED_OFFSET = 1e-6
+
 
 def _solve_ivp(*args, **kwargs):
     # imported on first use: scipy.integrate pulls in scipy.optimize, which
@@ -246,12 +253,13 @@ class Equilibrium:
         return np.array([self.c_star] + [0.0] * (len(self.eigenvalues) - 1))
 
 
-def classify_eigenvalues(eigs, hyper_tol=1e-9) -> str:
+def classify_eigenvalues(eigs) -> str:
     """Stability type from eigenvalues; saddle-focus labels in dimension 3."""
     eigs = np.asarray(eigs)
     scale = max(1.0, float(np.max(np.abs(eigs))))
+    tiny = HYPER_TOL * scale
     re = eigs.real
-    if np.any(np.abs(re) <= hyper_tol * scale):
+    if np.any(np.abs(re) <= tiny):
         return "nonhyperbolic"
     n_unstable = int(np.sum(re > 0))
     if n_unstable == 0:
@@ -261,16 +269,16 @@ def classify_eigenvalues(eigs, hyper_tol=1e-9) -> str:
     if len(eigs) == 3:
         unstable = eigs[re > 0]
         stable = eigs[re < 0]
-        if n_unstable == 1 and abs(unstable[0].imag) <= hyper_tol * scale \
-                and np.max(np.abs(stable.imag)) > hyper_tol * scale:
+        if n_unstable == 1 and abs(unstable[0].imag) <= tiny \
+                and np.max(np.abs(stable.imag)) > tiny:
             return "saddle-focus(1u,2s)"
-        if n_unstable == 2 and np.max(np.abs(unstable.imag)) > hyper_tol * scale \
-                and abs(stable[0].imag) <= hyper_tol * scale:
+        if n_unstable == 2 and np.max(np.abs(unstable.imag)) > tiny \
+                and abs(stable[0].imag) <= tiny:
             return "saddle-focus(2u,1s)"
     return "saddle"
 
 
-def equilibria_and_classification(ode, hyper_tol=1e-9):
+def equilibria_and_classification(ode):
     """Equilibria (c, 0, .., 0) of the last-row scalar equation, classified."""
     a0, a1, a11 = ode.scalar_equilibrium_coeffs()
     if a11 == 0.0:
@@ -291,7 +299,7 @@ def equilibria_and_classification(ode, hyper_tol=1e-9):
         eigs = np.linalg.eigvals(ode.jacobian_at([c_star] + [0.0] * (ode.dim - 1)))
         eigs = tuple(sorted(eigs, key=lambda z: (-z.real, z.imag)))
         out.append(Equilibrium(c_star=float(c_star), eigenvalues=eigs,
-                               kind=classify_eigenvalues(eigs, hyper_tol)))
+                               kind=classify_eigenvalues(eigs)))
     return out
 
 
@@ -328,9 +336,9 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _saddle_focus_data(nf, hyper_tol=1e-9):
+def _saddle_focus_data(nf):
     """(equilibrium, other, lambda_u, v_u, w_u, rho_s) or None."""
-    eqs = equilibria_and_classification(nf, hyper_tol)
+    eqs = equilibria_and_classification(nf)
     if len(eqs) != 2:
         return None
     focus = [e for e in eqs if e.kind == "saddle-focus(1u,2s)"]
@@ -352,10 +360,9 @@ def _saddle_focus_data(nf, hyper_tol=1e-9):
     return eq, other, lam_u, v_u, w_u, rho_s
 
 
-def _shoot_once(nf, tol, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-10,
-                hyper_tol=1e-9):
+def _shoot_once(nf, tol, t_max=400.0, integrator_tol=1e-10):
     """Miss distance for one coefficient set; see shilnikov_shoot."""
-    data = _saddle_focus_data(nf, hyper_tol)
+    data = _saddle_focus_data(nf)
     if data is None:
         return ShootPoint(nu_bar=nf.nu_bar, miss=math.nan,
                           status="no-saddle-focus")
@@ -369,7 +376,7 @@ def _shoot_once(nf, tol, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-10,
     # the opposite branch leaves the quadratic trapping region immediately
     if np.dot(v_u, mid - p) < 0:
         v_u = -v_u
-    y0 = p + seed_offset * v_u
+    y0 = p + SEED_OFFSET * v_u
     escape_radius = 10.0 * max(1.0, abs(eq.c_star))
 
     def section(_t, y):
@@ -395,7 +402,7 @@ def _shoot_once(nf, tol, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-10,
     return ShootPoint(nu_bar=nf.nu_bar, miss=math.nan, status=status, rho_s=rho_s)
 
 
-def _branch_endpoints(nf, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-8):
+def _branch_endpoints(nf):
     """Which equilibrium each unstable-manifold branch ends up nearest."""
     data = _saddle_focus_data(nf)
     if data is None:
@@ -403,14 +410,13 @@ def _branch_endpoints(nf, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-8):
     eq, other, _lam, v_u, _w, _rho = data
     out = []
     for sign in (+1.0, -1.0):
-        y0 = eq.state + sign * seed_offset * v_u
+        y0 = eq.state + sign * SEED_OFFSET * v_u
 
         def escape(_t, y):
             return float(np.linalg.norm(y)) - BLOWUP_NORM
         escape.terminal = True
-        sol = _solve_ivp(lambda _t, y: nf.field_at(y), (0.0, t_max), y0,
-                         method="DOP853", rtol=integrator_tol,
-                         atol=integrator_tol * 1e-2, events=escape)
+        sol = _solve_ivp(lambda _t, y: nf.field_at(y), (0.0, 400.0), y0,
+                         method="DOP853", rtol=1e-8, atol=1e-10, events=escape)
         yf = sol.y[:, -1]
         nearest = min((eq, other), key=lambda e: np.linalg.norm(yf - e.state))
         out.append((sign, nearest.c_star))
@@ -418,8 +424,7 @@ def _branch_endpoints(nf, seed_offset=1e-6, t_max=400.0, integrator_tol=1e-8):
 
 
 def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
-                    t_max: float = 400.0, integrator_tol: float = 1e-10,
-                    max_bisect: int = 60) -> ShootResult:
+                    t_max: float = 400.0) -> ShootResult:
     """Scan the z_3-coefficient for homoclinic connections to a saddle-focus.
 
     The necessary conditions a11*nu0 < 0 and mu_bar < 0 are enforced up
@@ -427,10 +432,14 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
     integrated to its first return to the mid-plane between the equilibria;
     the signed miss distance is the unstable-eigenbasis coordinate of the
     return point.  Each sign change is narrowed by the Illinois variant of
-    regula falsi (Dowell and Jarratt, BIT 11, 1971), at most `max_bisect`
-    shots; returned candidates have |miss| < tol.  An empty candidate list
-    always carries the full trace.
+    regula falsi (Dowell and Jarratt, BIT 11, 1971), at most 60 shots;
+    returned candidates have |miss| < tol.  An empty candidate list always
+    carries the full trace.
     """
+    if not isinstance(nf, ScaledNF):
+        raise FrontlabError(
+            "shooting needs the scaled normal form; pass its coefficients with "
+            "`ode --nf`")
     if nf.dim != 3:
         raise FrontlabError("shooting is defined for the three-dimensional form")
     if nf.a11 * nf.nu0 >= 0:
@@ -444,8 +453,7 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
         return replace(nf, nu=(nf.nu[0], nf.nu[1], nb))
 
     def shoot(nb):
-        return _shoot_once(at(nb), tol, t_max=t_max,
-                           integrator_tol=integrator_tol)
+        return _shoot_once(at(nb), tol, t_max=t_max)
 
     sweep = [float(s) for s in sweep]
     trace = [shoot(nb) for nb in sweep]
@@ -462,7 +470,7 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
         flo, fhi = left.miss, right.miss
         kept = 0     # +1: lo was kept last time, -1: hi was
         best = None
-        for _ in range(max_bisect):
+        for _ in range(60):
             pm = shoot(hi - fhi * (hi - lo) / (fhi - flo))
             if pm.status != "ok":
                 break
@@ -489,13 +497,13 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
 
 
 def lyapunov_max(ode, initial, t_end: float, renorm_interval: float,
-                 tol: float = 1e-10, discard_fraction: float = 0.2,
                  seed: int = 0) -> float:
     """Largest Lyapunov exponent by tangent-space renormalization.
 
-    Integrates state and tangent vector together, renormalizing the tangent
-    every `renorm_interval`; the exponent is the mean log-growth per unit of
-    the ODE's own time, with the leading transient chunks discarded.
+    Integrates state and tangent vector together (DOP853, rtol 1e-10),
+    renormalizing the tangent every `renorm_interval`; the exponent is the
+    mean log-growth per unit of the ODE's own time, with the leading 20% of
+    the chunks discarded as transient.
     """
     if not 0 < renorm_interval < t_end < math.inf:
         raise FrontlabError("need 0 < renorm_interval < t_end < inf")
@@ -513,13 +521,13 @@ def lyapunov_max(ode, initial, t_end: float, renorm_interval: float,
     logs = []
     for _ in range(n_chunks):
         sol = _solve_ivp(rhs, (0.0, renorm_interval), y, method="DOP853",
-                         rtol=tol, atol=tol * 1e-2)
+                         rtol=1e-10, atol=1e-12)
         y = sol.y[:, -1]
         if np.linalg.norm(y[:dim]) > BLOWUP_NORM:
             raise ConvergenceError("trajectory blew up during exponent estimation")
         norm = np.linalg.norm(y[dim:])
         logs.append(math.log(norm))
         y[dim:] /= norm
-    start = int(discard_fraction * len(logs))
+    start = int(0.2 * len(logs))
     kept = logs[start:]
     return float(sum(kept) / (len(kept) * renorm_interval))

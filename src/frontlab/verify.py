@@ -163,7 +163,7 @@ def _full_checks(failures):
            f"hausdorff-ish distance {dist:.2e}", failures)
 
 
-def run_suite(suite: str, cfg=None):
+def run_suite(suite: str):
     failures = []
     _paper_params_checks(failures)
     if suite == "full":

@@ -7,6 +7,10 @@ from frontlab.cli import dispatch, load_run_config
 from frontlab.errors import FrontlabError
 
 
+# an N = 1 config left open for more keys
+N1 = '{"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": [0.9], '
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -114,6 +118,30 @@ class TestDispatch:
          '{"nu0": -1, "nu": [0, -1, -0.6], "a11": 1, "a12": 0, "delta": 0}}',
          ["ode", "--nf=-1,0,-1,-0.6,1,0,0", "--equilibria"], 1,
          "unknown ode keys: ['a11', 'a12', 'delta', 'nu', 'nu0']"),
+        ('{"epsilon": 0.03, "tau": [1.0, 2.25, 2.89], "d": [1.0, 1.5, 1.7], '
+         '"alpha": [2.5949696477830124, -2.2705984418101357, 1.031610033243679], '
+         '"beta": [1.0, 0.0, 0.0]}',
+         ["ode", "--from-analysis", "--shoot=-1,0,3"], 1, "scaled normal form"),
+        (N1 + '"pde": {"t_end": Infinity}}', ["pde-sim"], 1,
+         "pde.t_end: inf is not a finite number"),
+        (N1 + '"pde": {"domain_half_length": Infinity}}', ["pde-sim"], 1,
+         "pde.domain_half_length: inf is not a finite number"),
+        (N1 + '"pde": {"dt": 0, "t_end": 0.1}}', ["pde-sim"], 1,
+         "pde.dt: 0 is not a positive number"),
+        (N1 + '"pde": {"output_stride": 0, "t_end": 0.1}}', ["pde-sim"], 1,
+         "pde.output_stride: 0 is not a positive count"),
+        (N1 + '"pde": {"n_x": "abc", "t_end": 0.1}}', ["pde-sim"], 1,
+         "pde.n_x: 'abc' is not a JSON integer"),
+        (N1 + '"pde": {"t_end": -1}}', ["pde-sim"], 1,
+         "pde.t_end: -1 is not a positive number"),
+        (N1 + '"pde": {"t_end": 0.1, "perturbation": {"mode": "bogus"}}}', ["pde-sim"], 1,
+         "pde.perturbation.mode: 'bogus' is not 'bump' or 'eigenfunction'"),
+        (N1 + '"seed": "abc"}', ["gamma", "--roots"], 1,
+         "seed: 'abc' is not a JSON integer"),
+        (N1 + '"ode": {"n_prime": "x"}}', ["ode", "--from-analysis", "--equilibria"], 1,
+         "ode.n_prime: 'x' is not a JSON integer"),
+        (N1 + '"ode": {"h": "x"}}', ["ode", "--from-analysis", "--equilibria"], 1,
+         "ode.h: 'x' is not a JSON number"),
     ])
     def test_malformed_values_exit_2_bad_config_exit_1(self, n1_config, tmp_path, capsys,
                                                        config, argv, code, message):

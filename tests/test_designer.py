@@ -9,7 +9,7 @@ from frontlab import (Coupling, DesignError, DistinctnessError, SystemParams,
                       evans_taylor_c0, gamma0_roots, gamma0_taylor,
                       imprint_scalar_singularity, linear_unfolding_map,
                       vandermonde_solve)
-from frontlab.designer import DegeneracySpec, unfolding_polynomial_roots
+from frontlab.designer import unfolding_polynomial_roots
 from conftest import hausdorff
 
 SQRT2 = math.sqrt(2.0)
@@ -279,12 +279,14 @@ class TestLinearUnfoldingMap:
 
 
 def test_degeneracy_spec_validation():
-    DegeneracySpec("evans", 3).validate(3)
+    p = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
+    design_evans_degeneracy(p, 3)
+    for ell in (4, 0):
+        with pytest.raises(DesignError):
+            design_evans_degeneracy(p, ell)
+    for m in (8, -1):
+        with pytest.raises(DesignError):
+            design_gamma_degeneracy(p, m)
     with pytest.raises(DesignError):
-        DegeneracySpec("evans", 4).validate(3)
-    with pytest.raises(DesignError):
-        DegeneracySpec("gamma", 8).validate(3)
-    with pytest.raises(DesignError):
-        DegeneracySpec("imprint").validate(2)
-    with pytest.raises(DesignError):
-        DegeneracySpec("bogus").validate(2)
+        imprint_scalar_singularity(SystemParams(epsilon=0.05, tau=(1.0, 2.0), d=(1.0, 1.0)),
+                                   [0.0, 1.0])

@@ -295,6 +295,13 @@ class TestShilnikovShoot:
             shilnikov_shoot(ScaledNF.shilnikov(-1.0, 0.5, 0.0, a11=1.0),
                             np.linspace(-1, 0, 3))
 
+    def test_speed_ode_is_rejected(self):
+        # only the scaled normal form names (nu0, mu_bar, nu_bar, a11)
+        ode = SpeedODE(n_prime=3, a0=-1.0, a_lin=(0.0, -1.0, -0.6),
+                       a_quad=(1.0, 0.0, 0.0), epsilon=0.1)
+        with pytest.raises(FrontlabError, match="scaled normal form"):
+            shilnikov_shoot(ode, np.linspace(-1, 0, 3))
+
     def test_sign_change_sweep_produces_candidate(self):
         nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
         result = shilnikov_shoot(nf, np.linspace(-1.0, -0.25, 7), tol=1e-6,
