@@ -1,7 +1,7 @@
 """Single `frontlab` executable exposing the analysis modules as subcommands.
 
 Configuration is a strict JSON document (unknown keys rejected); every run
-writes a manifest echoing the resolved configuration and tool version, and
+writes a manifest echoing the configuration as read and the tool version, and
 all CSV output carries a `# frontlab v1` header so runs are diffable.
 Numeric output is deterministic given the configuration and seed.
 """
@@ -52,6 +52,16 @@ def _read_json(path, what):
         raise FrontlabError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
+def _section(doc, name, keys, prefix=""):
+    """The JSON object doc[name] ({} if absent), holding only `keys`."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise FrontlabError(f"{prefix}{name} must be a JSON object")
+    if set(section) - keys:
+        raise FrontlabError(f"unknown {name} keys: {sorted(set(section) - keys)}")
+    return section
+
+
 def load_run_config(path) -> RunConfig:
     doc = _read_json(path, "config")
     if not isinstance(doc, dict):
@@ -59,16 +69,11 @@ def load_run_config(path) -> RunConfig:
     unknown = set(doc) - _RUN_KEYS
     if unknown:
         raise FrontlabError(f"unknown configuration keys: {sorted(unknown)}")
-    pde = doc.get("pde", {})
-    if set(pde) - _PDE_KEYS:
-        raise FrontlabError(f"unknown pde keys: {sorted(set(pde) - _PDE_KEYS)}")
-    pert = pde.get("perturbation", {})
-    if set(pert) - _PERTURBATION_KEYS:
-        raise FrontlabError(
-            f"unknown perturbation keys: {sorted(set(pert) - _PERTURBATION_KEYS)}")
-    ode = doc.get("ode", {})
-    if set(ode) - _ODE_KEYS:
-        raise FrontlabError(f"unknown ode keys: {sorted(set(ode) - _ODE_KEYS)}")
+    if not isinstance(doc.get("output_dir", "."), str):
+        raise FrontlabError("output_dir must be a JSON string")
+    pde = _section(doc, "pde", _PDE_KEYS)
+    _section(pde, "perturbation", _PERTURBATION_KEYS, "pde.")
+    ode = _section(doc, "ode", _ODE_KEYS)
     _check_run_values(doc)
     model_doc = {k: v for k, v in doc.items() if k not in _RUN_ONLY_KEYS}
     params, coupling = model_from_dict(model_doc)

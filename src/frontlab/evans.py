@@ -169,36 +169,39 @@ def _boundary_path(box):
     return bottom + right + top + left
 
 
-def _winding_number(f, box, df=None):
+def _sample(f, df, z):
+    """(z, f(z), f'(z)); a pole or a non-finite f(z) is a root on the contour."""
+    try:
+        fz, dfz = f(z), df(z)
+    except ZeroDivisionError as exc:
+        raise _BoundaryZero(z) from exc
+    if not (math.isfinite(fz.real) and math.isfinite(fz.imag)):
+        raise _BoundaryZero(z)
+    return z, fz, dfz
+
+
+def _winding_number(f, df, box):
     """Winding of f along the box boundary via phase-continuity tracking.
 
     Each consecutive phase increment is kept below pi/2 by recursive segment
     refinement.  The principal-phase rule alone can alias a near-full turn
-    between two samples, so when a derivative is supplied, segments longer
-    than the Newton step |f/f'| (a root-distance proxy) are refined as well.
-    Refinement stops at depth 42; samples below 1e-13 of the largest
-    boundary value count as a root on the contour.
+    between two samples, so segments longer than the Newton step |f/f'| (a
+    root-distance proxy) at either end are refined as well; each sample
+    carries (z, f, f').  Refinement stops at depth 42; samples below 1e-13
+    of the largest boundary value count as a root on the contour.
     """
-    pts = _boundary_path(box)
-    pts.append(pts[0])
-    try:
-        vals = [f(z) for z in pts]
-    except ZeroDivisionError as exc:
-        raise _BoundaryZero(box) from exc
-    for z, v in zip(pts, vals):
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise _BoundaryZero(z)
+    samples = [_sample(f, df, z) for z in _boundary_path(box)]
+    samples.append(samples[0])
     diam = math.hypot(box[1] - box[0], box[3] - box[2])
     # relative scale: a small box around a multiple root has uniformly tiny
     # boundary values but perfectly conditioned phases
-    scale = max(abs(v) for v in vals)
+    scale = max(abs(fz) for _z, fz, _dfz in samples)
     if scale == 0.0:
-        raise _BoundaryZero(pts[0])
+        raise _BoundaryZero(samples[0][0])
 
     total = 0.0
-    for i in range(len(pts) - 1):
-        total += _phase_increment(f, df, pts[i], pts[i + 1], vals[i], vals[i + 1],
-                                  42, 1e-13 * scale, diam)
+    for s0, s1 in zip(samples, samples[1:]):
+        total += _phase_increment(f, df, s0, s1, 42, 1e-13 * scale, diam)
     turns = total / (2.0 * math.pi)
     rounded = int(round(turns))
     if abs(turns - rounded) > 0.25:
@@ -206,37 +209,26 @@ def _winding_number(f, box, df=None):
     return rounded
 
 
-def _needs_split(df, z0, z1, f0, f1):
-    dphi = cmath.phase(f1 / f0)
-    if abs(dphi) > 0.5 * math.pi:
+def _needs_split(s0, s1):
+    (z0, f0, _), (z1, f1, _) = s0, s1
+    if abs(cmath.phase(f1 / f0)) > 0.5 * math.pi:
         return True
-    if df is None:
-        return False
     seg = abs(z1 - z0)
-    for z, fv in ((z0, f0), (z1, f1)):
-        dfv = df(z)
-        if dfv != 0 and seg > abs(fv / dfv):
-            return True
-    return False
+    return any(dfz != 0 and seg > abs(fz / dfz) for _z, fz, dfz in (s0, s1))
 
 
-def _phase_increment(f, df, z0, z1, f0, f1, depth, zero_tol, diam):
+def _phase_increment(f, df, s0, s1, depth, zero_tol, diam):
+    (z0, f0, _), (z1, f1, _) = s0, s1
     if abs(f0) <= zero_tol or abs(f1) <= zero_tol:
         # A boundary sample (numerically) hits a root; nudge the box instead.
         raise _BoundaryZero(z0 if abs(f0) <= abs(f1) else z1)
-    if not _needs_split(df, z0, z1, f0, f1):
+    if not _needs_split(s0, s1):
         return cmath.phase(f1 / f0)
     if depth <= 0 or abs(z1 - z0) < 1e-15 * diam:
         raise _WindingFailure((z0, z1))
-    zm = 0.5 * (z0 + z1)
-    try:
-        fm = f(zm)
-    except ZeroDivisionError as exc:
-        raise _BoundaryZero(zm) from exc
-    if not (math.isfinite(fm.real) and math.isfinite(fm.imag)):
-        raise _BoundaryZero(zm)
-    return (_phase_increment(f, df, z0, zm, f0, fm, depth - 1, zero_tol, diam)
-            + _phase_increment(f, df, zm, z1, fm, f1, depth - 1, zero_tol, diam))
+    sm = _sample(f, df, 0.5 * (z0 + z1))
+    return (_phase_increment(f, df, s0, sm, depth - 1, zero_tol, diam)
+            + _phase_increment(f, df, sm, s1, depth - 1, zero_tol, diam))
 
 
 class _BoundaryZero(Exception):
@@ -245,13 +237,13 @@ class _BoundaryZero(Exception):
         self.where = where
 
 
-def _winding_with_nudge(f, box, cuts=(), df=None):
+def _winding_with_nudge(f, df, box, cuts):
     """Winding number, retrying with slightly inflated boxes on boundary hits."""
     original = tuple(box)
     box = original
     for attempt in range(6):
         try:
-            return _winding_number(f, box, df=df), box
+            return _winding_number(f, df, box), box
         except _BoundaryZero:
             pad = (1e-6 + attempt * 3e-6) * max(box[1] - box[0], box[3] - box[2], 1e-6)
             box = (box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad)
@@ -304,7 +296,7 @@ def _split_around_cuts(box, cuts):
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.59, 0.41, 0.67, 0.33)
 
 
-def _quadrisect(f, box, w, df=None):
+def _quadrisect(f, df, box, w):
     """Split a box into four children whose boundaries avoid all roots.
 
     If a subdivision line passes (numerically) through a root, retry with a
@@ -316,7 +308,7 @@ def _quadrisect(f, box, w, df=None):
         children = [(box[0], xm, box[2], ym), (xm, box[1], box[2], ym),
                     (box[0], xm, ym, box[3]), (xm, box[1], ym, box[3])]
         try:
-            ws = [_winding_number(f, child, df=df) for child in children]
+            ws = [_winding_number(f, df, child) for child in children]
         except (_BoundaryZero, _WindingFailure):
             continue
         if sum(ws) == w:
@@ -340,7 +332,7 @@ def holomorphic_roots(f, df, box, tol=1e-9, cuts=()):
     stack = []
     for piece in pieces:
         # only the outermost contour is nudged outward on a boundary hit
-        w, piece = _winding_with_nudge(f, piece, cuts, df=df)
+        w, piece = _winding_with_nudge(f, df, piece, cuts)
         winding_total += w
         if w:
             stack.append((piece, w, 0))
@@ -365,7 +357,7 @@ def holomorphic_roots(f, df, box, tol=1e-9, cuts=()):
         if depth >= 60:
             raise FrontlabError(f"winding {w} not resolved above depth 60 in box {b}")
         try:
-            children = _quadrisect(f, b, w, df=df)
+            children = _quadrisect(f, df, b, w)
         except FrontlabError:
             # Evaluation noise exceeds |f| on every trial contour: an
             # m-fold cluster cannot be localized more tightly than the

@@ -594,67 +594,66 @@ class FrontSolution:
         return self.state.params.epsilon ** 2 * self.c
 
 
-def _damped_newton(system, x0, c, res_tol, max_iter, travelling):
-    """Damped Newton, stationary (unknown x at speed c, the center U equation
-    traded for the pin U = 0) or travelling (unknowns (x, c), the pin
-    appended); each step is halved until the residual's sup norm drops."""
-    ic = system.center
-
-    def split(w):
-        return (w[:-1], w[-1]) if travelling else (w, c)
-
-    def residual(w):
-        r = system.residual(*split(w))
-        if travelling:
-            return np.append(r, w[ic])
-        r[ic] = w[ic]
-        return r
-
-    def matrix(w):
-        x, cw = split(w)
-        if not travelling:
-            return system.pinned_jacobian(x, cw)
-        return system.bordered(system.jacobian(x, cw), [system.residual_c_derivative(x)])
-
-    w = np.append(x0, float(c)) if travelling else x0.copy()
+def _newton(residual, matrix, w, tol, max_iter):
+    """Damped Newton on residual(w) = 0 with Jacobian matrix(w); returns (w,
+    sup norm of residual(w), residual checks, converged).  A step is halved,
+    down to 2**-14, until the norm drops, and its residual is reused; a
+    singular matrix or a non-finite iterate ends the iteration unconverged."""
+    r = residual(w)
+    norm = float(np.max(np.abs(r)))
     for it in range(1, max_iter + 1):
-        r = residual(w)
-        norm = float(np.max(np.abs(r)))
-        if norm <= res_tol:
-            x, cw = split(w)
-            dropped = 0.0 if travelling else abs(system.residual(x, cw)[ic])
-            return x, cw, norm, it, True, dropped
-        delta = splu(matrix(w)).solve(-r)
-        damping = 1.0
-        while damping > 1e-4 and not np.max(np.abs(residual(w + damping * delta))) < norm:
-            damping *= 0.5
-        w = w + damping * delta
-    x, cw = split(w)
-    return x, cw, float(np.max(np.abs(system.residual(x, cw)))), max_iter, False, 0.0
+        if norm <= tol:
+            return w, norm, it, True
+        if not (math.isfinite(norm) and np.all(np.isfinite(w))):
+            break
+        jac = matrix(w)
+        try:
+            delta = splu(jac).solve(-r)
+        except RuntimeError:    # exactly singular
+            break
+        for halvings in range(15):
+            trial = w + 0.5 ** halvings * delta
+            r = residual(trial)
+            if np.max(np.abs(r)) < norm:
+                break
+        w, norm = trial, float(np.max(np.abs(r)))
+    return w, norm, it, False
+
+
+def _front_newton(system, residual, matrix, w, tol, max_iter, kind):
+    """`_newton` from w = (profile[, c]) to a FrontSolution at c = w[size]
+    (0 if absent), or a ConvergenceError carrying the last iterate."""
+    w, norm, its, ok = _newton(residual, matrix, w, tol, max_iter)
+    state = system.state(w[:system.size])
+    if not ok:
+        raise ConvergenceError(
+            f"{kind} Newton stalled at residual {norm:.3e} after {its} iterations",
+            best=state, diagnostics={"residual": norm})
+    c = float(w[system.size]) if w.size > system.size else 0.0
+    return FrontSolution(state=state, c=c, residual=norm, iterations=its, converged=True)
 
 
 def solve_stationary_front(params: SystemParams, coupling: Coupling,
                            grid: Grid | None = None) -> FrontSolution:
-    """Damped Newton for the steady front with the pinning U(0) = 0, from
-    the leading-order profile to a residual sup norm of 1e-10 in at most 40
-    iterations.
-
-    The center U equation is traded for the pin; its residual at the solution
-    is reported separately (it vanishes only when a stationary front truly
-    exists, i.e. for gamma near zero).
-    """
+    """Damped Newton for the steady front from the leading-order profile, the
+    center U equation traded for the pin U(0) = 0, to a residual sup norm of
+    1e-10 in at most 40 iterations.  `dropped_equation_residual` is the traded
+    equation's residual, zero only where a stationary front exists (gamma ~ 0)."""
     if grid is None:
-        grid = make_grid(20.0, _default_nx(params, 20.0), params.epsilon)
+        grid = _default_grid(params)
     system = _FrontSystem(params, coupling, grid)
-    seed = initial_front_state(params, coupling, grid)
-    x, _c, norm, its, ok, dropped = _damped_newton(
-        system, system.flat(seed), 0.0, 1e-10, 40, travelling=False)
-    if not ok:
-        raise ConvergenceError(
-            f"stationary Newton stalled at residual {norm:.3e} after {its} iterations",
-            best=system.state(x), diagnostics={"residual": norm})
-    return FrontSolution(state=system.state(x), c=0.0, residual=norm, iterations=its,
-                         converged=ok, dropped_equation_residual=dropped)
+    ic = system.center
+
+    def residual(x):
+        r = system.residual(x, 0.0)
+        r[ic] = x[ic]
+        return r
+
+    x = system.flat(initial_front_state(params, coupling, grid))
+    sol = _front_newton(system, residual, lambda x: system.pinned_jacobian(x, 0.0),
+                        x, 1e-10, 40, "stationary")
+    sol.dropped_equation_residual = abs(system.residual(system.flat(sol.state), 0.0)[ic])
+    return sol
 
 
 def solve_travelling_front(params: SystemParams, coupling: Coupling,
@@ -664,24 +663,30 @@ def solve_travelling_front(params: SystemParams, coupling: Coupling,
     """Extended Newton in (profile, c) with the phase condition appended, at
     most 60 iterations."""
     if grid is None:
-        grid = guess.grid if guess is not None else make_grid(
-            20.0, _default_nx(params, 20.0), params.epsilon)
+        grid = guess.grid if guess is not None else _default_grid(params)
     system = _FrontSystem(params, coupling, grid)
+
+    def residual(w):
+        return np.append(system.residual(w[:-1], w[-1]), w[system.center])
+
+    def matrix(w):
+        return system.bordered(system.jacobian(w[:-1], w[-1]),
+                               [system.residual_c_derivative(w[:-1])])
+
     seed = guess if guess is not None else initial_front_state(
         params, coupling, grid, c=guess_c)
-    x, c, norm, its, ok, _ = _damped_newton(
-        system, system.flat(seed), guess_c, res_tol, 60, travelling=True)
-    if not ok:
-        raise ConvergenceError(
-            f"travelling Newton stalled at residual {norm:.3e} after {its} iterations",
-            best=system.state(x), diagnostics={"residual": norm, "c": c})
-    return FrontSolution(state=system.state(x), c=float(c), residual=norm,
-                         iterations=its, converged=ok)
+    return _front_newton(system, residual, matrix,
+                         np.append(system.flat(seed), float(guess_c)), res_tol, 60,
+                         "travelling")
 
 
 def _default_nx(params, half_length):
     target_h = params.epsilon / 2.0
     return max(3, int(math.ceil(2.0 * half_length / target_h)) + 1)
+
+
+def _default_grid(params):
+    return make_grid(20.0, _default_nx(params, 20.0), params.epsilon)
 
 
 # -- linearization spectra ------------------------------------------------------
@@ -781,7 +786,7 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
     if not p_lo <= p0 <= p_hi:
         raise FrontlabError(f"starting parameter {p0} outside range [{p_lo}, {p_hi}]")
     if grid is None:
-        grid = make_grid(20.0, _default_nx(params, 20.0), params.epsilon)
+        grid = _default_grid(params)
     if ds_max is None:
         ds_max = 4.0 * ds
 
@@ -871,31 +876,29 @@ def _branch_point(sol: FrontSolution, p_val: float, n_eigs: int,
 
 def _bordered_correct(system, free_param, w, tangent, w_old, step_len,
                       profile_weight):
+    """Newton in (profile, c, p) with the phase and arclength rows from the
+    predictor w, at most 12 iterations to BRANCH_RES_TOL; None on failure."""
     nx1 = system.size
-    for _ in range(12):
-        x, c, p = w[:nx1], w[nx1], w[nx1 + 1]
-        at_p = system.with_coupling(system.coupling.with_param(free_param, p))
-        r = at_p.residual(x, c)
-        phase = x[system.center]
+    arc_row = np.concatenate([profile_weight ** 2 * tangent[:nx1],
+                              [tangent[nx1], tangent[nx1 + 1]]])
+
+    def at(w):
+        return system.with_coupling(system.coupling.with_param(free_param, w[nx1 + 1]))
+
+    def residual(w):
         arc = (profile_weight ** 2 * float(np.dot(tangent[:nx1], w[:nx1] - w_old[:nx1]))
                + tangent[nx1] * (w[nx1] - w_old[nx1])
                + tangent[nx1 + 1] * (w[nx1 + 1] - w_old[nx1 + 1]) - step_len)
-        big_r = np.concatenate([r, [phase, arc]])
-        if np.max(np.abs(big_r)) <= BRANCH_RES_TOL:
-            return w
-        arc_row = np.concatenate([profile_weight ** 2 * tangent[:nx1],
-                                  [tangent[nx1], tangent[nx1 + 1]]])
-        big = at_p.bordered(at_p.jacobian(x, c),
-                            [at_p.residual_c_derivative(x),
-                             at_p.residual_param_derivative(x, free_param)], arc_row)
-        try:
-            delta = splu(big).solve(-big_r)
-        except RuntimeError:
-            return None
-        w = w + delta
-        if not np.all(np.isfinite(w)):
-            return None
-    return None
+        return np.concatenate([at(w).residual(w[:nx1], w[nx1]), [w[system.center], arc]])
+
+    def matrix(w):
+        at_p, x = at(w), w[:nx1]
+        return at_p.bordered(at_p.jacobian(x, w[nx1]),
+                             [at_p.residual_c_derivative(x),
+                              at_p.residual_param_derivative(x, free_param)], arc_row)
+
+    w, _norm, _its, ok = _newton(residual, matrix, w, BRANCH_RES_TOL, 12)
+    return w if ok else None
 
 
 def _tag_folds(points):

@@ -360,7 +360,7 @@ def _saddle_focus_data(nf):
     return eq, other, lam_u, v_u, w_u, rho_s
 
 
-def _shoot_once(nf, tol, t_max=400.0, integrator_tol=1e-10):
+def _shoot_once(nf, t_max=400.0, integrator_tol=1e-10):
     """Miss distance for one coefficient set; see shilnikov_shoot."""
     data = _saddle_focus_data(nf)
     if data is None:
@@ -453,7 +453,7 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
         return replace(nf, nu=(nf.nu[0], nf.nu[1], nb))
 
     def shoot(nb):
-        return _shoot_once(at(nb), tol, t_max=t_max)
+        return _shoot_once(at(nb), t_max=t_max)
 
     sweep = [float(s) for s in sweep]
     trace = [shoot(nb) for nb in sweep]

@@ -254,7 +254,7 @@ def test_criterion_10_shilnikov_shooting_contract():
     stable_ok = False
     if cand_ok:
         cand = res.candidates[0]
-        refined = _shoot_once(replace(nf, nu=(0.0, -1.0, cand.nu_bar)), tol,
+        refined = _shoot_once(replace(nf, nu=(0.0, -1.0, cand.nu_bar)),
                               t_max=300.0, integrator_tol=1e-11)
         stable_ok = refined.status == "ok" and abs(refined.miss) < 10 * tol
 

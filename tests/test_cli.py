@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from frontlab import gamma0_taylor
 from frontlab.cli import dispatch, load_run_config
+from frontlab.core_model import model_from_dict
 from frontlab.errors import FrontlabError
 
 
@@ -142,6 +144,12 @@ class TestDispatch:
          "ode.n_prime: 'x' is not a JSON integer"),
         (N1 + '"ode": {"h": "x"}}', ["ode", "--from-analysis", "--equilibria"], 1,
          "ode.h: 'x' is not a JSON number"),
+        (N1 + '"pde": []}', ["gamma", "--roots"], 1, "pde must be a JSON object"),
+        (N1 + '"pde": {"perturbation": 3}}', ["gamma", "--roots"], 1,
+         "pde.perturbation must be a JSON object"),
+        (N1 + '"output_dir": 5}', ["gamma", "--roots"], 1,
+         "output_dir must be a JSON string"),
+        (N1 + '"ode": "abc"}', ["gamma", "--roots"], 1, "ode must be a JSON object"),
     ])
     def test_malformed_values_exit_2_bad_config_exit_1(self, n1_config, tmp_path, capsys,
                                                        config, argv, code, message):
@@ -262,6 +270,60 @@ class TestDispatch:
         assert err == f"blew up at t={float(rows[-1].split(',')[0]):.6g}\n"
         rows, err = run("-1.0,0,-0.5,-3.9,1.0,0,0")
         assert len(rows) == 2001 and err == ""
+
+    def test_design_simultaneous_and_imprint(self, n1_config, n3_config, tmp_path, capsys):
+        out = tmp_path / "simultaneous"
+        assert dispatch(["--config", n3_config, "--output-dir", str(out),
+                         "design", "--target", "simultaneous"]) == 0
+        assert "singular_limit_only: true" in capsys.readouterr().out
+        doc = json.loads((out / "design.json").read_text())
+        assert doc["d"] == [1.0, 1.5, 1.7]
+        assert doc["tau"] == pytest.approx([1.0, 2.25, 2.89], abs=1e-12)
+        targets = tmp_path / "targets.json"
+        targets.write_text("[0.0, 0.0, 0.5]")
+        out = tmp_path / "imprint"
+        assert dispatch(["--config", n1_config, "--output-dir", str(out),
+                         "design", "--target", f"imprint:{targets}"]) == 0
+        params, coupling = model_from_dict(json.loads((out / "design.json").read_text()))
+        assert gamma0_taylor(params, coupling, 2).coeffs == pytest.approx([0.0, 0.0, 0.5],
+                                                                         abs=1e-12)
+
+    def test_gamma_folds_rows(self, n3_config, tmp_path):
+        out = tmp_path / "folds"
+        assert dispatch(["--config", n3_config, "--output-dir", str(out), "gamma",
+                         "--folds", "alpha1,gamma,-50,50,-50,50,201,201"]) == 0
+        lines = (out / "gamma_folds.csv").read_text().splitlines()
+        assert lines[1] == "# branch,alpha1,gamma,c"
+        rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+        assert len(rows) == 5
+        assert all(-50 <= a <= 50 and -50 <= g <= 50 for _b, a, g, _c in rows)
+
+    @pytest.mark.parametrize("perturbation", [
+        {"mode": "bump", "amplitude": 0.05, "width": 0.5, "center": 1.0},
+        {"mode": "eigenfunction", "amplitude": 0.05, "lam": 0.0},
+    ])
+    def test_pde_sim_perturbation(self, n1_config, tmp_path, perturbation):
+        with open(n1_config) as fh:
+            doc = json.load(fh)
+        doc["pde"] = {"domain_half_length": 10.0, "n_x": 801, "dt": 0.01, "t_end": 0.1}
+        rows = {}
+        for name, pde in (("plain", doc["pde"]),
+                          ("perturbed", dict(doc["pde"], perturbation=perturbation))):
+            config = write_config(tmp_path, dict(doc, pde=pde), name=f"{name}.json")
+            out = tmp_path / name
+            assert dispatch(["--config", config, "--output-dir", str(out), "pde-sim"]) == 0
+            rows[name] = (out / "pde_timeseries.csv").read_text().splitlines()[2:]
+        # one row at t = 0.1, where the perturbation has moved the front
+        assert len(rows["plain"]) == len(rows["perturbed"]) == 1
+        assert rows["plain"][0].split(",")[1] != rows["perturbed"][0].split(",")[1]
+
+    def test_verify_full(self, n3_config, tmp_path, capsys):
+        rc = dispatch(["--config", n3_config, "--output-dir", str(tmp_path),
+                       "verify", "--suite", "full"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "imprint round-trip" in out
+        assert "verify[full]: all checks passed" in out
 
     def test_verify_paper_params(self, n3_config, tmp_path, capsys):
         rc = dispatch(["--config", n3_config, "--output-dir", str(tmp_path),

@@ -229,6 +229,28 @@ class TestEvansRoots:
         rs1 = evans_roots(evans_context(params, c2, 0.0), box)
         assert rs0.winding_total == rs1.winding_total
 
+    def test_contour_samples_evaluate_derivative_once(self, transcritical_set,
+                                                      monkeypatch):
+        # the criterion-2 box: every contour sample carries f and f' once
+        from frontlab import evans
+        params, coupling = transcritical_set
+        calls = {"f": 0, "df": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(evans, "evans_eval_unchecked",
+                            counting("f", evans.evans_eval_unchecked))
+        monkeypatch.setattr(evans, "evans_derivative",
+                            counting("df", evans.evans_derivative))
+        rs = evans_roots(evans_context(params, coupling, 0.0),
+                         (-0.05, 0.05, -0.05, 0.05))
+        assert rs.winding_total == 4
+        assert 0 < calls["df"] <= calls["f"]
+
     def test_degenerate_region_rejected(self, one_slow):
         c = Coupling(0.0, (1.0,), (0.0,))
         with pytest.raises(FrontlabError):

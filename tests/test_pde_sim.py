@@ -269,6 +269,72 @@ class TestSteadySolvers:
 
 # -- references: the component-by-component formulas on CSR operators -----------
 
+class TestNewton:
+    def test_small_sparse_system_converges(self):
+        target = np.arange(1.0, 6.0)
+        calls = []
+
+        def residual(w):
+            calls.append(w)
+            return w * w - target
+
+        w, norm, its, ok = ps._newton(residual, lambda w: sp.diags(2.0 * w, format="csc"),
+                                      np.full(5, 2.0), 1e-12, 20)
+        assert ok and norm <= 1e-12
+        np.testing.assert_allclose(w, np.sqrt(target), rtol=0, atol=1e-12)
+        # undamped: one residual per iterate, the last one checked only
+        assert 3 <= its == len(calls)
+
+    def test_overshooting_step_is_damped(self):
+        # undamped Newton on arctan diverges from 1.5
+        calls = []
+
+        def residual(w):
+            calls.append(w)
+            return np.arctan(w)
+
+        w, _norm, its, ok = ps._newton(residual, lambda w: sp.diags(1.0 / (1.0 + w * w),
+                                                                    format="csc"),
+                                       np.array([1.5]), 1e-12, 30)
+        assert ok and abs(w[0]) <= 1e-12
+        assert len(calls) > its
+
+    def test_singular_matrix_is_not_converged(self):
+        w, norm, its, ok = ps._newton(lambda w: w - 1.0, lambda w: sp.csc_matrix((2, 2)),
+                                      np.zeros(2), 1e-12, 10)
+        assert not ok and (norm, its) == (1.0, 1)
+
+    def test_nan_iterate_is_not_converged(self):
+        w, norm, its, ok = ps._newton(lambda w: w - 1.0,
+                                      lambda w: sp.identity(2, format="csc"),
+                                      np.array([np.nan, 0.0]), 1e-12, 10)
+        assert not ok and its == 1 and math.isnan(norm)
+
+    def test_travelling_solve_evaluates_each_iterate_once(self, cusp_setup, monkeypatch):
+        params, coupling = cusp_setup
+        calls = []
+        residual = ps._FrontSystem.residual
+
+        def counted(self, x, c):
+            calls.append(c)
+            return residual(self, x, c)
+
+        monkeypatch.setattr(ps._FrontSystem, "residual", counted)
+        grid = ps.make_grid(24.0, 481, params.epsilon)
+        sol = ps.solve_travelling_front(params, coupling, guess_c=2.289, grid=grid)
+        assert sol.iterations >= 3
+        assert len(calls) == sol.iterations
+
+    def test_stalled_solve_raises_with_last_iterate(self, cusp_setup):
+        params, coupling = cusp_setup
+        grid = ps.make_grid(24.0, 481, params.epsilon)
+        with pytest.raises(fl.ConvergenceError, match="after 60 iterations") as info:
+            ps.solve_travelling_front(params, coupling, guess_c=2.289, grid=grid,
+                                      res_tol=0.0)
+        assert info.value.best.u.shape == (481,)
+        assert info.value.diagnostics["residual"] > 0.0
+
+
 def _csr_d2(n_x, h):
     """Mirrored-ghost Neumann Laplacian."""
     inv = 1.0 / (h * h)

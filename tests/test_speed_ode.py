@@ -320,7 +320,7 @@ class TestShilnikovShoot:
                                  t_max=300.0)
         assert result.candidates
         cand = result.candidates[0]
-        refined = _shoot_once(replace(nf, nu=(0.0, -1.0, cand.nu_bar)), 1e-7,
+        refined = _shoot_once(replace(nf, nu=(0.0, -1.0, cand.nu_bar)),
                               t_max=300.0, integrator_tol=1e-11)
         assert refined.status == "ok"
         assert abs(refined.miss) < 10 * 1e-6
@@ -349,7 +349,7 @@ class TestShilnikovShoot:
         lo, hi = brackets[0]
         assert lo < cand.nu_bar < hi
         assert 0 < len(shots) - len(result.trace) < 17
-        reference = shoot_once(replace(nf, nu=(0.0, -1.0, cand.nu_bar)), tol,
+        reference = shoot_once(replace(nf, nu=(0.0, -1.0, cand.nu_bar)),
                                t_max=300.0, integrator_tol=1e-12)
         assert reference.status == "ok"
         assert abs(reference.miss - cand.miss) < 10 * tol
