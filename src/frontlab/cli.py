@@ -271,8 +271,8 @@ def _pde_setup(cfg):
     from . import pde_sim
     half = cfg.pde.get("domain_half_length", 20.0)
     n_x = cfg.pde.get("n_x", pde_sim._default_nx(cfg.params, half))
-    grid = pde_sim.make_grid(half, n_x, cfg.params.epsilon)
-    return pde_sim, grid
+    # unchecked here: the initial front state warns once if it under-resolves
+    return pde_sim, pde_sim.make_grid(half, n_x)
 
 
 def _cmd_pde_sim(args, cfg, outdir):

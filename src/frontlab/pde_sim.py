@@ -4,11 +4,12 @@ Method of lines on a uniform grid with homogeneous Neumann boundaries.  One
 discretized system, `_FrontSystem`, holds the (N+1, n_x) layout, the
 Neumann stencils, the per-row diffusion, advection and mass coefficients
 and the reaction rows, and every solver runs on it: IMEX time stepping
-(implicit tridiagonal diffusion, explicit reaction, optional Strang
-splitting) with freezing-based speed extraction, damped Newton solvers for
-stationary and travelling fronts with a phase condition, pseudo-arclength
-continuation with fold/Hopf detection, and linearization spectra for
-cross-validation against the Evans-function predictions.
+(implicit diffusion by a symmetric LDL^T tridiagonal solve, explicit
+reaction, optional Strang splitting) with freezing-based speed extraction,
+damped Newton solvers for stationary and travelling fronts with a phase
+condition, pseudo-arclength continuation with fold/Hopf detection, and
+linearization spectra for cross-validation against the Evans-function
+predictions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import eigs as sparse_eigs
 from scipy.sparse.linalg import splu
 
@@ -147,7 +148,8 @@ def default_dt(params: SystemParams) -> float:
 def step(state: PdeState, dt: float, strang: bool = False) -> PdeState:
     """Advance one IMEX step (first order; `strang` enables second order).
 
-    Diffusion is implicit via tridiagonal solves, reactions explicit; steps
+    Diffusion is implicit, each row solved with the LDL^T factors of its
+    trapezoid-weighted symmetric matrix; reactions are explicit; steps
     exceeding the explicit-reaction stability bound are sub-stepped.
     """
     if dt <= 0:
@@ -408,12 +410,14 @@ class _FrontSystem:
 
     with diffusion eps^2 (1, d_j^2), mass (1, tau_j) and reaction
     (U - U^3 - eps F(V), eps^2 (U - V_j)).  `residual` is the right-hand
-    side; `advance` steps it in time at c = 0; `jacobian` and its pinned,
-    bordered and dynamic forms feed Newton, spectra and continuation.  What
-    depends only on (params, grid), the Jacobian pattern, the bordered
-    layouts and the implicit-diffusion factors, is built on first use and
-    shared by every system on them; `with_coupling` gives a view at another
-    coupling.
+    side; `advance` steps it in time at c = 0, solving the implicit
+    diffusion with W (I - k D2), which the trapezoid weights W = diag(1/2,
+    1, ..., 1, 1/2) make symmetric positive definite; `jacobian` and its
+    pinned, bordered and dynamic forms feed Newton, spectra and
+    continuation.  What depends only on (params, grid), the Jacobian
+    pattern, the bordered layouts and the implicit-diffusion factors, is
+    built on first use and shared by every system on them; `with_coupling`
+    gives a view at another coupling.
     """
 
     def __init__(self, params: SystemParams, coupling: Coupling, grid: Grid):
@@ -461,7 +465,7 @@ class _FrontSystem:
         the written-out sum does, and return `out`."""
         u, v = X[0], X[1:]
         out[0] += u
-        out[0] -= u ** 3
+        out[0] -= u * u * u
         out[0] -= self.params.epsilon * eval_coupling(self.coupling, v)
         out[1:] += self.eps2 * (u - v)
         return out
@@ -488,17 +492,24 @@ class _FrontSystem:
     # -- time stepping on the flat vector
 
     def _implicit(self, scale):
-        """k = scale diffusion_k / mass_k per row and the LU factors of the
-        block-diagonal I - k D2 on the flat vector; the last pair is kept."""
+        """k = scale diffusion_k / mass_k per row and the LDL^T factors of
+        the block-diagonal W (I - k D2) on the flat vector; the last pair is
+        kept.  Under W = diag(1/2, 1, ..., 1, 1/2) the ghost mirrors' 2/h^2
+        halve to the interior -k/h^2 off-diagonal, so every row's matrix is
+        symmetric; rows meet with a zero off-diagonal."""
         cached = self._layouts.get("implicit")
         if cached is None or cached[0] != scale:
             k = (scale * (self.diffusion / self.mass))[:, None]
-            lower, diag, upper = self.d2_bands
-            off = np.zeros((2, self.n + 1, self.nx))   # zero where rows meet
-            off[:, :, :-1] = -k * np.stack([lower, upper])[:, None]
-            factors = dgttrf(off[0].ravel()[:-1], (1.0 - k * diag).ravel(),
-                             off[1].ravel()[:-1])[:5]
-            cached = self._layouts["implicit"] = (scale, k, factors)
+            lower, diag, _upper = self.d2_bands
+            main = 1.0 - k * diag
+            main[:, [0, -1]] *= 0.5                # the weights W
+            off = np.zeros_like(main)              # zero where rows meet
+            off[:, :-1] = -k * lower[0]            # lower[0] = 1/h^2
+            d, e, info = dpttrf(main.ravel(), off.ravel()[:-1])
+            if info != 0:
+                raise FrontlabError(
+                    f"implicit diffusion matrix is not positive definite (scale {scale})")
+            cached = self._layouts["implicit"] = (scale, k, (d, e))
         return cached[1:]
 
     def _rate(self, X):
@@ -512,8 +523,10 @@ class _FrontSystem:
     def advance(self, x, t, dt, strang=False):
         """March the flat fields x from time t by dt; returns (x, t).  First
         order: explicit reaction, then implicit diffusion; `strang`: Heun
-        reaction half steps around a Crank-Nicolson diffusion step.  Steps
-        above the explicit-reaction bound are split into equal substeps."""
+        reaction half steps around a Crank-Nicolson diffusion step.  The
+        diffusion solve weights the right-hand side like `_implicit`'s
+        matrix, halving each row's end values.  Steps above the
+        explicit-reaction bound are split into equal substeps."""
         n_sub = max(1, int(math.ceil(dt / stable_reaction_dt(self.params))))
         sub = dt / n_sub
         half = 0.5 * sub
@@ -525,7 +538,8 @@ class _FrontSystem:
                 rhs = X + k * _apply_rows(X, *self.d2_bands)
             else:
                 rhs = X + sub * self._rate(X)
-            X = self._rows(dgttrs(*factors, rhs.ravel(), overwrite_b=1)[0])
+            rhs[:, [0, -1]] *= 0.5
+            X = self._rows(dpttrs(*factors, rhs.ravel(), overwrite_b=1)[0])
             if strang:
                 X = self._heun(X, half)
             t = t + sub
@@ -597,8 +611,9 @@ class FrontSolution:
 def _newton(residual, matrix, w, tol, max_iter):
     """Damped Newton on residual(w) = 0 with Jacobian matrix(w); returns (w,
     sup norm of residual(w), residual checks, converged).  A step is halved,
-    down to 2**-14, until the norm drops, and its residual is reused; a
-    singular matrix or a non-finite iterate ends the iteration unconverged."""
+    down to 2**-14, until the norm drops, and its residual is reused; a step
+    that no halving makes drop, a singular matrix or a non-finite iterate
+    ends the iteration unconverged at the last accepted iterate."""
     r = residual(w)
     norm = float(np.max(np.abs(r)))
     for it in range(1, max_iter + 1):
@@ -616,6 +631,8 @@ def _newton(residual, matrix, w, tol, max_iter):
             r = residual(trial)
             if np.max(np.abs(r)) < norm:
                 break
+        else:                   # stagnated
+            break
         w, norm = trial, float(np.max(np.abs(r)))
     return w, norm, it, False
 

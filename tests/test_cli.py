@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -316,6 +317,23 @@ class TestDispatch:
         # one row at t = 0.1, where the perturbation has moved the front
         assert len(rows["plain"]) == len(rows["perturbed"]) == 1
         assert rows["plain"][0].split(",")[1] != rows["perturbed"][0].split(",")[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["pde-sim"],
+        ["pde-continue", "--free-param", "gamma", "--range=-0.01,0.01", "--ds", "0.005",
+         "--max-points", "2"],
+    ])
+    def test_under_resolved_grid_warns_once(self, tmp_path, capsys, argv):
+        config = write_config(tmp_path, {
+            "epsilon": 0.2, "tau": [1.0], "d": [1.0], "gamma": 0.0, "alpha": [0.9],
+            "pde": {"domain_half_length": 6.0, "n_x": 41, "dt": 0.01, "t_end": 0.05},
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch(["--config", config, "--output-dir", str(tmp_path / "out")]
+                            + argv) == 0
+        assert [str(w.message) for w in caught] == [
+            "grid spacing h=0.3 exceeds epsilon/2=0.1; the fast interface is under-resolved"]
 
     def test_verify_full(self, n3_config, tmp_path, capsys):
         rc = dispatch(["--config", n3_config, "--output-dir", str(tmp_path),
