@@ -31,9 +31,6 @@ from .errors import ConvergenceError, FrontlabError
 from .existence import front_profile
 from .jordan_chain import ChainProfile
 
-#: Above this many unknowns the eigensolver switches to shift-invert Arnoldi.
-DENSE_EIG_LIMIT = 4000
-
 #: Residual sup norm at which the continuation's Newton solves stop.
 BRANCH_RES_TOL = 1e-9
 
@@ -710,56 +707,68 @@ def _default_grid(params):
 
 @dataclass
 class SpectrumReport:
-    eigenvalues: np.ndarray      # sorted by real part, descending
+    eigenvalues: np.ndarray      # real part descending, then imaginary part
     translation_eigenvalue: complex
     method: str
 
-    def leading_nontrivial(self):
-        """Most critical eigenvalue once the translation mode is removed."""
-        idx = int(np.argmin(np.abs(self.eigenvalues - self.translation_eigenvalue)))
-        rest = np.delete(self.eigenvalues, idx)
-        return rest[int(np.argmax(rest.real))]
+    def nontrivial(self) -> np.ndarray:
+        """The eigenvalues, in order, with the translation mode removed."""
+        return np.delete(self.eigenvalues, int(np.argmin(np.abs(self.eigenvalues))))
 
 
 def linearization_spectrum(solution: FrontSolution, count: int = 8,
                            method: str = "auto") -> SpectrumReport:
-    """Eigenvalues of the discrete linearization nearest zero.
+    """The `count` eigenvalues of the discrete linearization nearest zero.
 
-    Dense solve when the system has at most DENSE_EIG_LIMIT unknowns,
-    otherwise shift-invert Arnoldi at the origin.  The near-zero translation
-    eigenvalue is tagged in the report.
+    `sparse` is shift-invert Arnoldi (ARPACK) near the origin and needs
+    count + 6 < size - 1; `dense` computes the whole spectrum, the
+    reference.  `auto` is `sparse` wherever ARPACK can run, else `dense`.
+    Conjugate pairs are exact and the order (real part descending, ties by
+    imaginary part descending) does not follow rounding.  The eigenvalue
+    nearest zero is tagged as the translation mode.
     """
     state = solution.state
     system = _FrontSystem(state.params, state.coupling, state.grid)
     jac = system.dynamic_jacobian(system.flat(state), solution.c)
     size = jac.shape[0]
+    arpack_ok = count + 6 < size - 1
     if method == "auto":
-        method = "dense" if size <= DENSE_EIG_LIMIT else "sparse"
+        method = "sparse" if arpack_ok else "dense"
+    if count < 1 or (method == "sparse" and not arpack_ok):
+        raise FrontlabError(f"{method} spectrum needs count >= 1 (sparse: count + 6 < "
+                            f"size - 1), got count={count}, size={size}")
     if method == "dense":
-        eigs_all = np.linalg.eigvals(jac.toarray())
-        order = np.argsort(np.abs(eigs_all))
-        eigs_near = eigs_all[order[:count]]
+        vals = np.linalg.eigvals(jac.toarray())
     elif method == "sparse":
         # Shift off the real axis at the essential-gap scale: sigma = 0 sits
         # on the (near-singular) translation eigenvalue and poisons the
         # factorized solves ARPACK relies on.
         gap = state.params.epsilon ** 2 * min(1.0 / t for t in state.params.tau)
         sigma = 0.5 * gap * complex(0.3722, 0.9282)
-        v0 = np.ones(jac.shape[0])  # deterministic Arnoldi start
-        vals = sparse_eigs(jac.astype(complex), k=count + 6, sigma=sigma,
-                           return_eigenvectors=False, tol=1e-12, v0=v0)
-        vals = vals[np.argsort(np.abs(vals))][:count]
-        # the operator is real: tidy conjugate-pair symmetry lost to the
-        # one-sided complex shift
-        eigs_near = np.where(np.abs(vals.imag) < 1e-12 * np.maximum(1.0, np.abs(vals)),
-                             vals.real, vals)
+        vals = _conjugate_pairs(sparse_eigs(jac.astype(complex), k=count + 6, sigma=sigma,
+                                            return_eigenvectors=False, tol=1e-12,
+                                            v0=np.ones(size)))  # deterministic start
     else:
         raise FrontlabError(f"unknown eigensolver method {method!r}")
-    eigs_near = eigs_near[np.argsort(-eigs_near.real)]
-    translation = eigs_near[int(np.argmin(np.abs(eigs_near)))]
-    return SpectrumReport(eigenvalues=eigs_near,
-                          translation_eigenvalue=complex(translation),
+    near = vals[np.lexsort((-vals.imag, np.abs(vals)))[:count]]
+    near = near[np.lexsort((-near.imag, -near.real))]
+    return SpectrumReport(eigenvalues=near,
+                          translation_eigenvalue=complex(near[np.argmin(np.abs(near))]),
                           method=method)
+
+
+def _conjugate_pairs(vals):
+    """The symmetry of a real operator, which the one-sided complex shift
+    loses at rounding level: near-real values become real, and each pair
+    becomes exactly conjugate."""
+    vals = np.where(np.abs(vals.imag) < 1e-12 * np.maximum(1.0, np.abs(vals)),
+                    vals.real, vals)
+    for i in np.nonzero(vals.imag > 0)[0]:
+        j = int(np.argmin(np.abs(vals - np.conj(vals[i]))))
+        if abs(vals[j] - np.conj(vals[i])) < vals[i].imag:
+            mean = 0.5 * (vals[i] + np.conj(vals[j]))
+            vals[i], vals[j] = mean, np.conj(mean)
+    return vals
 
 
 # -- pseudo-arclength continuation ----------------------------------------------
@@ -786,17 +795,17 @@ class BranchPoint:
 def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
                     prange, ds: float, grid: Grid | None = None,
                     max_points: int = 200, n_eigs: int = 8,
-                    ds_max: float | None = None, guess_c: float = 0.0,
-                    compute_spectra: bool = True,
-                    direction: float = 1.0) -> list:
+                    guess_c: float = 0.0, direction: float = 1.0) -> list:
     """Pseudo-arclength continuation of travelling fronts in one parameter.
 
-    Secant predictor with a bordered Newton corrector in (profile, c, p);
-    folds are tagged by a sign change of the parameter's arclength
-    derivative, Hopf candidates by a complex pair's real part changing sign
-    between accepted points.  Newton solves stop at BRANCH_RES_TOL.  The
-    branch is truncated (and the truncation reported on the last point) if
-    the corrector fails at the minimum step 1e-6.
+    Secant predictor with a bordered Newton corrector in (profile, c, p),
+    with steps between 1e-6 and 4 ds; every accepted point carries the
+    n_eigs eigenvalues of `linearization_spectrum`.  Folds are tagged by a
+    sign change of the parameter's arclength derivative, Hopf candidates by
+    a complex pair's real part changing sign between accepted points.
+    Newton solves stop at BRANCH_RES_TOL.  The branch is truncated (and the
+    truncation reported in a warning) if the corrector fails at the
+    minimum step.
     """
     p_lo, p_hi = float(min(prange)), float(max(prange))
     p0 = coupling.param(free_param)
@@ -804,8 +813,6 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
         raise FrontlabError(f"starting parameter {p0} outside range [{p_lo}, {p_hi}]")
     if grid is None:
         grid = _default_grid(params)
-    if ds_max is None:
-        ds_max = 4.0 * ds
 
     def solve_at(p_val, guess_state, c_guess):
         coup = coupling.with_param(free_param, p_val)
@@ -814,7 +821,7 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
                                       res_tol=BRANCH_RES_TOL)
 
     sol0 = solve_at(p0, None, guess_c)
-    points = [_branch_point(sol0, p0, n_eigs, compute_spectra)]
+    points = [_branch_point(sol0, p0, n_eigs)]
 
     # second point by a small natural-parameter step for the secant direction
     dp0 = direction * max(1e-4 * max(1.0, abs(p_hi - p_lo)), 10 * ds / 50.0)
@@ -823,7 +830,7 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
     except ConvergenceError:
         dp0 = -dp0
         sol1 = solve_at(p0 + dp0, sol0.state, sol0.c)
-    points.append(_branch_point(sol1, p0 + dp0, n_eigs, compute_spectra))
+    points.append(_branch_point(sol1, p0 + dp0, n_eigs))
 
     system = _FrontSystem(params, coupling, grid)
     nx1 = system.size
@@ -858,37 +865,29 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
             step_len = max(1e-6, 0.5 * step_len)
             continue
         w_prev, w_cur = w_cur, corrected
-        step_len = min(ds_max, 1.15 * step_len)
+        step_len = min(4.0 * ds, 1.15 * step_len)
         p_val = w_cur[-1]
         c_val = w_cur[-2]
         at_p = system.with_coupling(coupling.with_param(free_param, p_val))
         state = at_p.state(w_cur[:nx1])
         sol = FrontSolution(state=state, c=float(c_val), residual=0.0,
                             iterations=0, converged=True)
-        points.append(_branch_point(sol, float(p_val), n_eigs, compute_spectra))
+        points.append(_branch_point(sol, float(p_val), n_eigs))
         if not p_lo <= p_val <= p_hi:
             break
 
     _tag_folds(points)
-    if compute_spectra:
-        _tag_hopfs(points)
+    _tag_hopfs(points)
     if truncated:
         warnings.warn(f"branch truncated: {truncated}", stacklevel=2)
     return points
 
 
-def _branch_point(sol: FrontSolution, p_val: float, n_eigs: int,
-                  compute_spectra: bool) -> BranchPoint:
-    if compute_spectra:
-        spec = linearization_spectrum(sol, count=n_eigs)
-        eigs = tuple(spec.eigenvalues)
-        translation = spec.translation_eigenvalue
-        others = [z for z in eigs if z != translation]
-        stable = all(z.real < 1e-10 for z in others)
-    else:
-        eigs, stable = (), False
+def _branch_point(sol: FrontSolution, p_val: float, n_eigs: int) -> BranchPoint:
+    spec = linearization_spectrum(sol, count=n_eigs)
     return BranchPoint(param=float(p_val), c=float(sol.c), state=sol.state,
-                       eigenvalues=eigs, stable=stable, tag="none")
+                       eigenvalues=tuple(spec.eigenvalues),
+                       stable=bool(np.all(spec.nontrivial().real < 1e-10)), tag="none")
 
 
 def _bordered_correct(system, free_param, w, tangent, w_old, step_len,

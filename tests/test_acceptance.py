@@ -134,7 +134,7 @@ def test_criterion_5_spectral_cross_validation():
         roots = [z.real for z in evans_small_roots(params, coupling, 0.6)
                  if abs(z.imag) < 1e-8]
         predicted = params.epsilon ** 2 * max(roots, key=abs)
-        lead = spec.leading_nontrivial().real
+        lead = spec.nontrivial()[0].real
         rel = abs(lead - predicted) / abs(predicted)
         good = translation_ok and rel <= 0.15
         ok = ok and good
