@@ -25,12 +25,17 @@ for c0 in (roots[-1][0], roots[0][0]):
           f"({sol.iterations} Newton steps)")
 
 print("\n== heteroclinic speed transition from the unstable front ==")
-from frontlab.evans import evans_derivative, evans_eval_unchecked, holomorphic_roots
+from frontlab.evans import evans_pair, holomorphic_roots
 ctx = fl.evans_context(params, cusp, 0.0)
-roots_e, _ = holomorphic_roots(lambda z: evans_eval_unchecked(ctx, z) / z,
-                               lambda z: (evans_derivative(ctx, z) * z
-                                          - evans_eval_unchecked(ctx, z)) / z ** 2,
-                               (-0.9, 3.0, -1.0, 1.0), tol=1e-10,
+
+
+def deflated(z):
+    """E0/lambda and its derivative: the translation root removed."""
+    e0, de0 = evans_pair(ctx, z)
+    return e0 / z, (de0 * z - e0) / z ** 2
+
+
+roots_e, _ = holomorphic_roots(deflated, (-0.9, 3.0, -1.0, 1.0), tol=1e-10,
                                cuts=ctx.branch_points)
 lam_u = max(z.real for z, _ in roots_e)
 print(f"unstable Evans root of the c=0 front: {lam_u:.4f}")

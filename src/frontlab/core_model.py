@@ -201,6 +201,33 @@ def _components(coupling: Coupling, v) -> list:
     return comps
 
 
+#: Thresholds relative to max(1, |z|): a value with no conjugate partner and
+#: |Im| below REAL_IMAG_TOL is real, and a lower value within PAIR_TOL (and
+#: within Im z) of an upper value's conjugate is its partner.  Rounding splits
+#: pairs by up to 2.3e-8; genuine pairs and distinct values lie far apart.
+REAL_IMAG_TOL = 1e-8
+PAIR_TOL = 1e-6
+
+
+def conjugate_pairs(vals) -> np.ndarray:
+    """Restore the conjugate symmetry that rounding loses from a real
+    operator's spectrum or the roots of a conjugate-symmetric function:
+    each pair becomes exactly conjugate, each lone near-real value real."""
+    vals = np.array(vals, dtype=complex)
+    paired = np.zeros(len(vals), dtype=bool)
+    for i in np.nonzero(vals.imag > 0)[0]:
+        free = np.nonzero(~paired & (vals.imag < 0))[0]
+        dist = np.abs(vals[free] - np.conj(vals[i]))
+        if len(free) and dist.min() < min(vals[i].imag, PAIR_TOL * max(1.0, abs(vals[i]))):
+            j = free[np.argmin(dist)]
+            mean = 0.5 * (vals[i] + np.conj(vals[j]))
+            vals[i], vals[j] = mean, np.conj(mean)
+            paired[[i, j]] = True
+    lone = ~paired & (np.abs(vals.imag) < REAL_IMAG_TOL * np.maximum(1.0, np.abs(vals)))
+    vals[lone] = vals[lone].real
+    return vals
+
+
 def eval_coupling(coupling: Coupling, v):
     """F at v, written with + and * alone so that one expression serves an
     N-vector (float result), an (N, ...) grid (pointwise over the trailing

@@ -8,19 +8,21 @@ The critical point spectrum of the linearization at a front with speed c is
                   - 1/sqrt(4 d_j^2 + c^2 tau_j^2)),
 
 analytic off horizontal branch cuts running left from each branch point.
-Roots are counted and located by the argument principle on rectangles with
-recursive quadrisection, and polished by Newton.
+One array evaluator, evans_pair, gives E0 and E0' together; evans_eval is
+its guarded scalar view.  Roots are counted by the argument principle on
+rectangles, each contour evaluated in one call per refinement level, located
+by recursive quadrisection and polished by Newton.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import Coupling, PowerSeries, SystemParams, coupling_gradient, double_factorial
+from .core_model import (Coupling, PowerSeries, SystemParams, conjugate_pairs, coupling_gradient,
+                         double_factorial)
 from .errors import BranchCutError, FrontlabError
 from .existence import v_star
 
@@ -56,46 +58,37 @@ def evans_context(params: SystemParams, coupling: Coupling, c: float = 0.0) -> E
                         branch_points=tuple(float(b) for b in bps))
 
 
-def _on_cut(ctx: EvansContext, lam: complex) -> bool:
-    if abs(lam.imag) > CUT_CLEARANCE:
-        return False
-    return any(lam.real <= bp + CUT_CLEARANCE for bp in ctx.branch_points)
+def evans_pair(ctx: EvansContext, lam):
+    """(E0, E0') at lambda, a complex number or an array of them, without
+    the cut guard (contours stay off the cuts).
+
+    With G_j = c^2 tau_j^2 + 4 d_j^2 (tau_j lambda + 1), each term's
+    G_j^(-1/2) has the derivative -2 d_j^2 tau_j G_j^(-3/2).
+    """
+    lam = np.asarray(lam, dtype=complex)
+    e0, de0 = lam, np.ones_like(lam)
+    for tau, d, g in zip(ctx.params.tau, ctx.params.d, ctx.grad):
+        if g == 0.0:
+            continue
+        base = ctx.c * ctx.c * tau * tau + 4.0 * d * d
+        inv_root = 1.0 / np.sqrt(base + 4.0 * d * d * tau * lam)
+        e0 = e0 + 3.0 * SQRT2 * g * (inv_root - 1.0 / math.sqrt(base))
+        de0 = de0 + 3.0 * SQRT2 * g * (-2.0 * d * d * tau) * inv_root ** 3
+    return e0, de0
 
 
 def evans_eval(ctx: EvansContext, lam: complex) -> complex:
     """E0 at lambda; raises BranchCutError within 1e-12 of a cut."""
     lam = complex(lam)
-    if _on_cut(ctx, lam):
+    if abs(lam.imag) <= CUT_CLEARANCE and any(lam.real <= bp + CUT_CLEARANCE
+                                              for bp in ctx.branch_points):
         raise BranchCutError(f"lambda = {lam} is within {CUT_CLEARANCE} of a branch cut")
     return evans_eval_unchecked(ctx, lam)
 
 
 def evans_eval_unchecked(ctx: EvansContext, lam: complex) -> complex:
-    """E0 without the cut-proximity guard (contours stay off the cuts)."""
-    lam = complex(lam)
-    total = lam
-    c = ctx.c
-    for j in range(ctx.params.n_slow):
-        tau, d, g = ctx.params.tau[j], ctx.params.d[j], ctx.grad[j]
-        if g == 0.0:
-            continue
-        base = c * c * tau * tau + 4.0 * d * d
-        total += 3.0 * SQRT2 * g * (1.0 / cmath.sqrt(base + 4.0 * d * d * tau * lam)
-                                    - 1.0 / math.sqrt(base))
-    return total
-
-
-def evans_derivative(ctx: EvansContext, lam: complex) -> complex:
-    lam = complex(lam)
-    total = 1.0 + 0.0j
-    c = ctx.c
-    for j in range(ctx.params.n_slow):
-        tau, d, g = ctx.params.tau[j], ctx.params.d[j], ctx.grad[j]
-        if g == 0.0:
-            continue
-        arg = c * c * tau * tau + 4.0 * d * d * (tau * lam + 1.0)
-        total += 3.0 * SQRT2 * g * (-2.0 * d * d * tau) * arg ** -1.5
-    return total
+    """E0 without the cut-proximity guard."""
+    return complex(evans_pair(ctx, lam)[0])
 
 
 def evans_taylor_c0(params: SystemParams, coupling: Coupling, order: int) -> PowerSeries:
@@ -154,96 +147,84 @@ class RootSet:
 
 
 class _WindingFailure(Exception):
-    def __init__(self, box):
-        super().__init__(f"winding inconsistency in box {box}")
-        self.box = box
+    """The winding number on the box given as the argument is not resolved."""
+
+
+class _BoundaryZero(Exception):
+    """A contour sample at the point given as the argument hits a root or pole."""
 
 
 def _boundary_path(box):
+    """The contour samples, counter-clockwise from the corner (xmin, ymin)."""
     xmin, xmax, ymin, ymax = box
     n = _EDGE_SAMPLES
-    bottom = [complex(x, ymin) for x in np.linspace(xmin, xmax, n, endpoint=False)]
-    right = [complex(xmax, y) for y in np.linspace(ymin, ymax, n, endpoint=False)]
-    top = [complex(x, ymax) for x in np.linspace(xmax, xmin, n, endpoint=False)]
-    left = [complex(xmin, y) for y in np.linspace(ymax, ymin, n, endpoint=False)]
-    return bottom + right + top + left
+    return np.concatenate([np.linspace(xmin, xmax, n, endpoint=False) + 1j * ymin,
+                           xmax + 1j * np.linspace(ymin, ymax, n, endpoint=False),
+                           np.linspace(xmax, xmin, n, endpoint=False) + 1j * ymax,
+                           xmin + 1j * np.linspace(ymax, ymin, n, endpoint=False)])
 
 
-def _sample(f, df, z):
-    """(z, f(z), f'(z)); a pole or a non-finite f(z) is a root on the contour."""
-    try:
-        fz, dfz = f(z), df(z)
-    except ZeroDivisionError as exc:
-        raise _BoundaryZero(z) from exc
-    if not (math.isfinite(fz.real) and math.isfinite(fz.imag)):
-        raise _BoundaryZero(z)
-    return z, fz, dfz
+def _finite_pair(fdf, z):
+    """(f, f') on the points z; a pole or a non-finite f is a root on the contour."""
+    f, df = fdf(z)
+    bad = ~np.isfinite(f)
+    if bad.any():
+        raise _BoundaryZero(z[bad][0])
+    return f, df
 
 
-def _winding_number(f, df, box):
+def _winding_number(fdf, box):
     """Winding of f along the box boundary via phase-continuity tracking.
 
-    Each consecutive phase increment is kept below pi/2 by recursive segment
-    refinement.  The principal-phase rule alone can alias a near-full turn
-    between two samples, so segments longer than the Newton step |f/f'| (a
-    root-distance proxy) at either end are refined as well; each sample
-    carries (z, f, f').  Refinement stops at depth 42; samples below 1e-13
-    of the largest boundary value count as a root on the contour.
+    One fdf call gives f and f' on the boundary samples.  The contour is then
+    refined level by level: every segment whose phase increment exceeds
+    pi/2, or that is longer than the Newton step |f/f'| at either end (a
+    root-distance proxy: the principal phase alone can alias a near-full
+    turn), gets its midpoint, and one fdf call per level evaluates them all.
+    A segment still flagged after 42 levels, or shorter than 1e-15 of the
+    box diameter, is a failure; a sample below 1e-13 of the largest boundary
+    value counts as a root on the contour.
     """
-    samples = [_sample(f, df, z) for z in _boundary_path(box)]
-    samples.append(samples[0])
-    diam = math.hypot(box[1] - box[0], box[3] - box[2])
+    z = _boundary_path(box)
+    f, df = _finite_pair(fdf, z)
     # relative scale: a small box around a multiple root has uniformly tiny
     # boundary values but perfectly conditioned phases
-    scale = max(abs(fz) for _z, fz, _dfz in samples)
+    scale = np.max(np.abs(f))
     if scale == 0.0:
-        raise _BoundaryZero(samples[0][0])
-
-    total = 0.0
-    for s0, s1 in zip(samples, samples[1:]):
-        total += _phase_increment(f, df, s0, s1, 42, 1e-13 * scale, diam)
-    turns = total / (2.0 * math.pi)
+        raise _BoundaryZero(z[0])
+    z, f, df = (np.append(a, a[0]) for a in (z, f, df))
+    diam = math.hypot(box[1] - box[0], box[3] - box[2])
+    for level in range(43):
+        small = np.abs(f) <= 1e-13 * scale
+        if small.any():
+            # a sample (numerically) hits a root; the caller nudges the box
+            raise _BoundaryZero(z[np.argmax(small)])
+        increments = np.angle(f[1:] / f[:-1])
+        seg = np.abs(np.diff(z))
+        reach = np.abs(f / df)          # inf where f' = 0: no length limit
+        flag = (np.abs(increments) > 0.5 * math.pi) | (seg > reach[:-1]) | (seg > reach[1:])
+        if not flag.any():
+            break
+        if level == 42 or np.any(seg[flag] < 1e-15 * diam):
+            raise _WindingFailure(box)
+        at = np.nonzero(flag)[0]
+        zm = 0.5 * (z[at] + z[at + 1])
+        fm, dfm = _finite_pair(fdf, zm)
+        z, f, df = (np.insert(a, at + 1, am) for a, am in ((z, zm), (f, fm), (df, dfm)))
+    turns = np.sum(increments) / (2.0 * math.pi)
     rounded = int(round(turns))
     if abs(turns - rounded) > 0.25:
         raise _WindingFailure(box)
     return rounded
 
 
-def _needs_split(s0, s1):
-    (z0, f0, _), (z1, f1, _) = s0, s1
-    if abs(cmath.phase(f1 / f0)) > 0.5 * math.pi:
-        return True
-    seg = abs(z1 - z0)
-    return any(dfz != 0 and seg > abs(fz / dfz) for _z, fz, dfz in (s0, s1))
-
-
-def _phase_increment(f, df, s0, s1, depth, zero_tol, diam):
-    (z0, f0, _), (z1, f1, _) = s0, s1
-    if abs(f0) <= zero_tol or abs(f1) <= zero_tol:
-        # A boundary sample (numerically) hits a root; nudge the box instead.
-        raise _BoundaryZero(z0 if abs(f0) <= abs(f1) else z1)
-    if not _needs_split(s0, s1):
-        return cmath.phase(f1 / f0)
-    if depth <= 0 or abs(z1 - z0) < 1e-15 * diam:
-        raise _WindingFailure((z0, z1))
-    sm = _sample(f, df, 0.5 * (z0 + z1))
-    return (_phase_increment(f, df, s0, sm, depth - 1, zero_tol, diam)
-            + _phase_increment(f, df, sm, s1, depth - 1, zero_tol, diam))
-
-
-class _BoundaryZero(Exception):
-    def __init__(self, where):
-        super().__init__(f"root on contour near {where}")
-        self.where = where
-
-
-def _winding_with_nudge(f, df, box, cuts):
+def _winding_with_nudge(fdf, box, cuts):
     """Winding number, retrying with slightly inflated boxes on boundary hits."""
     original = tuple(box)
     box = original
     for attempt in range(6):
         try:
-            return _winding_number(f, df, box), box
+            return _winding_number(fdf, box), box
         except _BoundaryZero:
             pad = (1e-6 + attempt * 3e-6) * max(box[1] - box[0], box[3] - box[2], 1e-6)
             box = (box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad)
@@ -296,7 +277,7 @@ def _split_around_cuts(box, cuts):
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.59, 0.41, 0.67, 0.33)
 
 
-def _quadrisect(f, df, box, w):
+def _quadrisect(fdf, box, w):
     """Split a box into four children whose boundaries avoid all roots.
 
     If a subdivision line passes (numerically) through a root, retry with a
@@ -308,7 +289,7 @@ def _quadrisect(f, df, box, w):
         children = [(box[0], xm, box[2], ym), (xm, box[1], box[2], ym),
                     (box[0], xm, ym, box[3]), (xm, box[1], ym, box[3])]
         try:
-            ws = [_winding_number(f, df, child) for child in children]
+            ws = [_winding_number(fdf, child) for child in children]
         except (_BoundaryZero, _WindingFailure):
             continue
         if sum(ws) == w:
@@ -317,59 +298,60 @@ def _quadrisect(f, df, box, w):
         f"could not quadrisect box {box} without pinning a root on the cut lines")
 
 
-def holomorphic_roots(f, df, box, tol=1e-9, cuts=()):
+@np.errstate(all="ignore")   # poles and non-finite values are handled as roots
+def holomorphic_roots(fdf, box, tol=1e-9, cuts=()):
     """Roots of an analytic f inside a rectangle by winding + quadrisection.
 
-    Boxes are quadrisected, at most 60 levels deep, until they hold winding
-    <= 1 (simple root, Newton polished to |f| <= 1e-12) or have diameter
-    < tol (reported as a multiplicity cluster).  Returns (roots,
-    winding_total) where roots is a list of (location, mult).
+    fdf maps an array of points to the arrays (f, f').  Boxes are
+    quadrisected, at most 60 levels deep, until they hold winding <= 1
+    (simple root, Newton polished to |f| <= 1e-12) or have diameter < tol
+    (reported as a multiplicity cluster).  Returns (roots, winding_total)
+    where roots is a list of (location, mult).  A searched box whose winding
+    number cannot be resolved, mostly one with a root on its edge, raises
+    FrontlabError.
     """
-    pieces = _split_around_cuts(tuple(float(b) for b in box), cuts)
-    roots = []
-    winding_total = 0
-
+    box = tuple(float(b) for b in box)
     stack = []
-    for piece in pieces:
+    for piece in _split_around_cuts(box, cuts):
         # only the outermost contour is nudged outward on a boundary hit
-        w, piece = _winding_with_nudge(f, df, piece, cuts)
-        winding_total += w
+        try:
+            w, piece = _winding_with_nudge(fdf, piece, cuts)
+        except _WindingFailure as exc:
+            raise FrontlabError(f"winding number of the searched box {box} not resolved "
+                                f"on the contour {exc}: a root on or near its edge?") from None
         if w:
             stack.append((piece, w, 0))
+    winding_total = sum(w for _piece, w, _depth in stack)
 
+    roots = []
     while stack:
         b, w, depth = stack.pop()
-        diam = math.hypot(b[1] - b[0], b[3] - b[2])
-        if w == 1:
-            root = _newton_polish(f, df, complex(0.5 * (b[0] + b[1]),
-                                                 0.5 * (b[2] + b[3])), b)
-            if root is not None:
-                roots.append((root, 1))
-                continue
-            if diam < tol:
-                roots.append((complex(0.5 * (b[0] + b[1]),
-                                      0.5 * (b[2] + b[3])), 1))
-                continue
-            # Newton left the box (a nearby root's basin); keep subdividing.
-        elif diam < tol:
-            roots.append((complex(0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])), w))
+        center = complex(0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3]))
+        root = _newton_polish(fdf, center, b) if w == 1 else None
+        if root is not None:
+            roots.append((root, 1))
+            continue
+        # Newton left the box (a nearby root's basin) or w > 1: a box below
+        # tol is a cluster, a larger one is subdivided
+        if math.hypot(b[1] - b[0], b[3] - b[2]) < tol:
+            roots.append((center, w))
             continue
         if depth >= 60:
             raise FrontlabError(f"winding {w} not resolved above depth 60 in box {b}")
         try:
-            children = _quadrisect(f, df, b, w)
+            children = _quadrisect(fdf, b, w)
         except FrontlabError:
             # Evaluation noise exceeds |f| on every trial contour: an
             # m-fold cluster cannot be localized more tightly than the
             # noise-floor diameter ~ (eval noise)**(1/m); report it here.
-            roots.append((complex(0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])), w))
+            roots.append((center, w))
             continue
         for child, wc in children:
             stack.append((child, wc, depth + 1))
     return roots, winding_total
 
 
-def _newton_polish(f, df, z, box):
+def _newton_polish(fdf, z, box):
     """Newton iteration confined to (a slightly inflated copy of) the box.
 
     Returns None when the iteration leaves the box or stalls above |f| =
@@ -387,11 +369,8 @@ def _newton_polish(f, df, z, box):
                 and box[2] - slack <= zz.imag <= box[3] + slack)
 
     for _ in range(80):
-        try:
-            fz = f(z)
-            dfz = df(z)
-        except ZeroDivisionError:
-            return None
+        # a non-finite value ends the iteration at the box test below
+        fz, dfz = map(complex, fdf(z))
         if abs(fz) <= newton_tol:
             return z if _accept(z) else None
         if dfz == 0:
@@ -401,7 +380,7 @@ def _newton_polish(f, df, z, box):
         if not (lo_x <= z.real <= hi_x and lo_y <= z.imag <= hi_y):
             return None
         if abs(step) < 1e-17 * max(1.0, abs(z)):
-            return z if _accept(z) and abs(f(z)) <= 1e3 * newton_tol else None
+            return z if _accept(z) and abs(complex(fdf(z)[0])) <= 1e3 * newton_tol else None
     return None
 
 
@@ -410,14 +389,16 @@ def evans_roots(ctx: EvansContext, region) -> RootSet:
 
     The search region is decomposed around the branch cuts (a strip of width
     ~1e-6 around each cut is excluded); the winding total equals the summed
-    multiplicities over the searched area.
+    multiplicities over the searched area.  E0 is conjugate-symmetric, so
+    each pair of roots is made exactly conjugate; the roots are ordered by
+    real part, ties by imaginary part.
     """
     box = tuple(float(b) for b in region)
     if not (box[1] > box[0] and box[3] > box[2]):
         raise FrontlabError(f"degenerate search rectangle {box}")
-    roots, total = holomorphic_roots(
-        lambda z: evans_eval_unchecked(ctx, z),
-        lambda z: evans_derivative(ctx, z),
-        box, cuts=ctx.branch_points)
-    roots = sorted(roots, key=lambda rm: (rm[0].real, rm[0].imag))
+    roots, total = holomorphic_roots(lambda z: evans_pair(ctx, z), box,
+                                     cuts=ctx.branch_points)
+    tidy = conjugate_pairs([z for z, _m in roots])
+    roots = sorted(((complex(z), m) for z, (_z, m) in zip(tidy, roots)),
+                   key=lambda rm: (rm[0].real, rm[0].imag))
     return RootSet(roots=tuple(roots), contour=box, winding_total=total)

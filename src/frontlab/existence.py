@@ -30,28 +30,34 @@ SQRT2 = math.sqrt(2.0)
 ROOT_TOL = 1e-12
 
 
-def v_star(params: SystemParams, c: float) -> np.ndarray:
-    """Plateau values of the slow components behind/ahead of the interface."""
-    tau = np.asarray(params.tau)
-    d = np.asarray(params.d)
+def _slow_axes(params: SystemParams, c):
+    """tau and d shaped (N, 1, ...) to broadcast against c, and c as an array."""
+    c = np.asarray(c, dtype=float)
+    shape = (params.n_slow,) + (1,) * c.ndim
+    return np.reshape(params.tau, shape), np.reshape(params.d, shape), c
+
+
+def v_star(params: SystemParams, c) -> np.ndarray:
+    """Plateau values of the slow components behind/ahead of the interface,
+    shape (N,) + shape of c."""
+    tau, d, c = _slow_axes(params, c)
     return c * tau / np.sqrt(4.0 * d * d + c * c * tau * tau)
 
 
-def v_star_derivative(params: SystemParams, c: float) -> np.ndarray:
-    tau = np.asarray(params.tau)
-    d = np.asarray(params.d)
+def v_star_derivative(params: SystemParams, c) -> np.ndarray:
+    tau, d, c = _slow_axes(params, c)
     g = 4.0 * d * d + c * c * tau * tau
     return 4.0 * d * d * tau / g ** 1.5
 
 
-def gamma0(params: SystemParams, coupling: Coupling, c: float) -> float:
-    """The existence function; total in c."""
+def gamma0(params: SystemParams, coupling: Coupling, c):
+    """The existence function; total in c, a float or an array."""
     return eval_coupling(coupling, v_star(params, c)) - SQRT2 / 3.0 * c
 
 
-def gamma0_derivative(params: SystemParams, coupling: Coupling, c: float) -> float:
+def gamma0_derivative(params: SystemParams, coupling: Coupling, c):
     grad = coupling_gradient(coupling, v_star(params, c))
-    return float(np.dot(grad, v_star_derivative(params, c))) - SQRT2 / 3.0
+    return np.sum(grad * v_star_derivative(params, c), axis=0) - SQRT2 / 3.0
 
 
 def gamma0_taylor(params: SystemParams, coupling: Coupling, order: int) -> PowerSeries:
@@ -137,7 +143,7 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
 
     n = max(int(math.ceil((hi - lo) / scan_step)), 8)
     grid = np.linspace(lo, hi, n + 1)
-    vals = np.array([gamma0(params, coupling, c) for c in grid])
+    vals = gamma0(params, coupling, grid)
 
     roots = []
 
@@ -147,34 +153,28 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
                 return
         roots.append(root)
 
-    for i in range(n):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            _add(a)
-        elif fa * fb < 0.0:
-            root = brentq(lambda c: gamma0(params, coupling, c), a, b,
-                          xtol=ROOT_TOL, rtol=4 * np.finfo(float).eps)
-            _add(_polish_newton(params, coupling, root))
-    if vals[-1] == 0.0:
-        _add(grid[-1])
+    # grid points where Gamma0 vanishes, and cells with a sign change, in order
+    crossing = np.append(vals[:-1] * vals[1:] < 0.0, False)
+    for i in np.nonzero((vals == 0.0) | crossing)[0]:
+        if vals[i] == 0.0:
+            _add(grid[i])
+            continue
+        root = brentq(lambda c: gamma0(params, coupling, c), grid[i], grid[i + 1],
+                      xtol=ROOT_TOL, rtol=4 * np.finfo(float).eps)
+        _add(_polish_newton(params, coupling, root))
 
     # Even-multiplicity roots: interior local minima of |Gamma0| that dip
     # under ROOT_TOL never produce a sign change, so chase them separately.
     absvals = np.abs(vals)
-    for i in range(1, n):
-        if absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]:
-            cand = _polish_newton(params, coupling, grid[i])
-            if abs(gamma0(params, coupling, cand)) <= ROOT_TOL and lo <= cand <= hi:
-                _add(cand)
+    minima = (absvals[1:-1] <= absvals[:-2]) & (absvals[1:-1] <= absvals[2:])
+    for i in 1 + np.nonzero(minima)[0]:
+        cand = _polish_newton(params, coupling, grid[i])
+        if abs(gamma0(params, coupling, cand)) <= ROOT_TOL and lo <= cand <= hi:
+            _add(cand)
 
     roots.sort()
-    if not roots:
-        return RootReport([], (lo, hi),
-                          endpoint_values=(float(vals[0]), float(vals[-1])))
     pairs = [(r, root_multiplicity(params, coupling, r)) for r in roots]
-    return RootReport(pairs, (lo, hi),
-                      endpoint_values=(float(vals[0]), float(vals[-1])))
+    return RootReport(pairs, (lo, hi), endpoint_values=(float(vals[0]), float(vals[-1])))
 
 
 def _polish_newton(params, coupling, x):
@@ -315,35 +315,31 @@ def fold_curves(params: SystemParams, coupling_template: Coupling, plane,
         r = 3.0 * (base.bound() + 2 * mags) + 1.0
         c_range = (-r, r)
     cs = np.linspace(c_range[0], c_range[1], n_c)
+    # Gamma0 is affine in each plane parameter: its coefficient is
+    # F_unit(Vstar(c)), whose c-derivative is grad F_unit . Vstar'(c).
+    # Rows of a: (Gamma0, Gamma0') coefficients; columns: (px, py); last axis: c.
+    vs, dvs = v_star(params, cs), v_star_derivative(params, cs)
+    a = np.array([[eval_coupling(unit, vs) for unit in (unit_x, unit_y)],
+                  [np.sum(coupling_gradient(unit, vs) * dvs, axis=0)
+                   for unit in (unit_x, unit_y)]])
+    rhs = -np.array([gamma0(params, base, cs), gamma0_derivative(params, base, cs)])
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    scale = np.maximum(np.abs(a).max(axis=(0, 1)), 1.0)
+    solvable = np.abs(det) > 1e-12 * scale * scale
+    sol = np.full((n_c, 2), np.nan)
+    sol[solvable] = np.linalg.solve(np.moveaxis(a, -1, 0)[solvable],
+                                    rhs.T[solvable][:, :, None])[:, :, 0]
 
-    branches = []
-    current_pts, current_cs = [], []
-
-    def _flush():
-        nonlocal current_pts, current_cs
-        if len(current_pts) >= 2:
-            branches.append(FoldBranch(tuple(current_pts), tuple(current_cs)))
-        current_pts, current_cs = [], []
-
-    for c in cs:
-        # Gamma0 is affine in each plane parameter: its coefficient is
-        # F_unit(Vstar(c)), whose c-derivative is grad F_unit . Vstar'(c)
-        vs, dvs = v_star(params, c), v_star_derivative(params, c)
-        a = np.array([[eval_coupling(unit, vs) for unit in (unit_x, unit_y)],
-                      [float(np.dot(coupling_gradient(unit, vs), dvs))
-                       for unit in (unit_x, unit_y)]])
-        rhs = -np.array([gamma0(params, base, c),
-                         gamma0_derivative(params, base, c)])
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        scale = max(np.abs(a).max(), 1.0)
-        if abs(det) <= 1e-12 * scale * scale:
-            _flush()
+    # polylines break where the solve degenerates (nan) or leaves the box
+    inside = ((xmin <= sol[:, 0]) & (sol[:, 0] <= xmax)
+              & (ymin <= sol[:, 1]) & (sol[:, 1] <= ymax))
+    branches, run = [], []
+    for k, keep in enumerate(np.append(inside, False)):
+        if keep:
+            run.append(k)
             continue
-        sol = np.linalg.solve(a, rhs)
-        if xmin <= sol[0] <= xmax and ymin <= sol[1] <= ymax:
-            current_pts.append((float(sol[0]), float(sol[1])))
-            current_cs.append(float(c))
-        else:
-            _flush()
-    _flush()
+        if len(run) >= 2:
+            branches.append(FoldBranch(tuple(map(tuple, sol[run].tolist())),
+                                       tuple(cs[run].tolist())))
+        run = []
     return branches

@@ -26,7 +26,8 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import eigs as sparse_eigs
 from scipy.sparse.linalg import splu
 
-from .core_model import Coupling, SystemParams, coupling_gradient, eval_coupling
+from .core_model import (REAL_IMAG_TOL, Coupling, SystemParams, conjugate_pairs,
+                         coupling_gradient, eval_coupling)
 from .errors import ConvergenceError, FrontlabError
 from .existence import front_profile
 from .jordan_chain import ChainProfile
@@ -745,9 +746,9 @@ def linearization_spectrum(solution: FrontSolution, count: int = 8,
         # factorized solves ARPACK relies on.
         gap = state.params.epsilon ** 2 * min(1.0 / t for t in state.params.tau)
         sigma = 0.5 * gap * complex(0.3722, 0.9282)
-        vals = _conjugate_pairs(sparse_eigs(jac.astype(complex), k=count + 6, sigma=sigma,
-                                            return_eigenvectors=False, tol=1e-12,
-                                            v0=np.ones(size)))  # deterministic start
+        vals = conjugate_pairs(sparse_eigs(jac.astype(complex), k=count + 6, sigma=sigma,
+                                           return_eigenvectors=False, tol=1e-12,
+                                           v0=np.ones(size)))  # deterministic start
     else:
         raise FrontlabError(f"unknown eigensolver method {method!r}")
     near = vals[np.lexsort((-vals.imag, np.abs(vals)))[:count]]
@@ -755,20 +756,6 @@ def linearization_spectrum(solution: FrontSolution, count: int = 8,
     return SpectrumReport(eigenvalues=near,
                           translation_eigenvalue=complex(near[np.argmin(np.abs(near))]),
                           method=method)
-
-
-def _conjugate_pairs(vals):
-    """The symmetry of a real operator, which the one-sided complex shift
-    loses at rounding level: near-real values become real, and each pair
-    becomes exactly conjugate."""
-    vals = np.where(np.abs(vals.imag) < 1e-12 * np.maximum(1.0, np.abs(vals)),
-                    vals.real, vals)
-    for i in np.nonzero(vals.imag > 0)[0]:
-        j = int(np.argmin(np.abs(vals - np.conj(vals[i]))))
-        if abs(vals[j] - np.conj(vals[i])) < vals[i].imag:
-            mean = 0.5 * (vals[i] + np.conj(vals[j]))
-            vals[i], vals[j] = mean, np.conj(mean)
-    return vals
 
 
 # -- pseudo-arclength continuation ----------------------------------------------
@@ -784,9 +771,9 @@ class BranchPoint:
 
     @property
     def leading_pair_real(self):
-        # genuine pairs have |Im| at the eps^2-spectral scale; 1e-8 screens
-        # out arithmetic noise on real eigenvalues
-        pairs = [z for z in self.eigenvalues if abs(z.imag) > 1e-8]
+        # genuine pairs have |Im| at the eps^2-spectral scale, far above
+        # the rounding noise on real eigenvalues
+        pairs = [z for z in self.eigenvalues if abs(z.imag) > REAL_IMAG_TOL]
         if not pairs:
             return None
         return max(z.real for z in pairs)

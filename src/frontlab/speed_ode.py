@@ -410,14 +410,7 @@ def _branch_endpoints(nf):
     eq, other, _lam, v_u, _w, _rho = data
     out = []
     for sign in (+1.0, -1.0):
-        y0 = eq.state + sign * SEED_OFFSET * v_u
-
-        def escape(_t, y):
-            return float(np.linalg.norm(y)) - BLOWUP_NORM
-        escape.terminal = True
-        sol = _solve_ivp(lambda _t, y: nf.field_at(y), (0.0, 400.0), y0,
-                         method="DOP853", rtol=1e-8, atol=1e-10, events=escape)
-        yf = sol.y[:, -1]
+        yf = integrate(nf, eq.state + sign * SEED_OFFSET * v_u, 400.0, tol=1e-8).y[:, -1]
         nearest = min((eq, other), key=lambda e: np.linalg.norm(yf - e.state))
         out.append((sign, nearest.c_star))
     return tuple(out)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frontlab import Coupling, SystemParams
+from frontlab.evans import evans_pair
 
 SQRT2 = np.sqrt(2.0)
 
@@ -47,3 +48,12 @@ def hausdorff(a, b):
     d1 = max(min(abs(x - y) for y in b) for x in a)
     d2 = max(min(abs(x - y) for y in a) for x in b)
     return max(d1, d2)
+
+
+def deflated_evans(ctx):
+    """fdf of E0(lambda)/lambda, the translation root removed, for
+    holomorphic_roots: arrays (f, f') at an array of points."""
+    def fdf(z):
+        e0, de0 = evans_pair(ctx, z)
+        return e0 / z, (de0 * z - e0) / z ** 2
+    return fdf

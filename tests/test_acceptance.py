@@ -16,13 +16,13 @@ import frontlab as fl
 from frontlab import Coupling, SystemParams
 from frontlab import pde_sim as ps
 from frontlab.designer import unfolding_polynomial_roots
-from frontlab.evans import evans_derivative, evans_eval_unchecked, holomorphic_roots
+from frontlab.evans import holomorphic_roots
 from frontlab.jordan_chain import (jordan_coeffs_closed, jordan_coeffs_recurrence,
                                    jordan_poly, verify_chain_ode)
 from frontlab.speed_ode import ScaledNF, _shoot_once, equilibria_and_classification, shilnikov_shoot
 from frontlab.verify import reference_parameter_sets
 
-from conftest import hausdorff
+from conftest import deflated_evans, hausdorff
 from test_designer import random_node_sets
 
 SQRT2 = math.sqrt(2.0)
@@ -36,14 +36,7 @@ def report(number, ok, name, detail):
 def evans_small_roots(params, coupling, radius):
     """Roots of E0/lambda (translation removed) in a square of given radius."""
     ctx = fl.evans_context(params, coupling, 0.0)
-
-    def f(z):
-        return evans_eval_unchecked(ctx, z) / z
-
-    def df(z):
-        return (evans_derivative(ctx, z) * z - evans_eval_unchecked(ctx, z)) / z ** 2
-
-    roots, _ = holomorphic_roots(f, df, (-radius, radius, -radius, radius),
+    roots, _ = holomorphic_roots(deflated_evans(ctx), (-radius, radius, -radius, radius),
                                  tol=1e-10, cuts=ctx.branch_points)
     return [z for z, m in roots for _ in range(m)]
 

@@ -88,6 +88,18 @@ class TestDispatch:
         assert rc == 1
         assert "coupling parameter 'alpha0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("box", ["-0.05,0.05,0,0.05", "-0.5,0.5,0,0.5"])
+    def test_unresolved_winding_exit_1(self, n3_config, tmp_path, capsys, box):
+        # E0 has its fourfold root at 0 on the box's bottom edge
+        argv = ["--config", n3_config, "--output-dir", str(tmp_path), "evans", f"--roots={box}"]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: winding number of the searched box")
+        assert dispatch(argv[:4] + ["--json-errors"] + argv[4:]) == 1
+        obj = json.loads(capsys.readouterr().err)
+        assert obj["error"] == "FrontlabError"
+        assert f"searched box ({', '.join(str(float(b)) for b in box.split(','))})" in obj["message"]
+
     def test_missing_config(self, capsys):
         assert dispatch(["gamma", "--roots"]) == 1
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams,
                       coupling_gradient, double_factorial, eval_coupling,
                       series_vstar)
-from frontlab.core_model import binomial_series, model_from_dict, model_to_dict
+from frontlab.core_model import (PAIR_TOL, REAL_IMAG_TOL, binomial_series, conjugate_pairs,
+                                 model_from_dict, model_to_dict)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -300,3 +301,33 @@ def test_config_round_trip(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(FrontlabError):
         model_from_dict({"epsilon": 0.1, "tau": [1.0], "d": [1.0], "bogus": 1})
+
+
+def test_conjugate_pairs_tidies_a_perturbed_pair():
+    # a pair perturbed at rounding level becomes exact around its mean; a
+    # lone value next to the real axis becomes real, a lone value off it
+    # (or a real one) stays as it is
+    pair = (0.03 + 0.4j) * (1 + 3e-15), (0.03 - 0.4j) * (1 - 2e-15)
+    near_real = -0.05 + 0.5j * REAL_IMAG_TOL
+    vals = conjugate_pairs([pair[1], 0.7, near_real, pair[0], 0.2 + 1e-3j])
+    assert vals[3] == 0.5 * (pair[0] + np.conj(pair[1]))
+    assert vals[0] == np.conj(vals[3])
+    assert vals[2] == -0.05 and vals[2].imag == 0.0
+    assert vals[1] == 0.7 and vals[4] == 0.2 + 1e-3j
+    assert conjugate_pairs([]).shape == (0,)
+
+
+def test_conjugate_pairs_leaves_a_lone_value_next_to_a_distinct_pair():
+    # 0.2 + 0.3j has its partner outside the set: the nearest lower value
+    # to its conjugate, 0.2 - 0.05j, is 0.25 away, a distinct root and not
+    # rounding, so neither it nor the exact pair 0.2 +- 0.05j moves
+    vals = [0.2 + 0.3j, 0.2 + 0.05j, 0.2 - 0.05j]
+    for order in (vals, vals[::-1], [vals[1], vals[0], vals[2]]):
+        assert list(conjugate_pairs(order)) == order
+    # a lower value just outside PAIR_TOL of an upper one's conjugate is not
+    # its partner, just inside it is
+    z = 0.4 + 0.3j
+    far = conjugate_pairs([z, np.conj(z) + 2 * PAIR_TOL])
+    assert list(far) == [z, np.conj(z) + 2 * PAIR_TOL]
+    near = conjugate_pairs([z, np.conj(z) + 0.5 * PAIR_TOL])
+    assert near[1] == np.conj(near[0]) and abs(near[0] - z) < PAIR_TOL

@@ -10,7 +10,7 @@ from frontlab import (Coupling, DesignError, DistinctnessError, SystemParams,
                       imprint_scalar_singularity, linear_unfolding_map,
                       vandermonde_solve)
 from frontlab.designer import unfolding_polynomial_roots
-from conftest import hausdorff
+from conftest import deflated_evans, hausdorff
 
 SQRT2 = math.sqrt(2.0)
 
@@ -253,7 +253,7 @@ class TestLinearUnfoldingMap:
             linear_unfolding_map(p, np.array([0.2, 0.0, 0.0]))
 
     def test_root_prediction_hausdorff(self):
-        from frontlab.evans import evans_derivative, evans_eval_unchecked, holomorphic_roots
+        from frontlab.evans import holomorphic_roots
         p = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
         base = design_evans_degeneracy(p)
         rng = np.random.default_rng(7)
@@ -264,15 +264,8 @@ class TestLinearUnfoldingMap:
             abar = linear_unfolding_map(p, delta)
             pred = unfolding_polynomial_roots(abar)
             ctx = evans_context(p, Coupling(0.0, tuple(base + delta), (0.0,) * 3), 0.0)
-
-            def f(z):
-                return evans_eval_unchecked(ctx, z) / z
-
-            def df(z):
-                return (evans_derivative(ctx, z) * z - evans_eval_unchecked(ctx, z)) / z ** 2
-
             r = 3.0 * max(float(np.max(np.abs(pred))), 1e-4)
-            roots, _ = holomorphic_roots(f, df, (-r, r, -r, r), tol=1e-10,
+            roots, _ = holomorphic_roots(deflated_evans(ctx), (-r, r, -r, r), tol=1e-10,
                                          cuts=ctx.branch_points)
             found = [z for z, m in roots for _ in range(m)]
             assert hausdorff(pred, found) <= 10 * float(np.dot(delta, delta))

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from frontlab import (BranchCutError, Coupling, FrontlabError, SystemParams,
                       essential_spectrum_bound, evans_context, evans_eval,
                       evans_root_bound, evans_roots, evans_taylor_c0)
-from frontlab.evans import evans_derivative, evans_eval_unchecked
+from frontlab.evans import evans_eval_unchecked, evans_pair, holomorphic_roots
 
 SQRT2 = math.sqrt(2.0)
 
@@ -87,7 +87,40 @@ class TestEvansEval:
         for lam in (0.2 + 0.1j, -0.05 + 0.4j, 1.5):
             h = 1e-6
             fd = (evans_eval_unchecked(ctx, lam + h) - evans_eval_unchecked(ctx, lam - h)) / (2 * h)
-            assert abs(evans_derivative(ctx, lam) - fd) < 1e-7
+            assert abs(evans_pair(ctx, lam)[1] - fd) < 1e-7
+
+    def test_matches_written_out_loop(self):
+        # the scalar cmath loop of E0 and E0' is the reference; numpy's complex
+        # division and power round differently, so agreement is to a few ulps
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            n = int(rng.integers(1, 4))
+            p = SystemParams(epsilon=0.1, tau=tuple(rng.uniform(0.5, 3, n)),
+                             d=tuple(rng.uniform(0.5, 3, n)))
+            c = Coupling(0.0, tuple(rng.uniform(-3, 3, n)), tuple(rng.uniform(-1, 1, n)))
+            ctx = evans_context(p, c, rng.uniform(-1, 1))
+            lam = rng.uniform(-0.2, 2, 8) + 1j * rng.uniform(-2, 2, 8)
+            e0, de0 = evans_pair(ctx, lam)
+            for z, a, b in zip(lam.tolist(), e0, de0):
+                want, dwant = z, 1.0
+                for tau, d, g in zip(p.tau, p.d, ctx.grad):
+                    arg = ctx.c ** 2 * tau ** 2 + 4.0 * d * d * (tau * z + 1.0)
+                    want += 3 * SQRT2 * g * (1 / cmath.sqrt(arg)
+                                             - 1 / math.sqrt(ctx.c ** 2 * tau ** 2 + 4 * d * d))
+                    dwant += 3 * SQRT2 * g * (-2.0 * d * d * tau) * arg ** -1.5
+                assert abs(a - want) <= 1e-14 * (abs(z) + 10 * sum(map(abs, ctx.grad)))
+                assert abs(b - dwant) <= 1e-14 * (1 + 10 * sum(map(abs, ctx.grad)))
+
+    def test_array_form_equals_scalar_view(self, transcritical_set):
+        # one evaluator: on an array, E0 and E0' are the scalar values bit for bit
+        params, coupling = transcritical_set
+        ctx = evans_context(params, coupling, 0.3)
+        lam = np.array([[0.2 + 0.1j, -0.05 + 0.4j], [1.5, 3.0 - 2.0j]])
+        e0, de0 = evans_pair(ctx, lam)
+        assert e0.shape == de0.shape == lam.shape
+        for z, a, b in zip(lam.ravel().tolist(), e0.ravel(), de0.ravel()):
+            assert a == evans_eval_unchecked(ctx, z) == evans_eval(ctx, z)
+            assert b == evans_pair(ctx, z)[1]
 
 
 class TestEvansTaylor:
@@ -231,30 +264,112 @@ class TestEvansRoots:
 
     def test_contour_samples_evaluate_derivative_once(self, transcritical_set,
                                                       monkeypatch):
-        # the criterion-2 box: every contour sample carries f and f' once
+        # the criterion-2 box: within one winding number every contour
+        # sample is evaluated once, E0 and E0' together
         from frontlab import evans
         params, coupling = transcritical_set
-        calls = {"f": 0, "df": 0}
+        pair, winding = evans.evans_pair, evans._winding_number
+        points, counts = [], []
 
-        def counting(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
+        def counted_pair(ctx, lam):
+            points.append(np.atleast_1d(lam))
+            return pair(ctx, lam)
 
-        monkeypatch.setattr(evans, "evans_eval_unchecked",
-                            counting("f", evans.evans_eval_unchecked))
-        monkeypatch.setattr(evans, "evans_derivative",
-                            counting("df", evans.evans_derivative))
+        def counted_winding(fdf, box):
+            points.clear()
+            w = winding(fdf, box)
+            lam = np.concatenate(points)
+            assert len(np.unique(lam)) == len(lam)
+            counts.append(len(lam))
+            return w
+
+        monkeypatch.setattr(evans, "evans_pair", counted_pair)
+        monkeypatch.setattr(evans, "_winding_number", counted_winding)
         rs = evans_roots(evans_context(params, coupling, 0.0),
                          (-0.05, 0.05, -0.05, 0.05))
         assert rs.winding_total == 4
-        assert 0 < calls["df"] <= calls["f"]
+        assert counts and min(counts) >= 4 * evans._EDGE_SAMPLES
+
+    def test_root_pairs_are_canonical(self):
+        # a last-bit change of the coupling must not reorder a conjugate
+        # pair: each pair is exact and ordered -Im first, and a root without
+        # a partner next to the real axis is real
+        p = SystemParams(epsilon=0.1, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
+        from frontlab import design_evans_degeneracy
+        alpha = design_evans_degeneracy(p) + np.array([2e-3, -1e-3, 5e-4])
+        layouts = set()
+        for factor in (1.0, 1.0 + 2.2e-16, 1.0 - 2.2e-16):
+            ctx = evans_context(p, Coupling(0.0, tuple(alpha * factor), (0.0,) * 3), 0.0)
+            locs = evans_roots(ctx, (-0.3, 0.3, -0.3, 0.3)).locations
+            assert any(z.imag for z in locs)
+            for k, z in enumerate(locs):
+                if z.imag < 0:
+                    assert locs[k + 1] == z.conjugate()
+            layouts.add(tuple(np.sign([z.imag for z in locs])))
+        assert len(layouts) == 1
+
+    def test_box_not_symmetric_about_the_real_axis(self):
+        # (-0.3, 0.3, -0.03, 0.3) holds the upper member of the pair near
+        # -0.041 +- 0.056i but not its partner: that root is returned as
+        # found, not paired with another root, and the real roots stay real
+        p = SystemParams(epsilon=0.1, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
+        from frontlab import design_evans_degeneracy
+        alpha = design_evans_degeneracy(p) + np.array([2e-3, -1e-3, 5e-4])
+        ctx = evans_context(p, Coupling(0.0, tuple(alpha), (0.0,) * 3), 0.0)
+        full = evans_roots(ctx, (-0.3, 0.3, -0.3, 0.3)).locations
+        upper = evans_roots(ctx, (-0.3, 0.3, -0.03, 0.3)).locations
+        assert len(full) == 4 and len(upper) == 3
+        for z, w in zip(upper, full[1:]):
+            assert abs(z - w) <= 1e-10
+        assert upper[0].imag > 0.05 and upper[1].imag == upper[2].imag == 0.0
+
+    def test_winding_failure_is_a_frontlab_error(self, transcritical_set):
+        # E0 has a fourfold root at 0, so a box with its edge on the real
+        # axis through 0 cannot be resolved; the error names the box
+        params, coupling = transcritical_set
+        ctx = evans_context(params, coupling, 0.0)
+        for box in ((-0.05, 0.05, 0.0, 0.05), (-0.5, 0.5, 0.0, 0.5)):
+            with pytest.raises(FrontlabError, match="searched box") as info:
+                evans_roots(ctx, box)
+            assert str(box) in str(info.value)
 
     def test_degenerate_region_rejected(self, one_slow):
         c = Coupling(0.0, (1.0,), (0.0,))
         with pytest.raises(FrontlabError):
             evans_roots(evans_context(one_slow, c, 0.0), (1.0, -1.0, -1.0, 1.0))
+
+
+def planted_polynomial(roots):
+    """fdf of prod (z - r)^m in product form, exact to rounding near each root."""
+    def fdf(z):
+        factors = [(z - r) ** m for r, m in roots]
+        f = np.prod(factors, axis=0)
+        df = sum(m * (z - r) ** (m - 1)
+                 * np.prod([g for j, g in enumerate(factors) if j != k], axis=0)
+                 for k, (r, m) in enumerate(roots))
+        return f, df
+    return fdf
+
+
+class TestHolomorphicRoots:
+    def test_planted_polynomial_roots(self):
+        # one root 1e-9 inside the right edge, a conjugate pair, a double root
+        planted = [(1.0 - 1e-9 + 0.3j, 1), (0.3 + 0.2j, 1), (0.3 - 0.2j, 1),
+                   (-0.4 + 0.1j, 2), (-0.7 - 0.6j, 1)]
+        roots, total = holomorphic_roots(planted_polynomial(planted), (-1.0, 1.0, -1.0, 1.0),
+                                         tol=1e-10)
+        assert total == 6
+        assert sorted(m for _z, m in roots) == [1, 1, 1, 1, 2]
+        for r, m in planted:
+            z, mult = min(roots, key=lambda zm: abs(zm[0] - r))
+            assert mult == m
+            assert abs(z - r) <= (1e-12 if m == 1 else 1e-10)
+
+    def test_root_outside_the_box_is_not_counted(self):
+        fdf = planted_polynomial([(1.0 + 1e-9 + 0.3j, 1), (0.1j, 1)])
+        roots, total = holomorphic_roots(fdf, (-1.0, 1.0, -1.0, 1.0))
+        assert total == 1
+        assert abs(roots[0][0] - 0.1j) <= 1e-12
 
 
 class TestEssentialSpectrumBound:

@@ -63,6 +63,34 @@ class TestGamma0:
             assert gamma0_derivative(params, coupling, c) == pytest.approx(fd, abs=1e-8)
 
 
+    def test_array_form_equals_scalar_loop(self):
+        # one evaluator: Gamma0 over an array of c is the written-out scalar
+        # loop bit for bit (the same float operations), on the reference
+        # sets and on random N = 1 sets with a univariate tail; Gamma0' over
+        # an array is its own scalar view
+        from conftest import reference_sets
+        sets = [(p, c) for _name, p, c, _orders in reference_sets()]
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            sets.append((SystemParams(epsilon=0.05, tau=(rng.uniform(0.3, 3),),
+                                      d=(rng.uniform(0.3, 3),)),
+                         Coupling(rng.uniform(-1, 1), (rng.uniform(-3, 3),),
+                                  (rng.uniform(-2, 2),),
+                                  tuple(rng.uniform(-2, 2, int(rng.integers(0, 5)))))))
+        cs = np.linspace(-4.0, 4.0, 161)
+        for params, coupling in sets:
+            vals = gamma0(params, coupling, cs)
+            assert vals.shape == cs.shape
+            loop = [coupling([c * t / math.sqrt(4.0 * d * d + c * c * t * t)
+                              for t, d in zip(params.tau, params.d)]) - SQRT2 / 3.0 * c
+                    for c in cs.tolist()]
+            assert np.array_equal(vals, loop)
+            assert np.array_equal(vals, [gamma0(params, coupling, c) for c in cs.tolist()])
+            slopes = gamma0_derivative(params, coupling, cs)
+            assert np.array_equal(slopes,
+                                  [gamma0_derivative(params, coupling, c) for c in cs.tolist()])
+            assert v_star(params, cs[:, None]).shape == (params.n_slow, cs.size, 1)
+
 class TestGamma0Roots:
     def test_zero_coupling(self):
         p = SystemParams(epsilon=0.1, tau=(1.0,), d=(1.0,))

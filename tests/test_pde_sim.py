@@ -12,6 +12,8 @@ from frontlab import Coupling, FrontlabError, SystemParams
 from frontlab import pde_sim as ps
 from frontlab.jordan_chain import eigenfunction_c0
 
+from conftest import deflated_evans
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -726,8 +728,7 @@ class TestSpectrum:
         # the gap is first order with constant amplified by 1/|E0'(root)| --
         # the reason criterion 5 cannot meet 15% at eps = 0.05 for the
         # near-degenerate ratios.)
-        from frontlab.evans import (evans_derivative, evans_eval_unchecked,
-                                    holomorphic_roots)
+        from frontlab.evans import holomorphic_roots
         epss = (0.1, 0.05, 0.025)
         for frac in (0.8, 0.9, 1.1):
             coup = Coupling(0.0, (frac * 2 * SQRT2 / 3,), (0.0,))
@@ -741,11 +742,8 @@ class TestSpectrum:
                 scaled.append(spec.nontrivial()[0].real / eps ** 2)
             ctx = fl.evans_context(SystemParams(epsilon=0.05, tau=(1.0,), d=(1.0,)),
                                    coup, 0.0)
-            roots, _ = holomorphic_roots(
-                lambda z: evans_eval_unchecked(ctx, z) / z,
-                lambda z: (evans_derivative(ctx, z) * z
-                           - evans_eval_unchecked(ctx, z)) / z ** 2,
-                (-0.6, 0.6, -0.3, 0.3), tol=1e-10, cuts=ctx.branch_points)
+            roots, _ = holomorphic_roots(deflated_evans(ctx), (-0.6, 0.6, -0.3, 0.3),
+                                         tol=1e-10, cuts=ctx.branch_points)
             target = max((z.real for z in (r for r, _m in roots)), key=abs)
             # linear-in-eps extrapolation from the two finest runs
             slope = (scaled[1] - scaled[2]) / (epss[1] - epss[2])
@@ -788,6 +786,18 @@ class TestSpectrum:
                 assert eigs[i + 1] == np.conj(eigs[i])
             signs.add(tuple(np.sign(eigs.imag)))
         assert len(signs) == 1
+
+    def test_unpaired_noise_is_real(self):
+        # an N = 1 cubic travelling front whose ill-conditioned essential-band
+        # eigenvalues come back from ARPACK with |Im| ~ 1e-12 and no partner:
+        # they are real (the dense reference returns them real)
+        params = SystemParams(epsilon=0.2, tau=(1.0,), d=(1.0,))
+        coup = Coupling(0.05, (1.45,), (0.0,), higher=(-1.0,))
+        sol = ps.solve_travelling_front(params, coup, guess_c=-1.1774,
+                                        grid=ps.make_grid(20.0, 401, params.epsilon))
+        eigs = ps.linearization_spectrum(sol, count=8).eigenvalues
+        assert np.all(eigs.imag == 0.0)
+        assert np.all(np.diff(eigs.real) < 0)
 
     def test_arpack_size_limits(self):
         params = SystemParams(epsilon=0.2, tau=(1.0,), d=(1.0,))

@@ -61,8 +61,13 @@ class TestStructure:
 _coef = st.floats(-2.0, 2.0, allow_nan=False)
 
 # |computed - written-out| <= ROW_RTOL * (sum of the written-out terms' sizes):
-# a few roundings of at most 2^-53 each, whatever the summation order
+# a few roundings of at most 2^-53 each, whatever the summation order.  A
+# rounding to a subnormal result errs by up to half the smallest subnormal,
+# not 2^-53 relative, so the bound has a floor of one smallest subnormal per
+# rounding: both sides round at most two products and one sum per term, and
+# the scale.
 ROW_RTOL = 1e-14
+SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def _speed_ode_rows(ode, c):
@@ -90,7 +95,22 @@ def _scaled_nf_rows(nf, z):
 
 
 def _close(got, scale, terms):
-    return abs(got - scale * sum(terms)) <= ROW_RTOL * scale * sum(abs(t) for t in terms)
+    roundings = 2 * (3 * len(terms) + 1)
+    return (abs(got - scale * sum(terms))
+            <= ROW_RTOL * scale * sum(abs(t) for t in terms) + roundings * SUBNORMAL)
+
+
+def test_close_floor_covers_subnormal_roundings_only():
+    # the case hypothesis shrinks to without the floor: a11 z + z a11 against
+    # the written-out 2 a11 z, both subnormal and one rounding apart
+    a11, z = 8.575e-300, 2.6468e-18
+    assert a11 * z + z * a11 != 2.0 * a11 * z
+    assert _close(a11 * z + z * a11, 1.0, [0.0, 2.0 * a11 * z])
+    assert not _close(2.0 * a11 * z + 20 * SUBNORMAL, 1.0, [0.0, 2.0 * a11 * z])
+    # in the normal range the bound is ROW_RTOL of the term sizes (7.5e-15
+    # here) and the floor adds nothing to it
+    assert _close(0.75 + 7e-15, 1.0, [0.5, 0.25])
+    assert not _close(0.75 + 8e-15, 1.0, [0.5, 0.25])
 
 
 @st.composite
