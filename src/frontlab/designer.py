@@ -69,15 +69,14 @@ def _warn_conditioning(nodes, what):
                       stacklevel=3)
 
 
-def design_evans_degeneracy(params: SystemParams, ell: int | None = None,
-                            alpha_tail=None) -> np.ndarray:
+def design_evans_degeneracy(params: SystemParams, ell: int | None = None) -> np.ndarray:
     """Linear coefficients giving a zero Evans root of multiplicity ell+1.
 
-    For ell = N the closed form is
-        alpha_j = (2 sqrt(2) d_j / (3 tau_j)) prod_{k != j} tau_k/(tau_k - tau_j).
-    For ell < N the system is underdetermined: alpha_{ell+1..N} are pinned at
-    `alpha_tail` (default: the ell = N values) and the first ell conditions
-    are solved for alpha_{1..ell}.
+    The closed form, for every ell = 1..N, is
+        alpha_j = (2 sqrt(2) d_j / (3 tau_j)) prod_{k <= ell, k != j} tau_k/(tau_k - tau_j)
+    for j <= ell, and alpha_j = 0 for j > ell.  For ell < N the E0
+    coefficient of order ell+1 is then a nonzero multiple of
+    tau_1 ... tau_ell, so the multiplicity is exactly ell+1.
     """
     n = params.n_slow
     if ell is None:
@@ -88,26 +87,14 @@ def design_evans_degeneracy(params: SystemParams, ell: int | None = None,
             f"the maximum is N+1 = {n + 1}")
     if not params.pairwise_distinct_tau:
         raise DistinctnessError("tau values must be pairwise distinct")
-    tau = np.asarray(params.tau)
-    d = np.asarray(params.d)
+    tau = np.asarray(params.tau)[:ell]
+    d = np.asarray(params.d)[:ell]
     _warn_conditioning(tau, "design_evans_degeneracy")
     # Conditions: sum_j alpha_j tau_j^k / d_j = (2 sqrt(2)/3) delta_{k,1},
-    # k = 1..ell; a generalized Vandermonde system in alpha_j / d_j.
-    full = d * vandermonde_solve(tau, 2.0 * SQRT2 / 3.0) / tau
-    if ell == n:
-        return full
-    tail = np.asarray(alpha_tail, dtype=float) if alpha_tail is not None \
-        else full[ell:]
-    if tail.shape != (n - ell,):
-        raise DesignError(f"alpha_tail must have {n - ell} entries")
-    rhs = np.zeros(ell)
-    rhs[0] = 2.0 * SQRT2 / 3.0
-    m_head = np.array([[tau[j] ** k / d[j] for j in range(ell)]
-                       for k in range(1, ell + 1)])
-    m_tail = np.array([[tau[j] ** k / d[j] for j in range(ell, n)]
-                       for k in range(1, ell + 1)])
-    head = np.linalg.solve(m_head, rhs - m_tail @ tail)
-    return np.concatenate([head, tail])
+    # k = 1..ell; a Vandermonde system in alpha_j tau_j / d_j.
+    alpha = np.zeros(n)
+    alpha[:ell] = d * vandermonde_solve(tau, 2.0 * SQRT2 / 3.0) / tau
+    return alpha
 
 
 def _odd_condition_matrix(params, rows, cols):

@@ -83,11 +83,6 @@ def evans_eval(ctx: EvansContext, lam: complex) -> complex:
     if abs(lam.imag) <= CUT_CLEARANCE and any(lam.real <= bp + CUT_CLEARANCE
                                               for bp in ctx.branch_points):
         raise BranchCutError(f"lambda = {lam} is within {CUT_CLEARANCE} of a branch cut")
-    return evans_eval_unchecked(ctx, lam)
-
-
-def evans_eval_unchecked(ctx: EvansContext, lam: complex) -> complex:
-    """E0 without the cut-proximity guard."""
     return complex(evans_pair(ctx, lam)[0])
 
 

@@ -124,13 +124,13 @@ def default_search_radius(coupling: Coupling) -> float:
     return 3.0 * coupling.bound() + 1.0
 
 
-def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
-                 scan_step: float = 0.05):
+def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None):
     """All roots of Gamma0 in the interval, with multiplicity estimates.
 
-    Sign changes on a scan grid are refined by bisection (brentq); local
-    minima of |Gamma0| below ROOT_TOL catch even-multiplicity roots.  Output
-    is sorted ascending as (root, multiplicity) pairs.
+    Sign changes on a scan grid of step 0.05 (at least 8 cells) are refined
+    by bisection (brentq); local minima of |Gamma0| below ROOT_TOL catch
+    even-multiplicity roots.  Output is sorted ascending as (root,
+    multiplicity) pairs.
     """
     if interval is None:
         r = default_search_radius(coupling)
@@ -141,7 +141,7 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None,
     # imported here: scipy.optimize would add ~0.25 s to every `import frontlab`
     from scipy.optimize import brentq
 
-    n = max(int(math.ceil((hi - lo) / scan_step)), 8)
+    n = max(int(math.ceil((hi - lo) / 0.05)), 8)
     grid = np.linspace(lo, hi, n + 1)
     vals = gamma0(params, coupling, grid)
 

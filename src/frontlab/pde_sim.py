@@ -5,11 +5,10 @@ discretized system, `_FrontSystem`, holds the (N+1, n_x) layout, the
 Neumann stencils, the per-row diffusion, advection and mass coefficients
 and the reaction rows, and every solver runs on it: IMEX time stepping
 (implicit diffusion by a symmetric LDL^T tridiagonal solve, explicit
-reaction, optional Strang splitting) with freezing-based speed extraction,
-damped Newton solvers for stationary and travelling fronts with a phase
-condition, pseudo-arclength continuation with fold/Hopf detection, and
-linearization spectra for cross-validation against the Evans-function
-predictions.
+reaction) with freezing-based speed extraction, damped Newton solvers for
+stationary and travelling fronts with a phase condition, pseudo-arclength
+continuation with fold/Hopf detection, and linearization spectra for
+cross-validation against the Evans-function predictions.
 """
 
 from __future__ import annotations
@@ -143,8 +142,8 @@ def default_dt(params: SystemParams) -> float:
     return 1e-2 * min(1.0, min(params.tau))
 
 
-def step(state: PdeState, dt: float, strang: bool = False) -> PdeState:
-    """Advance one IMEX step (first order; `strang` enables second order).
+def step(state: PdeState, dt: float) -> PdeState:
+    """Advance one first-order IMEX step.
 
     Diffusion is implicit, each row solved with the LDL^T factors of its
     trapezoid-weighted symmetric matrix; reactions are explicit; steps
@@ -153,7 +152,7 @@ def step(state: PdeState, dt: float, strang: bool = False) -> PdeState:
     if dt <= 0:
         raise FrontlabError("dt must be positive")
     system = _FrontSystem(state.params, state.coupling, state.grid)
-    x, t = system.advance(system.flat(state), state.t, dt, strang)
+    x, t = system.advance(system.flat(state), state.t, dt)
     return system.state(x, t)
 
 
@@ -490,8 +489,8 @@ class _FrontSystem:
     # -- time stepping on the flat vector
 
     def _implicit(self, scale):
-        """k = scale diffusion_k / mass_k per row and the LDL^T factors of
-        the block-diagonal W (I - k D2) on the flat vector; the last pair is
+        """The LDL^T factors of the block-diagonal W (I - k D2) on the flat
+        vector, k = scale diffusion_k / mass_k per row; the last pair is
         kept.  Under W = diag(1/2, 1, ..., 1, 1/2) the ghost mirrors' 2/h^2
         halve to the interior -k/h^2 off-diagonal, so every row's matrix is
         symmetric; rows meet with a zero off-diagonal."""
@@ -507,39 +506,24 @@ class _FrontSystem:
             if info != 0:
                 raise FrontlabError(
                     f"implicit diffusion matrix is not positive definite (scale {scale})")
-            cached = self._layouts["implicit"] = (scale, k, (d, e))
-        return cached[1:]
+            cached = self._layouts["implicit"] = (scale, (d, e))
+        return cached[1]
 
-    def _rate(self, X):
-        return self.reaction(X, np.zeros_like(X)) / self.mass[:, None]
-
-    def _heun(self, X, step_len):
-        r1 = self._rate(X)
-        r2 = self._rate(X + step_len * r1)
-        return X + 0.5 * step_len * (r1 + r2)
-
-    def advance(self, x, t, dt, strang=False):
+    def advance(self, x, t, dt):
         """March the flat fields x from time t by dt; returns (x, t).  First
-        order: explicit reaction, then implicit diffusion; `strang`: Heun
-        reaction half steps around a Crank-Nicolson diffusion step.  The
-        diffusion solve weights the right-hand side like `_implicit`'s
-        matrix, halving each row's end values.  Steps above the
-        explicit-reaction bound are split into equal substeps."""
+        order: explicit reaction, then implicit diffusion.  The diffusion
+        solve weights the right-hand side like `_implicit`'s matrix, halving
+        each row's end values.  Steps above the explicit-reaction bound are
+        split into equal substeps."""
         n_sub = max(1, int(math.ceil(dt / stable_reaction_dt(self.params))))
         sub = dt / n_sub
-        half = 0.5 * sub
-        k, factors = self._implicit(half if strang else sub)
+        factors = self._implicit(sub)
         X = self._rows(x)
         for _ in range(n_sub):
-            if strang:
-                X = self._heun(X, half)
-                rhs = X + k * _apply_rows(X, *self.d2_bands)
-            else:
-                rhs = X + sub * self._rate(X)
+            rate = self.reaction(X, np.zeros_like(X)) / self.mass[:, None]
+            rhs = X + sub * rate
             rhs[:, [0, -1]] *= 0.5
             X = self._rows(dpttrs(*factors, rhs.ravel(), overwrite_b=1)[0])
-            if strang:
-                X = self._heun(X, half)
             t = t + sub
         return X.ravel(), t
 
@@ -717,30 +701,26 @@ class SpectrumReport:
         return np.delete(self.eigenvalues, int(np.argmin(np.abs(self.eigenvalues))))
 
 
-def linearization_spectrum(solution: FrontSolution, count: int = 8,
-                           method: str = "auto") -> SpectrumReport:
+def linearization_spectrum(solution: FrontSolution, count: int = 8) -> SpectrumReport:
     """The `count` eigenvalues of the discrete linearization nearest zero.
 
-    `sparse` is shift-invert Arnoldi (ARPACK) near the origin and needs
-    count + 6 < size - 1; `dense` computes the whole spectrum, the
-    reference.  `auto` is `sparse` wherever ARPACK can run, else `dense`.
-    Conjugate pairs are exact and the order (real part descending, ties by
-    imaginary part descending) does not follow rounding.  The eigenvalue
-    nearest zero is tagged as the translation mode.
+    Shift-invert Arnoldi (ARPACK) near the origin, `method` "sparse",
+    wherever ARPACK can run (count + 6 < size - 1); else the whole spectrum
+    of the dense matrix, "dense".  Conjugate pairs are exact and the order
+    (real part descending, ties by imaginary part descending) does not
+    follow rounding.  The eigenvalue nearest zero is tagged as the
+    translation mode.
     """
     state = solution.state
     system = _FrontSystem(state.params, state.coupling, state.grid)
     jac = system.dynamic_jacobian(system.flat(state), solution.c)
     size = jac.shape[0]
-    arpack_ok = count + 6 < size - 1
-    if method == "auto":
-        method = "sparse" if arpack_ok else "dense"
-    if count < 1 or (method == "sparse" and not arpack_ok):
-        raise FrontlabError(f"{method} spectrum needs count >= 1 (sparse: count + 6 < "
-                            f"size - 1), got count={count}, size={size}")
+    if count < 1:
+        raise FrontlabError(f"spectrum needs count >= 1, got count={count}")
+    method = "sparse" if count + 6 < size - 1 else "dense"
     if method == "dense":
         vals = np.linalg.eigvals(jac.toarray())
-    elif method == "sparse":
+    else:
         # Shift off the real axis at the essential-gap scale: sigma = 0 sits
         # on the (near-singular) translation eigenvalue and poisons the
         # factorized solves ARPACK relies on.
@@ -749,8 +729,6 @@ def linearization_spectrum(solution: FrontSolution, count: int = 8,
         vals = conjugate_pairs(sparse_eigs(jac.astype(complex), k=count + 6, sigma=sigma,
                                            return_eigenvectors=False, tol=1e-12,
                                            v0=np.ones(size)))  # deterministic start
-    else:
-        raise FrontlabError(f"unknown eigensolver method {method!r}")
     near = vals[np.lexsort((-vals.imag, np.abs(vals)))[:count]]
     near = near[np.lexsort((-near.imag, -near.real))]
     return SpectrumReport(eigenvalues=near,

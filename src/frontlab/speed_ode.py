@@ -135,8 +135,7 @@ class ScaledNF(_CompanionForm):
         self._set_form(self.nu0, self.nu, q, 1.0)
 
     @classmethod
-    def shilnikov(cls, lam_bar, mu_bar, nu_bar, a11, a12=0.0, delta=0.0,
-                  normalize=False):
+    def shilnikov(cls, lam_bar, mu_bar, nu_bar, a11, normalize=False):
         """Three-dimensional form with (lambda_bar, mu_bar, nu_bar) data."""
         if normalize:
             norm = math.sqrt(lam_bar ** 2 + mu_bar ** 2 + nu_bar ** 2)
@@ -146,8 +145,7 @@ class ScaledNF(_CompanionForm):
             check = math.sqrt(lam_bar ** 2 + mu_bar ** 2 + nu_bar ** 2)
             if abs(check - 1.0) > 1e-12:
                 raise FrontlabError("normalization failed to reach unit norm")
-        return cls(nu0=lam_bar, nu=(0.0, mu_bar, nu_bar), a11=a11, a12=a12,
-                   delta=delta)
+        return cls(nu0=lam_bar, nu=(0.0, mu_bar, nu_bar), a11=a11)
 
     @property
     def lam_bar(self):
@@ -171,7 +169,9 @@ def build_from_analysis(params: SystemParams, coupling: Coupling,
     """Speed ODE coefficients from the existence and Evans expansions.
 
     a_lin comes from the linear unfolding of the small Evans roots at the
-    multiplicity-(n_prime+1) base point; a0 = h * gamma and
+    multiplicity-(n_prime+1) base point `design_evans_degeneracy(params,
+    n_prime)`, so for n_prime < N the coupling must lie near that design
+    (alpha_j near 0 for j > n_prime); a0 = h * gamma and
     a11 = h * (c^2-coefficient of the existence expansion).  The cross
     coefficients a1j for j >= 2 are not reachable at leading order and
     default to zero; `provenance` records which entries are analysis-derived.
@@ -199,44 +199,32 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray            # shape (dim, len(t))
     blew_up: bool
-    dense: object = None
+    dense: object            # the solver's dense-output interpolant
 
     def __call__(self, t):
-        if self.dense is None:
-            raise FrontlabError("trajectory has no dense output")
         return self.dense(t)
 
 
 def integrate(ode, initial, t_end: float, tol: float = 1e-8,
-              t_eval=None, with_position: bool = False) -> Trajectory:
+              t_eval=None) -> Trajectory:
     """Adaptive DOP853 (8th-order Dormand-Prince) trajectory of the speed ODE
     (or scaled normal form).
 
     Aborts on blow-up (state norm above 1e8) and returns the partial
-    trajectory flagged.  With `with_position` a front-position coordinate a
-    with da/dt = eps^2 c_1 is appended as the last row.
+    trajectory flagged.
     """
     if tol <= 0:
         raise FrontlabError("tol must be positive")
     if not 0 < t_end < math.inf:
         raise FrontlabError(f"t_end must be positive and finite, got {t_end}")
     y0 = np.asarray(initial, dtype=float)
-    if with_position:
-        # the front position rides along as a last coordinate, da/dt = eps^2 c_1
-        eps2 = ode.epsilon ** 2
-
-        def rhs(_t, y):
-            return np.append(ode.field_at(y[:-1]), eps2 * y[0])
-    else:
-        def rhs(_t, y):
-            return ode.field_at(y)
 
     def blow_up(_t, y):
         return float(np.linalg.norm(y)) - BLOWUP_NORM
     blow_up.terminal = True
 
-    sol = _solve_ivp(rhs, (0.0, float(t_end)), y0, method="DOP853",
-                     rtol=tol, atol=tol * 1e-2, dense_output=True,
+    sol = _solve_ivp(lambda _t, y: ode.field_at(y), (0.0, float(t_end)), y0,
+                     method="DOP853", rtol=tol, atol=tol * 1e-2, dense_output=True,
                      t_eval=t_eval, events=blow_up)
     blew = bool(sol.t_events[0].size)
     return Trajectory(t=sol.t, y=sol.y, blew_up=blew, dense=sol.sol)

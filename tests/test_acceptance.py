@@ -102,8 +102,7 @@ def test_criterion_4_jordan_chain():
     for tau in (0.5, 1.0, 2.89):
         for j in range(1, 7):
             rep = verify_chain_ode(jordan_poly(j, tau, 1.0),
-                                   jordan_poly(j - 1, tau, 1.0),
-                                   extent=15.0, step=0.005)
+                                   jordan_poly(j - 1, tau, 1.0))
             worst = max(worst, rep.max_residual)
     ok = forms_ok and rec_ok and worst <= 1e-6
     assert report(4, ok, "Jordan-chain closed forms",

@@ -251,6 +251,21 @@ class TestDispatch:
         assert doc["beta"] == [0.0, 0.0, 0.0]
         assert doc["gamma"] == 0.0
 
+    def test_design_partial_evans_target(self, n3_config, tmp_path):
+        # evans:2 on N = 3: a triple zero root, alpha_3 = 0; the speed ODE
+        # with n_prime = 2 builds on a coupling near that design
+        out = tmp_path / "design"
+        assert dispatch(["--config", n3_config, "--output-dir", str(out),
+                         "design", "--target", "evans:2"]) == 0
+        doc = json.loads((out / "design.json").read_text())
+        assert doc["alpha"][2] == 0.0
+        doc["alpha"] = [a + da for a, da in zip(doc["alpha"], (1e-3, -5e-4, 2.5e-4))]
+        doc["ode"] = {"n_prime": 2}
+        near = write_config(tmp_path, doc, name="near.json")
+        assert dispatch(["--config", near, "--output-dir", str(out),
+                         "ode", "--from-analysis", "--equilibria"]) == 0
+        assert (out / "ode_equilibria.json").exists()
+
     def test_jordan_profiles(self, n3_config, tmp_path):
         out = tmp_path / "jordan"
         rc = dispatch(["--config", n3_config, "--output-dir", str(out),

@@ -89,18 +89,25 @@ class TestDesignEvansDegeneracy:
             assert max(abs(s.coefficient(k)) for k in range(1, n + 1)) < 1e-11
             assert abs(s.coefficient(n + 1)) > 1e-8
 
-    def test_partial_degeneracy(self):
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_partial_degeneracy(self, ell):
+        # below the maximum the trailing coefficients vanish and the zero
+        # root has multiplicity exactly ell+1
         p = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
-        # default tail equals the full design, so the output coincides with
-        # the maximal one; a caller-supplied tail pins the multiplicity
-        assert np.allclose(design_evans_degeneracy(p, ell=2),
-                           design_evans_degeneracy(p), rtol=1e-14)
-        tail = design_evans_degeneracy(p)[2:] * 1.5
-        alpha = design_evans_degeneracy(p, ell=2, alpha_tail=tail)
-        s = evans_taylor_c0(p, Coupling(0.0, tuple(alpha), (0.0,) * 3), 4)
-        assert abs(s.coefficient(1)) < 1e-12
-        assert abs(s.coefficient(2)) < 1e-12
-        assert abs(s.coefficient(3)) > 1e-8
+        alpha = design_evans_degeneracy(p, ell)
+        assert np.all(alpha[ell:] == 0.0)
+        s = evans_taylor_c0(p, Coupling(0.0, tuple(alpha), (0.0,) * 3), ell + 1)
+        assert max(abs(s.coefficient(k)) for k in range(1, ell + 1)) <= 1e-12
+        assert abs(s.coefficient(ell + 1)) > 1e-6
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_partial_design_is_leading_full_design(self, ell):
+        # the first ell couplings are the maximal design of the first ell
+        # slow components alone
+        p = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
+        lead = SystemParams(epsilon=0.03, tau=p.tau[:ell], d=p.d[:ell])
+        assert np.array_equal(design_evans_degeneracy(p, ell)[:ell],
+                              design_evans_degeneracy(lead))
 
     def test_rejects_bad_requests(self, one_slow):
         with pytest.raises(DesignError):
@@ -269,6 +276,20 @@ class TestLinearUnfoldingMap:
                                          cuts=ctx.branch_points)
             found = [z for z, m in roots for _ in range(m)]
             assert hausdorff(pred, found) <= 10 * float(np.dot(delta, delta))
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_partial_root_prediction(self, ell):
+        # at a multiplicity-(ell+1) base point below the maximum, the ell
+        # predicted roots and the translation root match evans_roots
+        p = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
+        delta = 1e-3 * np.array([1.0, -0.5, 0.25])
+        base = design_evans_degeneracy(p, ell)
+        pred = unfolding_polynomial_roots(linear_unfolding_map(p, delta, ell=ell))
+        assert len(pred) == ell
+        ctx = evans_context(p, Coupling(0.0, tuple(base + delta), (0.0,) * 3), 0.0)
+        r = 3.0 * float(np.max(np.abs(pred)))
+        found = [z for z, m in evans_roots(ctx, (-r, r, -r, r)).roots for _ in range(m)]
+        assert hausdorff(list(pred) + [0.0], found) <= 10 * float(np.dot(delta, delta))
 
 
 def test_degeneracy_spec_validation():

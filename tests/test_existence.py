@@ -114,7 +114,7 @@ class TestGamma0Roots:
             p = SystemParams(epsilon=0.1, tau=tuple(rng.uniform(0.5, 3, n)),
                              d=tuple(rng.uniform(0.5, 3, n)))
             radius = 3 * c.bound() * 3 / SQRT2 + 1
-            found = gamma0_roots(p, c, interval=(-radius, radius), scan_step=0.1)
+            found = gamma0_roots(p, c, interval=(-radius, radius))
             assert len(found) >= 1
 
     def test_empty_report_carries_endpoints(self):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -15,3 +16,69 @@ def test_import_does_not_load_optimize_or_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _defaulted_parameters(tree):
+    """(owner, function, call name, parameter, positional index or None) for
+    every parameter with a default; `__init__` is called by its class name."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                call = owner if child.name == "__init__" else child.name
+                for i, arg in enumerate(positional[first:], first):
+                    out.append((owner, child.name, call, arg.arg, i))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((owner, child.name, call, arg.arg, None))
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_options_ledger():
+    # Every defaulted parameter of the package that no call in src/ or
+    # bench/ sets.  Each one kept here has a reason: holomorphic_roots.tol
+    # and _shoot_once.integrator_tol are the references of acceptance
+    # criteria, normalize sets one up, direction is the only way onto the
+    # downward branch, c_range narrows the c window.  A test- or demo-only
+    # option added to the package fails this test.
+    root = SRC.parent
+    params = []
+    for path in sorted((SRC / "frontlab").glob("*.py")):
+        params += _defaulted_parameters(ast.parse(path.read_text()))
+    calls = [node for tree in (ast.parse(p.read_text())
+                               for d in ("src", "bench") for p in (root / d).rglob("*.py"))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def name(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def is_set(owner, call_name, arg, index):
+        bound = 0 if owner is None else 1      # self or cls
+        for call in calls:
+            if name(call) != call_name:
+                continue
+            if any(k.arg in (arg, None) for k in call.keywords):
+                return True
+            given = sum(not isinstance(a, ast.Starred) for a in call.args)
+            if index is not None and given + bound > index:
+                return True
+        return False
+
+    unset = sorted(f"{owner + '.' if owner else ''}{func}.{arg}"
+                   for owner, func, call_name, arg, index in params
+                   if not is_set(owner, call_name, arg, index))
+    assert unset == ["ScaledNF.shilnikov.normalize", "_shoot_once.integrator_tol",
+                     "continue_branch.direction", "fold_curves.c_range",
+                     "holomorphic_roots.tol"]

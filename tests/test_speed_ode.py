@@ -44,19 +44,6 @@ class TestStructure:
                 fd = (sys_.field_at(c + e) - sys_.field_at(c - e)) / (2 * h)
                 assert np.allclose(jac[:, j], fd, atol=1e-6)
 
-    def test_translation_invariance(self):
-        # the position coordinate never feeds back; shifting a(0) shifts a(t)
-        ode = SpeedODE(n_prime=2, a0=0.05, a_lin=(-0.3, -0.4), a_quad=(0.2, 0.0),
-                       epsilon=0.5)
-        y0 = np.array([0.1, -0.05])
-        t_eval = np.linspace(0, 20, 21)
-        tr1 = integrate(ode, np.append(y0, 0.0), 20.0, tol=1e-10,
-                        t_eval=t_eval, with_position=True)
-        tr2 = integrate(ode, np.append(y0, 3.7), 20.0, tol=1e-10,
-                        t_eval=t_eval, with_position=True)
-        assert np.allclose(tr2.y[-1] - tr1.y[-1], 3.7, atol=1e-9)
-        assert np.allclose(tr1.y[:-1], tr2.y[:-1], atol=1e-9)
-
 
 _coef = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -257,15 +244,17 @@ class TestBuildFromAnalysis:
         assert ode.a_quad[0] == pytest.approx(0.5)   # h/4 for the reference set
         assert ode.provenance["a_quad[1]"] == "default-zero"
 
-    def test_characteristic_polynomial_matches_unfolding(self):
+    @pytest.mark.parametrize("n_prime", [2, 3])
+    def test_characteristic_polynomial_matches_unfolding(self, n_prime):
         p = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
-        base = design_evans_degeneracy(p)
+        base = design_evans_degeneracy(p, n_prime)
         delta = np.array([3e-3, -2e-3, 1e-3])
         coupling = Coupling(0.0, tuple(base + delta), (1.0, 0.0, 0.0))
-        ode = build_from_analysis(p, coupling, 3, h=1.0)
-        jac = ode.jacobian_at(np.zeros(3)) / p.epsilon ** 2
+        ode = build_from_analysis(p, coupling, n_prime, h=1.0)
+        assert isinstance(ode, SpeedODE) and ode.dim == n_prime
+        jac = ode.jacobian_at(np.zeros(n_prime)) / p.epsilon ** 2
         eigs = np.sort_complex(np.linalg.eigvals(jac))
-        abar = linear_unfolding_map(p, delta)
+        abar = linear_unfolding_map(p, delta, ell=n_prime)
         pred = np.sort_complex(unfolding_polynomial_roots(abar))
         assert np.max(np.abs(eigs - pred)) < 1e-10
 
