@@ -14,332 +14,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .core_model import _MODEL_KEYS, Coupling, SystemParams, model_from_dict, model_to_dict
+from .core_model import Coupling, SystemParams, model_from_dict, model_to_dict
 from .errors import FrontlabError
 
 CSV_HEADER = "# frontlab v1"
-
-_RUN_ONLY_KEYS = {"seed", "output_dir", "pde", "ode"}
-_RUN_KEYS = set(_MODEL_KEYS) | _RUN_ONLY_KEYS
-_PDE_KEYS = {"domain_half_length", "n_x", "dt", "t_end", "output_stride",
-             "perturbation"}
-_PERTURBATION_KEYS = {"mode", "amplitude", "width", "center", "lam"}
-_ODE_KEYS = {"n_prime", "h"}
-
-
-@dataclass
-class RunConfig:
-    params: SystemParams
-    coupling: Coupling
-    seed: int
-    output_dir: str
-    pde: dict
-    ode: dict
-    raw: dict
-
-
-def _read_json(path, what):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise FrontlabError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise FrontlabError(f"{what} {path} is not valid JSON: {exc}") from None
-
-
-def _section(doc, name, keys, prefix=""):
-    """The JSON object doc[name] ({} if absent), holding only `keys`."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise FrontlabError(f"{prefix}{name} must be a JSON object")
-    if set(section) - keys:
-        raise FrontlabError(f"unknown {name} keys: {sorted(set(section) - keys)}")
-    return section
-
-
-def load_run_config(path) -> RunConfig:
-    doc = _read_json(path, "config")
-    if not isinstance(doc, dict):
-        raise FrontlabError(f"config {path} must hold a JSON object")
-    unknown = set(doc) - _RUN_KEYS
-    if unknown:
-        raise FrontlabError(f"unknown configuration keys: {sorted(unknown)}")
-    if not isinstance(doc.get("output_dir", "."), str):
-        raise FrontlabError("output_dir must be a JSON string")
-    pde = _section(doc, "pde", _PDE_KEYS)
-    _section(pde, "perturbation", _PERTURBATION_KEYS, "pde.")
-    ode = _section(doc, "ode", _ODE_KEYS)
-    _check_run_values(doc)
-    model_doc = {k: v for k, v in doc.items() if k not in _RUN_ONLY_KEYS}
-    params, coupling = model_from_dict(model_doc)
-    return RunConfig(params=params, coupling=coupling,
-                     seed=doc.get("seed", 0),
-                     output_dir=doc.get("output_dir", "."),
-                     pde=pde, ode=ode, raw=doc)
-
-
-def _write_manifest(cfg: RunConfig, outdir, command):
-    os.makedirs(outdir, exist_ok=True)
-    manifest = {
-        "tool": "frontlab",
-        "version": __version__,
-        "command": command,
-        "config": cfg.raw,
-        "seed": cfg.seed,
-    }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path, columns, rows):
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write("# " + ",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{val:.17g}" if isinstance(val, float) else str(val)
-                              for val in row) + "\n")
-
-
-def _fmt_complex(z):
-    return float(z.real), float(z.imag)
-
-
-# -- subcommand implementations -------------------------------------------------
-
-def _cmd_gamma(args, cfg, outdir):
-    from . import existence
-    wrote = []
-    if args.roots:
-        report = existence.gamma0_roots(cfg.params, cfg.coupling)
-        path = os.path.join(outdir, "gamma_roots.csv")
-        _write_csv(path, ["root", "multiplicity"], [(r, m) for r, m in report])
-        wrote.append(path)
-    if args.taylor is not None:
-        series = existence.gamma0_taylor(cfg.params, cfg.coupling, args.taylor)
-        path = os.path.join(outdir, "gamma_taylor.csv")
-        _write_csv(path, ["order", "coefficient"],
-                   list(enumerate(series.coeffs)))
-        wrote.append(path)
-    if args.folds:
-        px, py, xmin, xmax, ymin, ymax, nx, ny = args.folds
-        branches = existence.fold_curves(cfg.params, cfg.coupling, (px, py),
-                                         (xmin, xmax, ymin, ymax), n_c=max(nx, ny))
-        path = os.path.join(outdir, "gamma_folds.csv")
-        rows = []
-        for bi, branch in enumerate(branches):
-            for (p1, p2), cval in zip(branch.points, branch.c_values):
-                rows.append((bi, p1, p2, cval))
-        _write_csv(path, ["branch", px, py, "c"], rows)
-        wrote.append(path)
-    if not wrote:
-        print("nothing requested: pass --roots, --taylor or --folds", file=sys.stderr)
-        return 2
-    for path in wrote:
-        print(path)
-    return 0
-
-
-def _cmd_evans(args, cfg, outdir):
-    from . import evans
-    ctx = evans.evans_context(cfg.params, cfg.coupling, c=args.at)
-    wrote = []
-    if args.taylor is not None:
-        if args.at != 0.0:
-            raise FrontlabError("--taylor is defined at c = 0")
-        series = evans.evans_taylor_c0(cfg.params, cfg.coupling, args.taylor)
-        path = os.path.join(outdir, "evans_taylor.csv")
-        _write_csv(path, ["order", "coefficient"], list(enumerate(series.coeffs)))
-        wrote.append(path)
-    if args.bound:
-        print(f"root bound: {evans.evans_root_bound(ctx):.17g}")
-    if args.roots:
-        rootset = evans.evans_roots(ctx, args.roots)
-        path = os.path.join(outdir, "evans_roots.csv")
-        rows = [(_fmt_complex(z)[0], _fmt_complex(z)[1], m)
-                for z, m in rootset.roots]
-        _write_csv(path, ["real", "imag", "multiplicity"], rows)
-        wrote.append(path)
-        print(f"winding total: {rootset.winding_total}")
-    for path in wrote:
-        print(path)
-    return 0
-
-
-def _cmd_design(args, cfg, outdir):
-    from . import designer
-    kind, arg = args.target
-    params = cfg.params
-    if kind == "evans":
-        alpha = designer.design_evans_degeneracy(params, arg)
-        coupling = Coupling(0.0, tuple(alpha), (0.0,) * params.n_slow)
-    elif kind == "gamma":
-        alpha, beta, gamma = designer.design_gamma_degeneracy(params, arg)
-        coupling = Coupling(gamma, tuple(alpha), tuple(beta))
-    elif kind == "simultaneous":
-        design = designer.design_simultaneous(params.d, params.tau[0],
-                                              epsilon=params.epsilon)
-        params = design.params
-        coupling = design.coupling()
-        print("singular_limit_only: true")
-    else:
-        targets = _read_json(arg, "imprint targets")
-        coupling = designer.imprint_scalar_singularity(params, targets)
-    path = os.path.join(outdir, "design.json")
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(params, coupling), fh, indent=2)
-        fh.write("\n")
-    print(path)
-    return 0
-
-
-def _cmd_jordan(args, cfg, outdir):
-    from .jordan_chain import chain_profile
-    profile = chain_profile(cfg.params, cfg.coupling, args.k, args.ell)
-    half = cfg.pde.get("domain_half_length", 20.0)
-    y = np.linspace(-half, half, 2001)
-    rows = []
-    for yi in y:
-        row = [float(yi), float(np.real(profile.u(yi)))]
-        row += [float(np.real(profile.v(j, yi)))
-                for j in range(1, cfg.params.n_slow + 1)]
-        rows.append(tuple(row))
-    path = os.path.join(outdir, "jordan_profile.csv")
-    _write_csv(path, ["y", "u"] + [f"v{j}" for j in range(1, cfg.params.n_slow + 1)],
-               rows)
-    print(path)
-    return 0
-
-
-def _cmd_ode(args, cfg, outdir):
-    from . import speed_ode as so
-    if args.nf:
-        nu0, l_, m_, n_, a11, a12, delta = args.nf
-        ode = so.ScaledNF(nu0=nu0, nu=(l_, m_, n_), a11=a11, a12=a12, delta=delta)
-    elif args.from_analysis:
-        ode = so.build_from_analysis(cfg.params, cfg.coupling,
-                                     n_prime=cfg.ode.get("n_prime", cfg.params.n_slow),
-                                     h=cfg.ode.get("h", 1.0))
-    else:
-        raise FrontlabError("pass --from-analysis or --nf")
-    if args.equilibria:
-        eqs = so.equilibria_and_classification(ode)
-        report = [{"c": e.c_star, "kind": e.kind,
-                   "eigenvalues": [[z.real, z.imag] for z in e.eigenvalues]}
-                  for e in eqs]
-        path = os.path.join(outdir, "ode_equilibria.json")
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(path)
-    if args.integrate is not None:
-        t_end = args.integrate
-        dim = ode.dim
-        y0 = np.full(dim, 1e-3)
-        traj = so.integrate(ode, y0, t_end, tol=1e-9,
-                            t_eval=np.linspace(0, t_end, 2001))
-        path = os.path.join(outdir, "ode_trajectory.csv")
-        rows = [tuple([float(t)] + [float(v) for v in traj.y[:, i]])
-                for i, t in enumerate(traj.t)]
-        _write_csv(path, ["t"] + [f"c{k + 1}" for k in range(dim)], rows)
-        print(path)
-        if traj.blew_up:
-            print(f"blew up at t={traj.t[-1]:.6g}", file=sys.stderr)
-    if args.shoot:
-        result = so.shilnikov_shoot(ode, np.linspace(*args.shoot))
-        path = os.path.join(outdir, "ode_shoot.csv")
-        _write_csv(path, ["nu_bar", "miss", "status", "rho_s"],
-                   [(p.nu_bar, p.miss, p.status, p.rho_s) for p in result.trace])
-        print(path)
-        for cand in result.candidates:
-            print(f"candidate nu_bar={cand.nu_bar:.12g} miss={cand.miss:.3e} "
-                  f"rho_s={cand.rho_s:.6g}")
-    if args.lyapunov is not None:
-        val = so.lyapunov_max(ode, np.full(ode.dim, 1e-3), args.lyapunov,
-                              renorm_interval=args.lyapunov / 100.0,
-                              seed=cfg.seed)
-        print(f"lyapunov_max: {val:.6g}")
-    return 0
-
-
-def _pde_setup(cfg):
-    from . import pde_sim
-    half = cfg.pde.get("domain_half_length", 20.0)
-    n_x = cfg.pde.get("n_x", pde_sim._default_nx(cfg.params, half))
-    # unchecked here: the initial front state warns once if it under-resolves
-    return pde_sim, pde_sim.make_grid(half, n_x)
-
-
-def _cmd_pde_sim(args, cfg, outdir):
-    pde_sim, grid = _pde_setup(cfg)
-    state = pde_sim.initial_front_state(cfg.params, cfg.coupling, grid)
-    pert = cfg.pde.get("perturbation")
-    if pert:
-        if pert.get("mode", "bump") == "bump":
-            state = pde_sim.perturb_with_bump(
-                state, pert.get("amplitude", 0.01), pert.get("width", 1.0),
-                pert.get("center", 0.0))
-        else:
-            from .jordan_chain import eigenfunction_c0
-            profile = eigenfunction_c0(cfg.params, pert.get("lam", 0.0),
-                                       cfg.coupling)
-            state = pde_sim.perturb_with_profile(state, profile,
-                                                 pert.get("amplitude", 0.01))
-    result = pde_sim.simulate(state, cfg.pde.get("t_end", 10.0),
-                              output_stride=cfg.pde.get("output_stride", 10),
-                              dt=cfg.pde.get("dt"))
-    path = os.path.join(outdir, "pde_timeseries.csv")
-    rows = list(zip((float(t) for t in result.t),
-                    (float(p) for p in result.position),
-                    (float(s) for s in result.speed),
-                    (float(s) for s in result.sup_u),
-                    (float(s) for s in result.sup_v)))
-    _write_csv(path, ["t", "position", "speed", "sup_u", "sup_v"], rows)
-    print(path)
-    if result.aborted:
-        print(f"aborted: {result.aborted}", file=sys.stderr)
-    snap = os.path.join(outdir, "pde_final_profile.csv")
-    x = grid.x
-    rows = [tuple([float(x[i]), float(result.final_state.u[i])]
-                  + [float(result.final_state.v[j, i])
-                     for j in range(cfg.params.n_slow)])
-            for i in range(grid.n_x)]
-    _write_csv(snap, ["x", "u"] + [f"v{j + 1}" for j in range(cfg.params.n_slow)],
-               rows)
-    print(snap)
-    return 0
-
-
-def _cmd_pde_continue(args, cfg, outdir):
-    pde_sim, grid = _pde_setup(cfg)
-    points = pde_sim.continue_branch(cfg.params, cfg.coupling, args.free_param,
-                                     args.range, ds=args.ds, grid=grid,
-                                     max_points=args.max_points)
-    path = os.path.join(outdir, "branch.csv")
-    rows = []
-    for pt in points:
-        lead = list(pt.eigenvalues[:8]) + [0j] * (8 - len(pt.eigenvalues[:8]))
-        row = [pt.param, pt.c, int(pt.stable), pt.tag]
-        for z in lead:
-            row += [z.real, z.imag]
-        rows.append(tuple(row))
-    cols = ["param", "c", "stable", "tag"]
-    for i in range(8):
-        cols += [f"eig{i}_re", f"eig{i}_im"]
-    _write_csv(path, cols, rows)
-    print(path)
-    return 0
-
-
-def _cmd_verify(args, cfg, outdir):
-    from .verify import run_suite
-    failures = run_suite(args.suite)
-    return 1 if failures else 0
 
 
 def _finite(text):
@@ -375,45 +58,326 @@ def _mode(value):
     return value
 
 
-#: Converter of each run value a config may set, by `section.key`.
-_RUN_VALUES = {
-    "seed": _natural,
-    "pde.domain_half_length": _positive,
-    "pde.n_x": _count,
-    "pde.dt": _positive,
-    "pde.t_end": _positive,
-    "pde.output_stride": _count,
-    "pde.perturbation.mode": _mode,
-    "pde.perturbation.amplitude": _finite,
-    "pde.perturbation.width": _positive,
-    "pde.perturbation.center": _finite,
-    "pde.perturbation.lam": _finite,
-    "ode.n_prime": _count,
-    "ode.h": _positive,
+_NUMBER = (int, float)
+
+
+class _Value(NamedTuple):
+    convert: Callable    # raises ArgumentTypeError on a bad value
+    kind: type | tuple   # the JSON type: int, _NUMBER or str
+    default: object      # if the document leaves it out; None: computed where used
+
+
+#: How a run value of the wrong JSON type is reported, by its `kind`.
+_WRONG_TYPE = {
+    int: "{name}: {value!r} is not a JSON integer",
+    _NUMBER: "{name}: {value!r} is not a JSON number",
+    str: "{name} must be a JSON string",
+}
+
+#: Every run key a config may set; a nested dict is a section, which must be
+#: a JSON object.  The model keys are read by `core_model.model_from_dict`.
+_RUN_TABLE = {
+    "seed": _Value(_natural, int, 0),
+    "output_dir": _Value(str, str, "."),
+    "pde": {
+        "domain_half_length": _Value(_positive, _NUMBER, 20.0),
+        "n_x": _Value(_count, int, None),
+        "dt": _Value(_positive, _NUMBER, None),
+        "t_end": _Value(_positive, _NUMBER, 10.0),
+        "output_stride": _Value(_count, int, 10),
+        "perturbation": {
+            "mode": _Value(_mode, str, "bump"),
+            "amplitude": _Value(_finite, _NUMBER, 0.01),
+            "width": _Value(_positive, _NUMBER, 1.0),
+            "center": _Value(_finite, _NUMBER, 0.0),
+            "lam": _Value(_finite, _NUMBER, 0.0),
+        },
+    },
+    "ode": {
+        "n_prime": _Value(_count, int, None),
+        "h": _Value(_positive, _NUMBER, 1.0),
+    },
 }
 
 
-def _check_run_values(doc):
-    """Reject a run value that its converter in _RUN_VALUES refuses, naming
-    it by `section.key`; integer keys take JSON integers only, numbers JSON
-    numbers (not strings or booleans, nor integers too large for a float)."""
-    for path, convert in _RUN_VALUES.items():
-        *sections, key = path.split(".")
-        section = doc
-        for name in sections:
-            section = section.get(name, {})
-        if key not in section:
+def _resolve(doc, table, prefix=""):
+    """doc checked against table, with the default of each value it leaves
+    out filled in.  Errors name the entry as `section.key`; a number must be
+    a JSON number (not a string or boolean, nor an integer too large for a
+    float), an integer a JSON integer."""
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise FrontlabError(f"unknown {prefix[:-1]} keys: {sorted(unknown)}")
+    out = {}
+    for key, entry in table.items():
+        name = prefix + key
+        if isinstance(entry, dict):
+            section = doc.get(key, {})
+            if not isinstance(section, dict):
+                raise FrontlabError(f"{name} must be a JSON object")
+            out[key] = _resolve(section, entry, name + ".")
             continue
-        value = section[key]
-        kinds = int if convert in (_natural, _count) else (int, float)
+        value = out[key] = doc.get(key, entry.default)
+        if key not in doc:
+            continue
+        if isinstance(value, bool) or not isinstance(value, entry.kind):
+            raise FrontlabError(_WRONG_TYPE[entry.kind].format(name=name, value=value))
         try:
-            if convert is not _mode and (isinstance(value, bool)
-                                         or not isinstance(value, kinds)):
-                kind = "integer" if kinds is int else "number"
-                raise argparse.ArgumentTypeError(f"{value!r} is not a JSON {kind}")
-            convert(value)
+            entry.convert(value)
         except (argparse.ArgumentTypeError, OverflowError) as exc:
-            raise FrontlabError(f"{path}: {exc}") from None
+            raise FrontlabError(f"{name}: {exc}") from None
+    return out
+
+
+@dataclass
+class RunConfig:
+    params: SystemParams
+    coupling: Coupling
+    seed: int
+    output_dir: str
+    pde: dict          # every `pde` value, defaults filled in
+    ode: dict          # every `ode` value, defaults filled in
+    raw: dict          # the document as read
+
+
+def _read_json(path, what):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FrontlabError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise FrontlabError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def load_run_config(path) -> RunConfig:
+    doc = _read_json(path, "config")
+    if not isinstance(doc, dict):
+        raise FrontlabError(f"config {path} must hold a JSON object")
+    params, coupling = model_from_dict(
+        {k: v for k, v in doc.items() if k not in _RUN_TABLE})
+    run = _resolve({k: v for k, v in doc.items() if k in _RUN_TABLE}, _RUN_TABLE)
+    return RunConfig(params=params, coupling=coupling, seed=run["seed"],
+                     output_dir=run["output_dir"], pde=run["pde"], ode=run["ode"],
+                     raw=doc)
+
+
+def _write_json(path, obj, **options):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, **options)
+        fh.write("\n")
+
+
+def _write_csv(path, names, columns):
+    """Column i named names[i] holds the values of columns[i]."""
+    with open(path, "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        fh.write("# " + ",".join(names) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{val:.17g}" if isinstance(val, float) else str(val)
+                              for val in row) + "\n")
+
+
+# -- subcommand implementations -------------------------------------------------
+
+def _cmd_gamma(args, cfg, outdir):
+    from . import existence
+    wrote = []
+    if args.roots:
+        report = existence.gamma0_roots(cfg.params, cfg.coupling)
+        path = os.path.join(outdir, "gamma_roots.csv")
+        _write_csv(path, ["root", "multiplicity"], zip(*report))
+        wrote.append(path)
+    if args.taylor is not None:
+        series = existence.gamma0_taylor(cfg.params, cfg.coupling, args.taylor)
+        path = os.path.join(outdir, "gamma_taylor.csv")
+        _write_csv(path, ["order", "coefficient"], zip(*enumerate(series.coeffs)))
+        wrote.append(path)
+    if args.folds:
+        px, py, xmin, xmax, ymin, ymax, nx, ny = args.folds
+        branches = existence.fold_curves(cfg.params, cfg.coupling, (px, py),
+                                         (xmin, xmax, ymin, ymax), n_c=max(nx, ny))
+        path = os.path.join(outdir, "gamma_folds.csv")
+        _write_csv(path, ["branch", px, py, "c"],
+                   zip(*((bi, p1, p2, cval) for bi, branch in enumerate(branches)
+                         for (p1, p2), cval in zip(branch.points, branch.c_values))))
+        wrote.append(path)
+    if not wrote:
+        print("nothing requested: pass --roots, --taylor or --folds", file=sys.stderr)
+        return 2
+    for path in wrote:
+        print(path)
+    return 0
+
+
+def _cmd_evans(args, cfg, outdir):
+    from . import evans
+    ctx = evans.evans_context(cfg.params, cfg.coupling, c=args.at)
+    wrote = []
+    if args.taylor is not None:
+        if args.at != 0.0:
+            raise FrontlabError("--taylor is defined at c = 0")
+        series = evans.evans_taylor_c0(cfg.params, cfg.coupling, args.taylor)
+        path = os.path.join(outdir, "evans_taylor.csv")
+        _write_csv(path, ["order", "coefficient"], zip(*enumerate(series.coeffs)))
+        wrote.append(path)
+    if args.bound:
+        print(f"root bound: {evans.evans_root_bound(ctx):.17g}")
+    if args.roots:
+        rootset = evans.evans_roots(ctx, args.roots)
+        roots = np.array(rootset.locations, dtype=complex)
+        path = os.path.join(outdir, "evans_roots.csv")
+        _write_csv(path, ["real", "imag", "multiplicity"],
+                   [roots.real, roots.imag, [m for _z, m in rootset.roots]])
+        wrote.append(path)
+        print(f"winding total: {rootset.winding_total}")
+    for path in wrote:
+        print(path)
+    return 0
+
+
+def _cmd_design(args, cfg, outdir):
+    from . import designer
+    kind, arg = args.target
+    params = cfg.params
+    if kind == "evans":
+        alpha = designer.design_evans_degeneracy(params, arg)
+        coupling = Coupling(0.0, tuple(alpha), (0.0,) * params.n_slow)
+    elif kind == "gamma":
+        alpha, beta, gamma = designer.design_gamma_degeneracy(params, arg)
+        coupling = Coupling(gamma, tuple(alpha), tuple(beta))
+    elif kind == "simultaneous":
+        design = designer.design_simultaneous(params.d, params.tau[0],
+                                              epsilon=params.epsilon)
+        params = design.params
+        coupling = design.coupling()
+        print("singular_limit_only: true")
+    else:
+        targets = _read_json(arg, "imprint targets")
+        coupling = designer.imprint_scalar_singularity(params, targets)
+    path = os.path.join(outdir, "design.json")
+    _write_json(path, model_to_dict(params, coupling))
+    print(path)
+    return 0
+
+
+def _cmd_jordan(args, cfg, outdir):
+    from .jordan_chain import chain_profile
+    profile = chain_profile(cfg.params, cfg.coupling, args.k, args.ell)
+    half = cfg.pde["domain_half_length"]
+    y = np.linspace(-half, half, 2001)
+    slow = range(1, cfg.params.n_slow + 1)
+    path = os.path.join(outdir, "jordan_profile.csv")
+    _write_csv(path, ["y", "u"] + [f"v{j}" for j in slow],
+               [y, np.real(profile.u(y))] + [np.real(profile.v(j, y)) for j in slow])
+    print(path)
+    return 0
+
+
+def _cmd_ode(args, cfg, outdir):
+    from . import speed_ode as so
+    if args.nf:
+        nu0, l_, m_, n_, a11, a12, delta = args.nf
+        ode = so.ScaledNF(nu0=nu0, nu=(l_, m_, n_), a11=a11, a12=a12, delta=delta)
+    elif args.from_analysis:
+        ode = so.build_from_analysis(cfg.params, cfg.coupling,
+                                     n_prime=cfg.ode["n_prime"] or cfg.params.n_slow,
+                                     h=cfg.ode["h"])
+    else:
+        raise FrontlabError("pass --from-analysis or --nf")
+    if args.equilibria:
+        eqs = so.equilibria_and_classification(ode)
+        report = [{"c": e.c_star, "kind": e.kind,
+                   "eigenvalues": [[z.real, z.imag] for z in e.eigenvalues]}
+                  for e in eqs]
+        path = os.path.join(outdir, "ode_equilibria.json")
+        _write_json(path, report)
+        print(path)
+    if args.integrate is not None:
+        t_end = args.integrate
+        traj = so.integrate(ode, np.full(ode.dim, 1e-3), t_end, tol=1e-9,
+                            t_eval=np.linspace(0, t_end, 2001))
+        path = os.path.join(outdir, "ode_trajectory.csv")
+        _write_csv(path, ["t"] + [f"c{k + 1}" for k in range(ode.dim)], [traj.t, *traj.y])
+        print(path)
+        if traj.blew_up:
+            print(f"blew up at t={traj.t[-1]:.6g}", file=sys.stderr)
+    if args.shoot:
+        result = so.shilnikov_shoot(ode, np.linspace(*args.shoot))
+        path = os.path.join(outdir, "ode_shoot.csv")
+        _write_csv(path, ["nu_bar", "miss", "status", "rho_s"],
+                   zip(*((p.nu_bar, p.miss, p.status, p.rho_s) for p in result.trace)))
+        print(path)
+        for cand in result.candidates:
+            print(f"candidate nu_bar={cand.nu_bar:.12g} miss={cand.miss:.3e} "
+                  f"rho_s={cand.rho_s:.6g}")
+    if args.lyapunov is not None:
+        val = so.lyapunov_max(ode, np.full(ode.dim, 1e-3), args.lyapunov,
+                              renorm_interval=args.lyapunov / 100.0,
+                              seed=cfg.seed)
+        print(f"lyapunov_max: {val:.6g}")
+    return 0
+
+
+def _pde_setup(cfg):
+    from . import pde_sim
+    half = cfg.pde["domain_half_length"]
+    n_x = cfg.pde["n_x"] or pde_sim._default_nx(cfg.params, half)
+    # unchecked here: the initial front state warns once if it under-resolves
+    return pde_sim, pde_sim.make_grid(half, n_x)
+
+
+def _cmd_pde_sim(args, cfg, outdir):
+    pde_sim, grid = _pde_setup(cfg)
+    state = pde_sim.initial_front_state(cfg.params, cfg.coupling, grid)
+    if cfg.raw.get("pde", {}).get("perturbation"):
+        pert = cfg.pde["perturbation"]
+        if pert["mode"] == "bump":
+            state = pde_sim.perturb_with_bump(state, pert["amplitude"], pert["width"],
+                                              pert["center"])
+        else:
+            from .jordan_chain import eigenfunction_c0
+            profile = eigenfunction_c0(cfg.params, pert["lam"], cfg.coupling)
+            state = pde_sim.perturb_with_profile(state, profile, pert["amplitude"])
+    result = pde_sim.simulate(state, cfg.pde["t_end"],
+                              output_stride=cfg.pde["output_stride"], dt=cfg.pde["dt"])
+    path = os.path.join(outdir, "pde_timeseries.csv")
+    _write_csv(path, ["t", "position", "speed", "sup_u", "sup_v"],
+               [result.t, result.position, result.speed, result.sup_u, result.sup_v])
+    print(path)
+    if result.aborted:
+        print(f"aborted: {result.aborted}", file=sys.stderr)
+    snap = os.path.join(outdir, "pde_final_profile.csv")
+    _write_csv(snap, ["x", "u"] + [f"v{j}" for j in range(1, cfg.params.n_slow + 1)],
+               [grid.x, result.final_state.u, *result.final_state.v])
+    print(snap)
+    return 0
+
+
+def _cmd_pde_continue(args, cfg, outdir):
+    pde_sim, grid = _pde_setup(cfg)
+    points = pde_sim.continue_branch(cfg.params, cfg.coupling, args.free_param,
+                                     args.range, ds=args.ds, grid=grid,
+                                     max_points=args.max_points)
+    # the eight leading eigenvalues of each point, padded with zeros
+    eigs = np.zeros((len(points), 8), dtype=complex)
+    for row, pt in zip(eigs, points):
+        row[:len(pt.eigenvalues[:8])] = pt.eigenvalues[:8]
+    names = ["param", "c", "stable", "tag"]
+    columns = [[pt.param for pt in points], [pt.c for pt in points],
+               [int(pt.stable) for pt in points], [pt.tag for pt in points]]
+    for i, eig in enumerate(eigs.T):
+        names += [f"eig{i}_re", f"eig{i}_im"]
+        columns += [eig.real, eig.imag]
+    path = os.path.join(outdir, "branch.csv")
+    _write_csv(path, names, columns)
+    print(path)
+    return 0
+
+
+def _cmd_verify(args, cfg, outdir):
+    from .verify import run_suite
+    return 1 if run_suite(args.suite) else 0
 
 
 def _comma_list(*kinds):
@@ -466,67 +430,60 @@ def build_parser():
         prog="frontlab",
         description="front dynamics toolbox for 1-fast/N-slow reaction-diffusion systems")
     parser.add_argument("--config", help="path to JSON configuration")
-    parser.add_argument("--output-dir", default=None)
+    parser.add_argument("--output-dir")
     parser.add_argument("--json-errors", action="store_true",
                         help="emit machine-readable error objects on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma", help="existence function: roots, series, folds")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("gamma", _cmd_gamma, "existence function: roots, series, folds")
     p.add_argument("--roots", action="store_true")
-    p.add_argument("--taylor", type=int, default=None, metavar="M")
-    p.add_argument("--folds", default=None, metavar="px,py,xmin,xmax,ymin,ymax,nx,ny",
+    p.add_argument("--taylor", type=int, metavar="M")
+    p.add_argument("--folds", metavar="px,py,xmin,xmax,ymin,ymax,nx,ny",
                    type=_comma_list(str, str, *[_finite] * 4, _count, _count))
 
-    p = sub.add_parser("evans", help="Evans function: series, bound, roots")
+    p = command("evans", _cmd_evans, "Evans function: series, bound, roots")
     p.add_argument("--at", type=_finite, default=0.0, metavar="c")
-    p.add_argument("--taylor", type=int, default=None, metavar="M")
-    p.add_argument("--roots", default=None, metavar="xmin,xmax,ymin,ymax",
+    p.add_argument("--taylor", type=int, metavar="M")
+    p.add_argument("--roots", metavar="xmin,xmax,ymin,ymax",
                    type=_comma_list(*[_finite] * 4))
     p.add_argument("--bound", action="store_true")
 
-    p = sub.add_parser("design", help="parameter sets with prescribed degeneracies")
+    p = command("design", _cmd_design, "parameter sets with prescribed degeneracies")
     p.add_argument("--target", required=True, type=_design_target,
                    metavar="evans:L|gamma:M|simultaneous|imprint:FILE")
 
-    p = sub.add_parser("jordan", help="chain eigenfunction profiles")
+    p = command("jordan", _cmd_jordan, "chain eigenfunction profiles")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
 
-    p = sub.add_parser("ode", help="reduced speed ODE")
+    p = command("ode", _cmd_ode, "reduced speed ODE")
     p.add_argument("--from-analysis", action="store_true")
-    p.add_argument("--nf", default=None, metavar="nu0,l,m,n,a11,a12,delta",
+    p.add_argument("--nf", metavar="nu0,l,m,n,a11,a12,delta",
                    type=_comma_list(*[_finite] * 7))
-    p.add_argument("--integrate", type=_positive, default=None, metavar="T")
+    p.add_argument("--integrate", type=_positive, metavar="T")
     p.add_argument("--equilibria", action="store_true")
-    p.add_argument("--shoot", default=None, metavar="numin,numax,steps",
+    p.add_argument("--shoot", metavar="numin,numax,steps",
                    type=_comma_list(_finite, _finite, _count))
-    p.add_argument("--lyapunov", type=_positive, default=None, metavar="T")
+    p.add_argument("--lyapunov", type=_positive, metavar="T")
 
-    p = sub.add_parser("pde-sim", help="direct simulation with freezing speed")
+    command("pde-sim", _cmd_pde_sim, "direct simulation with freezing speed")
 
-    p = sub.add_parser("pde-continue", help="pseudo-arclength continuation")
+    p = command("pde-continue", _cmd_pde_continue, "pseudo-arclength continuation")
     p.add_argument("--free-param", required=True)
     p.add_argument("--range", required=True, metavar="lo,hi",
                    type=_comma_list(_finite, _finite))
     p.add_argument("--ds", type=_positive, default=0.01)
     p.add_argument("--max-points", type=int, default=120)
 
-    p = sub.add_parser("verify", help="run built-in verification suites")
-    p.add_argument("--suite", default="paper-params",
-                   choices=("paper-params", "full"))
+    p = command("verify", _cmd_verify, "run built-in verification suites")
+    p.add_argument("--suite", default="paper-params", choices=("paper-params", "full"))
     return parser
 
-
-_COMMANDS = {
-    "gamma": _cmd_gamma,
-    "evans": _cmd_evans,
-    "design": _cmd_design,
-    "jordan": _cmd_jordan,
-    "ode": _cmd_ode,
-    "pde-sim": _cmd_pde_sim,
-    "pde-continue": _cmd_pde_continue,
-    "verify": _cmd_verify,
-}
 
 def _print_json_error(name, exc):
     print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
@@ -545,16 +502,18 @@ def dispatch(argv) -> int:
         return 2
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    json_errors = getattr(args, "json_errors", False)
     try:
         if not args.config:
             raise FrontlabError(f"{args.command} requires --config")
         cfg = load_run_config(args.config)
         outdir = args.output_dir or cfg.output_dir
-        _write_manifest(cfg, outdir, args.command)
-        return _COMMANDS[args.command](args, cfg, outdir)
+        os.makedirs(outdir, exist_ok=True)
+        _write_json(os.path.join(outdir, "manifest.json"),
+                    {"tool": "frontlab", "version": __version__, "command": args.command,
+                     "config": cfg.raw, "seed": cfg.seed}, sort_keys=True)
+        return args.run(args, cfg, outdir)
     except FrontlabError as exc:
-        if json_errors:
+        if args.json_errors:
             _print_json_error(type(exc).__name__, exc)
         else:
             print(f"error: {exc}", file=sys.stderr)

@@ -151,14 +151,10 @@ def design_gamma_degeneracy(params: SystemParams, m: int):
         head = np.linalg.solve(m_head, rhs - m_tail @ alpha[n_odd:])
         alpha = np.concatenate([head, alpha[n_odd:]])
 
-    if m == 2 * n + 1:
-        beta = np.zeros(n)
-    else:
-        beta = np.zeros(n)
+    beta = np.zeros(n)
+    if m < 2 * n + 1:
         beta[0] = 1.0
         if n_even >= 1:
-            if n_even >= n:
-                raise DesignError("even-order conditions exceed the beta freedom")
             # sum_j beta_j chi_j^k = 0 for k = 1..n_even with beta_1 = 1 and
             # beta_{n_even+2..} = 0.
             mat = np.array([[chi[j] ** k for j in range(1, n_even + 1)]
@@ -195,24 +191,16 @@ def design_simultaneous(d, tau1: float, epsilon: float = 0.01) -> SimultaneousDe
     """Pick tau_j = tau_1 d_j^2 / d_1^2 and the matching affine coefficients.
 
     On this set the existence function is O(c^(2N+1)) (affine coupling) while
-    the zero Evans root has multiplicity N+1 simultaneously:
+    the zero Evans root has multiplicity N+1 simultaneously: alpha is
+    `design_evans_degeneracy` at these tau, which there reads
         alpha_j = (2 sqrt(2)/3) (d_1^2/(tau_1 d_j)) prod_{k != j} d_k^2/(d_k^2 - d_j^2).
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0) or tau1 <= 0:
         raise DesignError("diffusion lengths and tau_1 must be positive")
     _check_distinct(d, "diffusion lengths")
-    tau = tau1 * d ** 2 / d[0] ** 2
-    params = SystemParams(epsilon=epsilon, tau=tuple(tau), d=tuple(d))
-    n = len(d)
-    alpha = np.empty(n)
-    for j in range(n):
-        prod = 1.0
-        for k in range(n):
-            if k != j:
-                prod *= d[k] ** 2 / (d[k] ** 2 - d[j] ** 2)
-        alpha[j] = 2.0 * SQRT2 / 3.0 * d[0] ** 2 / (tau1 * d[j]) * prod
-    return SimultaneousDesign(params=params, alpha=tuple(alpha))
+    params = SystemParams(epsilon=epsilon, tau=tuple(tau1 * d ** 2 / d[0] ** 2), d=tuple(d))
+    return SimultaneousDesign(params=params, alpha=tuple(design_evans_degeneracy(params)))
 
 
 def imprint_scalar_singularity(params: SystemParams, targets) -> Coupling:

@@ -192,7 +192,9 @@ class ChainProfile:
         w = self.interface_halfwidth
         eps = self.params.epsilon
         if self.k == 0:
-            inner = SQRT2 / (2.0 * eps) / np.cosh(y / (SQRT2 * eps)) ** 2
+            # only the values inside the interface are kept; clamping y to it
+            # keeps cosh^2 from overflowing far outside
+            inner = SQRT2 / (2.0 * eps) / np.cosh(np.clip(y, -w, w) / (SQRT2 * eps)) ** 2
             out = np.where(np.abs(y) <= w, inner, 0.0)
             return float(out) if out.ndim == 0 else out
         # the front's slow fields, held at their interface-edge values inside

@@ -2,9 +2,10 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
-from frontlab import gamma0_taylor
+from frontlab import chain_profile, gamma0_taylor
 from frontlab.cli import dispatch, load_run_config
 from frontlab.core_model import model_from_dict
 from frontlab.errors import FrontlabError
@@ -267,12 +268,31 @@ class TestDispatch:
         assert (out / "ode_equilibria.json").exists()
 
     def test_jordan_profiles(self, n3_config, tmp_path):
-        out = tmp_path / "jordan"
-        rc = dispatch(["--config", n3_config, "--output-dir", str(out),
-                       "jordan", "--k", "1", "--ell", "3"])
-        assert rc == 0
-        lines = (out / "jordan_profile.csv").read_text().splitlines()
-        assert lines[1].startswith("# y,u,v1,v2,v3")
+        # the profile is written from one array evaluation on its grid; a
+        # point-by-point evaluation is the reference
+        cfg = load_run_config(n3_config)
+        for k in (0, 1, 3):
+            out = tmp_path / f"jordan{k}"
+            rc = dispatch(["--config", n3_config, "--output-dir", str(out),
+                           "jordan", "--k", str(k), "--ell", "3"])
+            assert rc == 0
+            lines = (out / "jordan_profile.csv").read_text().splitlines()
+            assert lines[1].startswith("# y,u,v1,v2,v3")
+            rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+            assert rows.shape == (2001, 5)
+            assert np.array_equal(rows[:, 0], np.linspace(-20.0, 20.0, 2001))
+            profile = chain_profile(cfg.params, cfg.coupling, k, 3)
+            ref = np.array([[y, np.real(profile.u(y))]
+                            + [np.real(profile.v(j, y)) for j in (1, 2, 3)]
+                            for y in rows[:, 0]])
+            if k == 0:
+                # exp(-h |y| / d^2) with a complex h: numpy divides a complex
+                # array by multiplying with 1/d^2, Python's complex scalar
+                # divides, and exp turns that last bit of its argument into
+                # up to |argument| ulps
+                np.testing.assert_allclose(rows, ref, rtol=1e-14, atol=0)
+            else:
+                assert np.array_equal(rows, ref)
 
     def test_ode_subcommand(self, n3_config, tmp_path):
         out = tmp_path / "ode"
@@ -401,6 +421,34 @@ class TestRunConfig:
         }, name="bad.json")
         with pytest.raises(FrontlabError):
             load_run_config(bad)
+
+    def test_defaults_without_run_sections(self, tmp_path):
+        # the defaults of docs/formats.md; None stands for a default computed
+        # where it is used (n_x and dt from epsilon and tau, n_prime = N)
+        cfg = load_run_config(write_config(tmp_path, {"epsilon": 0.2, "tau": [1.0],
+                                                      "d": [1.0]}))
+        assert (cfg.seed, cfg.output_dir) == (0, ".")
+        assert cfg.pde == {"domain_half_length": 20.0, "n_x": None, "dt": None,
+                           "t_end": 10.0, "output_stride": 10,
+                           "perturbation": {"mode": "bump", "amplitude": 0.01,
+                                            "width": 1.0, "center": 0.0, "lam": 0.0}}
+        assert cfg.ode == {"n_prime": None, "h": 1.0}
+
+    def test_manifest_echoes_the_document_as_written(self, tmp_path, capsys):
+        doc = {"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": [0.9],
+               "pde": {"t_end": 0.1, "perturbation": {"width": 2}}, "ode": {}}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert dispatch(["--config", path, "--output-dir", str(out),
+                         "gamma", "--taylor", "2"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == doc
+        assert manifest["seed"] == 0
+        # while the run itself sees every default filled in
+        cfg = load_run_config(path)
+        assert cfg.pde["perturbation"] == {"mode": "bump", "amplitude": 0.01, "width": 2,
+                                           "center": 0.0, "lam": 0.0}
+        assert cfg.pde["domain_half_length"] == 20.0 and cfg.ode["h"] == 1.0
 
     def test_pde_sim_runs(self, tmp_path):
         path = write_config(tmp_path, {

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,22 @@ class TestChainProfile:
         ref = eigenfunction_c0(params, 0.0, coupling)
         y = np.linspace(-3, 3, 11)
         assert np.allclose(np.real(prof.v(1, y)), np.real(ref.v(1, y)))
+
+    def test_k0_fast_component_on_the_cli_domain(self, transcritical_set):
+        # `frontlab jordan` samples 2001 points on [-20, 20] (eps = 0.03):
+        # the sech^2 mode is evaluated inside the interface alone, without
+        # overflowing cosh^2 far outside it
+        params, coupling = transcritical_set
+        eps = params.epsilon
+        prof = chain_profile(params, coupling, 0, 3)
+        y = np.linspace(-20.0, 20.0, 2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = prof.u(y)
+        inside = np.abs(y) <= math.sqrt(eps)
+        assert np.array_equal(u[inside], SQRT2 / (2.0 * eps)
+                              / np.cosh(y[inside] / (SQRT2 * eps)) ** 2)
+        assert not u[~inside].any()
 
     def test_k1_plateau_and_fast_value(self, transcritical_set):
         params, coupling = transcritical_set
