@@ -478,7 +478,7 @@ def build_parser():
     p.add_argument("--range", required=True, metavar="lo,hi",
                    type=_comma_list(_finite, _finite))
     p.add_argument("--ds", type=_positive, default=0.01)
-    p.add_argument("--max-points", type=int, default=120)
+    p.add_argument("--max-points", type=_count, default=120)
 
     p = command("verify", _cmd_verify, "run built-in verification suites")
     p.add_argument("--suite", default="paper-params", choices=("paper-params", "full"))

@@ -113,6 +113,8 @@ class TestDispatch:
         (None, ["ode", "--nf", "a,b,c,d,e,f,g"], 2, "could not convert"),
         (None, ["ode", "--shoot=1,2"], 2, "expected 3"),
         (None, ["pde-continue", "--free-param", "gamma", "--range", "1"], 2, "expected 2"),
+        (None, ["pde-continue", "--free-param", "gamma", "--range=0,0.01",
+                "--max-points", "-3"], 2, "'-3' is not a positive count"),
         ("absent", ["gamma", "--roots"], 1, "cannot read config"),
         ('{"epsilon": 0.05,', ["gamma", "--roots"], 1, "not valid JSON"),
         ("[1, 2]", ["gamma", "--roots"], 1, "JSON object"),

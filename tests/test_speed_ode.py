@@ -11,6 +11,7 @@ from frontlab import (Coupling, FrontlabError, ScaledNF, SpeedODE,
                       equilibria_and_classification, evans_context,
                       gamma0_roots, integrate, lyapunov_max, shilnikov_shoot)
 from frontlab.designer import design_evans_degeneracy, unfolding_polynomial_roots, linear_unfolding_map
+from frontlab.errors import ConvergenceError
 from frontlab.speed_ode import classify_eigenvalues
 
 SQRT2 = math.sqrt(2.0)
@@ -108,7 +109,7 @@ def _forms(draw):
                    epsilon=draw(st.floats(0.01, 1.0)))
     nf = ScaledNF(nu0=draw(_coef), nu=draw(vec), a11=draw(_coef), a12=draw(_coef),
                   delta=draw(_coef))
-    return ode, nf, np.array(draw(vec)), draw(vec)
+    return ode, nf, np.array(draw(vec)), draw(vec), draw(vec)
 
 
 class TestOneCompanionForm:
@@ -117,7 +118,7 @@ class TestOneCompanionForm:
     @settings(max_examples=200, deadline=None)
     @given(_forms(), st.sampled_from([math.nan, math.inf]))
     def test_field_and_jacobian_against_written_out_rows(self, case, bad):
-        ode, nf, z, nu_new = case
+        ode, nf, z, nu_new, w = case
         n = len(z)
         # replace must recompute the form: nf_new is checked against rows
         # written out from its own, new nu
@@ -132,6 +133,12 @@ class TestOneCompanionForm:
             jac = form.jacobian_at(z)
             assert np.array_equal(jac[:-1], scale * np.eye(n, k=1)[:-1])
             assert all(_close(jac[-1, j], scale, grad[j]) for j in range(n))
+            # the tangent J(z) w, built without J: the written-out Jacobian
+            # row times w, term by term
+            var = form.variational_at(z.tolist() + list(w))
+            assert var[:n] == field_.tolist()
+            assert var[n:-1] == (scale * np.array(w[1:])).tolist()
+            assert _close(var[-1], scale, [g * w[j] for j in range(n) for g in grad[j]])
         assert ode.scalar_equilibrium_coeffs() == (ode.a0, ode.a_lin[0], ode.a_quad[0])
         for form in (nf, nf_new):
             assert form.scalar_equilibrium_coeffs() == (form.nu0, form.nu[0], form.a11)
@@ -189,6 +196,8 @@ class TestIntegrate:
         tr = integrate(ode, np.array([1.0]), 100.0, tol=1e-8)
         assert tr.blew_up
         assert tr.t[-1] < 100.0
+        with pytest.raises(ConvergenceError, match="blew up"):
+            lyapunov_max(ode, np.array([1.0]), 100.0, 5.0)
 
 
 class TestEquilibria:
@@ -362,6 +371,45 @@ class TestShilnikovShoot:
                                t_max=300.0, integrator_tol=1e-12)
         assert reference.status == "ok"
         assert abs(reference.miss - cand.miss) < 10 * tol
+
+    def test_shot_stops_at_the_return_it_measures(self, monkeypatch):
+        # every shot of the criterion-10 sweep ends at its second section
+        # crossing, and its miss is bit-identical to that of the same
+        # integration carried on past the return
+        from frontlab import speed_ode
+        solve_ivp = speed_ode._solve_ivp
+        shots = []
+
+        def recorded(fun, t_span, y0, **kwargs):
+            sol = solve_ivp(fun, t_span, y0, **kwargs)
+            if isinstance(kwargs["events"], tuple):   # a shot, not `integrate`
+                shots.append((fun, t_span, y0, kwargs, sol))
+            return sol
+        monkeypatch.setattr(speed_ode, "_solve_ivp", recorded)
+        nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
+        result = shilnikov_shoot(nf, np.linspace(-1.0, -0.25, 7), tol=1e-6,
+                                 t_max=300.0)
+        assert all(p.status == "ok" for p in result.trace)
+        assert len(shots) > len(result.trace)
+        for *_, sol in shots:
+            assert sol.status == 1 and sol.t_events[0].size == 2
+            assert sol.t[-1] == sol.t_events[0][1]
+        for point, (fun, t_span, y0, kwargs, sol) in zip(result.trace, shots):
+            section, escape = kwargs["events"]
+
+            def passing(t, y):
+                return section(t, y)
+            passing.direction = section.direction
+            full = solve_ivp(fun, t_span, y0, **dict(kwargs, events=(passing, escape)))
+            assert full.t[-1] > sol.t[-1]
+            # the miss of _shoot_once, written out: the unstable-eigenbasis
+            # coordinate of the second crossing, seeded toward the mid-plane
+            eq, other, _lam, v_u, w_u, _rho = speed_ode._saddle_focus_data(
+                replace(nf, nu=(0.0, -1.0, point.nu_bar)))
+            if np.dot(v_u, 0.5 * (eq.state + other.state) - eq.state) < 0:
+                v_u = -v_u
+            x_c = full.y_events[0][1]
+            assert float(np.dot(w_u, x_c - eq.state) / np.dot(w_u, v_u)) == point.miss
 
     def test_no_sign_change_returns_full_trace(self):
         nf = ScaledNF.shilnikov(-1.0, -0.5, -1.6, a11=1.0)
