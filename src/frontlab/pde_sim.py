@@ -9,6 +9,11 @@ reaction) with freezing-based speed extraction, damped Newton solvers for
 stationary and travelling fronts with a phase condition, pseudo-arclength
 continuation with fold/Hopf detection, and linearization spectra for
 cross-validation against the Evans-function predictions.
+
+The Jacobian comes from one set of diagonals with two packings: a CSC
+matrix on the flat order for ARPACK's spectra, and a LAPACK band on the
+node-interleaved order, where every Newton step is one band LU with the
+phase and arclength borders eliminated through a small Schur system.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.sparse.linalg import eigs as sparse_eigs
-from scipy.sparse.linalg import splu
 
 from .core_model import (REAL_IMAG_TOL, Coupling, SystemParams, conjugate_pairs,
                          coupling_gradient, eval_coupling)
@@ -281,119 +285,8 @@ def _apply_rows(X, lower, diag, upper):
 
 @functools.lru_cache(maxsize=8)
 def _shared_store(params: SystemParams, grid: Grid) -> dict:
-    """The patterns, layouts and factors all systems on (params, grid) share."""
+    """The implicit-diffusion factors all systems on (params, grid) share."""
     return {}
-
-
-def _csc_layout(shape, groups):
-    """Sorted CSC structure holding every (rows, cols) group of entries.
-
-    Returns indptr, indices and, for each group, the positions of its
-    entries in the data array.
-    """
-    rows = np.concatenate([r for r, _c in groups])
-    cols = np.concatenate([c for _r, c in groups])
-    order = np.lexsort((rows, cols))
-    where = np.empty(len(order), dtype=np.intp)
-    where[order] = np.arange(len(order))
-    indptr = np.zeros(shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
-    bounds = np.cumsum([0] + [len(r) for r, _c in groups])
-    return (indptr, rows[order].astype(np.int32),
-            [where[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
-
-
-@dataclass(frozen=True)
-class _JacobianPattern:
-    """CSC structure of the comoving Jacobian with its coupling-free values.
-
-    `static` holds the diffusion D2 blocks and the linear reaction blocks,
-    `d1` the raw D1 values; each stored value's row block (0 for U, j + 1
-    for V_j) picks its advection and, in the dynamic Jacobian, its mass.
-    """
-
-    shape: tuple
-    indptr: np.ndarray
-    indices: np.ndarray
-    static: np.ndarray
-    d1: np.ndarray
-    row_block: np.ndarray
-    uu: np.ndarray             # positions of the U-U diagonal
-    uv: np.ndarray             # (N, n_x) positions of the U-V_j diagonals
-    pin_row: np.ndarray        # positions in the center node's U row
-    pin_diag: int
-
-
-def _jacobian_pattern(system: "_FrontSystem") -> _JacobianPattern:
-    nx, n = system.nx, system.n
-    size = system.size
-    i = np.arange(nx)
-    tri_rows = np.concatenate([i[1:], i, i[:-1]])
-    tri_cols = np.concatenate([i[:-1], i, i[1:]])
-    on_diag = slice(nx - 1, 2 * nx - 1)
-    d2 = np.concatenate(system.d2_bands)
-    d1 = np.concatenate([system.d1_bands[0], np.zeros(nx), system.d1_bands[2]])
-
-    groups = [(tri_rows, tri_cols)]
-    for j in range(n):
-        off = (j + 1) * nx
-        groups += [(i, off + i), (off + i, i), (off + tri_rows, off + tri_cols)]
-    indptr, indices, pos = _csc_layout((size, size), groups)
-    static = np.zeros(len(indices))
-    d1_vals = np.zeros(len(indices))
-    static[pos[0]] = system.diffusion[0] * d2
-    d1_vals[pos[0]] = d1
-    for j in range(n):
-        _uv, vu, vv = pos[1 + 3 * j:4 + 3 * j]
-        static[vu] = system.eps2
-        block = system.diffusion[j + 1] * d2
-        block[on_diag] -= system.eps2
-        static[vv] = block
-        d1_vals[vv] = d1
-    row_block = indices // nx
-    uu = pos[0][on_diag]
-    return _JacobianPattern(
-        shape=(size, size), indptr=indptr, indices=indices, static=static,
-        d1=d1_vals, row_block=row_block, uu=uu,
-        uv=np.stack([pos[1 + 3 * j] for j in range(n)]),
-        pin_row=np.flatnonzero(indices == system.center),
-        pin_diag=int(uu[system.center]))
-
-
-@dataclass(frozen=True)
-class _BorderLayout:
-    """Positions of J, the phase row, the extra columns and the arclength
-    row in the CSC data of a bordered matrix."""
-
-    shape: tuple
-    indptr: np.ndarray
-    indices: np.ndarray
-    jac: np.ndarray
-    phase: np.ndarray
-    columns: np.ndarray
-    arc: np.ndarray | None
-
-
-def _border_layout(pat: _JacobianPattern, center: int, n_cols: int,
-                   with_arc: bool) -> _BorderLayout:
-    size = pat.shape[0]
-    jac_cols = np.repeat(np.arange(size), np.diff(pat.indptr))
-    shape = (size + 1 + with_arc, size + n_cols)
-    extra_cols = np.repeat(size + np.arange(n_cols), size)
-    groups = [(pat.indices, jac_cols), (np.array([size]), np.array([center])),
-              (np.tile(np.arange(size), n_cols), extra_cols)]
-    if with_arc:
-        groups.append((np.full(shape[1], size + 1), np.arange(shape[1])))
-    indptr, indices, pos = _csc_layout(shape, groups)
-    return _BorderLayout(shape=shape, indptr=indptr, indices=indices, jac=pos[0],
-                         phase=pos[1], columns=pos[2],
-                         arc=pos[3] if with_arc else None)
-
-
-def _csc(data, layout):
-    # fresh index arrays, so that no caller can alter the cached ones
-    return sp.csc_matrix((data, layout.indices.copy(), layout.indptr.copy()),
-                         shape=layout.shape)
 
 
 class _FrontSystem:
@@ -409,12 +302,13 @@ class _FrontSystem:
     (U - U^3 - eps F(V), eps^2 (U - V_j)).  `residual` is the right-hand
     side; `advance` steps it in time at c = 0, solving the implicit
     diffusion with W (I - k D2), which the trapezoid weights W = diag(1/2,
-    1, ..., 1, 1/2) make symmetric positive definite; `jacobian` and its
-    pinned, bordered and dynamic forms feed Newton, spectra and
-    continuation.  What depends only on (params, grid), the Jacobian
-    pattern, the bordered layouts and the implicit-diffusion factors, is
-    built on first use and shared by every system on them; `with_coupling`
-    gives a view at another coupling.
+    1, ..., 1, 1/2) make symmetric positive definite.  The Jacobian's
+    entries come from `diagonals` alone, in two packings: `jacobian` and
+    `dynamic_jacobian`, CSC on the flat order, feed the spectra; `band`,
+    on the node-interleaved order, feeds `newton_step`, the one linear
+    solve of every Newton iteration.  The implicit-diffusion factors depend
+    only on (params, grid), are built on first use and are shared by every
+    system on them; `with_coupling` gives a view at another coupling.
     """
 
     def __init__(self, params: SystemParams, coupling: Coupling, grid: Grid):
@@ -428,7 +322,7 @@ class _FrontSystem:
         self.diffusion = self.eps2 * np.concatenate([[1.0], np.asarray(params.d) ** 2])
         self.mass = np.concatenate([[1.0], params.tau])
         self.d2_bands, self.d1_bands = _neumann_stencils(self.nx, grid.h)
-        self._layouts = _shared_store(params, grid)
+        self._shared = _shared_store(params, grid)
 
     def with_coupling(self, coupling: Coupling) -> "_FrontSystem":
         view = copy.copy(self)
@@ -494,7 +388,7 @@ class _FrontSystem:
         kept.  Under W = diag(1/2, 1, ..., 1, 1/2) the ghost mirrors' 2/h^2
         halve to the interior -k/h^2 off-diagonal, so every row's matrix is
         symmetric; rows meet with a zero off-diagonal."""
-        cached = self._layouts.get("implicit")
+        cached = self._shared.get("implicit")
         if cached is None or cached[0] != scale:
             k = (scale * (self.diffusion / self.mass))[:, None]
             lower, diag, _upper = self.d2_bands
@@ -506,7 +400,7 @@ class _FrontSystem:
             if info != 0:
                 raise FrontlabError(
                     f"implicit diffusion matrix is not positive definite (scale {scale})")
-            cached = self._layouts["implicit"] = (scale, (d, e))
+            cached = self._shared["implicit"] = (scale, (d, e))
         return cached[1]
 
     def advance(self, x, t, dt):
@@ -527,52 +421,103 @@ class _FrontSystem:
             t = t + sub
         return X.ravel(), t
 
-    # -- Jacobians
+    # -- the Jacobian: one set of diagonals, two packings
 
-    def _pattern(self) -> _JacobianPattern:
-        if "jacobian" not in self._layouts:
-            self._layouts["jacobian"] = _jacobian_pattern(self)
-        return self._layouts["jacobian"]
+    def diagonals(self, x, c):
+        """The Jacobian at (x, c) as the diagonals it is made of: each row
+        block's (lower, main, upper) stencil plus reaction, of shapes
+        (N+1, n_x - 1), (N+1, n_x) and (N+1, n_x - 1); the U-V_j coupling
+        diagonals -eps dF/dV_j, (N, n_x); and the V_j-U constant eps^2."""
+        u, v = self.split(x)
+        diffusion, adv = self.diffusion[:, None], self._advection(c)[:, None]
+        (d2_lower, d2_main, d2_upper), (d1_lower, _, d1_upper) = self.d2_bands, self.d1_bands
+        main = diffusion * d2_main
+        main[0] += 1.0 - 3.0 * u ** 2
+        main[1:] -= self.eps2
+        return (diffusion * d2_lower + adv * d1_lower, main,
+                diffusion * d2_upper + adv * d1_upper,
+                -self.params.epsilon * coupling_gradient(self.coupling, v), self.eps2)
 
     def jacobian(self, x, c):
-        pat = self._pattern()
-        u, v = self.split(x)
-        data = pat.static + self._advection(c)[pat.row_block] * pat.d1
-        data[pat.uu] += 1.0 - 3.0 * u ** 2
-        data[pat.uv] = -self.params.epsilon * coupling_gradient(self.coupling, v)
-        return _csc(data, pat)
-
-    def pinned_jacobian(self, x, c):
-        """Jacobian with the center U equation traded for the pin U = 0."""
-        pat = self._pattern()
-        jac = self.jacobian(x, c)
-        jac.data[pat.pin_row] = 0.0
-        jac.data[pat.pin_diag] = 1.0
-        return jac
-
-    def bordered(self, jac, columns, arc=None):
-        """[[J, B], [e_center, 0], [arc]] for J = `jacobian(...)`.
-
-        `columns` are B's columns (each of length `size`); the optional dense
-        `arc` row has length size + len(columns).
-        """
-        key = (len(columns), arc is not None)
-        if key not in self._layouts:
-            self._layouts[key] = _border_layout(self._pattern(), self.center, *key)
-        layout = self._layouts[key]
-        data = np.empty(len(layout.indices))
-        data[layout.jac] = jac.data
-        data[layout.phase] = 1.0
-        data[layout.columns] = np.concatenate(columns)
-        if arc is not None:
-            data[layout.arc] = arc
-        return _csc(data, layout)
+        """CSC on the flat order (U, V_1, ..., V_N), as ARPACK takes it."""
+        lower, main, upper, uv, vu = self.diagonals(x, c)
+        nx, size = self.nx, self.size
+        gap = np.zeros((self.n + 1, 1))    # where row blocks meet
+        diagonals = [np.hstack([lower, gap]).ravel()[:-1], main.ravel(),
+                     np.hstack([upper, gap]).ravel()[:-1]]
+        offsets = [-1, 0, 1]
+        for j in range(1, self.n + 1):
+            pad = np.zeros(size - (j + 1) * nx)
+            diagonals += [np.concatenate([uv[j - 1], pad]),
+                          np.concatenate([np.full(nx, vu), pad])]
+            offsets += [j * nx, -j * nx]
+        return sp.diags(diagonals, offsets, shape=(size, size), format="csc")
 
     def dynamic_jacobian(self, x, c):
         """Jacobian of the time-dependent system (V_j rows divided by tau_j)."""
         jac = self.jacobian(x, c)
-        jac.data /= self.mass[self._pattern().row_block]
+        jac.data /= self.mass[jac.indices // self.nx]
         return jac
+
+    def band(self, x, c):
+        """The Jacobian at (x, c) in LAPACK's general band storage on the
+        node-interleaved order (U, V_1, ..., V_N at node 0, then at node 1,
+        ...), where kl = ku = N + 1: entry (I, J) sits at [2 kl + I - J, J],
+        below the kl rows `dgbtrf` fills."""
+        lower, main, upper, uv, vu = self.diagonals(x, c)
+        m = self.n + 1
+        ab = np.zeros((3 * m + 1, self.nx, m))
+        ab[m, 1:] = upper.T
+        ab[2 * m] = main.T
+        ab[3 * m, :-1] = lower.T
+        for j in range(1, m):
+            ab[2 * m - j, :, j] = uv[j - 1]
+            ab[2 * m + j, :, 0] = vu
+        return ab.reshape(3 * m + 1, self.size)
+
+    def newton_step(self, x, c, rhs, columns=(), arc=None):
+        """Solve a front's Newton system at (x, c) for `rhs`.
+
+        The matrix is the Jacobian J with its center U row traded for the
+        pin e_center^T, bordered by the k = len(columns) columns B and by k
+        rows: J's center U row with B's center entries, then the `arc` row
+        (length size + k) if given.  With k = 0 it is the pinned J of the
+        stationary solve; with k > 0 `rhs` holds the pin's entry at `size`
+        and the center U row's at `center`.  The pinned band is factored by
+        `dgbtrf`, one `dgbtrs` call solves it for rhs and B, and the k
+        border unknowns come from a k x k Schur system (block elimination,
+        Govaerts 2000, ch. 3).  Raises LinAlgError if the band or the Schur
+        system is singular.
+        """
+        m, k, size, ic = self.n + 1, len(columns), self.size, self.center
+        ab = self.band(x, c)
+        pin = ic * m                              # the center U in the band order
+        near = np.arange(pin - m, pin + m + 1)    # the columns of its row
+        entries = (2 * m + pin - near, near)
+        dropped = ab[entries]
+        ab[entries] = 0.0
+        ab[2 * m, pin] = 1.0
+        lu, piv, info = dgbtrf(ab, m, m, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("the pinned Jacobian is singular")
+        b = np.column_stack([rhs[:size], *columns])
+        if k:                                     # the pinned row is the phase row
+            b[ic] = 0.0
+            b[ic, 0] = rhs[size]
+        width = k + 1
+        z = dgbtrs(lu, m, m, b.reshape(m, self.nx, width).transpose(1, 0, 2)
+                   .reshape(size, width), piv)[0]
+        flat = z.reshape(self.nx, m, width).transpose(1, 0, 2).reshape(size, width)
+        if not k:
+            return flat[:, 0]
+        rows, corner, target = [dropped @ z[near]], [[col[ic] for col in columns]], [rhs[ic]]
+        if arc is not None:
+            rows.append(arc[:size] @ flat)
+            corner.append(arc[size:])
+            target.append(rhs[size + 1])
+        rows = np.array(rows)
+        dy = np.linalg.solve(np.array(corner) - rows[:, 1:], np.array(target) - rows[:, 0])
+        return np.concatenate([flat[:, 0] - flat[:, 1:] @ dy, dy])
 
 
 @dataclass
@@ -590,44 +535,46 @@ class FrontSolution:
         return self.state.params.epsilon ** 2 * self.c
 
 
-def _newton(residual, matrix, w, tol, max_iter):
-    """Damped Newton on residual(w) = 0 with Jacobian matrix(w); returns (w,
-    sup norm of residual(w), residual checks, converged).  A step is halved,
-    down to 2**-14, until the norm drops, and its residual is reused; a step
-    that no halving makes drop, a singular matrix or a non-finite iterate
-    ends the iteration unconverged at the last accepted iterate."""
+def _newton(residual, solve, w, tol, max_iter):
+    """Damped Newton on residual(w) = 0 with steps solve(w, -residual(w));
+    returns (w, sup norm of residual(w), residual checks, reason).  A step
+    is halved, down to 2**-14, until the norm drops, and its residual is
+    reused.  The reason is "converged", or why the iteration ended
+    unconverged at the last accepted iterate: "non_finite" iterate,
+    "singular" matrix (solve raised LinAlgError), "stalled" when no halving
+    makes the norm drop, or "max_iter"."""
     r = residual(w)
     norm = float(np.max(np.abs(r)))
     for it in range(1, max_iter + 1):
         if norm <= tol:
-            return w, norm, it, True
+            return w, norm, it, "converged"
         if not (math.isfinite(norm) and np.all(np.isfinite(w))):
-            break
-        jac = matrix(w)
+            return w, norm, it, "non_finite"
         try:
-            delta = splu(jac).solve(-r)
-        except RuntimeError:    # exactly singular
-            break
+            delta = solve(w, -r)
+        except np.linalg.LinAlgError:
+            return w, norm, it, "singular"
         for halvings in range(15):
             trial = w + 0.5 ** halvings * delta
             r = residual(trial)
             if np.max(np.abs(r)) < norm:
                 break
-        else:                   # stagnated
-            break
+        else:
+            return w, norm, it, "stalled"
         w, norm = trial, float(np.max(np.abs(r)))
-    return w, norm, it, False
+    return w, norm, it, "max_iter"
 
 
-def _front_newton(system, residual, matrix, w, tol, max_iter, kind):
+def _front_newton(system, residual, solve, w, tol, max_iter, kind):
     """`_newton` from w = (profile[, c]) to a FrontSolution at c = w[size]
-    (0 if absent), or a ConvergenceError carrying the last iterate."""
-    w, norm, its, ok = _newton(residual, matrix, w, tol, max_iter)
+    (0 if absent), or a ConvergenceError carrying the last iterate and, in
+    its diagnostics, the residual and the reason it stopped."""
+    w, norm, its, reason = _newton(residual, solve, w, tol, max_iter)
     state = system.state(w[:system.size])
-    if not ok:
+    if reason != "converged":
         raise ConvergenceError(
-            f"{kind} Newton stalled at residual {norm:.3e} after {its} iterations",
-            best=state, diagnostics={"residual": norm})
+            f"{kind} Newton stopped ({reason}) at residual {norm:.3e} after {its} iterations",
+            best=state, diagnostics={"residual": norm, "reason": reason})
     c = float(w[system.size]) if w.size > system.size else 0.0
     return FrontSolution(state=state, c=c, residual=norm, iterations=its, converged=True)
 
@@ -649,7 +596,7 @@ def solve_stationary_front(params: SystemParams, coupling: Coupling,
         return r
 
     x = system.flat(initial_front_state(params, coupling, grid))
-    sol = _front_newton(system, residual, lambda x: system.pinned_jacobian(x, 0.0),
+    sol = _front_newton(system, residual, lambda x, rhs: system.newton_step(x, 0.0, rhs),
                         x, 1e-10, 40, "stationary")
     sol.dropped_equation_residual = abs(system.residual(system.flat(sol.state), 0.0)[ic])
     return sol
@@ -668,13 +615,12 @@ def solve_travelling_front(params: SystemParams, coupling: Coupling,
     def residual(w):
         return np.append(system.residual(w[:-1], w[-1]), w[system.center])
 
-    def matrix(w):
-        return system.bordered(system.jacobian(w[:-1], w[-1]),
-                               [system.residual_c_derivative(w[:-1])])
+    def solve(w, rhs):
+        return system.newton_step(w[:-1], w[-1], rhs, [system.residual_c_derivative(w[:-1])])
 
     seed = guess if guess is not None else initial_front_state(
         params, coupling, grid, c=guess_c)
-    return _front_newton(system, residual, matrix,
+    return _front_newton(system, residual, solve,
                          np.append(system.flat(seed), float(guess_c)), res_tol, 60,
                          "travelling")
 
@@ -872,14 +818,14 @@ def _bordered_correct(system, free_param, w, tangent, w_old, step_len,
                + tangent[nx1 + 1] * (w[nx1 + 1] - w_old[nx1 + 1]) - step_len)
         return np.concatenate([at(w).residual(w[:nx1], w[nx1]), [w[system.center], arc]])
 
-    def matrix(w):
+    def solve(w, rhs):
         at_p, x = at(w), w[:nx1]
-        return at_p.bordered(at_p.jacobian(x, w[nx1]),
-                             [at_p.residual_c_derivative(x),
-                              at_p.residual_param_derivative(x, free_param)], arc_row)
+        return at_p.newton_step(x, w[nx1], rhs, [at_p.residual_c_derivative(x),
+                                                 at_p.residual_param_derivative(x, free_param)],
+                                arc_row)
 
-    w, _norm, _its, ok = _newton(residual, matrix, w, BRANCH_RES_TOL, 12)
-    return w if ok else None
+    w, _norm, _its, reason = _newton(residual, solve, w, BRANCH_RES_TOL, 12)
+    return w if reason == "converged" else None
 
 
 def _tag_folds(points):

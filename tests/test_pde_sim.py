@@ -269,9 +269,9 @@ class TestNewton:
             calls.append(w)
             return w * w - target
 
-        w, norm, its, ok = ps._newton(residual, lambda w: sp.diags(2.0 * w, format="csc"),
-                                      np.full(5, 2.0), 1e-12, 20)
-        assert ok and norm <= 1e-12
+        w, norm, its, reason = ps._newton(residual, lambda w, rhs: rhs / (2.0 * w),
+                                          np.full(5, 2.0), 1e-12, 20)
+        assert reason == "converged" and norm <= 1e-12
         np.testing.assert_allclose(w, np.sqrt(target), rtol=0, atol=1e-12)
         # undamped: one residual per iterate, the last one checked only
         assert 3 <= its == len(calls)
@@ -284,22 +284,26 @@ class TestNewton:
             calls.append(w)
             return np.arctan(w)
 
-        w, _norm, its, ok = ps._newton(residual, lambda w: sp.diags(1.0 / (1.0 + w * w),
-                                                                    format="csc"),
-                                       np.array([1.5]), 1e-12, 30)
-        assert ok and abs(w[0]) <= 1e-12
+        w, _norm, its, reason = ps._newton(residual, lambda w, rhs: rhs * (1.0 + w * w),
+                                           np.array([1.5]), 1e-12, 30)
+        assert reason == "converged" and abs(w[0]) <= 1e-12
         assert len(calls) > its
 
     def test_singular_matrix_is_not_converged(self):
-        w, norm, its, ok = ps._newton(lambda w: w - 1.0, lambda w: sp.csc_matrix((2, 2)),
-                                      np.zeros(2), 1e-12, 10)
-        assert not ok and (norm, its) == (1.0, 1)
+        w, norm, its, reason = ps._newton(lambda w: w - 1.0,
+                                          lambda w, rhs: np.linalg.solve(np.zeros((2, 2)), rhs),
+                                          np.zeros(2), 1e-12, 10)
+        assert reason == "singular" and (norm, its) == (1.0, 1)
 
     def test_nan_iterate_is_not_converged(self):
-        w, norm, its, ok = ps._newton(lambda w: w - 1.0,
-                                      lambda w: sp.identity(2, format="csc"),
-                                      np.array([np.nan, 0.0]), 1e-12, 10)
-        assert not ok and its == 1 and math.isnan(norm)
+        w, norm, its, reason = ps._newton(lambda w: w - 1.0, lambda w, rhs: rhs,
+                                          np.array([np.nan, 0.0]), 1e-12, 10)
+        assert reason == "non_finite" and its == 1 and math.isnan(norm)
+
+    def test_iteration_cap_is_not_converged(self):
+        w, norm, its, reason = ps._newton(lambda w: w * w - 2.0, lambda w, rhs: rhs / (2.0 * w),
+                                          np.array([1.0]), 1e-12, 2)
+        assert reason == "max_iter" and its == 2 and 0.0 < norm < 1.0
 
     def test_travelling_solve_evaluates_each_iterate_once(self, cusp_setup, monkeypatch):
         params, coupling = cusp_setup
@@ -319,11 +323,13 @@ class TestNewton:
     def test_stalled_solve_raises_with_last_iterate(self, cusp_setup):
         params, coupling = cusp_setup
         grid = ps.make_grid(24.0, 481, params.epsilon)
-        with pytest.raises(fl.ConvergenceError, match="stalled at residual") as info:
+        with pytest.raises(fl.ConvergenceError,
+                           match=r"stopped \(stalled\) at residual") as info:
             ps.solve_travelling_front(params, coupling, guess_c=2.289, grid=grid,
                                       res_tol=0.0)
         assert info.value.best.u.shape == (481,)
         assert info.value.diagnostics["residual"] > 0.0
+        assert info.value.diagnostics["reason"] == "stalled"
 
     def test_stagnation_ends_the_iteration(self, cusp_setup):
         # 1e-30 is below the rounding floor: once no halving lowers the
@@ -336,15 +342,14 @@ class TestNewton:
         def residual(w):
             return np.append(system.residual(w[:-1], w[-1]), w[system.center])
 
-        def matrix(w):
+        def solve(w, rhs):
             factorized.append(w)
-            return system.bordered(system.jacobian(w[:-1], w[-1]),
-                                   [system.residual_c_derivative(w[:-1])])
+            return system.newton_step(w[:-1], w[-1], rhs, [system.residual_c_derivative(w[:-1])])
 
         seed = ps.initial_front_state(params, coupling, grid, c=2.289)
-        w, norm, its, ok = ps._newton(residual, matrix,
-                                      np.append(system.flat(seed), 2.289), 1e-30, 60)
-        assert not ok and norm < 1e-12
+        w, norm, its, reason = ps._newton(residual, solve,
+                                          np.append(system.flat(seed), 2.289), 1e-30, 60)
+        assert reason == "stalled" and norm < 1e-12
         assert len(factorized) == its <= 10
         assert np.max(np.abs(residual(w))) == norm
 
@@ -475,6 +480,25 @@ def _assert_same_entries(a, b):
     assert (a != b).nnz == 0
 
 
+def _assert_step_is_dense_solve(system, x, c, jac, columns, arc, rng):
+    """`newton_step` against `numpy.linalg.solve` of the bordered matrix
+    [[J, B], [e_center, 0], [arc]], or of J with its center U row traded for
+    e_center when there are no columns."""
+    size, k, ic = system.size, len(columns), system.center
+    e_center = np.zeros(size + k)
+    e_center[ic] = 1.0
+    if k:
+        rows = [np.hstack([jac, np.column_stack(columns)]), e_center[None]]
+        matrix = np.vstack(rows + ([arc[None]] if arc is not None else []))
+    else:
+        matrix = jac.copy()
+        matrix[ic] = e_center
+    rhs = rng.uniform(-1.0, 1.0, size + k)
+    dense = np.linalg.solve(matrix, rhs)
+    step = system.newton_step(x, c, rhs, columns, arc)
+    assert np.max(np.abs(step - dense)) <= 1e-10 * np.max(np.abs(dense)), k
+
+
 @pytest.fixture(params=["n1_cubic", "n3"])
 def perturbed_system(request, transcritical_set):
     """A small system at c != 0, off its steady state, on 41 nodes."""
@@ -580,15 +604,6 @@ class TestJacobian:
         _assert_same_entries(view.jacobian(x, c), _bmat_jacobian(view, x, c))
         assert system.coupling is other
 
-    def test_systems_on_equal_params_and_grid_share_the_pattern(self, perturbed_system):
-        # every solve builds its own system; the pattern is built once
-        system, x, c, other = perturbed_system
-        params = SystemParams(epsilon=system.params.epsilon, tau=system.params.tau,
-                              d=system.params.d)
-        twin = ps._FrontSystem(params, other, ps.make_grid(4.0, 41))
-        assert twin._pattern() is system._pattern()
-        _assert_same_entries(twin.jacobian(x, c), _bmat_jacobian(twin, x, c))
-
     def test_dynamic_jacobian_is_row_scaled(self, perturbed_system):
         system, x, c, _other = perturbed_system
         row_tau = np.concatenate([np.ones(system.nx)]
@@ -601,29 +616,55 @@ class TestJacobian:
         scaled = sp.diags(1.0 / row_tau) @ jac
         assert abs(dynamic - scaled).max() <= 4e-16 * abs(scaled).max()
 
-    def test_pinned_row_is_unit_vector(self, perturbed_system):
+    def test_band_holds_the_jacobian(self, perturbed_system):
+        # the interleaved band, unpacked and permuted back to the flat order
         system, x, c, _other = perturbed_system
-        ic = system.center
-        pinned = system.pinned_jacobian(x, c).toarray()
-        unit = np.zeros(system.size)
-        unit[ic] = 1.0
-        assert np.array_equal(pinned[ic], unit)
-        jac = system.jacobian(x, c).toarray()
-        assert np.array_equal(np.delete(pinned, ic, axis=0), np.delete(jac, ic, axis=0))
+        m, size = system.n + 1, system.size
+        ab = system.band(x, c)
+        assert ab.shape == (3 * m + 1, size) and not ab[:m].any()   # dgbtrf's fill rows
+        dense = np.zeros((size, size))
+        for row in range(m, 3 * m + 1):
+            offset = 2 * m - row                     # J - I
+            cols = np.arange(max(0, offset), min(size, size + offset))
+            dense[cols - offset, cols] = ab[row, cols]
+        flat = np.arange(size).reshape(m, system.nx).T.ravel()   # band index -> flat index
+        unpacked = np.zeros((size, size))
+        unpacked[np.ix_(flat, flat)] = dense
+        assert np.array_equal(unpacked, system.jacobian(x, c).toarray())
 
-    def test_bordered_matrices(self, perturbed_system):
+    def test_newton_step_equals_dense_solve(self, perturbed_system):
         system, x, c, _other = perturbed_system
-        jac = system.jacobian(x, c)
-        dc = system.residual_c_derivative(x)
-        dp = system.residual_param_derivative(x, "alpha1")
-        phase = np.zeros(system.size + 2)
-        phase[system.center] = 1.0
-        arc = np.random.default_rng(3).uniform(-1.0, 1.0, system.size + 2)
-        travelling = sp.vstack([sp.hstack([jac, dc[:, None]]), phase[None, :-1]])
-        _assert_same_entries(system.bordered(jac, [dc]), travelling)
-        corrector = sp.vstack([sp.hstack([jac, dc[:, None], dp[:, None]]),
-                               phase[None, :], arc[None, :]])
-        _assert_same_entries(system.bordered(jac, [dc, dp], arc), corrector)
+        rng = np.random.default_rng(3)
+        jac = system.jacobian(x, c).toarray()
+        columns = [system.residual_c_derivative(x), system.residual_param_derivative(x, "alpha1")]
+        arc = rng.uniform(-1.0, 1.0, system.size + 2)
+        for k in (0, 1, 2):
+            _assert_step_is_dense_solve(system, x, c, jac, columns[:k],
+                                        arc if k == 2 else None, rng)
+
+    def test_newton_step_at_a_fold(self):
+        # the pinned and the corrector's system at the fold point of the cusp
+        # branch; the arclength row is the secant from the point before,
+        # its profile part weighted by 1 / size as `continue_branch` weights it
+        params = SystemParams(epsilon=0.2, tau=(1.0,), d=(1.0,))
+        template = Coupling(0.05, (1.45,), (0.0,), higher=(-1.0,))
+        grid = ps.make_grid(20.0, 401, params.epsilon)
+        points = ps.continue_branch(params, template, "alpha1", (1.0, 1.6), ds=0.04,
+                                    grid=grid, max_points=9, guess_c=-1.1774, n_eigs=6,
+                                    direction=-1.0)
+        i = [pt.tag for pt in points].index("fold")
+        before, fold = points[i - 1], points[i]
+        system = ps._FrontSystem(params, template.with_param("alpha1", fold.param), grid)
+        x = system.flat(fold.state)
+        weight = 1.0 / system.size
+        tangent = np.concatenate([weight * (x - system.flat(before.state)),
+                                  [fold.c - before.c, fold.param - before.param]])
+        columns = [system.residual_c_derivative(x), system.residual_param_derivative(x, "alpha1")]
+        jac = system.jacobian(x, fold.c).toarray()
+        rng = np.random.default_rng(5)
+        for k in (0, 2):
+            _assert_step_is_dense_solve(system, x, fold.c, jac, columns[:k],
+                                        tangent if k == 2 else None, rng)
 
     @pytest.mark.parametrize("name", ["gamma", "alpha1", "beta1"])
     def test_param_derivative_is_unit_difference(self, perturbed_system, name):
