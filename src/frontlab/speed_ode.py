@@ -8,16 +8,17 @@ Dumortier, Ibanez and Kokubu (Dyn. Syst. 16, 2001).
 
 This module builds the speed ODE from the existence/Evans analysis,
 integrates it, classifies equilibria (saddle-focus detection), shoots for
-homoclinic connections and estimates Lyapunov exponents.
+homoclinic connections and estimates Lyapunov exponents, all three
+integrations by the same Taylor steps (`_CompanionForm.taylor`).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .core_model import Coupling, SystemParams, _require_finite
 from .designer import design_evans_degeneracy, linear_unfolding_map
@@ -25,6 +26,10 @@ from .errors import ConvergenceError, FrontlabError
 from .existence import gamma0_taylor
 
 BLOWUP_NORM = 1e8
+
+#: Order of the Taylor steps, and the step below which a solution blows up.
+TAYLOR_ORDER = 20
+STEP_FLOOR = 1e-12
 
 #: Real parts (and, in the saddle-focus test, imaginary parts) within this
 #: fraction of max(1, |eigenvalue|) count as zero.
@@ -34,21 +39,10 @@ HYPER_TOL = 1e-9
 SEED_OFFSET = 1e-6
 
 
-def _solve_ivp(*args, **kwargs):
-    # imported on first use: scipy.integrate pulls in scipy.optimize, which
-    # would add ~0.25 s to every `import frontlab`
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
-
-
 class _CompanionForm:
     """z' = s (z_2, .., z_n, a0 + a.z + z_1 (q.z)); each dataclass maps its
     fields to (a0, a, q, s) in `__post_init__`, so `replace` recomputes them.
-
-    The last row is summed in plain floats: a shooting sweep evaluates the
-    field ~10,000 times (10,280 on criterion 10's sweep), and one numpy dot
-    on a 3-vector costs more than the whole row.
-    """
+    Rows are summed in plain floats, which beat numpy on 3-vectors."""
 
     def _set_form(self, a0, a, q, s):
         a0, a, q, s = float(a0), tuple(map(float, a)), tuple(map(float, q)), float(s)
@@ -61,32 +55,36 @@ class _CompanionForm:
     def dim(self):
         return len(self._form[1])
 
-    def last_row(self, z):
-        """a0 + a.z + z_1 (q.z), without the time scale s."""
-        a0, a, q, _s = self._form
+    def field_at(self, z):
+        a0, a, q, s = self._form
+        z = np.asarray(z, dtype=float).tolist()
         lin = quad = 0.0
         for x, a_j, q_j in zip(z, a, q):
             lin += a_j * x
             quad += q_j * x
-        return a0 + lin + z[0] * quad
+        return np.array([s * x for x in z[1:] + [a0 + lin + z[0] * quad]])
 
-    def field_at(self, z):
-        z = np.asarray(z, dtype=float).tolist()
-        s = self._form[3]
-        return np.array([s * x for x in z[1:] + [self.last_row(z)]])
-
-    def variational_at(self, y):
-        """(f(z), J(z) w) at the list y = z + w, as one list, without building
-        J: J(z) w = s (w_2, .., w_n, a.w + w_1 (q.z) + z_1 (q.w))."""
-        _a0, a, q, s = self._form
-        z, w = y[:len(a)], y[len(a):]
-        lin = qz = qw = 0.0
-        for x, v, a_j, q_j in zip(z, w, a, q):
-            lin += a_j * v
-            qz += q_j * x
-            qw += q_j * v
-        tail = [self.last_row(z)] + w[1:] + [lin + w[0] * qz + z[0] * qw]
-        return [s * x for x in z[1:] + tail]
+    def taylor(self, z, w=()):
+        """Taylor coefficients c_0..c_TAYLOR_ORDER, each the list z + w, of the
+        solution through z, z(t + h) = sum c_k[:n] h^k, and of the tangent
+        w' = J(z) w = s (w_2, .., w_n, a.w + w_1 (q.z) + z_1 (q.w)) through w:
+        c_(k+1) is c_k shifted times s/(k + 1), its last entries Cauchy products."""
+        a0, a, q, s = self._form
+        n = len(a)
+        rows, qz, qw = [[*map(float, z), *map(float, w)]], [], []
+        for k in range(TAYLOR_ORDER):
+            c, r = rows[k], s / (k + 1)
+            qz.append(sum(q_j * x for q_j, x in zip(q, c)))
+            last = sum(a_j * x for a_j, x in zip(a, c)) + sum(
+                rows[i][0] * qz[k - i] for i in range(k + 1))
+            new = [r * x for x in c[1:n]] + [r * (last + a0 if k == 0 else last)]
+            if len(w):
+                qw.append(sum(q_j * x for q_j, x in zip(q, c[n:])))
+                tan = sum(a_j * x for a_j, x in zip(a, c[n:])) + sum(
+                    rows[i][n] * qz[k - i] + rows[i][0] * qw[k - i] for i in range(k + 1))
+                new += [r * x for x in c[n + 1:]] + [r * tan]
+            rows.append(new)
+        return rows
 
     def jacobian_at(self, z):
         z = np.asarray(z, dtype=float).tolist()
@@ -208,12 +206,32 @@ def build_from_analysis(params: SystemParams, coupling: Coupling,
                     epsilon=params.epsilon, provenance=provenance)
 
 
+def _taylor_step(ode, z, tol, w=()):
+    """(rows, h): `ode.taylor(z, w)` and the step it allows at tolerance tol,
+    the least (eps / |c_k|)^(1/k) over the last two orders k, with
+    eps = tol max(1, |c_0|) and max-norms (Jorba and Zou).  h is inf for a
+    series that ends early, and 0.0 below STEP_FLOOR: a blow-up to callers."""
+    rows = ode.taylor(z, w)
+    eps = tol * max(1.0, max(map(abs, rows[0])))
+    sizes = [(max(map(abs, rows[k])), k) for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER)]
+    h = min(((eps / size) ** (1.0 / k) for size, k in sizes if size > 0.0), default=math.inf)
+    return rows, (h if h >= STEP_FLOOR else 0.0)
+
+
+def _horner(rows, h):
+    """The step polynomial sum_k rows[k] h^k, entry by entry."""
+    out = rows[-1]
+    for row in rows[-2::-1]:
+        out = [x * h + c for x, c in zip(out, row)]
+    return out
+
+
 @dataclass
 class Trajectory:
     t: np.ndarray
     y: np.ndarray            # shape (dim, len(t))
     blew_up: bool
-    dense: object            # the solver's dense-output interpolant
+    dense: object            # the step polynomials, at a time or an array of times
 
     def __call__(self, t):
         return self.dense(t)
@@ -221,27 +239,43 @@ class Trajectory:
 
 def integrate(ode, initial, t_end: float, tol: float = 1e-8,
               t_eval=None) -> Trajectory:
-    """Adaptive DOP853 (8th-order Dormand-Prince) trajectory of the speed ODE
-    (or scaled normal form).
-
-    Aborts on blow-up (state norm above 1e8) and returns the partial
-    trajectory flagged.
-    """
+    """Trajectory of the speed ODE (or scaled normal form) in Taylor steps
+    (`_taylor_step` at tolerance tol): the step ends or, with `t_eval`, those
+    samples by Horner's rule on the step polynomials, which are `dense`.  A
+    step below STEP_FLOOR or ending with a state norm above 1e8 stops the
+    run, flagged: at the last step end, or the last sample within 1e8."""
     if tol <= 0:
         raise FrontlabError("tol must be positive")
     if not 0 < t_end < math.inf:
         raise FrontlabError(f"t_end must be positive and finite, got {t_end}")
-    y0 = np.asarray(initial, dtype=float)
+    t = np.zeros(0) if t_eval is None else np.asarray(t_eval, dtype=float)
+    if not np.all((0.0 <= t) & (t <= t_end)):
+        raise FrontlabError(f"t_eval must lie within [0, t_end = {t_end}]")
+    z = np.asarray(initial, dtype=float).tolist()
+    left, times, states, starts, polys = float(t_end), [0.0], [z], [], []
+    while left > 0.0:
+        rows, h = _taylor_step(ode, z, tol)
+        h = min(h, left)
+        starts.append(t_end - left)
+        polys.append(rows)    # also that of a step that blows up: dense ends on it
+        z = _horner(rows, h)
+        if not (h > 0.0 and math.hypot(*z) <= BLOWUP_NORM):
+            break
+        left -= h
+        times.append(t_end - left)
+        states.append(z)
 
-    def blow_up(_t, y):
-        return float(np.linalg.norm(y)) - BLOWUP_NORM
-    blow_up.terminal = True
+    def dense(at):
+        shape, at = np.shape(at), np.ravel(at).astype(float)
+        steps = np.maximum(np.searchsorted(starts, at, side="right"), 1) - 1
+        out = [_horner(polys[i], s - starts[i]) for i, s in zip(steps, at.tolist())]
+        return np.array(out).T.reshape((len(states[0]),) + shape)
 
-    sol = _solve_ivp(lambda _t, y: ode.field_at(y), (0.0, float(t_end)), y0,
-                     method="DOP853", rtol=tol, atol=tol * 1e-2, dense_output=True,
-                     t_eval=t_eval, events=blow_up)
-    blew = bool(sol.t_events[0].size)
-    return Trajectory(t=sol.t, y=sol.y, blew_up=blew, dense=sol.sol)
+    if t_eval is None:
+        return Trajectory(np.array(times), np.array(states).T, left > 0.0, dense)
+    y = dense(t[t <= t_end - left + h])    # the step that blew up is accurate too
+    n = np.argmin(np.append(np.linalg.norm(y, axis=0) <= BLOWUP_NORM, False))
+    return Trajectory(t[:n], y[:, :n], left > 0.0, dense)
 
 
 @dataclass(frozen=True)
@@ -369,8 +403,7 @@ def _shoot_once(nf, t_max=400.0, integrator_tol=1e-10):
         return ShootPoint(nu_bar=nf.nu_bar, miss=math.nan,
                           status="no-saddle-focus")
     eq, other, lam_u, v_u, w_u, rho_s = data
-    p = eq.state
-    q = other.state
+    p, q = eq.state, other.state
     mid = 0.5 * (p + q)
     normal = q - p
     normal /= np.linalg.norm(normal)
@@ -380,28 +413,30 @@ def _shoot_once(nf, t_max=400.0, integrator_tol=1e-10):
         v_u = -v_u
     y0 = p + SEED_OFFSET * v_u
     escape_radius = 10.0 * max(1.0, abs(eq.c_star))
-
-    def section(_t, y):
-        return float(np.dot(y - mid, normal))
-    section.terminal = 2     # stop at the return the miss is read from
-    section.direction = 0
-
-    def escape(_t, y):
-        return float(np.linalg.norm(y - p)) - escape_radius
-    escape.terminal = True
-
-    sol = _solve_ivp(lambda _t, y: nf.field_at(y), (0.0, t_max), y0,
-                     method="DOP853", rtol=integrator_tol,
-                     atol=integrator_tol * 1e-2, events=(section, escape))
-    # Crossing #1 is the outbound transit of the departing manifold; the
-    # genuine first *return* to the section is crossing #2.
-    if sol.t_events[0].size >= 2:
-        x_c = sol.y_events[0][1]
-        denom = np.dot(w_u, v_u)
-        miss = float(np.dot(w_u, x_c - p) / denom)
-        return ShootPoint(nu_bar=nf.nu_bar, miss=miss, status="ok", rho_s=rho_s)
-    status = "escape" if sol.t_events[1].size else "timeout"
-    return ShootPoint(nu_bar=nf.nu_bar, miss=math.nan, status=status, rho_s=rho_s)
+    # the section function normal.(y - mid) on a step is the polynomial
+    # normal.c_k less normal.mid; crossing #1 is the outbound transit of the
+    # departing manifold, and the genuine first *return* is crossing #2
+    normal, offset = normal.tolist(), float(np.dot(normal, mid))
+    z, left, crossings, status, miss = y0.tolist(), t_max, 0, "timeout", math.nan
+    g0 = sum(n_j * x for n_j, x in zip(normal, z)) - offset
+    while left > 0.0 and status == "timeout":
+        rows, h = _taylor_step(nf, z, integrator_tol)
+        h = min(h, left)
+        z = _horner(rows, h)
+        g1 = sum(n_j * x for n_j, x in zip(normal, z)) - offset
+        crossings += (g0 > 0.0) != (g1 > 0.0)
+        if crossings == 2:       # Newton on the section polynomial of the step
+            sec = np.array(rows) @ normal
+            sec[0] -= offset
+            r = h * g0 / (g0 - g1)
+            for _ in range(20):
+                r -= polyval(r, sec) / polyval(r, np.arange(1, len(sec)) * sec[1:])
+            x_c = np.array(_horner(rows, r))
+            status, miss = "ok", float(np.dot(w_u, x_c - p) / np.dot(w_u, v_u))
+        elif not h > 0.0 or math.dist(z, p) > escape_radius:
+            status = "escape"
+        g0, left = g1, left - h
+    return ShootPoint(nu_bar=nf.nu_bar, miss=miss, status=status, rho_s=rho_s)
 
 
 def _branch_endpoints(nf):
@@ -496,36 +531,30 @@ def lyapunov_max(ode, initial, t_end: float, renorm_interval: float,
                  seed: int = 0) -> float:
     """Largest Lyapunov exponent by tangent-space renormalization.
 
-    Integrates state and tangent vector together with Hairer's Fortran
-    DOP853 (`scipy.integrate.ode`, rtol 1e-10, atol 1e-12), restarted at
-    every renormalization of the tangent, each `renorm_interval`; the
-    exponent is the mean log-growth per unit of the ODE's own time, with the
-    leading 20% of the chunks discarded as transient.
+    State and tangent vector take the same Taylor steps, `ode.taylor(z, w)`
+    at tolerance 1e-10, clipped so that one ends at every renormalization of
+    the tangent, each `renorm_interval`; the exponent is the mean log-growth
+    per unit of the ODE's own time, with the leading 20% of the chunks
+    discarded as transient.
     """
     if not 0 < renorm_interval < t_end < math.inf:
         raise FrontlabError("need 0 < renorm_interval < t_end < inf")
-    from scipy.integrate import ode as fortran_ode
-    rng = np.random.default_rng(seed)
-    dim = len(np.asarray(initial))
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    y = np.concatenate([np.asarray(initial, dtype=float), v])
-
-    # no step cap: a chunk ends at its end time, or where the step size
-    # underflows on a blow-up
-    solver = fortran_ode(lambda _t, y_aug: ode.variational_at(y_aug.tolist()))
-    solver.set_integrator("dop853", rtol=1e-10, atol=1e-12, nsteps=2 ** 31 - 1)
-    n_chunks = int(math.ceil(t_end / renorm_interval))
+    z = np.asarray(initial, dtype=float).tolist()
+    v = np.random.default_rng(seed).standard_normal(len(z))
+    w = (v / np.linalg.norm(v)).tolist()
     logs = []
-    for _ in range(n_chunks):
-        with warnings.catch_warnings():   # a failed chunk raises below instead
-            warnings.simplefilter("ignore", UserWarning)
-            y = solver.set_initial_value(y, 0.0).integrate(renorm_interval)
-        if not solver.successful() or not np.linalg.norm(y[:dim]) <= BLOWUP_NORM:
-            raise ConvergenceError("trajectory blew up during exponent estimation")
-        norm = np.linalg.norm(y[dim:])
+    for _ in range(int(math.ceil(t_end / renorm_interval))):
+        left = renorm_interval
+        while left > 0.0:
+            rows, h = _taylor_step(ode, z, 1e-10, w)
+            h = min(h, left)
+            y = _horner(rows, h)
+            z, w = y[:len(z)], y[len(z):]
+            if not (h > 0.0 and math.hypot(*z) <= BLOWUP_NORM):
+                raise ConvergenceError("trajectory blew up during exponent estimation")
+            left -= h
+        norm = math.hypot(*w)
         logs.append(math.log(norm))
-        y[dim:] /= norm
-    start = int(0.2 * len(logs))
-    kept = logs[start:]
+        w = [x / norm for x in w]
+    kept = logs[int(0.2 * len(logs)):]
     return float(sum(kept) / (len(kept) * renorm_interval))

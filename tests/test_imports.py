@@ -8,14 +8,23 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_import_does_not_load_optimize_or_integrate():
-    # scipy.integrate pulls in scipy.optimize: together a large share of the
-    # import time of the package and of every CLI call
-    code = ("import sys, frontlab, frontlab.verify; "
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+    # scipy.optimize is a large share of the import time of the package and
+    # of every CLI call, so `gamma0_roots` imports it on first use;
+    # scipy.integrate is never loaded, since the speed ODE integrates itself
+    code = """if True:
+        import sys, numpy as np, frontlab, frontlab.verify
+        print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])
+        nf = frontlab.ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
+        frontlab.shilnikov_shoot(nf, np.linspace(-0.8, -0.7, 2), t_max=300.0)
+        orbit = frontlab.ScaledNF.shilnikov(-1.0, -0.5, -3.9, a11=1.0)
+        y = frontlab.integrate(orbit, np.array([-0.98, 0.0, 0.0]), 30.0).y[:, -1]
+        frontlab.lyapunov_max(orbit, y, 20.0, 5.0)
+        print('scipy.integrate' in sys.modules)
+    """
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
 
 
 def _defaulted_parameters(tree):

@@ -12,7 +12,7 @@ from frontlab import (Coupling, FrontlabError, ScaledNF, SpeedODE,
                       gamma0_roots, integrate, lyapunov_max, shilnikov_shoot)
 from frontlab.designer import design_evans_degeneracy, unfolding_polynomial_roots, linear_unfolding_map
 from frontlab.errors import ConvergenceError
-from frontlab.speed_ode import classify_eigenvalues
+from frontlab.speed_ode import TAYLOR_ORDER, classify_eigenvalues
 
 SQRT2 = math.sqrt(2.0)
 
@@ -133,12 +133,14 @@ class TestOneCompanionForm:
             jac = form.jacobian_at(z)
             assert np.array_equal(jac[:-1], scale * np.eye(n, k=1)[:-1])
             assert all(_close(jac[-1, j], scale, grad[j]) for j in range(n))
-            # the tangent J(z) w, built without J: the written-out Jacobian
-            # row times w, term by term
-            var = form.variational_at(z.tolist() + list(w))
-            assert var[:n] == field_.tolist()
-            assert var[n:-1] == (scale * np.array(w[1:])).tolist()
-            assert _close(var[-1], scale, [g * w[j] for j in range(n) for g in grad[j]])
+            # the recurrence's order-1 coefficients: the field, and the
+            # tangent J(z) w, built without J, against the written-out
+            # Jacobian row times w, term by term
+            c_1 = form.taylor(z, w)[1]
+            assert c_1[:n - 1] == field_[:-1].tolist()
+            assert _close(c_1[n - 1], scale, terms)
+            assert c_1[n:-1] == (scale * np.array(w[1:])).tolist()
+            assert _close(c_1[-1], scale, [g * w[j] for j in range(n) for g in grad[j]])
         assert ode.scalar_equilibrium_coeffs() == (ode.a0, ode.a_lin[0], ode.a_quad[0])
         for form in (nf, nf_new):
             assert form.scalar_equilibrium_coeffs() == (form.nu0, form.nu[0], form.a11)
@@ -151,6 +153,25 @@ class TestOneCompanionForm:
         for form, changes in [(ode, c) for c in spoiled] + [(nf, c) for c in spoiled_nf]:
             with pytest.raises(FrontlabError, match="must be finite"):
                 replace(form, **changes)
+
+    def test_recurrence_against_exact_series(self):
+        # c' = s c^2 through c0 is c0 / (1 - s c0 t) = sum c0^(m+1) s^m t^m,
+        # and its tangent w' = 2 s c w through w0 is w0 / (1 - s c0 t)^2
+        s, c0, w0 = 0.49, 0.8, -1.3
+        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(0.0,), a_quad=(1.0,), epsilon=0.7)
+        rows = ode.taylor([c0], [w0])
+        assert len(rows) == TAYLOR_ORDER + 1
+        for m, (c, w) in enumerate(rows):
+            assert c == pytest.approx(c0 ** (m + 1) * s ** m, rel=1e-13)
+            assert w == pytest.approx(w0 * (m + 1) * (s * c0) ** m, rel=1e-13)
+        # the harmonic pair z1' = z2, z2' = -z1 through (1, 0) is
+        # (cos t, -sin t); the zero coefficients are exact
+        pair = SpeedODE(n_prime=2, a0=0.0, a_lin=(-1.0, 0.0), a_quad=(0.0, 0.0),
+                        epsilon=1.0)
+        for m, (z1, z2) in enumerate(pair.taylor([1.0, 0.0])):
+            sign = (-1) ** (m // 2) / math.factorial(m)
+            assert z1 == pytest.approx(sign if m % 2 == 0 else 0.0, rel=1e-14, abs=0.0)
+            assert z2 == pytest.approx(-sign if m % 2 == 1 else 0.0, rel=1e-14, abs=0.0)
 
 
 class TestIntegrate:
@@ -191,11 +212,24 @@ class TestIntegrate:
         with pytest.raises(FrontlabError, match="t_end"):
             lyapunov_max(ode, np.array([1.0]), t_end, 1.0)
 
+    @pytest.mark.parametrize("t_eval", [[-1.0, 0.0], [0.0, 10.5], [0.0, math.nan]])
+    def test_samples_outside_the_run_rejected(self, t_eval):
+        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(-1.0,), a_quad=(0.0,), epsilon=1.0)
+        with pytest.raises(FrontlabError, match="t_eval"):
+            integrate(ode, np.array([1.0]), 10.0, t_eval=np.array(t_eval))
+
     def test_blow_up_detection(self):
         ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
         tr = integrate(ode, np.array([1.0]), 100.0, tol=1e-8)
         assert tr.blew_up
         assert tr.t[-1] < 100.0
+        # sampled, the run returns every sample before the pole at ln(6)/5,
+        # and none with a norm above 1e8
+        t_eval = np.linspace(0.0, 1.0, 1001)
+        tr = integrate(ode, np.array([1.0]), 1.0, tol=1e-8, t_eval=t_eval)
+        assert tr.blew_up
+        assert np.array_equal(tr.t, t_eval[t_eval < math.log(6.0) / 5.0])
+        assert np.max(np.linalg.norm(tr.y, axis=0)) <= 1e8
         with pytest.raises(ConvergenceError, match="blew up"):
             lyapunov_max(ode, np.array([1.0]), 100.0, 5.0)
 
@@ -372,44 +406,61 @@ class TestShilnikovShoot:
         assert reference.status == "ok"
         assert abs(reference.miss - cand.miss) < 10 * tol
 
-    def test_shot_stops_at_the_return_it_measures(self, monkeypatch):
+    def test_shots_and_integrate_match_a_tight_reference(self, monkeypatch):
         # every shot of the criterion-10 sweep ends at its second section
-        # crossing, and its miss is bit-identical to that of the same
-        # integration carried on past the return
+        # crossing, on the plane, and its miss matches DOP853 at rtol 1e-13;
+        # so does the end state of the bench orbit's `integrate`
+        from scipy.integrate import solve_ivp
         from frontlab import speed_ode
-        solve_ivp = speed_ode._solve_ivp
-        shots = []
+        shoot_once, horner, shots = speed_ode._shoot_once, speed_ode._horner, []
 
-        def recorded(fun, t_span, y0, **kwargs):
-            sol = solve_ivp(fun, t_span, y0, **kwargs)
-            if isinstance(kwargs["events"], tuple):   # a shot, not `integrate`
-                shots.append((fun, t_span, y0, kwargs, sol))
-            return sol
-        monkeypatch.setattr(speed_ode, "_solve_ivp", recorded)
+        def recorded(nf_, **kwargs):
+            evals = []     # (h, y) of each polynomial evaluation of the shot
+
+            def recording(rows, h):
+                evals.append((h, horner(rows, h)))
+                return evals[-1][1]
+            with monkeypatch.context() as m:
+                m.setattr(speed_ode, "_horner", recording)
+                point = shoot_once(nf_, **kwargs)
+            shots.append((nf_, point, evals))
+            return point
+        monkeypatch.setattr(speed_ode, "_shoot_once", recorded)
         nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
         result = shilnikov_shoot(nf, np.linspace(-1.0, -0.25, 7), tol=1e-6,
                                  t_max=300.0)
         assert all(p.status == "ok" for p in result.trace)
         assert len(shots) > len(result.trace)
-        for *_, sol in shots:
-            assert sol.status == 1 and sol.t_events[0].size == 2
-            assert sol.t[-1] == sol.t_events[0][1]
-        for point, (fun, t_span, y0, kwargs, sol) in zip(result.trace, shots):
-            section, escape = kwargs["events"]
-
-            def passing(t, y):
-                return section(t, y)
-            passing.direction = section.direction
-            full = solve_ivp(fun, t_span, y0, **dict(kwargs, events=(passing, escape)))
-            assert full.t[-1] > sol.t[-1]
-            # the miss of _shoot_once, written out: the unstable-eigenbasis
-            # coordinate of the second crossing, seeded toward the mid-plane
-            eq, other, _lam, v_u, w_u, _rho = speed_ode._saddle_focus_data(
-                replace(nf, nu=(0.0, -1.0, point.nu_bar)))
-            if np.dot(v_u, 0.5 * (eq.state + other.state) - eq.state) < 0:
+        for nf_, point, evals in shots:
+            eq, other, _lam, v_u, w_u, _rho = speed_ode._saddle_focus_data(nf_)
+            p, mid = eq.state, 0.5 * (eq.state + other.state)
+            normal = (other.state - p) / np.linalg.norm(other.state - p)
+            if np.dot(v_u, mid - p) < 0:
                 v_u = -v_u
-            x_c = full.y_events[0][1]
-            assert float(np.dot(w_u, x_c - eq.state) / np.dot(w_u, v_u)) == point.miss
+            y0 = p + speed_ode.SEED_OFFSET * v_u
+            # the step ends, then the crossing inside the last step
+            *ends, (r, x_c) = evals
+            side = [np.dot(y - mid, normal) > 0 for y in [y0] + [y for _h, y in ends]]
+            changes = [i for i in range(1, len(side)) if side[i] != side[i - 1]]
+            assert len(changes) == 2 and changes[1] == len(ends)
+            assert abs(np.dot(np.array(x_c) - mid, normal)) <= 1e-12
+            t_cross = sum(h for h, _y in ends[:-1]) + r
+
+            def section(_t, y):
+                return float(np.dot(y - mid, normal))
+            ref = solve_ivp(lambda _t, y: nf_.field_at(y), (0.0, t_cross + 1.0), y0,
+                            method="DOP853", rtol=1e-13, atol=1e-15, events=section)
+            # the same crossing: its time is shifted (by 4-5e-8 here) where
+            # the orbit leaves the saddle, but the crossings lie O(1) apart
+            assert ref.t_events[0].size >= 2 and abs(ref.t_events[0][1] - t_cross) <= 1e-6
+            x_ref = ref.y_events[0][1]
+            assert abs(np.dot(w_u, x_ref - p) / np.dot(w_u, v_u) - point.miss) <= 1e-9
+        orbit = ScaledNF.shilnikov(-1.0, -0.5, -3.9, a11=1.0)
+        y0 = np.array([-0.98, 0.0, 0.0])
+        end = integrate(orbit, y0, 300.0, tol=1e-9).y[:, -1]
+        ref = solve_ivp(lambda _t, y: orbit.field_at(y), (0.0, 300.0), y0,
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+        assert np.max(np.abs(end - ref.y[:, -1])) <= 1e-9
 
     def test_no_sign_change_returns_full_trace(self):
         nf = ScaledNF.shilnikov(-1.0, -0.5, -1.6, a11=1.0)
