@@ -9,9 +9,11 @@ The critical point spectrum of the linearization at a front with speed c is
 
 analytic off horizontal branch cuts running left from each branch point.
 One array evaluator, evans_pair, gives E0 and E0' together; evans_eval is
-its guarded scalar view.  Roots are counted by the argument principle on
-rectangles, each contour evaluated in one call per refinement level, located
-by recursive quadrisection and polished by Newton.
+its guarded scalar view.  Roots in a rectangle come from the contour
+moments of E0'/E0: one adaptive Gauss-Legendre quadrature per box gives the
+count and, through a Hankel pencil, every root with its multiplicity; a box
+holding more than a few roots is quadrisected, and simple roots are Newton
+polished together.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ SQRT2 = math.sqrt(2.0)
 
 #: Distance below which a point counts as sitting on a branch cut.
 CUT_CLEARANCE = 1e-12
-
-#: Samples per edge of every winding contour.
-_EDGE_SAMPLES = 24
 
 
 @dataclass(frozen=True)
@@ -141,108 +140,6 @@ class RootSet:
         return sum(m for _, m in self.roots)
 
 
-class _WindingFailure(Exception):
-    """The winding number on the box given as the argument is not resolved."""
-
-
-class _BoundaryZero(Exception):
-    """A contour sample at the point given as the argument hits a root or pole."""
-
-
-def _boundary_path(box):
-    """The contour samples, counter-clockwise from the corner (xmin, ymin)."""
-    xmin, xmax, ymin, ymax = box
-    n = _EDGE_SAMPLES
-    return np.concatenate([np.linspace(xmin, xmax, n, endpoint=False) + 1j * ymin,
-                           xmax + 1j * np.linspace(ymin, ymax, n, endpoint=False),
-                           np.linspace(xmax, xmin, n, endpoint=False) + 1j * ymax,
-                           xmin + 1j * np.linspace(ymax, ymin, n, endpoint=False)])
-
-
-def _finite_pair(fdf, z):
-    """(f, f') on the points z; a pole or a non-finite f is a root on the contour."""
-    f, df = fdf(z)
-    bad = ~np.isfinite(f)
-    if bad.any():
-        raise _BoundaryZero(z[bad][0])
-    return f, df
-
-
-def _winding_number(fdf, box):
-    """Winding of f along the box boundary via phase-continuity tracking.
-
-    One fdf call gives f and f' on the boundary samples.  The contour is then
-    refined level by level: every segment whose phase increment exceeds
-    pi/2, or that is longer than the Newton step |f/f'| at either end (a
-    root-distance proxy: the principal phase alone can alias a near-full
-    turn), gets its midpoint, and one fdf call per level evaluates them all.
-    A segment still flagged after 42 levels, or shorter than 1e-15 of the
-    box diameter, is a failure; a sample below 1e-13 of the largest boundary
-    value counts as a root on the contour.
-    """
-    z = _boundary_path(box)
-    f, df = _finite_pair(fdf, z)
-    # relative scale: a small box around a multiple root has uniformly tiny
-    # boundary values but perfectly conditioned phases
-    scale = np.max(np.abs(f))
-    if scale == 0.0:
-        raise _BoundaryZero(z[0])
-    z, f, df = (np.append(a, a[0]) for a in (z, f, df))
-    diam = math.hypot(box[1] - box[0], box[3] - box[2])
-    for level in range(43):
-        small = np.abs(f) <= 1e-13 * scale
-        if small.any():
-            # a sample (numerically) hits a root; the caller nudges the box
-            raise _BoundaryZero(z[np.argmax(small)])
-        increments = np.angle(f[1:] / f[:-1])
-        seg = np.abs(np.diff(z))
-        reach = np.abs(f / df)          # inf where f' = 0: no length limit
-        flag = (np.abs(increments) > 0.5 * math.pi) | (seg > reach[:-1]) | (seg > reach[1:])
-        if not flag.any():
-            break
-        if level == 42 or np.any(seg[flag] < 1e-15 * diam):
-            raise _WindingFailure(box)
-        at = np.nonzero(flag)[0]
-        zm = 0.5 * (z[at] + z[at + 1])
-        fm, dfm = _finite_pair(fdf, zm)
-        z, f, df = (np.insert(a, at + 1, am) for a, am in ((z, zm), (f, fm), (df, dfm)))
-    turns = np.sum(increments) / (2.0 * math.pi)
-    rounded = int(round(turns))
-    if abs(turns - rounded) > 0.25:
-        raise _WindingFailure(box)
-    return rounded
-
-
-def _winding_with_nudge(fdf, box, cuts):
-    """Winding number, retrying with slightly inflated boxes on boundary hits."""
-    original = tuple(box)
-    box = original
-    for attempt in range(6):
-        try:
-            return _winding_number(fdf, box), box
-        except _BoundaryZero:
-            pad = (1e-6 + attempt * 3e-6) * max(box[1] - box[0], box[3] - box[2], 1e-6)
-            box = (box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad)
-            box = _clear_of_cuts(box, cuts, original)
-    raise _WindingFailure(box)
-
-
-def _clear_of_cuts(box, cuts, original):
-    """Clamp an inflated box so it stays on its original side of the cuts."""
-    if not cuts:
-        return box
-    bp = max(cuts)
-    xmin, xmax, ymin, ymax = box
-    oxmin, _oxmax, oymin, oymax = original
-    if oymin > 0.0:
-        ymin = max(ymin, 0.5 * oymin)
-    if oymax < 0.0:
-        ymax = min(ymax, 0.5 * oymax)
-    if oxmin > bp:
-        xmin = max(xmin, bp + 0.5 * (oxmin - bp))
-    return (xmin, xmax, ymin, ymax)
-
-
 def _split_around_cuts(box, cuts):
     """Decompose a box into sub-boxes whose closures avoid the cut rays.
 
@@ -268,115 +165,217 @@ def _split_around_cuts(box, cuts):
     return pieces
 
 
-#: Split fractions tried in turn when a quadrisection line hits a root.
-_SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.59, 0.41, 0.67, 0.33)
+#: Gauss-Legendre nodes per contour panel.  A panel is accepted, with the
+#: value of the rule with twice the nodes, once the two rules agree on every
+#: moment to _PANEL_TOL, and cut into _PANEL_SPLIT equal panels otherwise; a
+#: panel still open after _PANEL_LEVELS cuts (1e-12 of its edge) means a
+#: root on or next to the edge.  The node count is odd: a root at a panel's
+#: midpoint then sits on a node, where the two symmetric rules would
+#: otherwise agree on its principal value.
+_PANEL_NODES = 13
+_PANEL_TOL = 1e-8
+_PANEL_SPLIT = 4
+_PANEL_LEVELS = 20
+_X1, _W1 = np.polynomial.legendre.leggauss(_PANEL_NODES)
+_X2, _W2 = np.polynomial.legendre.leggauss(2 * _PANEL_NODES)
+# all nodes moved to [0, 1], and the two rules' weights there (w / 2) over
+# 2 pi i as the columns of one matrix
+_NODES = (1.0 + np.concatenate([_X1, _X2])) / 2
+_RULES = np.zeros((3 * _PANEL_NODES, 2))
+_RULES[:_PANEL_NODES, 0], _RULES[_PANEL_NODES:, 1] = _W1, _W2
+_RULES = _RULES / (4j * math.pi)
+
+#: Ratio of the panel breakpoints graded toward a branch point.
+_GRADING = 0.2
+
+#: A box holding more roots than this is quadrisected; one Hankel pencil
+#: takes the moments s_0 .. s_(2 cap - 1).
+_CAP = 6
+
+#: Largest distance of s_0 from the integer it counts.
+_COUNT_TOL = 1e-8
+
+#: Singular values of H_0 below this share of the largest are rounding:
+#: the numerical rank is the number of distinct roots.
+_RANK_CUT = 1e-9
+
+#: Newton stops on a step below this share of max(|z|, box radius).
+_NEWTON_RTOL = 4e-16
+
+#: Quadrisection lines sit at this fraction of each side, off centre: a box
+#: symmetric about the real axis or 0 is not split through E0's real roots.
+_SPLIT = 0.4711
 
 
-def _quadrisect(fdf, box, w):
-    """Split a box into four children whose boundaries avoid all roots.
+def _edge_panels(a, b, cuts):
+    """Breakpoints (in t of z = a + t (b - a)) of the edge a -> b: its
+    halves, graded geometrically toward each branch point within half an
+    edge length."""
+    length = abs(b - a)
+    ts = {0.0, 0.5, 1.0}
+    for p in cuts:
+        t = min(max(((p - a) / (b - a)).real, 0.0), 1.0)
+        dist = abs(a + t * (b - a) - p)
+        h = 0.5
+        while dist < h * length and h > 1e-16:
+            ts.update((t - h, t + h))
+            h *= _GRADING
+    ts = sorted(t for t in ts if 0.0 <= t <= 1.0)
+    return zip(ts[:-1], ts[1:])
 
-    If a subdivision line passes (numerically) through a root, retry with a
-    shifted split fraction; children must account for the parent's winding.
+
+def _unresolved(searched, box):
+    return FrontlabError(f"winding number of the searched box {searched} not resolved "
+                         f"on the contour {box}: a root on or near its edge?")
+
+
+def _moments(fdf, boxes, cuts, searched):
+    """Contour moments s_k = (1/2 pi i) oint u^k f'/f dz, k < 2 cap, of each
+    box by adaptive Gauss-Legendre panels, with the centres and radii of the
+    boxes' unit-disk coordinates u = (z - centre)/radius (corners on the
+    circle).
+
+    Each edge is laid out in its increasing direction, with a sign for the
+    orientation, so that an edge two boxes share has the same nodes; every
+    level evaluates the distinct nodes of all open panels in one fdf call.
     """
-    for frac in _SPLIT_FRACTIONS:
-        xm = box[0] + frac * (box[1] - box[0])
-        ym = box[2] + frac * (box[3] - box[2])
-        children = [(box[0], xm, box[2], ym), (xm, box[1], box[2], ym),
-                    (box[0], xm, ym, box[3]), (xm, box[1], ym, box[3])]
-        try:
-            ws = [_winding_number(fdf, child) for child in children]
-        except (_BoundaryZero, _WindingFailure):
-            continue
-        if sum(ws) == w:
-            return [(child, wc) for child, wc in zip(children, ws) if wc]
-    raise FrontlabError(
-        f"could not quadrisect box {box} without pinning a root on the cut lines")
+    panels = []
+    for i, (x0, x1, y0, y1) in enumerate(boxes):
+        for a, b, orient in ((complex(x0, y0), complex(x1, y0), 1),
+                             (complex(x1, y0), complex(x1, y1), 1),
+                             (complex(x0, y1), complex(x1, y1), -1),
+                             (complex(x0, y0), complex(x0, y1), -1)):
+            panels += [(i, a + t0 * (b - a), (t1 - t0) * (b - a), orient)
+                       for t0, t1 in _edge_panels(a, b, cuts)]
+    owner, start, span, sign = map(np.array, zip(*panels))
+    x0, x1, y0, y1 = np.array(boxes).T
+    centre, radius = (x0 + x1 + 1j * (y0 + y1)) / 2, np.hypot(x1 - x0, y1 - y0) / 2
+    sums = np.zeros((len(boxes), 2 * _CAP), dtype=complex)
+    for _level in range(_PANEL_LEVELS):
+        z = start[:, None] + span[:, None] * _NODES
+        # only boxes of one quadrisection share edges
+        points, inverse = (np.unique(z, return_inverse=True) if len(boxes) > 1
+                           else (z.ravel(), slice(None)))
+        f, df = fdf(points)
+        # powers[k] = u^k f'/f at each node of each panel
+        powers = np.empty((2 * _CAP,) + z.shape, dtype=complex)
+        powers[0] = (df / f)[inverse].reshape(z.shape)
+        if not np.isfinite(powers[0]).all():
+            raise _unresolved(searched, boxes[owner[np.argmin(np.isfinite(powers[0]).all(1))]])
+        u = (z - centre[owner][:, None]) * (1.0 / radius[owner])[:, None]
+        for k in range(1, 2 * _CAP):
+            np.multiply(powers[k - 1], u, out=powers[k])
+        # both rules at once: (moment, panel, rule)
+        rules = np.dot(powers.reshape(-1, z.shape[1]), _RULES).reshape(2 * _CAP, -1, 2)
+        rules *= (sign * span)[:, None]
+        done = np.abs(rules[..., 0] - rules[..., 1]).max(axis=0) <= _PANEL_TOL
+        np.add.at(sums, owner[done], rules[:, done, 1].T)
+        if done.all():
+            return sums, centre, radius
+        keep = ~done
+        owner, sign = owner[keep].repeat(_PANEL_SPLIT), sign[keep].repeat(_PANEL_SPLIT)
+        span = (span[keep] / _PANEL_SPLIT).repeat(_PANEL_SPLIT)
+        start = start[keep].repeat(_PANEL_SPLIT) + span * (np.arange(len(span)) % _PANEL_SPLIT)
+    raise _unresolved(searched, boxes[owner[0]])
 
 
-@np.errstate(all="ignore")   # poles and non-finite values are handled as roots
+def _pencil(s, count):
+    """Distinct roots (in the unit-disk coordinate) and multiplicities of a
+    box holding count roots, from its moments s: the numerical rank r of the
+    Hankel matrix H_0 = [s_(i+j)] is the number of distinct roots, the
+    reduced pencil (H_1, H_0) gives them and a Vandermonde solve on
+    s_0..s_(r-1) their multiplicities.  None when these do not add up."""
+    if count == 1:
+        return [(s[1] / s[0], 1)]
+    idx = np.add.outer(np.arange(count), np.arange(count))
+    left, sig, right = np.linalg.svd(s[idx])
+    r = int(np.count_nonzero(sig > _RANK_CUT * sig[0]))
+    reduced = left[:, :r].conj().T @ s[idx + 1] @ right[:r].conj().T / sig[:r, None]
+    u = np.linalg.eigvals(reduced)
+    mult = np.linalg.solve(np.vander(u, r, increasing=True).T, s[:r])
+    whole = np.rint(mult.real)
+    if whole.sum() != count or whole.min() < 1:
+        return None
+    return list(zip(u, map(int, whole)))
+
+
+def _polish(fdf, found):
+    """Newton on all simple roots of found (location, mult, box) together,
+    in place, one fdf call per iteration.
+
+    A root stops once its step falls below _NEWTON_RTOL max(|z|, radius); a
+    step not below half the one before it is rounding noise and is not
+    taken, and a step that leaves the root's box keeps the pencil value.
+    The halving bounds the iterations.
+    """
+    start = {i: z for i, (z, m, _b) in enumerate(found) if m == 1}
+    last = dict.fromkeys(start, math.inf)
+    active = list(start)
+    while active:
+        f, df = fdf(np.array([found[i][0] for i in active]))
+        going = []
+        for i, fi, dfi in zip(active, f.tolist(), df.tolist()):
+            z, _m, (x0, x1, y0, y1) = found[i]
+            step = fi / dfi if dfi else math.inf
+            if not abs(step) < 0.5 * last[i]:
+                continue
+            z, last[i] = z - step, abs(step)
+            if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
+                z = start[i]
+            elif last[i] > _NEWTON_RTOL * max(abs(z), math.hypot(x1 - x0, y1 - y0) / 2):
+                going.append(i)
+            found[i] = (z, 1, found[i][2])
+        active = going
+
+
+@np.errstate(all="ignore")   # a root on a node gives a non-finite f'/f, an error
 def holomorphic_roots(fdf, box, tol=1e-9, cuts=()):
-    """Roots of an analytic f inside a rectangle by winding + quadrisection.
+    """Roots of an analytic f inside a rectangle from contour moments.
 
-    fdf maps an array of points to the arrays (f, f').  Boxes are
-    quadrisected, at most 60 levels deep, until they hold winding <= 1
-    (simple root, Newton polished to |f| <= 1e-12) or have diameter < tol
-    (reported as a multiplicity cluster).  Returns (roots, winding_total)
-    where roots is a list of (location, mult).  A searched box whose winding
-    number cannot be resolved, mostly one with a root on its edge, raises
-    FrontlabError.
+    fdf maps an array of points to the arrays (f, f').  The moments of f'/f
+    around each box (one adaptive quadrature per box) count its roots and,
+    through a Hankel pencil, locate them; a box holding more than _CAP roots
+    is quadrisected.  Simple roots are Newton polished together; a multiple
+    root is reported once, at its moment centroid, and roots closer than tol
+    are merged.  Returns (roots, winding_total) where roots is a list of
+    (location, mult).  A root on or next to the edge of a box, seen as a
+    panel that does not converge or a non-finite f'/f, raises FrontlabError.
     """
     box = tuple(float(b) for b in box)
-    stack = []
-    for piece in _split_around_cuts(box, cuts):
-        # only the outermost contour is nudged outward on a boundary hit
-        try:
-            w, piece = _winding_with_nudge(fdf, piece, cuts)
-        except _WindingFailure as exc:
-            raise FrontlabError(f"winding number of the searched box {box} not resolved "
-                                f"on the contour {exc}: a root on or near its edge?") from None
-        if w:
-            stack.append((piece, w, 0))
-    winding_total = sum(w for _piece, w, _depth in stack)
-
+    boxes = _split_around_cuts(box, cuts)
+    found, total = [], None
+    while boxes:
+        moments, centres, radii = _moments(fdf, boxes, cuts, box)
+        counts = np.rint(moments[:, 0].real).astype(int)
+        miss = np.abs(moments[:, 0] - counts)
+        if miss.max() > _COUNT_TOL:
+            raise _unresolved(box, boxes[int(np.argmax(miss))])
+        if total is None:
+            total = int(counts.sum())
+        children = []
+        for b, s, count, centre, radius in zip(boxes, moments, counts, centres, radii):
+            if count == 0:
+                continue
+            pencil = _pencil(s, count) if count <= _CAP else None
+            if pencil is not None:
+                found += [(complex(centre + radius * u), m, b) for u, m in pencil]
+            elif 2.0 * radius < tol:
+                found.append((complex(centre + radius * s[1] / s[0]), int(count), b))
+            else:
+                x0, x1, y0, y1 = b
+                xm, ym = x0 + _SPLIT * (x1 - x0), y0 + _SPLIT * (y1 - y0)
+                children += [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
+        boxes = children
+    _polish(fdf, found)
     roots = []
-    while stack:
-        b, w, depth = stack.pop()
-        center = complex(0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3]))
-        root = _newton_polish(fdf, center, b) if w == 1 else None
-        if root is not None:
-            roots.append((root, 1))
-            continue
-        # Newton left the box (a nearby root's basin) or w > 1: a box below
-        # tol is a cluster, a larger one is subdivided
-        if math.hypot(b[1] - b[0], b[3] - b[2]) < tol:
-            roots.append((center, w))
-            continue
-        if depth >= 60:
-            raise FrontlabError(f"winding {w} not resolved above depth 60 in box {b}")
-        try:
-            children = _quadrisect(fdf, b, w)
-        except FrontlabError:
-            # Evaluation noise exceeds |f| on every trial contour: an
-            # m-fold cluster cannot be localized more tightly than the
-            # noise-floor diameter ~ (eval noise)**(1/m); report it here.
-            roots.append((center, w))
-            continue
-        for child, wc in children:
-            stack.append((child, wc, depth + 1))
-    return roots, winding_total
-
-
-def _newton_polish(fdf, z, box):
-    """Newton iteration confined to (a slightly inflated copy of) the box.
-
-    Returns None when the iteration leaves the box or stalls above |f| =
-    1e-12 within 80 steps, in which case the caller subdivides further.
-    """
-    newton_tol = 1e-12
-    span = max(box[1] - box[0], box[3] - box[2])
-    pad = 0.25 * span
-    lo_x, hi_x = box[0] - pad, box[1] + pad
-    lo_y, hi_y = box[2] - pad, box[3] + pad
-    slack = 1e-9 * span
-
-    def _accept(zz):
-        return (box[0] - slack <= zz.real <= box[1] + slack
-                and box[2] - slack <= zz.imag <= box[3] + slack)
-
-    for _ in range(80):
-        # a non-finite value ends the iteration at the box test below
-        fz, dfz = map(complex, fdf(z))
-        if abs(fz) <= newton_tol:
-            return z if _accept(z) else None
-        if dfz == 0:
-            return None
-        step = fz / dfz
-        z = z - step
-        if not (lo_x <= z.real <= hi_x and lo_y <= z.imag <= hi_y):
-            return None
-        if abs(step) < 1e-17 * max(1.0, abs(z)):
-            return z if _accept(z) and abs(complex(fdf(z)[0])) <= 1e3 * newton_tol else None
-    return None
+    for z, m, _b in found:
+        for i, (w, k) in enumerate(roots):
+            if abs(z - w) < tol:
+                roots[i] = ((k * w + m * z) / (k + m), k + m)
+                break
+        else:
+            roots.append((z, m))
+    return roots, total
 
 
 def evans_roots(ctx: EvansContext, region) -> RootSet:

@@ -262,33 +262,33 @@ class TestEvansRoots:
         rs1 = evans_roots(evans_context(params, c2, 0.0), box)
         assert rs0.winding_total == rs1.winding_total
 
-    def test_contour_samples_evaluate_derivative_once(self, transcritical_set,
-                                                      monkeypatch):
-        # the criterion-2 box: within one winding number every contour
-        # sample is evaluated once, E0 and E0' together
-        from frontlab import evans
+    @pytest.mark.parametrize("case, most", [("criterion 2", 6), ("unfolding", 12)])
+    def test_calls_evaluate_each_point_once(self, transcritical_set, monkeypatch, case, most):
+        # the criterion-2 box and an N = 3 unfolding box (|delta| 1e-3):
+        # every evans_pair call evaluates E0 and E0' together, each point
+        # once, and the whole search takes a handful of calls
+        from frontlab import design_evans_degeneracy, evans
+        from frontlab.designer import linear_unfolding_map, unfolding_polynomial_roots
         params, coupling = transcritical_set
-        pair, winding = evans.evans_pair, evans._winding_number
-        points, counts = [], []
+        box = (-0.05, 0.05, -0.05, 0.05)
+        if case == "unfolding":
+            delta = 1e-3 * np.array([1.0, -0.5, 0.25]) / math.sqrt(1.3125)
+            coupling = Coupling(0.0, tuple(design_evans_degeneracy(params) + delta), (0.0,) * 3)
+            r = 4.0 * float(np.max(np.abs(unfolding_polynomial_roots(
+                linear_unfolding_map(params, delta)))))
+            box = (-r, r, -r, r)
+        pair, calls = evans.evans_pair, []
 
         def counted_pair(ctx, lam):
-            points.append(np.atleast_1d(lam))
+            calls.append(np.atleast_1d(lam))
             return pair(ctx, lam)
 
-        def counted_winding(fdf, box):
-            points.clear()
-            w = winding(fdf, box)
-            lam = np.concatenate(points)
-            assert len(np.unique(lam)) == len(lam)
-            counts.append(len(lam))
-            return w
-
         monkeypatch.setattr(evans, "evans_pair", counted_pair)
-        monkeypatch.setattr(evans, "_winding_number", counted_winding)
-        rs = evans_roots(evans_context(params, coupling, 0.0),
-                         (-0.05, 0.05, -0.05, 0.05))
-        assert rs.winding_total == 4
-        assert counts and min(counts) >= 4 * evans._EDGE_SAMPLES
+        rs = evans_roots(evans_context(params, coupling, 0.0), box)
+        assert rs.winding_total == rs.total_multiplicity == 4
+        assert 1 <= len(calls) <= most
+        for lam in calls:
+            assert len(np.unique(lam)) == len(lam)
 
     def test_root_pairs_are_canonical(self):
         # a last-bit change of the coupling must not reorder a conjugate
@@ -322,6 +322,48 @@ class TestEvansRoots:
         for z, w in zip(upper, full[1:]):
             assert abs(z - w) <= 1e-10
         assert upper[0].imag > 0.05 and upper[1].imag == upper[2].imag == 0.0
+
+    def test_real_root_agrees_between_boxes(self):
+        # the N = 1 set alpha_1 0.9, eps 0.05: Newton stops on a relative
+        # step, so the real root near -0.0602 is the same to rounding from
+        # two different boxes
+        ctx = evans_context(SystemParams(epsilon=0.05, tau=(1.0,), d=(1.0,)),
+                            Coupling(0.0, (0.9,), (0.0,)), 0.0)
+        roots = [min(evans_roots(ctx, box).locations, key=lambda z: abs(z + 0.0602))
+                 for box in ((-0.5, 0.5, -0.5, 0.5), (-0.5, 0.5, -0.3, 0.2))]
+        assert abs(roots[0] + 0.0602) < 1e-4
+        assert abs(roots[0] - roots[1]) <= 1e-14
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_fourfold_root_is_one_root(self, index):
+        # each reference set's designed fourfold zero root comes back as one
+        # root of multiplicity 4 at 0, from the small box and the bound box
+        from conftest import reference_sets
+        _name, params, coupling, _orders = reference_sets()[index]
+        ctx = evans_context(params, coupling, 0.0)
+        bound = evans_root_bound(ctx)
+        for box in ((-0.05, 0.05, -0.05, 0.05), (-bound, bound, -bound, bound)):
+            rs = evans_roots(ctx, box)
+            assert [m for _z, m in rs.roots] == [4]
+            assert abs(rs.roots[0][0]) <= 1e-10
+
+    def test_root_next_to_the_branch_point(self):
+        # a random N = 3 set with a real root 1.3e-4 right of its rightmost
+        # branch point, inside the piece whose left edge runs 8e-6 from it;
+        # phase tracking on this box missed the root and counted 1
+        ctx = evans_context(
+            SystemParams(epsilon=0.1, tau=(1.5399660054315163, 1.6300970525323637,
+                                           2.5105704755502405),
+                         d=(0.8042197384720563, 1.6352928866119505, 0.8325144784484604)),
+            Coupling(0.0, (-5.905053590919639, -0.1649220881706448, 9.045981179933023),
+                     (0.0,) * 3), -0.6515036200359237)
+        rs = evans_roots(ctx, (-0.9380039371656714, 0.15995131829454534,
+                               -2.727815409045326, 5.460177671988029))
+        assert rs.winding_total == rs.total_multiplicity == 2
+        z = rs.locations[0]
+        assert 1e-4 < z.real - max(ctx.branch_points) < 2e-4 and z.imag == 0.0
+        below, above = (evans_pair(ctx, z.real + h)[0].real for h in (-1e-7, 1e-7))
+        assert below * above < 0
 
     def test_winding_failure_is_a_frontlab_error(self, transcritical_set):
         # E0 has a fourfold root at 0, so a box with its edge on the real
@@ -370,6 +412,58 @@ class TestHolomorphicRoots:
         roots, total = holomorphic_roots(fdf, (-1.0, 1.0, -1.0, 1.0))
         assert total == 1
         assert abs(roots[0][0] - 0.1j) <= 1e-12
+
+
+def planted_next_to_cut(roots, b):
+    """fdf of prod (z - r)^m times the unit 2 + sqrt(z - b), whose branch
+    point b has its cut on the real ray left of it."""
+    poly = planted_polynomial(roots)
+
+    def fdf(z):
+        p, dp = poly(z)
+        root = np.sqrt(z - b)
+        return p * (2.0 + root), dp * (2.0 + root) + p / (2.0 * root)
+    return fdf
+
+
+class TestRootsNextToACut:
+    def check(self, planted, roots, total):
+        assert total == sum(m for _r, m in planted)
+        assert sorted(m for _z, m in roots) == sorted(m for _r, m in planted)
+        for r, m in planted:
+            z, mult = min(roots, key=lambda zm: abs(zm[0] - r))
+            assert mult == m
+            assert abs(z - r) <= (1e-12 if m == 1 else 1e-10)
+
+    def test_pair_right_of_the_branch_point(self):
+        # a conjugate pair 1e-3 right of the branch point, in the piece
+        # whose left edge runs 1e-6 from it, and a pair above the cut
+        planted = [(-0.499 + 0.004j, 1), (-0.499 - 0.004j, 1),
+                   (-0.7 + 0.3j, 1), (-0.7 - 0.3j, 1), (0.4, 1)]
+        roots, total = holomorphic_roots(planted_next_to_cut(planted, -0.5),
+                                         (-1.0, 1.0, -1.0, 1.0), cuts=(-0.5,))
+        self.check(planted, roots, total)
+
+    def test_double_root(self):
+        planted = [(0.3 + 0.4j, 2), (0.3 - 0.4j, 1), (-0.2, 1)]
+        roots, total = holomorphic_roots(planted_next_to_cut(planted, -0.5),
+                                         (-1.0, 1.0, -1.0, 1.0), tol=1e-10, cuts=(-0.5,))
+        self.check(planted, roots, total)
+
+    def test_more_real_roots_than_one_pencil_takes(self):
+        # eight real roots in the piece right of the cut: the box is
+        # quadrisected off the real axis, the children share their edges,
+        # and each call still evaluates each point once
+        planted = [(x, 1) for x in (-0.35, -0.2, -0.05, 0.1, 0.25, 0.4, 0.55, 0.7)]
+        fdf, calls = planted_next_to_cut(planted, -0.8), []
+
+        def counted(z):
+            calls.append(z)
+            return fdf(z)
+
+        roots, total = holomorphic_roots(counted, (-1.0, 1.0, -0.5, 0.5), cuts=(-0.8,))
+        self.check(planted, roots, total)
+        assert all(len(np.unique(z)) == len(z) for z in calls)
 
 
 class TestEssentialSpectrumBound:
