@@ -18,6 +18,7 @@ polished together.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -196,8 +197,12 @@ _CAP = 6
 _COUNT_TOL = 1e-8
 
 #: Singular values of H_0 below this share of the largest are rounding:
-#: the numerical rank is the number of distinct roots.
+#: the numerical rank is the number of distinct roots, so roots within about
+#: 1e-4 of a box's half-diagonal of one another can be one cluster to it.
 _RANK_CUT = 1e-9
+
+#: Largest distance of a multiple root's multiplicity from a whole number.
+_MULT_TOL = 1e-6
 
 #: Newton stops on a step below this share of max(|z|, box radius).
 _NEWTON_RTOL = 4e-16
@@ -205,6 +210,10 @@ _NEWTON_RTOL = 4e-16
 #: Quadrisection lines sit at this fraction of each side, off centre: a box
 #: symmetric about the real axis or 0 is not split through E0's real roots.
 _SPLIT = 0.4711
+
+#: A cluster the pencil does not part is searched again at its own scale,
+#: in a square of this many times the spread of its pencil roots.
+_ZOOM = 8.0
 
 
 def _edge_panels(a, b, cuts):
@@ -253,7 +262,9 @@ def _moments(fdf, boxes, cuts, searched):
     sums = np.zeros((len(boxes), 2 * _CAP), dtype=complex)
     for _level in range(_PANEL_LEVELS):
         z = start[:, None] + span[:, None] * _NODES
-        # only boxes of one quadrisection share edges
+        # children of one quadrisection share edges: each node once; a lone
+        # box's nodes never repeat, and np.unique would add a fifth to its
+        # search
         points, inverse = (np.unique(z, return_inverse=True) if len(boxes) > 1
                            else (z.ravel(), slice(None)))
         f, df = fdf(points)
@@ -280,23 +291,26 @@ def _moments(fdf, boxes, cuts, searched):
 
 
 def _pencil(s, count):
-    """Distinct roots (in the unit-disk coordinate) and multiplicities of a
-    box holding count roots, from its moments s: the numerical rank r of the
-    Hankel matrix H_0 = [s_(i+j)] is the number of distinct roots, the
-    reduced pencil (H_1, H_0) gives them and a Vandermonde solve on
-    s_0..s_(r-1) their multiplicities.  None when these do not add up."""
+    """Roots (unit-disk coordinate) and multiplicities of a box holding count
+    roots, from its moments s: the rank r of H_0 = [s_(i+j)] counts the
+    distinct roots, the reduced pencil (H_1, H_0) gives them and, below full
+    rank, a Vandermonde solve on s_0..s_(r-1) their multiplicities, None
+    unless each is whole to _MULT_TOL and at least 1 (roots that the rank cut
+    took for fewer have fractional weights; all weights add up to s_0)."""
     if count == 1:
-        return [(s[1] / s[0], 1)]
+        return np.array([s[1] / s[0]]), [1]
     idx = np.add.outer(np.arange(count), np.arange(count))
     left, sig, right = np.linalg.svd(s[idx])
     r = int(np.count_nonzero(sig > _RANK_CUT * sig[0]))
     reduced = left[:, :r].conj().T @ s[idx + 1] @ right[:r].conj().T / sig[:r, None]
     u = np.linalg.eigvals(reduced)
+    if r == count:
+        return u, [1] * count
     mult = np.linalg.solve(np.vander(u, r, increasing=True).T, s[:r])
     whole = np.rint(mult.real)
-    if whole.sum() != count or whole.min() < 1:
-        return None
-    return list(zip(u, map(int, whole)))
+    if np.abs(mult - whole).max() > _MULT_TOL or whole.min() < 1:
+        return u, None
+    return u, [int(m) for m in whole]
 
 
 def _polish(fdf, found):
@@ -328,22 +342,42 @@ def _polish(fdf, found):
         active = going
 
 
+def _quarters(b):
+    """The four children of box b, split at _SPLIT of each side."""
+    x0, x1, y0, y1 = b
+    xm, ym = x0 + _SPLIT * (x1 - x0), y0 + _SPLIT * (y1 - y0)
+    return [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
+
+
+def _zoom(b, z):
+    """The square of half-side _ZOOM times the spread of the points z about
+    their middle, within box b; None unless its diagonal is below half b's."""
+    mid = complex(z.real.min() + z.real.max(), z.imag.min() + z.imag.max()) / 2
+    h = _ZOOM * float(np.abs(z - mid).max())
+    sq = (max(b[0], mid.real - h), min(b[1], mid.real + h),
+          max(b[2], mid.imag - h), min(b[3], mid.imag + h))
+    wide = math.hypot(sq[1] - sq[0], sq[3] - sq[2]) >= 0.5 * math.hypot(b[1] - b[0], b[3] - b[2])
+    return None if wide else sq
+
+
 @np.errstate(all="ignore")   # a root on a node gives a non-finite f'/f, an error
 def holomorphic_roots(fdf, box, tol=1e-9, cuts=()):
     """Roots of an analytic f inside a rectangle from contour moments.
 
     fdf maps an array of points to the arrays (f, f').  The moments of f'/f
     around each box (one adaptive quadrature per box) count its roots and,
-    through a Hankel pencil, locate them; a box holding more than _CAP roots
-    is quadrisected.  Simple roots are Newton polished together; a multiple
-    root is reported once, at its moment centroid, and roots closer than tol
-    are merged.  Returns (roots, winding_total) where roots is a list of
-    (location, mult).  A root on or next to the edge of a box, seen as a
-    panel that does not converge or a non-finite f'/f, raises FrontlabError.
+    through a Hankel pencil, locate them.  A box is quadrisected when it
+    holds more than _CAP roots, when its simple roots polish (together, by
+    Newton) to within tol of each other, or when its pencil's weights are
+    fractional and no _zoom square holds all its roots.  A multiple root, or
+    a cluster the rank cut does not part (_RANK_CUT), is one root at its
+    moment centroid; roots closer than tol are merged.  Returns (roots,
+    winding_total), roots a list of (location, mult).  A root on or next to
+    an edge (a panel that does not converge, a non-finite f'/f) raises
+    FrontlabError.
     """
     box = tuple(float(b) for b in box)
-    boxes = _split_around_cuts(box, cuts)
-    found, total = [], None
+    boxes, zoomed, found, total = _split_around_cuts(box, cuts), {}, [], None
     while boxes:
         moments, centres, radii = _moments(fdf, boxes, cuts, box)
         counts = np.rint(moments[:, 0].real).astype(int)
@@ -352,23 +386,35 @@ def holomorphic_roots(fdf, box, tol=1e-9, cuts=()):
             raise _unresolved(box, boxes[int(np.argmax(miss))])
         if total is None:
             total = int(counts.sum())
-        children = []
+        children, level = [], []
         for b, s, count, centre, radius in zip(boxes, moments, counts, centres, radii):
+            if b in zoomed and zoomed[b][0] != count:   # the square missed some roots
+                children += _quarters(zoomed[b][1])
+                continue
             if count == 0:
                 continue
-            pencil = _pencil(s, count) if count <= _CAP else None
-            if pencil is not None:
-                found += [(complex(centre + radius * u), m, b) for u, m in pencil]
+            u, mult = _pencil(s, count) if count <= _CAP else (None, None)
+            if mult is not None:
+                level += [(complex(centre + radius * ui), m, b) for ui, m in zip(u, mult)]
             elif 2.0 * radius < tol:
-                found.append((complex(centre + radius * s[1] / s[0]), int(count), b))
+                found.append((complex(centre + radius * s[1] / s[0]), int(count)))
+            elif u is not None and (sq := _zoom(b, centre + radius * u)) is not None:
+                zoomed[sq] = (count, b)
+                children.append(sq)
             else:
-                x0, x1, y0, y1 = b
-                xm, ym = x0 + _SPLIT * (x1 - x0), y0 + _SPLIT * (y1 - y0)
-                children += [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
+                children += _quarters(b)
+        _polish(fdf, level)
+        for b, group in itertools.groupby(level, key=lambda zmb: zmb[2]):
+            group = [(z, m) for z, m, _b in group]
+            simple = [z for z, m in group if m == 1]
+            if (math.hypot(b[1] - b[0], b[3] - b[2]) >= tol
+                    and any(abs(z - w) < tol for z, w in itertools.combinations(simple, 2))):
+                children += _quarters(b)
+            else:
+                found += group
         boxes = children
-    _polish(fdf, found)
     roots = []
-    for z, m, _b in found:
+    for z, m in found:
         for i, (w, k) in enumerate(roots):
             if abs(z - w) < tol:
                 roots[i] = ((k * w + m * z) / (k + m), k + m)

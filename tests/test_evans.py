@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from frontlab import (BranchCutError, Coupling, FrontlabError, SystemParams,
                       essential_spectrum_bound, evans_context, evans_eval,
                       evans_root_bound, evans_roots, evans_taylor_c0)
+from frontlab import evans
 from frontlab.evans import evans_pair, holomorphic_roots
 
 SQRT2 = math.sqrt(2.0)
@@ -347,6 +348,28 @@ class TestEvansRoots:
             assert [m for _z, m in rs.roots] == [4]
             assert abs(rs.roots[0][0]) <= 1e-10
 
+    @pytest.mark.parametrize("delta", [
+        1e-6 * np.array([1.0, -0.5, 0.25]) / math.sqrt(1.3125),
+        np.array([8.822979010758619e-07, 4.3500612608566473e-07, -5.23277895437025e-07])])
+    def test_unfolding_in_the_bound_box(self, transcritical_set, delta):
+        # N = 3 unfoldings with |delta| about 1e-6: the four simple roots lie
+        # within 0.006 of 0, a few 1e-4 of the bound box's half-diagonal,
+        # where the pencil takes them for fewer roots with fractional
+        # weights; they come back as the four simple roots that a box of
+        # four times the predicted roots gives
+        from frontlab import design_evans_degeneracy
+        from frontlab.designer import linear_unfolding_map, unfolding_polynomial_roots
+        params, coupling = transcritical_set
+        ctx = evans_context(params, Coupling(0.0, tuple(design_evans_degeneracy(params) + delta),
+                                             (0.0,) * 3), 0.0)
+        r = 4.0 * float(np.max(np.abs(unfolding_polynomial_roots(
+            linear_unfolding_map(params, delta)))))
+        near = evans_roots(ctx, (-r, r, -r, r)).roots
+        bound = evans_root_bound(ctx)
+        far = evans_roots(ctx, (-bound, bound, -bound, bound)).roots
+        assert [m for _z, m in near] == [m for _z, m in far] == [1, 1, 1, 1]
+        assert max(abs(z - w) for (z, _m), (w, _k) in zip(near, far)) <= 1e-8
+
     def test_root_next_to_the_branch_point(self):
         # a random N = 3 set with a real root 1.3e-4 right of its rightmost
         # branch point, inside the piece whose left edge runs 8e-6 from it;
@@ -412,6 +435,65 @@ class TestHolomorphicRoots:
         roots, total = holomorphic_roots(fdf, (-1.0, 1.0, -1.0, 1.0))
         assert total == 1
         assert abs(roots[0][0] - 0.1j) <= 1e-12
+
+    @pytest.mark.parametrize("spread", [0.05, 0.005, 1e-4])
+    def test_close_simple_roots_stay_simple(self, spread):
+        # four simple roots a few hundredths of the box or less apart: the
+        # pencil's rank cut sees fewer, with fractional weights, and the
+        # cluster is searched again at its own scale, in a few calls
+        planted, calls = [(0.0, 1), (spread, 1), (-spread, 1), (1j * spread, 1)], []
+        fdf = planted_polynomial(planted)
+
+        def counted(z):
+            calls.append(z)
+            return fdf(z)
+
+        roots, total = holomorphic_roots(counted, (-1.0, 1.0, -1.0, 1.0))
+        assert total == 4 and len(calls) <= 6
+        assert sorted(m for _z, m in roots) == [1, 1, 1, 1]
+        for r, _m in planted:
+            assert min(abs(z - r) for z, _m in roots) <= 1e-12
+
+    def test_polished_roots_that_meet_split_their_box(self, monkeypatch):
+        # two pencil starts that Newton takes to one root are not merged
+        # into a double root: the box is quadrisected
+        pencil, starts = evans._pencil, []
+
+        def one_start_twice(s, count):
+            u, mult = pencil(s, count)
+            if not starts:
+                u = np.array([u[0], u[0] + 1e-3])
+            starts.append(count)
+            return u, mult
+
+        monkeypatch.setattr(evans, "_pencil", one_start_twice)
+        planted = [(0.3 + 0.1j, 1), (-0.5 - 0.4j, 1)]
+        roots, total = holomorphic_roots(planted_polynomial(planted), (-1.0, 1.0, -1.0, 1.0))
+        assert total == 2 and len(starts) > 1
+        assert sorted(m for _z, m in roots) == [1, 1]
+        for r, _m in planted:
+            assert min(abs(z - r) for z, _m in roots) <= 1e-12
+
+    def test_square_that_misses_a_root_falls_back_to_quadrisection(self, monkeypatch):
+        # a pencil whose roots all sit in one corner gives a square that
+        # does not hold the far root: its count differs, and the box is
+        # quadrisected instead
+        pencil, seen = evans._pencil, []
+
+        def cornered(s, count):
+            u, mult = pencil(s, count)
+            if not seen:
+                u, mult = np.array([u[0], u[0] + 1e-3]), None
+            seen.append(count)
+            return u, mult
+
+        monkeypatch.setattr(evans, "_pencil", cornered)
+        planted = [(0.3 + 0.1j, 1), (-0.5 - 0.4j, 1)]
+        roots, total = holomorphic_roots(planted_polynomial(planted), (-1.0, 1.0, -1.0, 1.0))
+        assert total == 2
+        assert sorted(m for _z, m in roots) == [1, 1]
+        for r, _m in planted:
+            assert min(abs(z - r) for z, _m in roots) <= 1e-12
 
 
 def planted_next_to_cut(roots, b):
