@@ -66,14 +66,19 @@ def evans_pair(ctx: EvansContext, lam):
     G_j^(-1/2) has the derivative -2 d_j^2 tau_j G_j^(-3/2).
     """
     lam = np.asarray(lam, dtype=complex)
-    e0, de0 = lam, np.ones_like(lam)
+    # E0' = 1 + the terms' derivatives: the number 1 will do unless no term
+    # adds an array
+    e0, de0 = lam, (1.0 if any(ctx.grad) else np.ones_like(lam))
     for tau, d, g in zip(ctx.params.tau, ctx.params.d, ctx.grad):
         if g == 0.0:
             continue
         base = ctx.c * ctx.c * tau * tau + 4.0 * d * d
-        inv_root = 1.0 / np.sqrt(base + 4.0 * d * d * tau * lam)
+        arg = base + 4.0 * d * d * tau * lam      # G_j
+        inv_root = 1.0 / np.sqrt(arg)
         e0 = e0 + 3.0 * SQRT2 * g * (inv_root - 1.0 / math.sqrt(base))
-        de0 = de0 + 3.0 * SQRT2 * g * (-2.0 * d * d * tau) * inv_root ** 3
+        # G_j^(-3/2) as one quotient, which rounds alike on an array and on
+        # one point (numpy's scalar complex product does not)
+        de0 = de0 + 3.0 * SQRT2 * g * (-2.0 * d * d * tau) * (inv_root / arg)
     return e0, de0
 
 

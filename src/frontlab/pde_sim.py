@@ -10,10 +10,12 @@ stationary and travelling fronts with a phase condition, pseudo-arclength
 continuation with fold/Hopf detection, and linearization spectra for
 cross-validation against the Evans-function predictions.
 
-The Jacobian comes from one set of diagonals with two packings: a CSC
-matrix on the flat order for ARPACK's spectra, and a LAPACK band on the
-node-interleaved order, where every Newton step is one band LU with the
-phase and arclength borders eliminated through a small Schur system.
+The Jacobian comes from one set of diagonals with two packings: a LAPACK
+band on the node-interleaved order, where every Newton step is one band LU
+with the phase and arclength borders eliminated through a small Schur
+system, and every spectrum one band LU of J - sigma M at a real shift for
+ARPACK's shift-invert Arnoldi in real arithmetic; and a CSC matrix on the
+flat order for the dense reference spectrum of small systems.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
-from scipy.sparse.linalg import eigs as sparse_eigs
+from scipy.sparse.linalg import LinearOperator, eigs as sparse_eigs
 
 from .core_model import (REAL_IMAG_TOL, Coupling, SystemParams, conjugate_pairs,
                          coupling_gradient, eval_coupling)
@@ -303,10 +305,11 @@ class _FrontSystem:
     side; `advance` steps it in time at c = 0, solving the implicit
     diffusion with W (I - k D2), which the trapezoid weights W = diag(1/2,
     1, ..., 1, 1/2) make symmetric positive definite.  The Jacobian's
-    entries come from `diagonals` alone, in two packings: `jacobian` and
-    `dynamic_jacobian`, CSC on the flat order, feed the spectra; `band`,
-    on the node-interleaved order, feeds `newton_step`, the one linear
-    solve of every Newton iteration.  The implicit-diffusion factors depend
+    entries come from `diagonals` alone, in two packings: `band`, on the
+    node-interleaved order, feeds `newton_step`, the one linear solve of
+    every Newton iteration, and `shift_invert`, the operator of every
+    sparse spectrum; `jacobian` and `dynamic_jacobian`, CSC on the flat
+    order, feed the dense spectrum.  The implicit-diffusion factors depend
     only on (params, grid), are built on first use and are shared by every
     system on them; `with_coupling` gives a view at another coupling.
     """
@@ -474,6 +477,24 @@ class _FrontSystem:
             ab[2 * m - j, :, j] = uv[j - 1]
             ab[2 * m + j, :, 0] = vu
         return ab.reshape(3 * m + 1, self.size)
+
+    def shift_invert(self, x, c, sigma):
+        """The operator (J - sigma M)^-1 M at (x, c) on the node-interleaved
+        order, M the row masses and sigma a real shift: its eigenvalues are
+        1/(lambda - sigma) for the eigenvalues lambda of the time-dependent
+        Jacobian M^-1 J, which the order does not change.  J - sigma M is
+        the band with sigma M taken off its main row, factored once by
+        `dgbtrf`; each product is one `dgbtrs` call.  Raises FrontlabError
+        if J - sigma M is singular."""
+        m, size = self.n + 1, self.size
+        mass = np.tile(self.mass, self.nx)
+        ab = self.band(x, c)
+        ab[2 * m] -= sigma * mass
+        lu, piv, info = dgbtrf(ab, m, m, overwrite_ab=1)
+        if info > 0:
+            raise FrontlabError(f"J - sigma M is singular at the spectrum shift sigma={sigma!r}")
+        return LinearOperator((size, size), dtype=float, matvec=lambda v: dgbtrs(
+            lu, m, m, mass * v.ravel(), piv, overwrite_b=1)[0])
 
     def newton_step(self, x, c, rhs, columns=(), arc=None):
         """Solve a front's Newton system at (x, c) for `rhs`.
@@ -650,31 +671,37 @@ class SpectrumReport:
 def linearization_spectrum(solution: FrontSolution, count: int = 8) -> SpectrumReport:
     """The `count` eigenvalues of the discrete linearization nearest zero.
 
-    Shift-invert Arnoldi (ARPACK) near the origin, `method` "sparse",
-    wherever ARPACK can run (count + 6 < size - 1); else the whole spectrum
-    of the dense matrix, "dense".  Conjugate pairs are exact and the order
-    (real part descending, ties by imaginary part descending) does not
-    follow rounding.  The eigenvalue nearest zero is tagged as the
-    translation mode.
+    Shift-invert Arnoldi (ARPACK) in real arithmetic, `method` "sparse",
+    wherever ARPACK can run (count + 6 < size - 1): the count + 6
+    eigenvalues nu of largest modulus of `shift_invert`'s (J - sigma M)^-1 M
+    at a real shift sigma give the eigenvalues lambda = sigma + 1/nu
+    nearest sigma.  Real Arnoldi returns real values with imaginary part 0
+    and complex ones in exact conjugate pairs (Lehoucq, Sorensen and Yang,
+    ARPACK Users' Guide, SIAM 1998, sec. 3.2).  Elsewhere the whole
+    spectrum of the dense matrix, "dense".  On both paths conjugate pairs
+    are exact and the order (real part descending, ties by imaginary part
+    descending) does not follow rounding.  The eigenvalue nearest zero is
+    tagged as the translation mode.
     """
     state = solution.state
     system = _FrontSystem(state.params, state.coupling, state.grid)
-    jac = system.dynamic_jacobian(system.flat(state), solution.c)
-    size = jac.shape[0]
+    x, size = system.flat(state), system.size
     if count < 1:
         raise FrontlabError(f"spectrum needs count >= 1, got count={count}")
     method = "sparse" if count + 6 < size - 1 else "dense"
     if method == "dense":
-        vals = np.linalg.eigvals(jac.toarray())
+        vals = np.linalg.eigvals(system.dynamic_jacobian(x, solution.c).toarray())
     else:
-        # Shift off the real axis at the essential-gap scale: sigma = 0 sits
-        # on the (near-singular) translation eigenvalue and poisons the
-        # factorized solves ARPACK relies on.
+        # A real shift at the essential-gap scale, off 0: sigma = 0 sits on
+        # the (near-singular) translation eigenvalue and poisons the
+        # factorized solves ARPACK relies on.  Real, so that J - sigma M is
+        # a real band and every pair comes back exactly conjugate.
         gap = state.params.epsilon ** 2 * min(1.0 / t for t in state.params.tau)
-        sigma = 0.5 * gap * complex(0.3722, 0.9282)
-        vals = conjugate_pairs(sparse_eigs(jac.astype(complex), k=count + 6, sigma=sigma,
-                                           return_eigenvectors=False, tol=1e-12,
-                                           v0=np.ones(size)))  # deterministic start
+        sigma = 0.5 * gap * 0.3722
+        nu = sparse_eigs(system.shift_invert(x, solution.c, sigma), k=count + 6,
+                         return_eigenvectors=False, tol=1e-12,
+                         v0=np.ones(size))  # deterministic start
+        vals = conjugate_pairs(sigma + 1.0 / nu)
     near = vals[np.lexsort((-vals.imag, np.abs(vals)))[:count]]
     near = near[np.lexsort((-near.imag, -near.real))]
     return SpectrumReport(eigenvalues=near,

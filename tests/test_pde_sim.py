@@ -10,6 +10,7 @@ from scipy.linalg import solve_banded, solveh_banded
 import frontlab as fl
 from frontlab import Coupling, FrontlabError, SystemParams
 from frontlab import pde_sim as ps
+from frontlab.core_model import conjugate_pairs
 from frontlab.jordan_chain import eigenfunction_c0
 
 from conftest import deflated_evans
@@ -23,6 +24,15 @@ def small_ac():
     zero = Coupling(0.0, (0.0,), (0.0,))
     grid = ps.make_grid(10.0, 401, params.epsilon)
     return params, zero, grid
+
+
+def _n3_pair_front():
+    """The N = 3 set of the CLI's deterministic-output run, whose spectrum
+    holds complex pairs."""
+    params = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
+    coup = Coupling(0.0, (578 * SQRT2 / 315, -289 / (90 * SQRT2),
+                          3125 / (2142 * SQRT2)), (1.0, 0.0, 0.0))
+    return params, coup
 
 
 class TestGrid:
@@ -666,6 +676,30 @@ class TestJacobian:
             _assert_step_is_dense_solve(system, x, fold.c, jac, columns[:k],
                                         tangent if k == 2 else None, rng)
 
+    def test_shift_invert_equals_dense_solve(self, perturbed_system):
+        # (J - sigma M)^-1 M v, M the row masses, on the interleaved order
+        system, x, c, _other = perturbed_system
+        m, size = system.n + 1, system.size
+        flat = np.arange(size).reshape(m, system.nx).T.ravel()   # band index -> flat index
+        mass = np.repeat(system.mass, system.nx)
+        jac = system.jacobian(x, c).toarray()
+        sigma = 0.0123
+        op = system.shift_invert(x, c, sigma)
+        v = np.random.default_rng(11).uniform(-1.0, 1.0, size)
+        dense = np.linalg.solve(jac - sigma * np.diag(mass), mass * v)
+        assert np.max(np.abs(op.matvec(v[flat]) - dense[flat])) <= 1e-10 * np.max(np.abs(dense))
+
+    def test_singular_shift_raises(self):
+        # a flat decoupled state with eps^2 = 1/16: the V rows of J - sigma M
+        # at sigma = -eps^2 are eps^2 D2, singular on constants in exact
+        # binary arithmetic
+        params = SystemParams(epsilon=0.25, tau=(1.0,), d=(1.0,))
+        grid = ps.make_grid(1.0, 5)
+        system = ps._FrontSystem(params, Coupling(0.0, (0.0,), (0.0,)), grid)
+        x = np.ones(system.size)
+        with pytest.raises(FrontlabError, match="sigma=-0.0625"):
+            system.shift_invert(x, 0.0, -0.0625)
+
     @pytest.mark.parametrize("name", ["gamma", "alpha1", "beta1"])
     def test_param_derivative_is_unit_difference(self, perturbed_system, name):
         # R is affine in each coupling parameter p: dR/dp = R(p + 1) - R(p)
@@ -762,18 +796,57 @@ class TestSpectrum:
             assert 0.45 <= gaps[1] / gaps[0] <= 0.65, frac
             assert 0.45 <= gaps[2] / gaps[1] <= 0.65, frac
 
-    def test_sparse_matches_dense(self, small_ac):
-        params, zero, grid = small_ac
-        coup = Coupling(0.0, (0.5,), (0.0,))
-        sol = ps.solve_stationary_front(params, coup, grid=grid)
-        sparse = ps.linearization_spectrum(sol, count=6)
+    @pytest.mark.parametrize("case", ["stable", "unstable_real", "complex_pairs"])
+    def test_sparse_matches_dense(self, case):
+        # the shift sits on the real axis: the count eigenvalues nearest zero
+        # are the dense solve's, also beside an unstable real eigenvalue
+        # (the N = 1 cusp stationary front) and with complex pairs (N = 3)
+        n1 = SystemParams(epsilon=0.2, tau=(1.0,), d=(1.0,))
+        params, coup, grid, count = {
+            "stable": (n1, Coupling(0.0, (0.5,), (0.0,)), ps.make_grid(10.0, 401), 6),
+            "unstable_real": (n1, Coupling(0.0, (2.0,), (0.0,), higher=(-1.0,)),
+                              ps.make_grid(10.0, 201), 8),
+            "complex_pairs": (*_n3_pair_front(), ps.make_grid(1.5, 201), 8),
+        }[case]
+        solve = ps.solve_travelling_front if case == "complex_pairs" else ps.solve_stationary_front
+        sol = solve(params, coup, grid=grid)
+        sparse = ps.linearization_spectrum(sol, count=count)
         assert sparse.method == "sparse"
+        if case == "unstable_real":
+            assert max(sparse.eigenvalues.real) > 1e-3
+            assert np.all(sparse.eigenvalues.imag == 0.0)
+        if case == "complex_pairs":
+            assert np.any(sparse.eigenvalues.imag != 0.0)
         system = ps._FrontSystem(params, coup, grid)
         dense = np.linalg.eigvals(
             system.dynamic_jacobian(system.flat(sol.state), sol.c).toarray())
-        a = np.sort_complex(dense[np.lexsort((-dense.imag, np.abs(dense)))[:6]])
+        a = np.sort_complex(dense[np.lexsort((-dense.imag, np.abs(dense)))[:count]])
         b = np.sort_complex(sparse.eigenvalues)
         assert np.max(np.abs(a - b)) <= 1e-9
+
+    def test_real_shift_returns_exact_pairs(self, monkeypatch):
+        # the N = 1 cubic travelling front whose essential-band eigenvalue
+        # near -0.0631 came back from the complex shift as -0.06313705739 +
+        # 1.3e-8i, above REAL_IMAG_TOL and unpaired: with a real shift the
+        # raw values are real or exact conjugate pairs, so the tidy has
+        # nothing to round.  The eigenvalue is ill-conditioned: ARPACK and
+        # the dense solve of the same matrix put it 4.6e-6 apart
+        raw = []
+
+        def recorded(vals):
+            raw.append(np.array(vals))
+            return conjugate_pairs(vals)
+
+        monkeypatch.setattr(ps, "conjugate_pairs", recorded)
+        params = SystemParams(epsilon=0.2, tau=(1.0,), d=(1.0,))
+        coup = Coupling(0.05, (1.45,), (0.0,), higher=(-1.0,))
+        sol = ps.solve_travelling_front(params, coup, guess_c=1.4917,
+                                        grid=ps.make_grid(20.0, 401, params.epsilon))
+        eigs = ps.linearization_spectrum(sol, count=8).eigenvalues
+        assert np.all(eigs.imag == 0.0)
+        assert np.min(np.abs(eigs - (-0.06313))) <= 1e-5
+        (vals,) = raw
+        assert np.all(np.isin(vals[vals.imag != 0.0].conj(), vals))
 
 
     def test_conjugate_pairs_are_canonical(self):
@@ -781,9 +854,7 @@ class TestSpectrum:
         # change of the front reorders the raw ARPACK pairs; the report
         # keeps each pair exact and +Im first, so branch.csv's eig*_im
         # columns do not flip sign
-        params = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
-        coup = Coupling(0.0, (578 * SQRT2 / 315, -289 / (90 * SQRT2),
-                              3125 / (2142 * SQRT2)), (1.0, 0.0, 0.0))
+        params, coup = _n3_pair_front()
         sol = ps.solve_travelling_front(params, coup, grid=ps.make_grid(1.5, 201))
         signs = set()
         for factor in (1.0, 1.0 + 2.2e-16, 1.0 - 2.2e-16):
