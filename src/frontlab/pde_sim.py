@@ -155,10 +155,10 @@ def step(state: PdeState, dt: float) -> PdeState:
     trapezoid-weighted symmetric matrix; reactions are explicit; steps
     exceeding the explicit-reaction stability bound are sub-stepped.
     """
-    if dt <= 0:
-        raise FrontlabError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise FrontlabError(f"dt must be finite and > 0, got {dt!r}")
     system = _FrontSystem(state.params, state.coupling, state.grid)
-    x, t = system.advance(system.flat(state), state.t, dt)
+    x, t = system.advance(system.flat(state), state.t, dt, 1)
     return system.state(x, t)
 
 
@@ -223,6 +223,12 @@ def simulate(state: PdeState, t_end: float, output_stride: int = 10,
     """
     if dt is None:
         dt = default_dt(state.params)
+    if not (math.isfinite(dt) and dt > 0):
+        raise FrontlabError(f"dt must be finite and > 0, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise FrontlabError(f"t_end must be finite and >= 0, got {t_end!r}")
+    if not isinstance(output_stride, (int, np.integer)) or output_stride < 1:
+        raise FrontlabError(f"output_stride must be an integer >= 1, got {output_stride!r}")
     grid = state.grid
     nodes = grid.x
     front_position(state.u, nodes)   # validates the single-front shape
@@ -234,26 +240,26 @@ def simulate(state: PdeState, t_end: float, output_stride: int = 10,
     ts, pos, spd, sup_u, sup_v = [], [], [], [], []
     trapping = False
     aborted = None
-    for istep in range(1, n_steps + 1):
-        prev_u = x[:grid.n_x]
-        x, t = system.advance(x, t, dt)
-        if istep % output_stride == 0 or istep == n_steps:
-            u, v = system.split(x)
-            try:
-                p = front_position(u, nodes)
-            except FrontlabError:
-                aborted = "front count changed"
-                break
-            su, sv = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
-            trapping = trapping or su > 1.3 or sv > 1.3
-            ts.append(t)
-            pos.append(p)
-            spd.append(freezing_speed(prev_u, u, dt, grid.h))
-            sup_u.append(su)
-            sup_v.append(sv)
-            if abs(p) > margin:
-                aborted = "front reached boundary margin"
-                break
+    for done in range(0, n_steps, output_stride):
+        x, t = system.advance(x, t, dt, min(output_stride, n_steps - done) - 1)
+        prev_u = x[:grid.n_x]            # advance never writes its input
+        x, t = system.advance(x, t, dt, 1)
+        u, v = system.split(x)
+        try:
+            p = front_position(u, nodes)
+        except FrontlabError:
+            aborted = "front count changed"
+            break
+        su, sv = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
+        trapping = trapping or su > 1.3 or sv > 1.3
+        ts.append(t)
+        pos.append(p)
+        spd.append(freezing_speed(prev_u, u, dt, grid.h))
+        sup_u.append(su)
+        sup_v.append(sv)
+        if abs(p) > margin:
+            aborted = "front reached boundary margin"
+            break
     return SimResult(t=np.asarray(ts), position=np.asarray(pos),
                      speed=np.asarray(spd), sup_u=np.asarray(sup_u),
                      sup_v=np.asarray(sup_v), trapping_violated=trapping,
@@ -302,9 +308,12 @@ class _FrontSystem:
 
     with diffusion eps^2 (1, d_j^2), mass (1, tau_j) and reaction
     (U - U^3 - eps F(V), eps^2 (U - V_j)).  `residual` is the right-hand
-    side; `advance` steps it in time at c = 0, solving the implicit
-    diffusion with W (I - k D2), which the trapezoid weights W = diag(1/2,
-    1, ..., 1, 1/2) make symmetric positive definite.  The Jacobian's
+    side; `advance` marches it a given number of steps at c = 0, solving
+    the implicit diffusion with W (I - k D2), which the trapezoid weights
+    W = diag(1/2, 1, ..., 1, 1/2) make symmetric positive definite.  The
+    march builds each substep in place, in one of two buffers in turn, and
+    never writes the caller's vector; its float operations are those of the
+    written-out step, in the same order.  The Jacobian's
     entries come from `diagonals` alone, in two packings: `band`, on the
     node-interleaved order, feeds `newton_step`, the one linear solve of
     every Newton iteration, and `shift_invert`, the operator of every
@@ -406,21 +415,27 @@ class _FrontSystem:
             cached = self._shared["implicit"] = (scale, (d, e))
         return cached[1]
 
-    def advance(self, x, t, dt):
-        """March the flat fields x from time t by dt; returns (x, t).  First
-        order: explicit reaction, then implicit diffusion.  The diffusion
-        solve weights the right-hand side like `_implicit`'s matrix, halving
-        each row's end values.  Steps above the explicit-reaction bound are
-        split into equal substeps."""
+    def advance(self, x, t, dt, steps):
+        """March the flat fields x from time t by `steps` steps of dt;
+        returns (x, t).  First order: explicit reaction, then implicit
+        diffusion.  The diffusion solve weights the right-hand side like
+        `_implicit`'s matrix, halving each row's end values.  Steps above
+        the explicit-reaction bound are split into equal substeps."""
         n_sub = max(1, int(math.ceil(dt / stable_reaction_dt(self.params))))
         sub = dt / n_sub
-        factors = self._implicit(sub)
+        d, e = self._implicit(sub)
+        slow_mass = self.mass[1:, None]          # the U row's mass is 1
         X = self._rows(x)
-        for _ in range(n_sub):
-            rate = self.reaction(X, np.zeros_like(X)) / self.mass[:, None]
-            rhs = X + sub * rate
-            rhs[:, [0, -1]] *= 0.5
-            X = self._rows(dpttrs(*factors, rhs.ravel(), overwrite_b=1)[0])
+        buffers = (np.empty_like(X), np.empty_like(X))
+        for i in range(steps * n_sub):
+            R = buffers[i % 2]
+            R.fill(0.0)
+            self.reaction(X, R)
+            R[1:] /= slow_mass
+            R *= sub
+            R += X
+            R[:, ::self.nx - 1] *= 0.5
+            X = dpttrs(d, e, R.reshape(-1), overwrite_b=1)[0].reshape(X.shape)
             t = t + sub
         return X.ravel(), t
 

@@ -187,6 +187,58 @@ class TestSimulate:
             assert not out.trapping_violated
             assert np.max(out.sup_u) <= 1.3 and np.max(out.sup_v) <= 1.3
 
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    @pytest.mark.parametrize("dt_scale", [0.04, 2.4])
+    def test_simulate_equals_repeated_step(self, small_ac, stride, dt_scale):
+        """Every row and the final state, bit for bit, against `step` called
+        once per step; 103 steps, so with strides 7 and 100 the last row
+        falls on the final step, off the stride; dt 2.4 times the reaction
+        bound takes 3 substeps a step."""
+        params, _zero, grid = small_ac
+        state = ps.initial_front_state(params, Coupling(0.1, (0.5,), (0.0,)), grid)
+        dt = dt_scale * ps.stable_reaction_dt(params)
+        out = ps.simulate(state, 103 * dt, output_stride=stride, dt=dt)
+        assert out.aborted is None
+        rows = [s for s in range(1, 104) if s % stride == 0 or s == 103]
+        assert len(out.t) == len(rows)
+        prev = cur = state
+        for n in range(1, 104):
+            prev, cur = cur, ps.step(cur, dt)
+            if n in rows:
+                i = rows.index(n)
+                assert out.t[i] == cur.t
+                assert out.position[i] == ps.front_position(cur.u, grid.x)
+                assert out.speed[i] == ps.freezing_speed(prev.u, cur.u, dt, grid.h)
+        final = out.final_state
+        assert final.t == cur.t
+        assert np.array_equal(final.u, cur.u) and np.array_equal(final.v, cur.v)
+
+    @pytest.mark.parametrize("call, kwargs", [
+        ("simulate", dict(output_stride=0)),
+        ("simulate", dict(output_stride=-3)),
+        ("simulate", dict(output_stride=2.5)),
+        ("simulate", dict(dt=0.0)),
+        ("simulate", dict(dt=-0.01)),
+        ("simulate", dict(dt=math.nan)),
+        ("simulate", dict(dt=math.inf)),
+        ("simulate", dict(t_end=-1.0)),
+        ("simulate", dict(t_end=math.inf)),
+        ("simulate", dict(t_end=math.nan)),
+        ("step", dict(dt=0.0)),
+        ("step", dict(dt=-0.01)),
+        ("step", dict(dt=math.nan)),
+        ("step", dict(dt=math.inf)),
+    ])
+    def test_bad_arguments_rejected(self, small_ac, call, kwargs):
+        params, zero, grid = small_ac
+        state = ps.initial_front_state(params, zero, grid)
+        (name,) = kwargs
+        with pytest.raises(FrontlabError, match=f"^{name} must be"):
+            if call == "step":
+                ps.step(state, **kwargs)
+            else:
+                ps.simulate(state, **{"t_end": 0.1, "dt": 0.01, **kwargs})
+
 
 class TestSteadySolvers:
     def test_zero_coupling_fast_convergence(self, small_ac):
