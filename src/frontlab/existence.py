@@ -130,7 +130,7 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None):
     Sign changes on a scan grid of step 0.05 (at least 8 cells) are refined
     by bisection (brentq); local minima of |Gamma0| below ROOT_TOL catch
     even-multiplicity roots.  Output is sorted ascending as (root,
-    multiplicity) pairs.
+    multiplicity) pairs; FrontlabError where Gamma0 overflows on the scan.
     """
     if interval is None:
         r = default_search_radius(coupling)
@@ -143,7 +143,11 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None):
 
     n = max(int(math.ceil((hi - lo) / 0.05)), 8)
     grid = np.linspace(lo, hi, n + 1)
-    vals = gamma0(params, coupling, grid)
+    with np.errstate(all="ignore"):      # an overflow is raised below instead
+        vals = gamma0(params, coupling, grid)
+    if not np.isfinite(vals).all():
+        raise FrontlabError(f"Gamma0 is not finite at c={grid[~np.isfinite(vals)][0]:.6g} on "
+                            f"the scan of [{lo:.6g}, {hi:.6g}]: the parameters overflow")
 
     roots = []
 

@@ -10,12 +10,12 @@ stationary and travelling fronts with a phase condition, pseudo-arclength
 continuation with fold/Hopf detection, and linearization spectra for
 cross-validation against the Evans-function predictions.
 
-The Jacobian comes from one set of diagonals with two packings: a LAPACK
-band on the node-interleaved order, where every Newton step is one band LU
-with the phase and arclength borders eliminated through a small Schur
-system, and every spectrum one band LU of J - sigma M at a real shift for
-ARPACK's shift-invert Arnoldi in real arithmetic; and a CSC matrix on the
-flat order for the dense reference spectrum of small systems.
+The Jacobian is assembled in one packing, a LAPACK band on the
+node-interleaved order: every Newton step is one band LU with the phase and
+arclength borders eliminated through a small Schur system, every spectrum
+one band LU of J - sigma M at a real shift for ARPACK's shift-invert
+Arnoldi in real arithmetic, and the dense reference spectrum of small
+systems unpacks the same band.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, eigs as sparse_eigs
 
@@ -39,6 +38,10 @@ from .jordan_chain import ChainProfile
 
 #: Residual sup norm at which the continuation's Newton solves stop.
 BRANCH_RES_TOL = 1e-9
+
+#: Most IMEX substeps one `simulate` or `step` call may take; the cusp runs
+#: of criteria 6-7 take 42,000.
+MAX_SUBSTEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,20 @@ def default_dt(params: SystemParams) -> float:
     return 1e-2 * min(1.0, min(params.tau))
 
 
+def _step_count(params: SystemParams, t_end: float, dt: float, inputs: str) -> int:
+    """round(t_end / dt), after checking dt, t_end and that the steps take at
+    most MAX_SUBSTEPS substeps as `_FrontSystem.advance` splits them."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise FrontlabError(f"dt must be finite and > 0, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise FrontlabError(f"t_end must be finite and >= 0, got {t_end!r}")
+    steps = round(min(t_end / dt, MAX_SUBSTEPS + 1.0))
+    per_step = min(dt / stable_reaction_dt(params), MAX_SUBSTEPS + 1.0)
+    if steps * max(1, math.ceil(per_step)) > MAX_SUBSTEPS:
+        raise FrontlabError(f"{inputs} would take more than {MAX_SUBSTEPS:,} IMEX substeps")
+    return steps
+
+
 def step(state: PdeState, dt: float) -> PdeState:
     """Advance one first-order IMEX step.
 
@@ -155,8 +172,7 @@ def step(state: PdeState, dt: float) -> PdeState:
     trapezoid-weighted symmetric matrix; reactions are explicit; steps
     exceeding the explicit-reaction stability bound are sub-stepped.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise FrontlabError(f"dt must be finite and > 0, got {dt!r}")
+    _step_count(state.params, dt, dt, f"dt={dt!r}")
     system = _FrontSystem(state.params, state.coupling, state.grid)
     x, t = system.advance(system.flat(state), state.t, dt, 1)
     return system.state(x, t)
@@ -219,14 +235,11 @@ def simulate(state: PdeState, t_end: float, output_stride: int = 10,
 
     Aborts (with partial output) when the front reaches within 2 sqrt(eps)
     of the boundary.  A sup-norm excursion outside [-1.3, 1.3] is flagged,
-    not fatal.
+    not fatal.  More than MAX_SUBSTEPS substeps raise FrontlabError at once.
     """
     if dt is None:
         dt = default_dt(state.params)
-    if not (math.isfinite(dt) and dt > 0):
-        raise FrontlabError(f"dt must be finite and > 0, got {dt!r}")
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise FrontlabError(f"t_end must be finite and >= 0, got {t_end!r}")
+    n_steps = _step_count(state.params, t_end, dt, f"t_end={t_end!r} and dt={dt!r}")
     if not isinstance(output_stride, (int, np.integer)) or output_stride < 1:
         raise FrontlabError(f"output_stride must be an integer >= 1, got {output_stride!r}")
     grid = state.grid
@@ -236,7 +249,6 @@ def simulate(state: PdeState, t_end: float, output_stride: int = 10,
     system = _FrontSystem(state.params, state.coupling, grid)
     x, t = system.flat(state), state.t
 
-    n_steps = int(round(t_end / dt))
     ts, pos, spd, sup_u, sup_v = [], [], [], [], []
     trapping = False
     aborted = None
@@ -313,14 +325,14 @@ class _FrontSystem:
     W = diag(1/2, 1, ..., 1, 1/2) make symmetric positive definite.  The
     march builds each substep in place, in one of two buffers in turn, and
     never writes the caller's vector; its float operations are those of the
-    written-out step, in the same order.  The Jacobian's
-    entries come from `diagonals` alone, in two packings: `band`, on the
-    node-interleaved order, feeds `newton_step`, the one linear solve of
-    every Newton iteration, and `shift_invert`, the operator of every
-    sparse spectrum; `jacobian` and `dynamic_jacobian`, CSC on the flat
-    order, feed the dense spectrum.  The implicit-diffusion factors depend
-    only on (params, grid), are built on first use and are shared by every
-    system on them; `with_coupling` gives a view at another coupling.
+    written-out step, in the same order.  The Jacobian's entries are
+    assembled by `band` alone, on the node-interleaved order: it feeds
+    `newton_step`, the one linear solve of every Newton iteration,
+    `shift_invert`, the operator of every sparse spectrum, and
+    `dynamic_jacobian`, its dense unpacking for the dense spectrum.  The
+    implicit-diffusion factors depend only on (params, grid), are built on
+    first use and are shared by every system on them; `with_coupling` gives
+    a view at another coupling.
     """
 
     def __init__(self, params: SystemParams, coupling: Coupling, grid: Grid):
@@ -439,59 +451,42 @@ class _FrontSystem:
             t = t + sub
         return X.ravel(), t
 
-    # -- the Jacobian: one set of diagonals, two packings
+    # -- the Jacobian: one band packing
 
-    def diagonals(self, x, c):
-        """The Jacobian at (x, c) as the diagonals it is made of: each row
-        block's (lower, main, upper) stencil plus reaction, of shapes
-        (N+1, n_x - 1), (N+1, n_x) and (N+1, n_x - 1); the U-V_j coupling
-        diagonals -eps dF/dV_j, (N, n_x); and the V_j-U constant eps^2."""
+    def band(self, x, c):
+        """The Jacobian at (x, c) in LAPACK's general band storage on the
+        node-interleaved order (U, V_1, ..., V_N at node 0, then at node 1,
+        ...), where kl = ku = N + 1: entry (I, J) sits at [2 kl + I - J, J],
+        below the kl rows `dgbtrf` fills.  It holds each row block's (lower,
+        main, upper) stencil plus reaction, the U-V_j coupling diagonals
+        -eps dF/dV_j and the V_j-U constant eps^2."""
         u, v = self.split(x)
         diffusion, adv = self.diffusion[:, None], self._advection(c)[:, None]
         (d2_lower, d2_main, d2_upper), (d1_lower, _, d1_upper) = self.d2_bands, self.d1_bands
         main = diffusion * d2_main
         main[0] += 1.0 - 3.0 * u ** 2
         main[1:] -= self.eps2
-        return (diffusion * d2_lower + adv * d1_lower, main,
-                diffusion * d2_upper + adv * d1_upper,
-                -self.params.epsilon * coupling_gradient(self.coupling, v), self.eps2)
-
-    def jacobian(self, x, c):
-        """CSC on the flat order (U, V_1, ..., V_N), as ARPACK takes it."""
-        lower, main, upper, uv, vu = self.diagonals(x, c)
-        nx, size = self.nx, self.size
-        gap = np.zeros((self.n + 1, 1))    # where row blocks meet
-        diagonals = [np.hstack([lower, gap]).ravel()[:-1], main.ravel(),
-                     np.hstack([upper, gap]).ravel()[:-1]]
-        offsets = [-1, 0, 1]
-        for j in range(1, self.n + 1):
-            pad = np.zeros(size - (j + 1) * nx)
-            diagonals += [np.concatenate([uv[j - 1], pad]),
-                          np.concatenate([np.full(nx, vu), pad])]
-            offsets += [j * nx, -j * nx]
-        return sp.diags(diagonals, offsets, shape=(size, size), format="csc")
-
-    def dynamic_jacobian(self, x, c):
-        """Jacobian of the time-dependent system (V_j rows divided by tau_j)."""
-        jac = self.jacobian(x, c)
-        jac.data /= self.mass[jac.indices // self.nx]
-        return jac
-
-    def band(self, x, c):
-        """The Jacobian at (x, c) in LAPACK's general band storage on the
-        node-interleaved order (U, V_1, ..., V_N at node 0, then at node 1,
-        ...), where kl = ku = N + 1: entry (I, J) sits at [2 kl + I - J, J],
-        below the kl rows `dgbtrf` fills."""
-        lower, main, upper, uv, vu = self.diagonals(x, c)
+        uv = -self.params.epsilon * coupling_gradient(self.coupling, v)
         m = self.n + 1
         ab = np.zeros((3 * m + 1, self.nx, m))
-        ab[m, 1:] = upper.T
+        ab[m, 1:] = (diffusion * d2_upper + adv * d1_upper).T
         ab[2 * m] = main.T
-        ab[3 * m, :-1] = lower.T
+        ab[3 * m, :-1] = (diffusion * d2_lower + adv * d1_lower).T
         for j in range(1, m):
             ab[2 * m - j, :, j] = uv[j - 1]
-            ab[2 * m + j, :, 0] = vu
+            ab[2 * m + j, :, 0] = self.eps2
         return ab.reshape(3 * m + 1, self.size)
+
+    def dynamic_jacobian(self, x, c):
+        """The Jacobian of the time-dependent system, dense on the flat order
+        (U, V_1, ..., V_N): `band` unpacked, each row divided by its mass."""
+        m, size = self.n + 1, self.size
+        ab, jac = self.band(x, c), np.zeros((size, size))
+        flat = np.arange(size).reshape(m, self.nx).T.ravel()   # interleaved -> flat
+        for offset in range(-m, m + 1):                         # J - I
+            cols = np.arange(max(0, offset), size + min(0, offset))
+            jac[flat[cols - offset], flat[cols]] = ab[2 * m - offset, cols]
+        return jac / np.repeat(self.mass, self.nx)[:, None]
 
     def shift_invert(self, x, c, sigma):
         """The operator (J - sigma M)^-1 M at (x, c) on the node-interleaved
@@ -705,7 +700,7 @@ def linearization_spectrum(solution: FrontSolution, count: int = 8) -> SpectrumR
         raise FrontlabError(f"spectrum needs count >= 1, got count={count}")
     method = "sparse" if count + 6 < size - 1 else "dense"
     if method == "dense":
-        vals = np.linalg.eigvals(system.dynamic_jacobian(x, solution.c).toarray())
+        vals = np.linalg.eigvals(system.dynamic_jacobian(x, solution.c))
     else:
         # A real shift at the essential-gap scale, off 0: sigma = 0 sits on
         # the (near-singular) translation eigenvalue and poisons the

@@ -1,12 +1,13 @@
 import json
 import os
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from frontlab import chain_profile, gamma0_taylor
-from frontlab.cli import dispatch, load_run_config
+from frontlab.cli import dispatch, load_run_config, main
 from frontlab.core_model import model_from_dict
 from frontlab.errors import FrontlabError
 
@@ -100,6 +101,30 @@ class TestDispatch:
         obj = json.loads(capsys.readouterr().err)
         assert obj["error"] == "FrontlabError"
         assert f"searched box ({', '.join(str(float(b)) for b in box.split(','))})" in obj["message"]
+
+    @pytest.mark.parametrize("change, argv, message", [
+        ({"pde": {"dt": 1e-320}}, ["pde-sim"], "dt=1e-320 would take more than"),
+        ({"pde": {"t_end": 1e300, "dt": 1e-3}}, ["pde-sim"], "t_end=1e+300 and dt=0.001"),
+        ({"tau": [1e308, 2.25, 2.89]}, ["gamma", "--roots"], "Gamma0 is not finite"),
+    ])
+    def test_overflowing_input_exit_1_at_once(self, n3_config, tmp_path, capsys, monkeypatch,
+                                              change, argv, message):
+        # t_end / dt overflows, t_end / dt steps never end, v_star overflows
+        with open(n3_config) as fh:
+            doc = json.load(fh)
+        path = write_config(tmp_path, {**doc, **change}, name="bad.json")
+        monkeypatch.setattr("sys.argv", ["frontlab", "--json-errors", "--config", path,
+                                         "--output-dir", str(tmp_path / "out")] + argv)
+        start = time.perf_counter()
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_:
+            warnings.simplefilter("error")      # no RuntimeWarning on the way
+            main()
+        assert time.perf_counter() - start < 1.0
+        assert exit_.value.code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        obj = json.loads(err)
+        assert obj["error"] == "FrontlabError" and message in obj["message"]
 
     def test_missing_config(self, capsys):
         assert dispatch(["gamma", "--roots"]) == 1

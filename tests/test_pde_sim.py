@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -238,6 +239,33 @@ class TestSimulate:
                 ps.step(state, **kwargs)
             else:
                 ps.simulate(state, **{"t_end": 0.1, "dt": 0.01, **kwargs})
+
+    @pytest.mark.parametrize("call, args, names", [
+        ("step", (1e300,), "dt=1e+300"),
+        ("step", (1e308,), "dt=1e+308"),
+        ("simulate", (1.0, 1, 1e-320), "t_end=1.0 and dt=1e-320"),
+        ("simulate", (1e300, 1, 1e-3), "t_end=1e+300 and dt=0.001"),
+    ])
+    def test_work_above_the_substep_cap_raises_at_once(self, small_ac, call, args, names):
+        params, zero, grid = small_ac
+        state = ps.initial_front_state(params, zero, grid)
+        message = "^" + re.escape(f"{names} would take more than 10,000,000")
+        with pytest.raises(FrontlabError, match=message):
+            getattr(ps, call)(state, *args)
+
+    def test_substep_cap_is_exact(self, small_ac):
+        # advance's count: ceil(dt / stable_reaction_dt) substeps a step
+        params, _zero, _grid = small_ac
+        bound = ps.stable_reaction_dt(params)
+        dt, cap = 2.5 * bound, ps.MAX_SUBSTEPS // 3         # 3 substeps a step
+        assert ps._step_count(params, cap * dt, dt, "") == cap
+        with pytest.raises(FrontlabError):
+            ps._step_count(params, (cap + 1) * dt, dt, "")
+        dt = ps.MAX_SUBSTEPS * bound                         # one step, at the cap
+        assert ps._step_count(params, dt, dt, "") == 1
+        dt = (ps.MAX_SUBSTEPS + 1) * bound
+        with pytest.raises(FrontlabError):
+            ps._step_count(params, dt, dt, "")
 
 
 class TestSteadySolvers:
@@ -537,11 +565,6 @@ def _bmat_jacobian(system, x, c):
     return sp.bmat(blocks, format="csc")
 
 
-def _assert_same_entries(a, b):
-    assert a.shape == b.shape
-    assert (a != b).nnz == 0
-
-
 def _assert_step_is_dense_solve(system, x, c, jac, columns, arc, rng):
     """`newton_step` against `numpy.linalg.solve` of the bordered matrix
     [[J, B], [e_center, 0], [arc]], or of J with its center U row traded for
@@ -646,58 +669,60 @@ class TestOneSystem:
 class TestJacobian:
     def test_matches_central_differences(self, perturbed_system):
         system, x, c, _other = perturbed_system
-        jac = system.jacobian(x, c).toarray()
+        row_mass = np.repeat(system.mass, system.nx)
+        jac = system.dynamic_jacobian(x, c)
         step = 1e-6
         fd = np.empty_like(jac)
         for k in range(system.size):
             e = np.zeros(system.size)
             e[k] = step
             fd[:, k] = (system.residual(x + e, c) - system.residual(x - e, c)) / (2 * step)
+        fd /= row_mass[:, None]
         assert np.max(np.abs(fd - jac)) <= 1e-7 * np.max(np.abs(jac))
 
-    def test_cached_assembly_equals_bmat(self, perturbed_system):
+    def test_band_holds_the_jacobian(self, perturbed_system):
+        # the interleaved band, unpacked and permuted back to the flat order,
+        # entry for entry against the block-by-block assembly
         system, x, c, other = perturbed_system
+        m, size = system.n + 1, system.size
+
+        def unpacked(system, c):
+            ab = system.band(x, c)
+            assert ab.shape == (3 * m + 1, size) and not ab[:m].any()   # dgbtrf's fill rows
+            dense = np.zeros((size, size))
+            for row in range(m, 3 * m + 1):
+                offset = 2 * m - row                     # J - I
+                cols = np.arange(max(0, offset), min(size, size + offset))
+                dense[cols - offset, cols] = ab[row, cols]
+            flat = np.arange(size).reshape(m, system.nx).T.ravel()   # band index -> flat index
+            out = np.zeros((size, size))
+            out[np.ix_(flat, flat)] = dense
+            return out
+
+        def assert_same(system, c):
+            assert np.array_equal(unpacked(system, c), _bmat_jacobian(system, x, c).toarray())
+
         original = system.coupling
-        _assert_same_entries(system.jacobian(x, c), _bmat_jacobian(system, x, c))
-        _assert_same_entries(system.jacobian(x, 0.0), _bmat_jacobian(system, x, 0.0))
-        system.coupling = other        # same system and cached pattern
-        _assert_same_entries(system.jacobian(x, -c), _bmat_jacobian(system, x, -c))
+        assert_same(system, c)
+        assert_same(system, 0.0)
+        system.coupling = other
+        assert_same(system, -c)
         view = system.with_coupling(original)
-        _assert_same_entries(view.jacobian(x, c), _bmat_jacobian(view, x, c))
+        assert_same(view, c)
         assert system.coupling is other
 
     def test_dynamic_jacobian_is_row_scaled(self, perturbed_system):
         system, x, c, _other = perturbed_system
         row_tau = np.concatenate([np.ones(system.nx)]
                                  + [np.full(system.nx, t) for t in system.params.tau])
-        jac = system.jacobian(x, c)
-        dynamic = system.dynamic_jacobian(x, c)
-        # each V_j row divided by tau_j, as the row-wise assembly did; the
-        # product with diag(1 / tau_j) agrees to rounding
-        assert np.array_equal(dynamic.toarray(), jac.toarray() / row_tau[:, None])
-        scaled = sp.diags(1.0 / row_tau) @ jac
-        assert abs(dynamic - scaled).max() <= 4e-16 * abs(scaled).max()
-
-    def test_band_holds_the_jacobian(self, perturbed_system):
-        # the interleaved band, unpacked and permuted back to the flat order
-        system, x, c, _other = perturbed_system
-        m, size = system.n + 1, system.size
-        ab = system.band(x, c)
-        assert ab.shape == (3 * m + 1, size) and not ab[:m].any()   # dgbtrf's fill rows
-        dense = np.zeros((size, size))
-        for row in range(m, 3 * m + 1):
-            offset = 2 * m - row                     # J - I
-            cols = np.arange(max(0, offset), min(size, size + offset))
-            dense[cols - offset, cols] = ab[row, cols]
-        flat = np.arange(size).reshape(m, system.nx).T.ravel()   # band index -> flat index
-        unpacked = np.zeros((size, size))
-        unpacked[np.ix_(flat, flat)] = dense
-        assert np.array_equal(unpacked, system.jacobian(x, c).toarray())
+        bmat = _bmat_jacobian(system, x, c).toarray()
+        # each V_j row divided by tau_j, as the row-wise assembly did
+        assert np.array_equal(system.dynamic_jacobian(x, c), bmat / row_tau[:, None])
 
     def test_newton_step_equals_dense_solve(self, perturbed_system):
         system, x, c, _other = perturbed_system
         rng = np.random.default_rng(3)
-        jac = system.jacobian(x, c).toarray()
+        jac = _bmat_jacobian(system, x, c).toarray()
         columns = [system.residual_c_derivative(x), system.residual_param_derivative(x, "alpha1")]
         arc = rng.uniform(-1.0, 1.0, system.size + 2)
         for k in (0, 1, 2):
@@ -722,7 +747,7 @@ class TestJacobian:
         tangent = np.concatenate([weight * (x - system.flat(before.state)),
                                   [fold.c - before.c, fold.param - before.param]])
         columns = [system.residual_c_derivative(x), system.residual_param_derivative(x, "alpha1")]
-        jac = system.jacobian(x, fold.c).toarray()
+        jac = _bmat_jacobian(system, x, fold.c).toarray()
         rng = np.random.default_rng(5)
         for k in (0, 2):
             _assert_step_is_dense_solve(system, x, fold.c, jac, columns[:k],
@@ -734,7 +759,7 @@ class TestJacobian:
         m, size = system.n + 1, system.size
         flat = np.arange(size).reshape(m, system.nx).T.ravel()   # band index -> flat index
         mass = np.repeat(system.mass, system.nx)
-        jac = system.jacobian(x, c).toarray()
+        jac = _bmat_jacobian(system, x, c).toarray()
         sigma = 0.0123
         op = system.shift_invert(x, c, sigma)
         v = np.random.default_rng(11).uniform(-1.0, 1.0, size)
@@ -870,8 +895,7 @@ class TestSpectrum:
         if case == "complex_pairs":
             assert np.any(sparse.eigenvalues.imag != 0.0)
         system = ps._FrontSystem(params, coup, grid)
-        dense = np.linalg.eigvals(
-            system.dynamic_jacobian(system.flat(sol.state), sol.c).toarray())
+        dense = np.linalg.eigvals(system.dynamic_jacobian(system.flat(sol.state), sol.c))
         a = np.sort_complex(dense[np.lexsort((-dense.imag, np.abs(dense)))[:count]])
         b = np.sort_complex(sparse.eigenvalues)
         assert np.max(np.abs(a - b)) <= 1e-9
