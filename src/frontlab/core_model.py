@@ -378,17 +378,6 @@ def binomial_series(exponent: float, order: int) -> PowerSeries:
     return PowerSeries(tuple(coeffs))
 
 
-def series_sqrt_reciprocal(series: PowerSeries) -> PowerSeries:
-    """1/sqrt(series) for a series with positive constant term."""
-    c0 = series.coeffs[0]
-    if c0 <= 0.0:
-        raise FrontlabError("series_sqrt_reciprocal needs a positive constant term")
-    # the constant term of series/c0 - 1 is identically zero; rounding of
-    # 1/c0 * c0 must not be allowed to poison the composition
-    scaled = PowerSeries((0.0,) + tuple(c / c0 for c in series.coeffs[1:]))
-    return (1.0 / math.sqrt(c0)) * binomial_series(-0.5, series.order).compose(scaled)
-
-
 def series_vstar(params: SystemParams, j: int, order: int = DEFAULT_SERIES_ORDER) -> PowerSeries:
     """Taylor series in c of the j-th plateau value (j is 1-based).
 
@@ -401,9 +390,13 @@ def series_vstar(params: SystemParams, j: int, order: int = DEFAULT_SERIES_ORDER
     coeffs = [0.0] * (order + 1)
     k = 0
     while 2 * k + 1 <= order:
+        try:
+            power = u ** (2 * k + 1)
+        except OverflowError:
+            raise FrontlabError(f"the plateau series of slow component {j} is not finite: "
+                                f"(tau/2d)^{2 * k + 1} overflows") from None
         coeffs[2 * k + 1] = ((-1) ** k
-                             * double_factorial(2 * k - 1) / double_factorial(2 * k)
-                             * u ** (2 * k + 1))
+                             * double_factorial(2 * k - 1) / double_factorial(2 * k) * power)
         k += 1
     return PowerSeries(tuple(coeffs))
 

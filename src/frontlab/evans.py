@@ -47,12 +47,16 @@ class EvansContext:
 
 
 def evans_context(params: SystemParams, coupling: Coupling, c: float = 0.0) -> EvansContext:
-    grad = coupling_gradient(coupling, v_star(params, c))
     tau = np.asarray(params.tau)
     d = np.asarray(params.d)
-    # G_j(lambda) = 4 d^2 tau * lambda + (c^2 tau^2 + 4 d^2) vanishes at the
-    # branch point; the principal-root cut is the real ray to its left.
-    bps = -(c * c * tau * tau + 4.0 * d * d) / (4.0 * d * d * tau)
+    with np.errstate(all="ignore"):     # an overflow is raised below instead
+        grad = coupling_gradient(coupling, v_star(params, c))
+        # G_j(lambda) = 4 d^2 tau * lambda + (c^2 tau^2 + 4 d^2) vanishes at
+        # the branch point; the principal-root cut is the real ray to its left.
+        bps = -(c * c * tau * tau + 4.0 * d * d) / (4.0 * d * d * tau)
+    if not (np.isfinite(grad).all() and np.isfinite(bps).all()):
+        raise FrontlabError(f"the Evans function at c = {c:.6g} is not finite: "
+                            "the parameters overflow")
     return EvansContext(params=params, coupling=coupling, c=float(c),
                         grad=tuple(float(g) for g in grad),
                         branch_points=tuple(float(b) for b in bps))
@@ -101,11 +105,15 @@ def evans_taylor_c0(params: SystemParams, coupling: Coupling, order: int) -> Pow
     d = np.asarray(params.d)
     alpha = np.asarray(coupling.alpha)
     coeffs = [0.0] * (order + 1)
-    if order >= 1:
-        coeffs[1] = 1.0 - 0.75 * SQRT2 * float(np.sum(alpha * tau / d))
-    for k in range(2, order + 1):
-        weight = ((-1) ** k * double_factorial(2 * k - 1) / double_factorial(2 * k))
-        coeffs[k] = 1.5 * SQRT2 * weight * float(np.sum(alpha * tau ** k / d))
+    with np.errstate(all="ignore"):     # an overflow is raised below instead
+        if order >= 1:
+            coeffs[1] = 1.0 - 0.75 * SQRT2 * float(np.sum(alpha * tau / d))
+        for k in range(2, order + 1):
+            weight = ((-1) ** k * double_factorial(2 * k - 1) / double_factorial(2 * k))
+            coeffs[k] = 1.5 * SQRT2 * weight * float(np.sum(alpha * tau ** k / d))
+    if not np.isfinite(coeffs).all():
+        raise FrontlabError(f"E0's Taylor series at c = 0 is not finite from order "
+                            f"{np.argmin(np.isfinite(coeffs))}: the parameters overflow")
     return PowerSeries(tuple(coeffs))
 
 

@@ -6,9 +6,14 @@ existence function
     Gamma0(c) = F(Vstar(c)) - (sqrt(2)/3) c,
 
 where Vstar_j(c) = c tau_j / sqrt(4 d_j^2 + c^2 tau_j^2) are the slow plateau
-values.  This module evaluates Gamma0, locates its roots with multiplicity
-estimates, expands it in Taylor series, builds the leading-order front
-profile, and traces fold curves in coupling-parameter planes.
+values.  This module evaluates Gamma0, expands it in Taylor series at any
+speed, locates its roots with multiplicity estimates, builds the
+leading-order front profile, and traces fold curves in coupling-parameter
+planes.  The roots come from piecewise Chebyshev interpolants of Gamma0,
+analytic in the strip |Im c| < min_j 2 d_j / tau_j: the eigenvalues of
+their colleague matrices, grouped and placed by Newton on the recentred
+Taylor series (Boyd, SIAM Review 55, 2013; Trefethen, Approximation Theory
+and Approximation Practice, chs. 8 and 18).
 """
 
 from __future__ import annotations
@@ -20,14 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import (Coupling, PowerSeries, SystemParams, coupling_gradient,
-                         eval_coupling, series_sqrt_reciprocal, series_vstar)
-from .errors import FrontlabError
+                         eval_coupling, series_vstar)
+from .errors import ConvergenceError, FrontlabError
 
 SQRT2 = math.sqrt(2.0)
-
-#: |Gamma0| at which a root counts as found: the brentq bracket width, the
-#: Newton polish target and the scale of the de-duplication distance.
-ROOT_TOL = 1e-12
 
 
 def _slow_axes(params: SystemParams, c):
@@ -63,34 +64,29 @@ def gamma0_derivative(params: SystemParams, coupling: Coupling, c):
 def gamma0_taylor(params: SystemParams, coupling: Coupling, order: int) -> PowerSeries:
     """Taylor series of Gamma0 at c = 0 to the given order."""
     vj = [series_vstar(params, j, order) for j in range(1, params.n_slow + 1)]
-    series = eval_coupling(coupling, vj)
-    lin = [0.0] * (order + 1)
-    lin[1] = -SQRT2 / 3.0
-    return series + PowerSeries(tuple(lin))
+    return eval_coupling(coupling, vj) + PowerSeries.from_coeffs([0.0, -SQRT2 / 3.0], order)
 
 
 def gamma0_series_at(params: SystemParams, coupling: Coupling, center: float,
                      order: int) -> PowerSeries:
     """Taylor series of Gamma0 recentred at c = center.
 
-    Used for multiplicity estimation at roots; reduces to gamma0_taylor when
-    center = 0 up to rounding.
+    Used to place roots and estimate their multiplicity; reduces to
+    gamma0_taylor when center = 0 up to rounding.  With
+    w(s) = A + B s + C s^2 = 4 d^2 + tau^2 (center + s)^2, the coefficients
+    of y = w^(-1/2) follow from w y' = -w' y / 2 as the three-term recurrence
+    A (k+1) y_{k+1} = -B (k + 1/2) y_k - C k y_{k-1}, and
+    Vstar(center + s) = tau (center + s) y(s).
     """
     vj = []
-    for j in range(params.n_slow):
-        tau, d = params.tau[j], params.d[j]
-        # 4 d^2 + tau^2 (center + s)^2 as a quadratic series in s
-        w = PowerSeries.from_coeffs(
-            [4.0 * d * d + tau * tau * center * center,
-             2.0 * tau * tau * center,
-             tau * tau], order=order)
-        shifted = PowerSeries.from_coeffs([center, 1.0], order=order)
-        vj.append(tau * shifted * series_sqrt_reciprocal(w))
-    series = eval_coupling(coupling, vj)
-    lin = [0.0] * (order + 1)
-    lin[0] = -SQRT2 / 3.0 * center
-    lin[1] = -SQRT2 / 3.0
-    return series + PowerSeries(tuple(lin))
+    for tau, d in zip(params.tau, params.d):
+        a, b, c = 4.0 * d * d + tau * tau * center * center, 2.0 * tau * tau * center, tau * tau
+        y = [0.0, 1.0 / math.sqrt(a)]          # y[k + 1] is the coefficient of s^k
+        for k in range(order):
+            y.append(-(b * (k + 0.5) * y[-1] + c * k * y[-2]) / (a * (k + 1)))
+        vj.append(PowerSeries(tuple(tau * (center * y[k + 1] + y[k]) for k in range(order + 1))))
+    return eval_coupling(coupling, vj) + PowerSeries.from_coeffs(
+        [-SQRT2 / 3.0 * center, -SQRT2 / 3.0], order)
 
 
 def _multiplicity_cap(params: SystemParams, coupling: Coupling) -> int:
@@ -102,17 +98,31 @@ def _multiplicity_cap(params: SystemParams, coupling: Coupling) -> int:
     return cap
 
 
+#: A Taylor coefficient a_k at c is negligible when |a_k| L^k is below this
+#: fraction of the largest such term, L = min(1, _reach(params, c)): steep
+#: Gamma0 (tau_j/d_j >> 1) is measured on its own length scale.
+MULTIPLICITY_RTOL = 1e-8
+
+
+def _reach(params: SystemParams, c: float) -> float:
+    """Radius of convergence of the Taylor series of Gamma0 at c: the
+    distance to the nearest branch point +-2i d_j/tau_j."""
+    return min(math.hypot(c, 2.0 * d / tau) for tau, d in zip(params.tau, params.d))
+
+
+def _order(params: SystemParams, c: float, series: PowerSeries) -> int:
+    """Index of the first non-negligible Taylor coefficient of the series at
+    c (the truncation order if every coefficient is zero)."""
+    terms = np.abs(series.coeffs) * min(1.0, _reach(params, c)) ** np.arange(series.order + 1)
+    above = terms > MULTIPLICITY_RTOL * terms.max()
+    return int(np.argmax(above)) if above.any() else series.order
+
+
 def root_multiplicity(params: SystemParams, coupling: Coupling, root: float) -> int:
-    """Estimate the multiplicity of a root by recentred Taylor coefficients:
-    the order of the first one above 1e-8 of the largest."""
+    """Estimate the multiplicity of a root: the index of the first
+    non-negligible Taylor coefficient there."""
     cap = _multiplicity_cap(params, coupling)
-    series = gamma0_series_at(params, coupling, root, cap)
-    coeffs = np.abs(series.coeffs)
-    scale = max(coeffs.max(), 1e-300)
-    for k, a in enumerate(coeffs):
-        if a > 1e-8 * scale:
-            return max(k, 1)
-    return cap
+    return max(_order(params, root, gamma0_series_at(params, coupling, root, cap)), 1)
 
 
 def default_search_radius(coupling: Coupling) -> float:
@@ -124,13 +134,111 @@ def default_search_radius(coupling: Coupling) -> float:
     return 3.0 * coupling.bound() + 1.0
 
 
-def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None):
-    """All roots of Gamma0 in the interval, with multiplicity estimates.
+#: Chebyshev proxy of degree PROXY_DEGREE per piece.  A piece stands when
+#: its last PROXY_TAIL coefficients are below PROXY_TOL times the larger of
+#: max |Gamma0| on the first level and the coupling's L1 bound (the terms
+#: whose rounding is the noise floor of Gamma0); otherwise it is halved, at
+#: most PROXY_LEVELS times.  Only pieces next to the branch points
+#: +-2i d_j/tau_j are halved again, so few are open on any level.
+PROXY_DEGREE, PROXY_TAIL, PROXY_TOL, PROXY_LEVELS = 24, 3, 1e-14, 40
+_CHEB_POINTS = np.cos(np.pi * np.arange(PROXY_DEGREE + 1) / PROXY_DEGREE)
+#: Colleague eigenvalues count within EDGE_SLACK of their piece (in its
+#: [-1, 1] coordinate): a root on a shared endpoint may come back just
+#: outside both pieces.  Those with real parts within CLUSTER_GAP of each
+#: other (and within it of the real axis) are tried as one multiple root:
+#: an m-fold root's spread over about (proxy accuracy / |a_m|)^(1/m), 2e-2
+#: for the sevenfold reference root, and it absorbs those within ABSORB
+#: times that.  Newton on the (m-1)-th derivative converges quadratically,
+#: so it stops after a step below PLACE_TOL times the reach; it gives up
+#: after PLACE_STEPS steps or CLUSTER_GAP away.
+EDGE_SLACK, CLUSTER_GAP, ABSORB = 1e-6, 0.05, 4.0
+PLACE_TOL, PLACE_STEPS = 1e-7, 12
 
-    Sign changes on a scan grid of step 0.05 (at least 8 cells) are refined
-    by bisection (brentq); local minima of |Gamma0| below ROOT_TOL catch
-    even-multiplicity roots.  Output is sorted ascending as (root,
-    multiplicity) pairs; FrontlabError where Gamma0 overflows on the scan.
+
+def _proxy(params, coupling, lo, hi):
+    """Pieces tiling [lo, hi] on which the Chebyshev interpolant of Gamma0
+    has converged: arrays a, b, coefficients and Gamma0 at (a, b) over the
+    pieces, then Gamma0 at (lo, hi) and the proxy's absolute accuracy."""
+    edges = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    done, scale, level = [], None, 0
+    while len(a):
+        if level == PROXY_LEVELS:
+            raise ConvergenceError(
+                f"Gamma0 has no Chebyshev proxy on [{lo:.6g}, {hi:.6g}]: {len(a)} pieces open "
+                f"after {level} halvings", diagnostics={"levels": level, "open": len(a)})
+        x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _CHEB_POINTS
+        x[:, 0], x[:, -1] = b, a          # endpoints exact: they are shared
+        with np.errstate(all="ignore"):   # an overflow is raised below instead
+            vals = gamma0(params, coupling, x)
+        if not np.isfinite(vals).all():
+            raise FrontlabError(f"Gamma0 is not finite at c={x[~np.isfinite(vals)][0]:.6g} "
+                                f"on [{lo:.6g}, {hi:.6g}]: the parameters overflow")
+        if scale is None:
+            scale, ends = max(float(np.abs(vals).max()), coupling.bound()), vals[[0, -1], [-1, 0]]
+        # values at the Chebyshev extrema -> coefficients (a DCT-I by FFT)
+        coeffs = np.fft.rfft(np.concatenate([vals, vals[:, -2:0:-1]], axis=1),
+                             axis=1).real / PROXY_DEGREE
+        coeffs[:, [0, -1]] *= 0.5
+        ok = np.abs(coeffs[:, -PROXY_TAIL:]).max(axis=1) <= PROXY_TOL * scale
+        done.append((a[ok], b[ok], coeffs[ok], vals[ok][:, [-1, 0]]))
+        mid = 0.5 * (a[~ok] + b[~ok])
+        a, b, level = np.append(a[~ok], mid), np.append(mid, b[~ok]), level + 1
+    return (*(np.concatenate(part) for part in zip(*done)), ends, PROXY_TOL * scale)
+
+
+def _colleague_roots(a, b, coeffs, noise):
+    """Colleague eigenvalues within CLUSTER_GAP of the real axis on each
+    piece whose proxy may vanish, its coefficients below `noise` chopped."""
+    out = []
+    for lo_k, hi_k, c in zip(a, b, coeffs):
+        keep = np.nonzero(np.abs(c) > noise)[0]
+        # |c_0| > sum |c_k| (k >= 1): the proxy cannot vanish on the piece
+        if keep.size == 0 or keep[-1] == 0 or abs(c[0]) - np.abs(c[1:]).sum() > noise:
+            continue
+        t = np.polynomial.chebyshev.chebroots(c[:keep[-1] + 1]).astype(complex)
+        z = 0.5 * (lo_k + hi_k) + 0.5 * (hi_k - lo_k) * t
+        out += z[(np.abs(t.real) <= 1.0 + EDGE_SLACK) & (np.abs(z.imag) <= CLUSTER_GAP)].tolist()
+    return out
+
+
+def _groups(cands):
+    """Candidates sorted, split where consecutive real parts are more than
+    CLUSTER_GAP apart."""
+    cands = np.sort_complex(np.asarray(cands, dtype=complex))
+    return np.split(cands, np.nonzero(np.diff(cands.real) > CLUSTER_GAP)[0] + 1)
+
+
+def _place(params, coupling, x, m, cap):
+    """Newton on the (m-1)-th derivative of Gamma0 from x, m rising to the
+    number of negligible leading Taylor coefficients where that is larger:
+    (root, m, Taylor series there), or None if it does not converge within
+    CLUSTER_GAP or converges where fewer than m-1 are negligible."""
+    start = x
+    for _ in range(PLACE_STEPS):
+        series = gamma0_series_at(params, coupling, x, cap)
+        coeffs, order = series.coeffs, _order(params, x, series)
+        m = max(m, order)
+        step = -coeffs[m - 1] / (m * coeffs[m]) if coeffs[m] else math.inf
+        x += step
+        if abs(x - start) > CLUSTER_GAP:
+            return None
+        if abs(step) <= PLACE_TOL * _reach(params, x):
+            return (x, m, series) if order >= m - 1 else None
+    return None
+
+
+def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None):
+    """All roots of Gamma0 in the interval as ascending (root, multiplicity)
+    pairs; FrontlabError where Gamma0 overflows or has no proxy.
+
+    A piece endpoint of the Chebyshev proxy where Gamma0 is exactly zero is
+    a root, and the colleague eigenvalues of the pieces are candidates.  A
+    group of n nearby candidates is one root of multiplicity m <= n when
+    Newton on the (m-1)-th derivative from its centre converges to a point
+    with m negligible leading Taylor coefficients; that root absorbs the
+    candidates around it.  Otherwise the group splits at its widest gap,
+    down to single real candidates, each a simple root.
     """
     if interval is None:
         r = default_search_radius(coupling)
@@ -138,62 +246,42 @@ def gamma0_roots(params: SystemParams, coupling: Coupling, interval=None):
     lo, hi = float(interval[0]), float(interval[1])
     if not (hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise FrontlabError(f"search interval {interval} must be bounded with lo < hi")
-    # imported here: scipy.optimize would add ~0.25 s to every `import frontlab`
-    from scipy.optimize import brentq
+    a, b, coeffs, piece_ends, ends, noise = _proxy(params, coupling, lo, hi)
+    cap = _multiplicity_cap(params, coupling)
+    roots = []           # (root, multiplicity, radius of the candidates it absorbs)
 
-    n = max(int(math.ceil((hi - lo) / 0.05)), 8)
-    grid = np.linspace(lo, hi, n + 1)
-    with np.errstate(all="ignore"):      # an overflow is raised below instead
-        vals = gamma0(params, coupling, grid)
-    if not np.isfinite(vals).all():
-        raise FrontlabError(f"Gamma0 is not finite at c={grid[~np.isfinite(vals)][0]:.6g} on "
-                            f"the scan of [{lo:.6g}, {hi:.6g}]: the parameters overflow")
+    def record(x, m, series):
+        roots.append((float(x), m, ABSORB * (noise / abs(series.coeffs[m])) ** (1.0 / m)))
 
-    roots = []
+    def free(zs):
+        return np.array([all(abs(z - r) > rad for r, _m, rad in roots) for z in zs], dtype=bool)
 
-    def _add(root):
-        for r0 in roots:
-            if abs(r0 - root) <= max(10 * ROOT_TOL, 1e-9 * max(1.0, abs(root))):
-                return
-        roots.append(root)
-
-    # grid points where Gamma0 vanishes, and cells with a sign change, in order
-    crossing = np.append(vals[:-1] * vals[1:] < 0.0, False)
-    for i in np.nonzero((vals == 0.0) | crossing)[0]:
-        if vals[i] == 0.0:
-            _add(grid[i])
-            continue
-        root = brentq(lambda c: gamma0(params, coupling, c), grid[i], grid[i + 1],
-                      xtol=ROOT_TOL, rtol=4 * np.finfo(float).eps)
-        _add(_polish_newton(params, coupling, root))
-
-    # Even-multiplicity roots: interior local minima of |Gamma0| that dip
-    # under ROOT_TOL never produce a sign change, so chase them separately.
-    absvals = np.abs(vals)
-    minima = (absvals[1:-1] <= absvals[:-2]) & (absvals[1:-1] <= absvals[2:])
-    for i in 1 + np.nonzero(minima)[0]:
-        cand = _polish_newton(params, coupling, grid[i])
-        if abs(gamma0(params, coupling, cand)) <= ROOT_TOL and lo <= cand <= hi:
-            _add(cand)
-
+    for x in np.unique(np.append(a[piece_ends[:, 0] == 0.0], b[piece_ends[:, 1] == 0.0])):
+        series = gamma0_series_at(params, coupling, x, cap)
+        record(x, max(_order(params, x, series), 1), series)
+    pending = _groups(_colleague_roots(a, b, coeffs, noise))
+    while pending:
+        group = pending.pop()
+        group = group[free(group)]
+        n = len(group)
+        if n == 0 or (n == 1 and group[0].imag != 0.0):
+            continue                # absorbed, or no real root of its own
+        for m in (range(min(n, cap), 1, -1) if n > 1 else [1]):
+            placed = _place(params, coupling, float(group.real.mean()), m, cap)
+            if not placed or not lo <= placed[0] <= hi or not free([placed[0]])[0]:
+                continue
+            record(*placed)
+            if not free(group).all():
+                pending += _groups(group[free(group)])
+                break
+            roots.pop()         # it absorbs none of the group's candidates
+        else:
+            if n > 1:           # not one root: split at the widest gap
+                cut = 1 + int(np.argmax(np.abs(np.diff(group))))
+                pending += [group[:cut], group[cut:]]
     roots.sort()
-    pairs = [(r, root_multiplicity(params, coupling, r)) for r in roots]
-    return RootReport(pairs, (lo, hi), endpoint_values=(float(vals[0]), float(vals[-1])))
-
-
-def _polish_newton(params, coupling, x):
-    for _ in range(60):
-        f = gamma0(params, coupling, x)
-        if abs(f) <= ROOT_TOL:
-            break
-        df = gamma0_derivative(params, coupling, x)
-        if df == 0.0:
-            break
-        step = f / df
-        x -= step
-        if abs(step) < 1e-17 * max(1.0, abs(x)):
-            break
-    return x
+    return RootReport([(r, m) for r, m, _rad in roots], (lo, hi),
+                      endpoint_values=(float(ends[0]), float(ends[1])))
 
 
 class RootReport(list):
@@ -322,11 +410,15 @@ def fold_curves(params: SystemParams, coupling_template: Coupling, plane,
     # Gamma0 is affine in each plane parameter: its coefficient is
     # F_unit(Vstar(c)), whose c-derivative is grad F_unit . Vstar'(c).
     # Rows of a: (Gamma0, Gamma0') coefficients; columns: (px, py); last axis: c.
-    vs, dvs = v_star(params, cs), v_star_derivative(params, cs)
-    a = np.array([[eval_coupling(unit, vs) for unit in (unit_x, unit_y)],
-                  [np.sum(coupling_gradient(unit, vs) * dvs, axis=0)
-                   for unit in (unit_x, unit_y)]])
-    rhs = -np.array([gamma0(params, base, cs), gamma0_derivative(params, base, cs)])
+    with np.errstate(all="ignore"):     # an overflow is raised below instead
+        vs, dvs = v_star(params, cs), v_star_derivative(params, cs)
+        a = np.array([[eval_coupling(unit, vs) for unit in (unit_x, unit_y)],
+                      [np.sum(coupling_gradient(unit, vs) * dvs, axis=0)
+                       for unit in (unit_x, unit_y)]])
+        rhs = -np.array([gamma0(params, base, cs), gamma0_derivative(params, base, cs)])
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise FrontlabError(f"the fold system is not finite on c in [{cs[0]:.6g}, "
+                            f"{cs[-1]:.6g}]: the parameters overflow")
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     scale = np.maximum(np.abs(a).max(axis=(0, 1)), 1.0)
     solvable = np.abs(det) > 1e-12 * scale * scale

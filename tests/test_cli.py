@@ -106,10 +106,20 @@ class TestDispatch:
         ({"pde": {"dt": 1e-320}}, ["pde-sim"], "dt=1e-320 would take more than"),
         ({"pde": {"t_end": 1e300, "dt": 1e-3}}, ["pde-sim"], "t_end=1e+300 and dt=0.001"),
         ({"tau": [1e308, 2.25, 2.89]}, ["gamma", "--roots"], "Gamma0 is not finite"),
+        ({"tau": [1e308, 2.25, 2.89]}, ["gamma", "--taylor", "8"],
+         "plateau series of slow component 1 is not finite"),
+        ({"tau": [1e308, 2.25, 2.89]}, ["evans", "--taylor", "4"],
+         "E0's Taylor series at c = 0 is not finite"),
+        ({"tau": [1e308, 2.25, 2.89]}, ["evans", "--at", "0.5", "--roots=-1,1,-1,1"],
+         "the Evans function at c = 0.5 is not finite"),
+        ({"tau": [1e308, 2.25, 2.89]}, ["gamma", "--folds", "alpha1,gamma,0,1,0,1,5,5"],
+         "the fold system is not finite"),
     ])
     def test_overflowing_input_exit_1_at_once(self, n3_config, tmp_path, capsys, monkeypatch,
                                               change, argv, message):
         # t_end / dt overflows, t_end / dt steps never end, v_star overflows
+        # on the root search, the two Taylor paths, E0's branch points and
+        # the fold system
         with open(n3_config) as fh:
             doc = json.load(fh)
         path = write_config(tmp_path, {**doc, **change}, name="bad.json")

@@ -2,13 +2,63 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from frontlab import Coupling, SystemParams, fold_curves, front_profile, gamma0, gamma0_roots, gamma0_taylor
-from frontlab.core_model import double_factorial
-from frontlab.existence import gamma0_derivative, gamma0_series_at, v_star
+from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams, fold_curves,
+                      front_profile, gamma0, gamma0_roots, gamma0_taylor)
+from frontlab.core_model import binomial_series, double_factorial, eval_coupling
+from frontlab.existence import gamma0_derivative, gamma0_series_at, root_multiplicity, v_star
 
 SQRT2 = math.sqrt(2.0)
+
+#: Planted N = 1 sets at tau/d = 0.5: pairs 0.02 and 0.03 apart, a simple
+#: root at -0.38 where Gamma0 is flat, and a double root at -1.22.
+FAULT_SETS = [((-1.5, 0.30, 0.32, 1.2, 2.0), None),
+              ((-1.0, 0.10, 0.13, 0.9, 1.7), None),
+              ((-0.64, -0.38, -0.06, 1.49, 2.57), None),
+              ((-2.66, -1.22, -0.15, 0.79), -1.22)]
+#: The property test below plants one pair of speeds as close as
+#: PLANTED_GAP; the others are SPREAD_GAP apart, as in the benchmark's
+#: planted sets (closer clusters make the planted coupling too large for
+#: its roots to be known to 1e-7).
+PLANTED_GAP, SPREAD_GAP = 0.01, 0.25
+
+
+def planted_coupling(ratio, speeds, double=None):
+    """N = 1 quartic coupling (tau = ratio, d = 1) whose Gamma0 vanishes at
+    the planted speeds: F(Vstar(c_i)) = (sqrt 2 / 3) c_i is a Vandermonde
+    system in the plateau values, and with `double` a derivative row asks
+    Gamma0'(double) = 0 as well (five conditions in all)."""
+    def plateau(c):
+        return c * ratio / math.sqrt(4.0 + c * c * ratio * ratio)
+
+    rows = [[plateau(c) ** k for k in range(5)] for c in speeds]
+    rhs = [SQRT2 / 3.0 * c for c in speeds]
+    if double is not None:
+        slope = 4.0 * ratio / (4.0 + double * double * ratio * ratio) ** 1.5
+        rows.append([k * plateau(double) ** (k - 1) * slope if k else 0.0 for k in range(5)])
+        rhs.append(SQRT2 / 3.0)
+    f = np.linalg.solve(np.array(rows), np.array(rhs))
+    return (SystemParams(epsilon=0.05, tau=(ratio,), d=(1.0,)),
+            Coupling(f[0], (f[1],), (f[2],), higher=(f[3], f[4])))
+
+
+def assert_planted_once(params, coupling, found, speeds, double):
+    """Each planted speed comes back once: simple within 1e-7 (relative), the
+    double one with multiplicity 2 within 1e-6.  No root is a stray: no two
+    coincide, each multiplicity is root_multiplicity's, and Gamma0 changes
+    sign across each simple root (a stray beside a multiple root does not)."""
+    for c in speeds:
+        want, tol = ([2], 1e-6) if c == double else ([1], 1e-7)
+        assert [m for r, m in found if abs(r - c) <= tol * max(1.0, abs(c))] == want, (c, found)
+    assert np.all(np.diff([r for r, _m in found]) > 1e-4), found
+    for r, m in found:
+        assert root_multiplicity(params, coupling, r) == m
+        h = 1e-5 * max(1.0, abs(r))
+        if m == 1:
+            assert gamma0(params, coupling, r - h) * gamma0(params, coupling, r + h) < 0, r
 
 
 def scan_roots(params, coupling, lo=-10.0, hi=10.0, step=0.05):
@@ -117,6 +167,73 @@ class TestGamma0Roots:
             found = gamma0_roots(p, c, interval=(-radius, radius))
             assert len(found) >= 1
 
+    @pytest.mark.parametrize("speeds, double", FAULT_SETS)
+    def test_planted_fault_sets(self, speeds, double):
+        params, coupling = planted_coupling(0.5, speeds, double)
+        found = gamma0_roots(params, coupling, interval=(-3, 3))
+        assert len(found) == len(speeds)
+        assert_planted_once(params, coupling, found, speeds, double)
+
+    def test_speeds_on_piece_endpoints(self):
+        # on [-3, 3] the pieces end at multiples of 0.375: -2.25 is an exact
+        # zero there, and 0.75 comes back just outside both of its pieces
+        speeds = (-2.25, -1.5, 0.2, 0.75, 2.0)
+        params, coupling = planted_coupling(1.6, speeds)
+        found = gamma0_roots(params, coupling, interval=(-3, 3))
+        assert len(found) == len(speeds)
+        assert_planted_once(params, coupling, found, speeds, None)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ratio=st.sampled_from((0.5, 1.6)),
+           spread=st.lists(st.floats(-2.7, 2.7), min_size=4, max_size=4, unique=True),
+           gap=st.floats(PLANTED_GAP, 4 * PLANTED_GAP),
+           double=st.sampled_from((None, 0, 1, 2, 3)))
+    def test_planted_speeds_come_back_once(self, ratio, spread, gap, double):
+        # five planted conditions: five speeds with one pair `gap` apart, or
+        # four speeds with one of them planted twice
+        speeds = sorted(spread + [spread[0] + gap])
+        if double is not None:
+            speeds.remove(spread[-1])
+            double = speeds[double]
+        gaps = np.diff(speeds)
+        assume(gaps.min() >= PLANTED_GAP and np.sum(gaps < SPREAD_GAP) <= 1
+               and max(map(abs, speeds)) <= 2.8)
+        params, coupling = planted_coupling(ratio, speeds, double)
+        found = gamma0_roots(params, coupling, interval=(-3, 3))
+        assert_planted_once(params, coupling, found, speeds, double)
+
+    def test_reference_set_root_lists(self):
+        # each list as digits; the roots at 0 are exact zeros at a piece
+        # endpoint
+        from conftest import reference_sets
+        want = {"transcritical": [(0.0, 2), (4.222497670882614, 1)],
+                "pitchfork": [(-0.6890412483526043, 1), (0.0, 3), (3.4786093711707844, 1)],
+                "maximal": [(0.0, 7)]}
+        for name, params, coupling, _orders in reference_sets():
+            found = gamma0_roots(params, coupling)
+            assert [m for _r, m in found] == [m for _r, m in want[name]]
+            for (r, _m), (w, _) in zip(found, want[name]):
+                assert r == w if w == 0.0 else abs(r - w) <= 1e-10
+
+    def test_proxy_level_cap_names_the_interval(self):
+        # branch points 2e-12 from the real axis need more halvings than
+        # the cap allows
+        p = SystemParams(epsilon=0.05, tau=(1e12,), d=(1.0,))
+        with pytest.raises(FrontlabError, match=r"no Chebyshev proxy on \[-3, 3\]"):
+            gamma0_roots(p, Coupling(0.1, (1.0,), (0.5,)), interval=(-3, 3))
+
+    def test_steep_root_near_zero_is_simple(self):
+        # tau/d = 1e6: Gamma0 crosses zero within 1e-6 of c = 0, where its
+        # Taylor coefficients grow like (d/tau)^-k
+        p = SystemParams(epsilon=0.05, tau=(1e6,), d=(1.0,))
+        coupling = Coupling(0.1, (1.0,), (0.5,))
+        found = gamma0_roots(p, coupling, interval=(-3, 3))
+        assert [m for _r, m in found] == [1, 1]
+        assert found[0][0] == pytest.approx(-0.6 * SQRT2, rel=1e-12)
+        v = -1.0 + math.sqrt(0.8)        # 0.1 + v + v^2 / 2 = 0 at the plateau value
+        assert found[1][0] == pytest.approx(2.0 * v / (1e6 * math.sqrt(1.0 - v * v)),
+                                            rel=1e-6)
+
     def test_empty_report_carries_endpoints(self):
         p = SystemParams(epsilon=0.1, tau=(1.0,), d=(1.0,))
         c = Coupling(5.0, (0.0,), (0.0,))
@@ -176,6 +293,11 @@ class TestGamma0Taylor:
                        * np.sum(alpha * r ** (2 * k + 1)))
                 assert series.coefficient(2 * k + 1) == pytest.approx(odd, rel=1e-12, abs=1e-14)
 
+    def test_order_zero_is_the_value_at_zero(self):
+        p = SystemParams(epsilon=0.1, tau=(1.5,), d=(0.7,))
+        c = Coupling(0.25, (1.0,), (3.0,), higher=(2.0, -1.0))
+        assert gamma0_taylor(p, c, 0).coeffs == (0.25,)
+
     def test_reference_set_orders(self, transcritical_set, maximal_set):
         params, coupling = transcritical_set
         series = gamma0_taylor(params, coupling, 2)
@@ -227,6 +349,31 @@ class TestGamma0Taylor:
             coup = Coupling(0.0, tuple(rng.uniform(-3, 3, n)), (0.0,) * n)
             for c in rng.uniform(-3, 3, 5):
                 assert gamma0(p, coup, -c) == pytest.approx(-gamma0(p, coup, c), abs=1e-14)
+
+    def test_recentred_series_recurrence(self):
+        # at c = 0 the three-term recurrence gives gamma0_taylor; elsewhere it
+        # gives what the binomial composition it replaced gave
+        from conftest import reference_sets
+
+        def composed(params, coupling, center, order):
+            vj = []
+            for tau, d in zip(params.tau, params.d):
+                a = 4.0 * d * d + tau * tau * center * center
+                w = PowerSeries.from_coeffs([0.0, 2.0 * tau * tau * center / a,
+                                             tau * tau / a], order)
+                y = (1.0 / math.sqrt(a)) * binomial_series(-0.5, order).compose(w)
+                vj.append(tau * PowerSeries.from_coeffs([center, 1.0], order) * y)
+            return eval_coupling(coupling, vj) + PowerSeries.from_coeffs(
+                [-SQRT2 / 3.0 * center, -SQRT2 / 3.0], order)
+
+        for _name, params, coupling, _orders in reference_sets():
+            taylor = np.array(gamma0_taylor(params, coupling, 9).coeffs)
+            at0 = np.array(gamma0_series_at(params, coupling, 0.0, 9).coeffs)
+            assert np.max(np.abs(at0 - taylor)) <= 1e-14 * np.max(np.abs(taylor))
+            for center in (0.7, -2.3, 5.0):
+                old = np.array(composed(params, coupling, center, 9).coeffs)
+                new = np.array(gamma0_series_at(params, coupling, center, 9).coeffs)
+                assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
 
     def test_recentred_series_consistent(self, cusp_setup):
         params, coupling = cusp_setup

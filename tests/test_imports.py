@@ -27,6 +27,35 @@ def test_import_does_not_load_optimize_or_integrate():
     assert out.stdout.split() == ["[]", "False"]
 
 
+def test_root_search_does_not_load_optimize(tmp_path):
+    # Gamma0's roots come from Chebyshev proxies and Newton on recentred
+    # series: neither a gamma0_roots call nor `frontlab gamma --roots`
+    # through main() loads scipy.optimize
+    config = tmp_path / "n3.json"
+    config.write_text('{"epsilon": 0.03, "tau": [1.0, 2.25, 2.89], "d": [1.0, 1.5, 1.7], '
+                      '"alpha": [2.5949696477830124, -2.2705984418101357, 1.031610033243679], '
+                      '"beta": [1.0, 0.0, 0.0]}')
+    code = f"""if True:
+        import sys, frontlab, frontlab.verify
+        from frontlab.cli import main
+        for _name, params, coupling, _orders in frontlab.verify.reference_parameter_sets():
+            frontlab.gamma0_roots(params, coupling)
+        print('scipy.optimize' in sys.modules)
+        sys.argv = ['frontlab', '--config', {str(config)!r}, '--output-dir',
+                    {str(tmp_path / 'out')!r}, 'gamma', '--roots']
+        try:
+            main()
+        except SystemExit as exit_:
+            print(exit_.code, 'scipy.optimize' in sys.modules)
+    """
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    written = tmp_path / "out" / "gamma_roots.csv"
+    assert out.stdout.split() == ["False", str(written), "0", "False"]
+    assert written.read_text().count("\n") == 4       # two header lines, two roots
+
+
 def _defaulted_parameters(tree):
     """(owner, function, call name, parameter, positional index or None) for
     every parameter with a default; `__init__` is called by its class name."""
