@@ -27,9 +27,19 @@ from .jordan_chain import (ChainProfile, JordanPolynomial, chain_profile,
 from .speed_ode import (ScaledNF, SpeedODE, build_from_analysis,
                         equilibria_and_classification, integrate, lyapunov_max,
                         shilnikov_shoot)
-from .pde_sim import (BranchPoint, Grid, PdeState, continue_branch,
-                      initial_front_state, linearization_spectrum, make_grid,
-                      simulate, solve_stationary_front, solve_travelling_front,
-                      step)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The PDE layer, the one user of scipy, loads on first use (PEP 562).
+_PDE_NAMES = ("pde_sim", "BranchPoint", "Grid", "PdeState", "continue_branch",
+              "initial_front_state", "linearization_spectrum", "make_grid", "simulate",
+              "solve_stationary_front", "solve_travelling_front", "step")
+
+
+def __getattr__(name):
+    if name not in _PDE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    pde_sim = import_module(".pde_sim", __name__)
+    return pde_sim if name == "pde_sim" else getattr(pde_sim, name)
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_PDE_NAMES)

@@ -312,7 +312,8 @@ def _cmd_ode(args, cfg, outdir):
             print(f"candidate nu_bar={cand.nu_bar:.12g} miss={cand.miss:.3e} "
                   f"rho_s={cand.rho_s:.6g}")
     if args.lyapunov is not None:
-        val = so.lyapunov_max(ode, np.full(ode.dim, 1e-3), args.lyapunov,
+        start = traj.y[:, -1] if args.integrate and not traj.blew_up else np.full(ode.dim, 1e-3)
+        val = so.lyapunov_max(ode, start, args.lyapunov,
                               renorm_interval=args.lyapunov / 100.0,
                               seed=cfg.seed)
         print(f"lyapunov_max: {val:.6g}")

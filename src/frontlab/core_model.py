@@ -233,17 +233,21 @@ def eval_coupling(coupling: Coupling, v):
     N-vector (float result), an (N, ...) grid (pointwise over the trailing
     axes) and a sequence of N PowerSeries (the composed series).
 
-    Zero coefficients add exact zeros and are skipped: a series product
-    costs far more than the test.
+    Zero terms, gamma and the quadratic sum among them, are skipped: a series
+    product or a grid pass costs far more than the test, and only a zero's sign moves.
     """
     v = _components(coupling, v)
-    linear = quadratic = 0.0 * v[0]
+    linear = quadratic = None
     for a, b, vj in zip(coupling.alpha, coupling.beta, v):
         if a:
-            linear = linear + a * vj
+            linear = a * vj if linear is None else linear + a * vj
         if b:
-            quadratic = quadratic + b * (vj * vj)
-    out = coupling.gamma + linear + quadratic
+            quadratic = b * (vj * vj) if quadratic is None else quadratic + b * (vj * vj)
+    if linear is None and (coupling.gamma or quadratic is None):
+        linear = 0.0 * v[0]         # the shape, or the series, of v
+    out = coupling.gamma + linear if coupling.gamma else linear
+    if quadratic is not None:
+        out = quadratic if out is None else out + quadratic
     if coupling.higher:
         power = v[0] * v[0]
         for coeff in coupling.higher:

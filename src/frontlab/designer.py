@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core_model import (Coupling, DISTINCTNESS_RTOL, SystemParams, _min_relative_gap,
                          series_vstar)
@@ -275,11 +274,11 @@ def linear_unfolding_map(params: SystemParams, alpha_perturbation,
         raise DesignError(
             f"degenerate base point: leading unit coefficient {e_base[ell]:.2e} "
             "vanishes (multiplicity higher than requested?)")
-    b = np.zeros((ell, ell))
-    for r in range(ell):
-        for c in range(r + 1):
-            b[r, c] = e_base[ell + r - c]
-    x = solve_triangular(b, np.asarray(e_pert[:ell]), lower=True)
+    b = np.array([[e_base[ell + r - c] if c <= r else 0.0 for c in range(ell)]
+                  for r in range(ell)])
+    x = np.zeros(ell)
+    for i in range(ell):            # forward substitution, row by row
+        x[i] = (e_pert[i] - b[i, :i] @ x[:i]) / b[i, i]
     return -x
 
 

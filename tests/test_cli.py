@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from frontlab import chain_profile, gamma0_taylor
+from frontlab import ScaledNF, chain_profile, gamma0_taylor, lyapunov_max
 from frontlab.cli import dispatch, load_run_config, main
 from frontlab.core_model import model_from_dict
 from frontlab.errors import FrontlabError
@@ -355,6 +355,30 @@ class TestDispatch:
         assert err == f"blew up at t={float(rows[-1].split(',')[0]):.6g}\n"
         rows, err = run("-1.0,0,-0.5,-3.9,1.0,0,0")
         assert len(rows) == 2001 and err == ""
+
+    def test_ode_lyapunov_starts_where_the_integration_ends(self, n3_config, tmp_path,
+                                                            capsys, monkeypatch):
+        # (1e-3, 1e-3, 1e-3) lies off the periodic orbit of the
+        # (-1, -0.5, -3.9) form: with --integrate the exponent is measured
+        # from the trajectory's last row; after a blow-up it starts from
+        # (1e-3, ..) as it does without --integrate
+        def run(*argv):
+            monkeypatch.setattr("sys.argv", ["frontlab", "--config", n3_config,
+                                             "--output-dir", str(tmp_path), "ode", *argv])
+            with pytest.raises(SystemExit) as exit_:
+                main()
+            return exit_.value.code, capsys.readouterr()
+
+        code, out = run("--nf=-1.0,0,-0.5,-3.9,1.0,0,0", "--integrate", "100", "--lyapunov", "20")
+        assert code == 0
+        rows = np.loadtxt(tmp_path / "ode_trajectory.csv", delimiter=",", comments="#")
+        nf = ScaledNF(nu0=-1.0, nu=(0.0, -0.5, -3.9), a11=1.0)
+        printed = out.out.splitlines()[-1]
+        assert printed == f"lyapunov_max: {lyapunov_max(nf, rows[-1, 1:], 20.0, 0.2):.6g}"
+        assert printed != f"lyapunov_max: {lyapunov_max(nf, np.full(3, 1e-3), 20.0, 0.2):.6g}"
+        code, out = run("--nf=-1.0,0,-1.0,-0.6,1.0,0,0", "--integrate", "30", "--lyapunov", "20")
+        assert code == 1
+        assert "trajectory blew up during exponent estimation" in out.err
 
     def test_design_simultaneous_and_imprint(self, n1_config, n3_config, tmp_path, capsys):
         out = tmp_path / "simultaneous"

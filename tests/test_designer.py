@@ -277,6 +277,36 @@ class TestLinearUnfoldingMap:
             found = [z for z, m in roots for _ in range(m)]
             assert hausdorff(pred, found) <= 10 * float(np.dot(delta, delta))
 
+    def test_forward_substitution_matches_lapack(self):
+        # the row-by-row forward substitution gives LAPACK's triangular
+        # solve bit for bit, on the reference sets and random unfoldings
+        from scipy.linalg import solve_triangular
+        from frontlab.verify import reference_parameter_sets
+
+        def by_lapack(params, delta, ell):
+            n = params.n_slow
+            base = design_evans_degeneracy(params, ell)
+            e_pert, e_base = (evans_taylor_c0(params, Coupling(0.0, tuple(alpha), (0.0,) * n),
+                                              2 * ell).coeffs[1:]
+                              for alpha in (base + delta, base))
+            b = [[e_base[ell + r - c] if c <= r else 0.0 for c in range(ell)]
+                 for r in range(ell)]
+            return -solve_triangular(np.array(b), np.array(e_pert[:ell]), lower=True)
+
+        rng = np.random.default_rng(11)
+        cases = [(params, 1e-3 * np.array([1.0, -0.5, 0.25]), ell)
+                 for _name, params, _coupling, _orders in reference_parameter_sets()
+                 for ell in (1, 2, 3)]
+        for i in range(50):
+            params = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89),
+                                  d=(1.0, *np.sort(rng.uniform(1.2, 2.0, 2))))
+            direction = rng.standard_normal(3)
+            delta = 10 ** rng.uniform(-3, -1) * direction / np.linalg.norm(direction)
+            cases.append((params, delta, 1 + i % 3))
+        for params, delta, ell in cases:
+            assert np.array_equal(linear_unfolding_map(params, delta, ell=ell),
+                                  by_lapack(params, delta, ell))
+
     @pytest.mark.parametrize("ell", [1, 2])
     def test_partial_root_prediction(self, ell):
         # at a multiplicity-(ell+1) base point below the maximum, the ell

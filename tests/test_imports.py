@@ -56,6 +56,47 @@ def test_root_search_does_not_load_optimize(tmp_path):
     assert written.read_text().count("\n") == 4       # two header lines, two roots
 
 
+def test_singular_limit_paths_do_not_load_scipy(tmp_path):
+    # only the PDE layer uses scipy: the package, the CLI and every
+    # singular-limit subcommand run through main() load no scipy module;
+    # the PDE names still resolve from the package, on first use
+    config = tmp_path / "n3.json"
+    config.write_text('{"epsilon": 0.03, "tau": [1.0, 2.25, 2.89], "d": [1.0, 1.5, 1.7], '
+                      '"alpha": [2.5949696477830124, -2.2705984418101357, 1.031610033243679], '
+                      '"beta": [1.0, 0.0, 0.0]}')
+    runs = [["gamma", "--roots"], ["evans", "--roots=-0.05,0.05,-0.05,0.05"],
+            ["design", "--target", "gamma:7"], ["jordan", "--k", "1", "--ell", "3"],
+            ["ode", "--from-analysis", "--integrate", "10"],
+            ["verify", "--suite", "paper-params"]]
+    code = f"""if True:
+        import contextlib, io, sys, frontlab, frontlab.cli, frontlab.verify
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+        print(scipy_modules())
+        for argv in {runs!r}:
+            sys.argv = ['frontlab', '--config', {str(config)!r}, '--output-dir',
+                        {str(tmp_path / 'out')!r}] + argv
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    frontlab.cli.main()
+            except SystemExit as exit_:
+                print(argv[0], exit_.code, scipy_modules())
+        print(frontlab.simulate is frontlab.pde_sim.simulate,
+              all(hasattr(frontlab, name) for name in frontlab.__all__))
+        try:
+            frontlab.no_such_name
+        except AttributeError as err:
+            print(type(err).__name__)
+    """
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == (["[]"] + [f"{argv[0]} 0 []" for argv in runs]
+                                       + ["True True", "AttributeError"])
+
+
 def _defaulted_parameters(tree):
     """(owner, function, call name, parameter, positional index or None) for
     every parameter with a default; `__init__` is called by its class name."""
