@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import add, mul
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -27,9 +28,12 @@ from .existence import gamma0_taylor
 
 BLOWUP_NORM = 1e8
 
-#: Order of the Taylor steps, and the step below which a solution blows up.
+#: Order of the Taylor steps.  A step below STEP_FLOOR of the form's time
+#: scale 1 / (|s| max(1, |a|, |q|)) is a blow-up; one run (`integrate`, or
+#: `lyapunov_max` over all its chunks) takes at most MAX_TAYLOR_STEPS steps.
 TAYLOR_ORDER = 20
 STEP_FLOOR = 1e-12
+MAX_TAYLOR_STEPS = 10 ** 5
 
 #: Real parts (and, in the saddle-focus test, imaginary parts) within this
 #: fraction of max(1, |eigenvalue|) count as zero.
@@ -50,6 +54,8 @@ class _CompanionForm:
             raise FrontlabError("need n >= 1 linear and n quadratic coefficients")
         _require_finite(coefficients=(a0, s) + a + q)
         object.__setattr__(self, "_form", (a0, a, q, s))
+        rate = abs(s) * max(1.0, *map(abs, a + q))
+        object.__setattr__(self, "_step_floor", STEP_FLOOR / rate if rate else 0.0)
 
     @property
     def dim(self):
@@ -68,22 +74,30 @@ class _CompanionForm:
         """Taylor coefficients c_0..c_TAYLOR_ORDER, each the list z + w, of the
         solution through z, z(t + h) = sum c_k[:n] h^k, and of the tangent
         w' = J(z) w = s (w_2, .., w_n, a.w + w_1 (q.z) + z_1 (q.w)) through w:
-        c_(k+1) is c_k shifted times s/(k + 1), its last entries Cauchy products."""
+        c_(k+1) is c_k shifted times s/(k + 1), its last entries Cauchy products
+        of the z_1 (and w_1) histories with the q.z (and q.w) histories, newest
+        first.  Every sum adds its terms left to right, as `sum` does."""
         a0, a, q, s = self._form
-        n = len(a)
-        rows, qz, qw = [[*map(float, z), *map(float, w)]], [], []
+        n, tangent = len(a), len(w) > 0
+        c = [*map(float, z), *map(float, w)]
+        rows, z1, qz, w1, qw = [c], [c[0]], [], c[n:n + 1], []
         for k in range(TAYLOR_ORDER):
-            c, r = rows[k], s / (k + 1)
-            qz.append(sum(q_j * x for q_j, x in zip(q, c)))
-            last = sum(a_j * x for a_j, x in zip(a, c)) + sum(
-                rows[i][0] * qz[k - i] for i in range(k + 1))
-            new = [r * x for x in c[1:n]] + [r * (last + a0 if k == 0 else last)]
-            if len(w):
-                qw.append(sum(q_j * x for q_j, x in zip(q, c[n:])))
-                tan = sum(a_j * x for a_j, x in zip(a, c[n:])) + sum(
-                    rows[i][n] * qz[k - i] + rows[i][0] * qw[k - i] for i in range(k + 1))
-                new += [r * x for x in c[n + 1:]] + [r * tan]
+            r = s / (k + 1)
+            qz.append(sum(map(mul, q, c)))
+            last = sum(map(mul, a, c)) + sum(map(mul, z1, reversed(qz)))
+            new = [r * x for x in c[1:n]]
+            new.append(r * (last + a0 if k == 0 else last))
+            if tangent:
+                cw = c[n:]
+                qw.append(sum(map(mul, q, cw)))
+                tan = sum(map(mul, a, cw)) + sum(map(
+                    add, map(mul, w1, reversed(qz)), map(mul, z1, reversed(qw))))
+                new += [r * x for x in cw[1:]]
+                new.append(r * tan)
+                w1.append(new[n])
+            z1.append(new[0])
             rows.append(new)
+            c = new
         return rows
 
     def jacobian_at(self, z):
@@ -210,19 +224,28 @@ def _taylor_step(ode, z, tol, w=()):
     """(rows, h): `ode.taylor(z, w)` and the step it allows at tolerance tol,
     the least (eps / |c_k|)^(1/k) over the last two orders k, with
     eps = tol max(1, |c_0|) and max-norms (Jorba and Zou).  h is inf for a
-    series that ends early, and 0.0 below STEP_FLOOR: a blow-up to callers."""
+    series that ends early, and 0.0 below the form's step floor (STEP_FLOOR
+    of its time scale) or for a non-finite state: a blow-up to callers."""
     rows = ode.taylor(z, w)
     eps = tol * max(1.0, max(map(abs, rows[0])))
     sizes = [(max(map(abs, rows[k])), k) for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER)]
     h = min(((eps / size) ** (1.0 / k) for size, k in sizes if size > 0.0), default=math.inf)
-    return rows, (h if h >= STEP_FLOOR else 0.0)
+    return rows, (h if h >= ode._step_floor else 0.0)
+
+
+def _step_cap(t_end):
+    return FrontlabError(f"t_end={float(t_end)!r} needs more than "
+                         f"{MAX_TAYLOR_STEPS:,} Taylor steps (MAX_TAYLOR_STEPS)")
 
 
 def _horner(rows, h):
     """The step polynomial sum_k rows[k] h^k, entry by entry."""
-    out = rows[-1]
-    for row in rows[-2::-1]:
-        out = [x * h + c for x, c in zip(out, row)]
+    out = []
+    for col in zip(*rows):
+        x = col[-1]
+        for c in col[-2::-1]:
+            x = x * h + c
+        out.append(x)
     return out
 
 
@@ -242,8 +265,9 @@ def integrate(ode, initial, t_end: float, tol: float = 1e-8,
     """Trajectory of the speed ODE (or scaled normal form) in Taylor steps
     (`_taylor_step` at tolerance tol): the step ends or, with `t_eval`, those
     samples by Horner's rule on the step polynomials, which are `dense`.  A
-    step below STEP_FLOOR or ending with a state norm above 1e8 stops the
-    run, flagged: at the last step end, or the last sample within 1e8."""
+    step below the step floor or ending with a state norm above 1e8 stops the
+    run, flagged: at the last step end, or the last sample within 1e8.  A run
+    that needs more than MAX_TAYLOR_STEPS steps raises FrontlabError."""
     if tol <= 0:
         raise FrontlabError("tol must be positive")
     if not 0 < t_end < math.inf:
@@ -254,6 +278,8 @@ def integrate(ode, initial, t_end: float, tol: float = 1e-8,
     z = np.asarray(initial, dtype=float).tolist()
     left, times, states, starts, polys = float(t_end), [0.0], [z], [], []
     while left > 0.0:
+        if len(starts) == MAX_TAYLOR_STEPS:
+            raise _step_cap(t_end)
         rows, h = _taylor_step(ode, z, tol)
         h = min(h, left)
         starts.append(t_end - left)
@@ -428,9 +454,13 @@ def _shoot_once(nf, t_max=400.0, integrator_tol=1e-10):
         if crossings == 2:       # Newton on the section polynomial of the step
             sec = np.array(rows) @ normal
             sec[0] -= offset
+            slope = np.arange(1, len(sec)) * sec[1:]
             r = h * g0 / (g0 - g1)
-            for _ in range(20):
-                r -= polyval(r, sec) / polyval(r, np.arange(1, len(sec)) * sec[1:])
+            for _ in range(20):    # at most 20 steps, up to a fixed point
+                step = polyval(r, sec) / polyval(r, slope)
+                if r - step == r:
+                    break
+                r -= step
             x_c = np.array(_horner(rows, r))
             status, miss = "ok", float(np.dot(w_u, x_c - p) / np.dot(w_u, v_u))
         elif not h > 0.0 or math.dist(z, p) > escape_radius:
@@ -440,15 +470,25 @@ def _shoot_once(nf, t_max=400.0, integrator_tol=1e-10):
 
 
 def _branch_endpoints(nf):
-    """Which equilibrium each unstable-manifold branch ends up nearest."""
+    """Which equilibrium each unstable-manifold branch ends up nearest: the
+    branch takes `integrate`'s steps (tolerance 1e-8) until it leaves the
+    shots' escape radius about the saddle-focus, blows up or reaches t = 400."""
     data = _saddle_focus_data(nf)
     if data is None:
         return ()
     eq, other, _lam, v_u, _w, _rho = data
+    p, escape_radius = eq.state.tolist(), 10.0 * max(1.0, abs(eq.c_star))
     out = []
     for sign in (+1.0, -1.0):
-        yf = integrate(nf, eq.state + sign * SEED_OFFSET * v_u, 400.0, tol=1e-8).y[:, -1]
-        nearest = min((eq, other), key=lambda e: np.linalg.norm(yf - e.state))
+        z, left = (eq.state + sign * SEED_OFFSET * v_u).tolist(), 400.0
+        while left > 0.0 and math.dist(z, p) <= escape_radius:
+            rows, h = _taylor_step(nf, z, 1e-8)
+            h = min(h, left)
+            y = _horner(rows, h)
+            if not (h > 0.0 and math.hypot(*y) <= BLOWUP_NORM):
+                break
+            z, left = y, left - h
+        nearest = min((eq, other), key=lambda e: math.dist(z, e.state))
         out.append((sign, nearest.c_star))
     return tuple(out)
 
@@ -465,7 +505,10 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
     the return point.  Each sign change is narrowed by the Illinois variant of
     regula falsi (Dowell and Jarratt, BIT 11, 1971), at most 60 shots;
     returned candidates have |miss| < tol.  An empty candidate list always
-    carries the full trace.
+    carries the full trace.  `branch_equilibria` names, for each branch
+    (+v_u, -v_u) of the unstable manifold at the middle swept value, the
+    equilibrium nearest its state where it leaves the escape radius
+    10 max(1, |c*|) about the saddle-focus, blows up or reaches t = 400.
     """
     if not isinstance(nf, ScaledNF):
         raise FrontlabError(
@@ -535,17 +578,21 @@ def lyapunov_max(ode, initial, t_end: float, renorm_interval: float,
     at tolerance 1e-10, clipped so that one ends at every renormalization of
     the tangent, each `renorm_interval`; the exponent is the mean log-growth
     per unit of the ODE's own time, with the leading 20% of the chunks
-    discarded as transient.
+    discarded as transient.  More than MAX_TAYLOR_STEPS steps in all raise
+    FrontlabError.
     """
     if not 0 < renorm_interval < t_end < math.inf:
         raise FrontlabError("need 0 < renorm_interval < t_end < inf")
     z = np.asarray(initial, dtype=float).tolist()
     v = np.random.default_rng(seed).standard_normal(len(z))
     w = (v / np.linalg.norm(v)).tolist()
-    logs = []
+    logs, steps = [], 0
     for _ in range(int(math.ceil(t_end / renorm_interval))):
         left = renorm_interval
         while left > 0.0:
+            steps += 1
+            if steps > MAX_TAYLOR_STEPS:
+                raise _step_cap(t_end)
             rows, h = _taylor_step(ode, z, 1e-10, w)
             h = min(h, left)
             y = _horner(rows, h)

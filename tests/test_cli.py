@@ -136,6 +136,27 @@ class TestDispatch:
         obj = json.loads(err)
         assert obj["error"] == "FrontlabError" and message in obj["message"]
 
+    @pytest.mark.parametrize("argv", [["--integrate", "1e9"], ["--lyapunov", "1e12"]])
+    def test_taylor_step_cap_exit_1(self, n3_config, tmp_path, capsys, monkeypatch, argv):
+        # the periodic orbit to t = 1e9 (or its exponent over 1e12) would
+        # take some 5e8 steps; the cap ends the run with a structured error.
+        # A cap of 1,000 keeps the test short: CI runs both at the stated
+        # MAX_TAYLOR_STEPS
+        from frontlab import speed_ode
+        monkeypatch.setattr(speed_ode, "MAX_TAYLOR_STEPS", 1000)
+        monkeypatch.setattr("sys.argv", ["frontlab", "--json-errors", "--config", n3_config,
+                                         "--output-dir", str(tmp_path / "out"), "ode",
+                                         "--nf=-1.0,0,-0.5,-3.9,1.0,0,0"] + argv)
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        obj = json.loads(err)
+        assert obj["error"] == "FrontlabError"
+        assert obj["message"] == (f"t_end={float(argv[1])!r} needs more than 1,000 "
+                                  "Taylor steps (MAX_TAYLOR_STEPS)")
+
     def test_missing_config(self, capsys):
         assert dispatch(["gamma", "--roots"]) == 1
 

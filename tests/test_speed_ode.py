@@ -12,6 +12,7 @@ from frontlab import (Coupling, FrontlabError, ScaledNF, SpeedODE,
                       gamma0_roots, integrate, lyapunov_max, shilnikov_shoot)
 from frontlab.designer import design_evans_degeneracy, unfolding_polynomial_roots, linear_unfolding_map
 from frontlab.errors import ConvergenceError
+from frontlab import speed_ode
 from frontlab.speed_ode import TAYLOR_ORDER, classify_eigenvalues
 
 SQRT2 = math.sqrt(2.0)
@@ -174,6 +175,50 @@ class TestOneCompanionForm:
             assert z2 == pytest.approx(-sign if m % 2 == 1 else 0.0, rel=1e-14, abs=0.0)
 
 
+def _taylor_written_out(form, z, w=()):
+    """The order-20 recurrence term by term, from the form's public fields:
+    every sum a generator over indices from 0, so its terms are added left
+    to right in the order of the indices."""
+    if isinstance(form, SpeedODE):
+        n, a0, a, q, s = form.n_prime, form.a0, form.a_lin, form.a_quad, form.epsilon ** 2
+    else:
+        n, a0, a, s = len(form.nu), form.nu0, form.nu, 1.0
+        q = ((form.a11, form.a12 * form.delta) + (0.0,) * n)[:n]
+    rows, qz, qw = [[float(x) for x in z] + [float(x) for x in w]], [], []
+    for k in range(TAYLOR_ORDER):
+        c, r = rows[k], s / (k + 1)
+        qz.append(sum(q[j] * c[j] for j in range(n)))
+        last = (sum(a[j] * c[j] for j in range(n))
+                + sum(rows[i][0] * qz[k - i] for i in range(k + 1)))
+        new = [r * c[j] for j in range(1, n)] + [r * (last + a0 if k == 0 else last)]
+        if w:
+            qw.append(sum(q[j] * c[n + j] for j in range(n)))
+            tan = (sum(a[j] * c[n + j] for j in range(n))
+                   + sum(rows[i][n] * qz[k - i] + rows[i][0] * qw[k - i]
+                         for i in range(k + 1)))
+            new += [r * c[n + j] for j in range(1, n)] + [r * tan]
+        rows.append(new)
+    return rows
+
+
+def test_taylor_kernel_equals_the_written_out_recurrence():
+    # bit for bit (==), with and without a tangent, n = 1..4, a0 zero and
+    # not, a12 delta nonzero, random states
+    rng = np.random.default_rng(24)
+    for n in range(1, 5):
+        for a0 in (0.0, 0.37):
+            a, q, nu = (tuple(rng.uniform(-2.0, 2.0, n)) for _ in range(3))
+            forms = [SpeedODE(n_prime=n, a0=a0, a_lin=a, a_quad=q,
+                              epsilon=rng.uniform(0.01, 1.0)),
+                     ScaledNF(nu0=a0, nu=nu, a11=rng.uniform(-2.0, 2.0),
+                              a12=rng.uniform(0.5, 2.0), delta=rng.uniform(0.1, 1.0))]
+            for form in forms:
+                for _ in range(10):
+                    z, w = rng.uniform(-3.0, 3.0, n), list(rng.uniform(-3.0, 3.0, n))
+                    assert form.taylor(z) == _taylor_written_out(form, z)
+                    assert form.taylor(z, w) == _taylor_written_out(form, z, w)
+
+
 class TestIntegrate:
     def test_zero_field_constant(self):
         ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(0.0,), a_quad=(0.0,), epsilon=0.4)
@@ -232,6 +277,33 @@ class TestIntegrate:
         assert np.max(np.linalg.norm(tr.y, axis=0)) <= 1e8
         with pytest.raises(ConvergenceError, match="blew up"):
             lyapunov_max(ode, np.array([1.0]), 100.0, 5.0)
+
+    def test_fast_decay_is_not_a_blow_up(self, monkeypatch):
+        # c' = -1e13 c takes steps of about 3e-13: a fast decay, not a pole,
+        # as they lie far above STEP_FLOOR of its time scale 1e-13 (1e-25)
+        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(-1e13,), a_quad=(0.0,), epsilon=1.0)
+        tr = integrate(ode, [1.0], 1e-10)
+        assert not tr.blew_up and tr.t[-1] == 1e-10 and 100 < len(tr.t) < 1000
+        assert abs(tr.y[0, -1]) <= 1e-8      # exp(-1000), at tol 1e-8 absolute
+        # to t = 1 it would take some 3e12 steps: the step cap ends it
+        monkeypatch.setattr(speed_ode, "MAX_TAYLOR_STEPS", 1000)
+        with pytest.raises(FrontlabError, match=r"t_end=1.0 needs more than 1,000 Taylor steps"):
+            integrate(ode, [1.0], 1.0)
+
+    def test_step_cap(self, monkeypatch):
+        # a run needing exactly MAX_TAYLOR_STEPS steps ends; one more raises,
+        # for integrate and for lyapunov_max over all its chunks
+        nf = ScaledNF.shilnikov(-1.0, -0.5, -3.9, a11=1.0)
+        y0 = np.array([-0.98, 0.0, 0.0])
+        steps = len(integrate(nf, y0, 50.0).t) - 1
+        monkeypatch.setattr(speed_ode, "MAX_TAYLOR_STEPS", steps)
+        assert len(integrate(nf, y0, 50.0).t) - 1 == steps
+        monkeypatch.setattr(speed_ode, "MAX_TAYLOR_STEPS", steps - 1)
+        with pytest.raises(FrontlabError, match="t_end=50.0 needs more than"):
+            integrate(nf, y0, 50.0)
+        monkeypatch.setattr(speed_ode, "MAX_TAYLOR_STEPS", 20)
+        with pytest.raises(FrontlabError, match="t_end=50.0 needs more than 20 Taylor"):
+            lyapunov_max(nf, y0, 50.0, 5.0)
 
 
 class TestEquilibria:
@@ -470,6 +542,31 @@ class TestShilnikovShoot:
         assert len(result.trace) == 7
         assert all(p.status == "ok" for p in result.trace)
         assert not result.has_sign_change
+
+    @pytest.mark.parametrize("coeffs, span", [
+        ((-1.0, -1.0, -0.6), (-1.0, -0.25)),     # criterion 10, README, the bench
+        ((-1.0, -0.97, -0.6), (-1.0, -0.25)),    # the bench's second sweep
+        ((-1.0, -0.5, -1.6), (-2.0, -1.25)),     # the bench's and criterion 10's flat sweep
+    ])
+    def test_branch_endpoints_match_the_run_to_t_400(self, coeffs, span):
+        # stopping each branch at the escape radius names the equilibrium
+        # that the run to t = 400 (or to its blow-up) ends nearest, at every
+        # swept value of these forms
+        nf = ScaledNF.shilnikov(*coeffs, a11=1.0)
+        sweep = np.linspace(*span, 7)
+        for nb in sweep:
+            form = replace(nf, nu=(nf.nu[0], nf.nu[1], nb))
+            eq, other, _lam, v_u, _w, _rho = speed_ode._saddle_focus_data(form)
+            old = []
+            for sign in (1.0, -1.0):
+                y = integrate(form, eq.state + sign * speed_ode.SEED_OFFSET * v_u, 400.0,
+                              tol=1e-8).y[:, -1]
+                nearest = min((eq, other), key=lambda e: np.linalg.norm(y - e.state))
+                old.append((sign, nearest.c_star))
+            assert speed_ode._branch_endpoints(form) == tuple(old)
+        result = shilnikov_shoot(nf, sweep, tol=1e-6, t_max=300.0)
+        assert result.branch_equilibria == speed_ode._branch_endpoints(
+            replace(nf, nu=(nf.nu[0], nf.nu[1], sweep[3])))
 
     def test_both_branches_reported(self):
         nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
