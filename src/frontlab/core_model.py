@@ -274,8 +274,7 @@ class PowerSeries:
 
     coeffs[k] is the coefficient of x**k; the truncation order is
     len(coeffs) - 1.  Binary operations truncate to the smaller order of the
-    two operands; composition requires the inner series to have zero constant
-    term, and reciprocal a nonzero one.
+    two operands.
     """
 
     coeffs: tuple
@@ -310,9 +309,6 @@ class PowerSeries:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs(self.coeffs[:order + 1], order=order)
-
     def __add__(self, other):
         if isinstance(other, PowerSeries):
             m = min(self.order, other.order)
@@ -346,40 +342,11 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner(x)); inner must have zero constant term."""
-        if inner.coeffs[0] != 0.0:
-            raise FrontlabError("compose requires inner series with zero constant term")
-        m = min(self.order, inner.order)
-        inner = inner.truncate(m)
-        out = PowerSeries.constant(self.coeffs[min(m, self.order)], m)
-        for k in range(min(m, self.order) - 1, -1, -1):
-            out = out * inner + self.coeffs[k]
-        return out
-
-    def reciprocal(self) -> "PowerSeries":
-        c0 = self.coeffs[0]
-        if c0 == 0.0:
-            raise FrontlabError("reciprocal requires nonzero constant term")
-        out = [1.0 / c0]
-        for n in range(1, self.order + 1):
-            acc = sum(self.coeffs[k] * out[n - k] for k in range(1, n + 1))
-            out.append(-acc / c0)
-        return PowerSeries(tuple(out))
-
     def __call__(self, x: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-
-def binomial_series(exponent: float, order: int) -> PowerSeries:
-    """Series of (1 + x)**exponent around x = 0."""
-    coeffs = [1.0]
-    for k in range(1, order + 1):
-        coeffs.append(coeffs[-1] * (exponent - (k - 1)) / k)
-    return PowerSeries(tuple(coeffs))
 
 
 def series_vstar(params: SystemParams, j: int, order: int = DEFAULT_SERIES_ORDER) -> PowerSeries:

@@ -8,14 +8,16 @@ Dumortier, Ibanez and Kokubu (Dyn. Syst. 16, 2001).
 
 This module builds the speed ODE from the existence/Evans analysis,
 integrates it, classifies equilibria (saddle-focus detection), shoots for
-homoclinic connections and estimates Lyapunov exponents, all three
-integrations by the same Taylor steps (`_CompanionForm.taylor`).
+homoclinic connections and estimates Lyapunov exponents, all four kinds of
+run (`integrate`, a shot, a branch run, `lyapunov_max`) taking the same
+Taylor steps (`_CompanionForm.taylor`) through one march (`_march`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from operator import add, mul
 
 import numpy as np
@@ -29,8 +31,9 @@ from .existence import gamma0_taylor
 BLOWUP_NORM = 1e8
 
 #: Order of the Taylor steps.  A step below STEP_FLOOR of the form's time
-#: scale 1 / (|s| max(1, |a|, |q|)) is a blow-up; one run (`integrate`, or
-#: `lyapunov_max` over all its chunks) takes at most MAX_TAYLOR_STEPS steps.
+#: scale 1 / (|s| max(1, |a|, |q|)) is a blow-up; one run (`integrate`, a
+#: shot, a branch run, or `lyapunov_max` over all its chunks) takes at most
+#: MAX_TAYLOR_STEPS steps.
 TAYLOR_ORDER = 20
 STEP_FLOOR = 1e-12
 MAX_TAYLOR_STEPS = 10 ** 5
@@ -220,7 +223,7 @@ def build_from_analysis(params: SystemParams, coupling: Coupling,
                     epsilon=params.epsilon, provenance=provenance)
 
 
-def _taylor_step(ode, z, tol, w=()):
+def _taylor_step(ode, z, tol, w):
     """(rows, h): `ode.taylor(z, w)` and the step it allows at tolerance tol,
     the least (eps / |c_k|)^(1/k) over the last two orders k, with
     eps = tol max(1, |c_0|) and max-norms (Jorba and Zou).  h is inf for a
@@ -233,11 +236,6 @@ def _taylor_step(ode, z, tol, w=()):
     return rows, (h if h >= ode._step_floor else 0.0)
 
 
-def _step_cap(t_end):
-    return FrontlabError(f"t_end={float(t_end)!r} needs more than "
-                         f"{MAX_TAYLOR_STEPS:,} Taylor steps (MAX_TAYLOR_STEPS)")
-
-
 def _horner(rows, h):
     """The step polynomial sum_k rows[k] h^k, entry by entry."""
     out = []
@@ -247,6 +245,30 @@ def _horner(rows, h):
             x = x * h + c
         out.append(x)
     return out
+
+
+def _march(ode, y, spans, tol, run):
+    """`_taylor_step`s from y (the state, then any tangent) through chunks of
+    the lengths `spans`, each step clipped to its chunk's time left: yields
+    (rows, h, y, left), y the step's end, from which the next step starts (a
+    caller may rescale it in place), and left the chunk's time before it.
+    Ends after a step of h = 0.0; past MAX_TAYLOR_STEPS steps in all it
+    raises FrontlabError, naming the run by `run`."""
+    n, budget = ode.dim, iter(range(MAX_TAYLOR_STEPS))    # shared by the chunks
+    for left in spans:
+        for _ in budget:
+            rows, h = _taylor_step(ode, y[:n], tol, y[n:])
+            h = min(h, left)
+            y = _horner(rows, h)
+            yield rows, h, y, left
+            if h == 0.0:
+                return
+            left -= h
+            if left == 0.0:
+                break
+        else:
+            raise FrontlabError(f"{run} needs more than {MAX_TAYLOR_STEPS:,} "
+                                "Taylor steps (MAX_TAYLOR_STEPS)")
 
 
 @dataclass
@@ -276,19 +298,14 @@ def integrate(ode, initial, t_end: float, tol: float = 1e-8,
     if not np.all((0.0 <= t) & (t <= t_end)):
         raise FrontlabError(f"t_eval must lie within [0, t_end = {t_end}]")
     z = np.asarray(initial, dtype=float).tolist()
-    left, times, states, starts, polys = float(t_end), [0.0], [z], [], []
-    while left > 0.0:
-        if len(starts) == MAX_TAYLOR_STEPS:
-            raise _step_cap(t_end)
-        rows, h = _taylor_step(ode, z, tol)
-        h = min(h, left)
+    times, states, starts, polys, blew_up = [0.0], [z], [], [], False
+    for rows, h, z, left in _march(ode, z, (float(t_end),), tol, f"t_end={float(t_end)!r}"):
         starts.append(t_end - left)
         polys.append(rows)    # also that of a step that blows up: dense ends on it
-        z = _horner(rows, h)
         if not (h > 0.0 and math.hypot(*z) <= BLOWUP_NORM):
+            blew_up = True
             break
-        left -= h
-        times.append(t_end - left)
+        times.append(t_end - (left - h))
         states.append(z)
 
     def dense(at):
@@ -298,10 +315,10 @@ def integrate(ode, initial, t_end: float, tol: float = 1e-8,
         return np.array(out).T.reshape((len(states[0]),) + shape)
 
     if t_eval is None:
-        return Trajectory(np.array(times), np.array(states).T, left > 0.0, dense)
-    y = dense(t[t <= t_end - left + h])    # the step that blew up is accurate too
+        return Trajectory(np.array(times), np.array(states).T, blew_up, dense)
+    y = dense(t[t <= starts[-1] + h] if blew_up else t)    # the last step is accurate too
     n = np.argmin(np.append(np.linalg.norm(y, axis=0) <= BLOWUP_NORM, False))
-    return Trajectory(t[:n], y[:, :n], left > 0.0, dense)
+    return Trajectory(t[:n], y[:, :n], blew_up, dense)
 
 
 @dataclass(frozen=True)
@@ -443,12 +460,10 @@ def _shoot_once(nf, t_max=400.0, integrator_tol=1e-10):
     # normal.c_k less normal.mid; crossing #1 is the outbound transit of the
     # departing manifold, and the genuine first *return* is crossing #2
     normal, offset = normal.tolist(), float(np.dot(normal, mid))
-    z, left, crossings, status, miss = y0.tolist(), t_max, 0, "timeout", math.nan
+    z, crossings, status, miss = y0.tolist(), 0, "timeout", math.nan
     g0 = sum(n_j * x for n_j, x in zip(normal, z)) - offset
-    while left > 0.0 and status == "timeout":
-        rows, h = _taylor_step(nf, z, integrator_tol)
-        h = min(h, left)
-        z = _horner(rows, h)
+    for rows, h, z, _left in _march(nf, z, (float(t_max),), integrator_tol,
+                                    f"t_max={float(t_max)!r}"):
         g1 = sum(n_j * x for n_j, x in zip(normal, z)) - offset
         crossings += (g0 > 0.0) != (g1 > 0.0)
         if crossings == 2:       # Newton on the section polynomial of the step
@@ -463,9 +478,11 @@ def _shoot_once(nf, t_max=400.0, integrator_tol=1e-10):
                 r -= step
             x_c = np.array(_horner(rows, r))
             status, miss = "ok", float(np.dot(w_u, x_c - p) / np.dot(w_u, v_u))
-        elif not h > 0.0 or math.dist(z, p) > escape_radius:
+            break
+        if not h > 0.0 or math.dist(z, p) > escape_radius:
             status = "escape"
-        g0, left = g1, left - h
+            break
+        g0 = g1
     return ShootPoint(nu_bar=nf.nu_bar, miss=miss, status=status, rho_s=rho_s)
 
 
@@ -480,14 +497,13 @@ def _branch_endpoints(nf):
     p, escape_radius = eq.state.tolist(), 10.0 * max(1.0, abs(eq.c_star))
     out = []
     for sign in (+1.0, -1.0):
-        z, left = (eq.state + sign * SEED_OFFSET * v_u).tolist(), 400.0
-        while left > 0.0 and math.dist(z, p) <= escape_radius:
-            rows, h = _taylor_step(nf, z, 1e-8)
-            h = min(h, left)
-            y = _horner(rows, h)
+        z = (eq.state + sign * SEED_OFFSET * v_u).tolist()
+        for _rows, h, y, _left in _march(nf, z, (400.0,), 1e-8, "t_max=400.0"):
             if not (h > 0.0 and math.hypot(*y) <= BLOWUP_NORM):
                 break
-            z, left = y, left - h
+            z = y
+            if math.dist(z, p) > escape_radius:
+                break
         nearest = min((eq, other), key=lambda e: math.dist(z, e.state))
         out.append((sign, nearest.c_star))
     return tuple(out)
@@ -509,6 +525,8 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
     (+v_u, -v_u) of the unstable manifold at the middle swept value, the
     equilibrium nearest its state where it leaves the escape radius
     10 max(1, |c*|) about the saddle-focus, blows up or reaches t = 400.
+    A shot or a branch run that needs more than MAX_TAYLOR_STEPS steps
+    raises FrontlabError naming t_max (400.0 for a branch run).
     """
     if not isinstance(nf, ScaledNF):
         raise FrontlabError(
@@ -522,6 +540,8 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
             "saddle-focus regime")
     if nf.mu_bar >= 0:
         raise FrontlabError("necessary condition violated: need mu_bar < 0")
+    if not 0 < t_max < math.inf:
+        raise FrontlabError(f"t_max must be positive and finite, got {t_max}")
 
     def at(nb):
         return replace(nf, nu=(nf.nu[0], nf.nu[1], nb))
@@ -585,23 +605,15 @@ def lyapunov_max(ode, initial, t_end: float, renorm_interval: float,
         raise FrontlabError("need 0 < renorm_interval < t_end < inf")
     z = np.asarray(initial, dtype=float).tolist()
     v = np.random.default_rng(seed).standard_normal(len(z))
-    w = (v / np.linalg.norm(v)).tolist()
-    logs, steps = [], 0
-    for _ in range(int(math.ceil(t_end / renorm_interval))):
-        left = renorm_interval
-        while left > 0.0:
-            steps += 1
-            if steps > MAX_TAYLOR_STEPS:
-                raise _step_cap(t_end)
-            rows, h = _taylor_step(ode, z, 1e-10, w)
-            h = min(h, left)
-            y = _horner(rows, h)
-            z, w = y[:len(z)], y[len(z):]
-            if not (h > 0.0 and math.hypot(*z) <= BLOWUP_NORM):
-                raise ConvergenceError("trajectory blew up during exponent estimation")
-            left -= h
-        norm = math.hypot(*w)
-        logs.append(math.log(norm))
-        w = [x / norm for x in w]
+    n, logs = len(z), []
+    chunks = repeat(renorm_interval, int(math.ceil(t_end / renorm_interval)))
+    for _rows, h, y, left in _march(ode, z + (v / np.linalg.norm(v)).tolist(), chunks,
+                                    1e-10, f"t_end={float(t_end)!r}"):
+        if not (h > 0.0 and math.hypot(*y[:n]) <= BLOWUP_NORM):
+            raise ConvergenceError("trajectory blew up during exponent estimation")
+        if h == left:       # the chunk ends: renormalize the tangent
+            norm = math.hypot(*y[n:])
+            logs.append(math.log(norm))
+            y[n:] = [x / norm for x in y[n:]]
     kept = logs[int(0.2 * len(logs)):]
     return float(sum(kept) / (len(kept) * renorm_interval))

@@ -12,7 +12,7 @@ def one_slow():
     return SystemParams(epsilon=0.1, tau=(1.0,), d=(1.0,))
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")     # frozen data; a module fixture builds on it
 def cusp_setup():
     """N = 1 cubic-coupling setup with three front speeds {-2.289, 0, 2.289}."""
     params = SystemParams(epsilon=0.2, tau=(1.0,), d=(1.0,))

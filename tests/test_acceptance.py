@@ -136,7 +136,20 @@ def test_criterion_5_spectral_cross_validation():
     assert report(5, ok, "spectral cross-validation (eps > 0)", "; ".join(details))
 
 
-def test_criterion_6_front_speed_prediction(cusp_setup):
+@pytest.fixture(scope="module")
+def cusp_simulation(cusp_setup):
+    """Criteria 6 and 7's cusp run, made once: the stationary front on 901
+    nodes, pushed along its unstable mode and simulated to t = 420."""
+    params, coupling = cusp_setup
+    grid = ps.make_grid(45.0, 901, params.epsilon)
+    sol = ps.solve_stationary_front(params, coupling, grid=grid)
+    lam_u = max(z.real for z in evans_small_roots(params, coupling, 3.0))
+    prof = fl.eigenfunction_c0(params, lam_u, coupling)
+    pert = ps.perturb_with_profile(sol.state, prof, -0.05)
+    return ps.simulate(pert, 420.0, output_stride=100, dt=0.01)
+
+
+def test_criterion_6_front_speed_prediction(cusp_setup, cusp_simulation):
     # decoupled constant forcing
     params = SystemParams(epsilon=0.2, tau=(1.0,), d=(1.0,))
     coup = Coupling(0.1, (0.0,), (0.0,))
@@ -152,14 +165,7 @@ def test_criterion_6_front_speed_prediction(cusp_setup):
     cgrid = ps.make_grid(24.0, 481, cparams.epsilon)
     sol = ps.solve_travelling_front(cparams, ccoup, guess_c=root, grid=cgrid)
     rel_newton = abs(sol.c - root) / abs(root)
-
-    sim_grid = ps.make_grid(45.0, 901, cparams.epsilon)
-    ssol = ps.solve_stationary_front(cparams, ccoup, grid=sim_grid)
-    lam_u = max(z.real for z in evans_small_roots(cparams, ccoup, 3.0))
-    prof = fl.eigenfunction_c0(cparams, lam_u, ccoup)
-    pert = ps.perturb_with_profile(ssol.state, prof, -0.05)
-    sim = ps.simulate(pert, 420.0, output_stride=100, dt=0.01)
-    rel_sim = abs(abs(sim.speed[-1]) - cparams.epsilon ** 2 * abs(root)) \
+    rel_sim = abs(abs(cusp_simulation.speed[-1]) - cparams.epsilon ** 2 * abs(root)) \
         / (cparams.epsilon ** 2 * abs(root))
 
     ok = rel_dec <= 0.1 and rel_newton <= 0.1 and rel_sim <= 0.1
@@ -168,16 +174,10 @@ def test_criterion_6_front_speed_prediction(cusp_setup):
                   f"cusp simulate {rel_sim:.1%} (all <=10%)")
 
 
-def test_criterion_7_heteroclinic_speed_transition(cusp_setup):
+def test_criterion_7_heteroclinic_speed_transition(cusp_setup, cusp_simulation):
     params, coupling = cusp_setup
     root = fl.gamma0_roots(params, coupling, interval=(-10, 10))[-1][0]
-    grid = ps.make_grid(45.0, 901, params.epsilon)
-    sol = ps.solve_stationary_front(params, coupling, grid=grid)
-    lam_u = max(z.real for z in evans_small_roots(params, coupling, 3.0))
-    prof = fl.eigenfunction_c0(params, lam_u, coupling)
-    pert = ps.perturb_with_profile(sol.state, prof, -0.05)
-    sim = ps.simulate(pert, 420.0, output_stride=100, dt=0.01)
-
+    sim = cusp_simulation
     target = params.epsilon ** 2 * root
     speed = sim.speed
     n = len(speed)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams,
                       coupling_gradient, double_factorial, eval_coupling,
                       series_vstar)
-from frontlab.core_model import (PAIR_TOL, REAL_IMAG_TOL, binomial_series, conjugate_pairs,
+from frontlab.core_model import (PAIR_TOL, REAL_IMAG_TOL, conjugate_pairs,
                                  model_from_dict, model_to_dict)
 
 SQRT2 = math.sqrt(2.0)
@@ -216,34 +216,6 @@ class TestPowerSeries:
             left = (a * b) * c
             right = a * (b * c)
             assert np.allclose(left.coeffs, right.coeffs, rtol=1e-12, atol=1e-12)
-
-    def test_compose_requires_zero_constant(self):
-        f = PowerSeries((1.0, 2.0, 3.0))
-        g = PowerSeries((0.5, 1.0, 0.0))
-        with pytest.raises(FrontlabError):
-            f.compose(g)
-
-    def test_compose_known(self):
-        # (1+x)^2 composed with 2t equals 1 + 4t + 4t^2
-        f = PowerSeries((1.0, 2.0, 1.0))
-        g = PowerSeries((0.0, 2.0, 0.0))
-        out = f.compose(g)
-        assert np.allclose(out.coeffs, [1.0, 4.0, 4.0])
-
-    def test_reciprocal(self):
-        f = PowerSeries((2.0, 1.0, -0.5, 0.25))
-        r = f.reciprocal()
-        prod = f * r
-        assert prod.coeffs[0] == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(prod.coeffs[1:], 0.0, atol=1e-15)
-        with pytest.raises(FrontlabError):
-            PowerSeries((0.0, 1.0)).reciprocal()
-
-    def test_binomial_series_is_exact_binomial(self):
-        s = binomial_series(-0.5, 6)
-        exact = [((-1) ** k * double_factorial(2 * k - 1) / double_factorial(2 * k))
-                 for k in range(7)]
-        assert np.allclose(s.coeffs, exact, rtol=1e-15)
 
 
 class TestSeriesVstar:

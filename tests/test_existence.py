@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams, fold_curves,
                       front_profile, gamma0, gamma0_roots, gamma0_taylor)
-from frontlab.core_model import binomial_series, double_factorial, eval_coupling
+from frontlab.core_model import double_factorial, eval_coupling
 from frontlab.existence import gamma0_derivative, gamma0_series_at, root_multiplicity, v_star
 
 SQRT2 = math.sqrt(2.0)
@@ -355,13 +355,24 @@ class TestGamma0Taylor:
         # gives what the binomial composition it replaced gave
         from conftest import reference_sets
 
+        def rsqrt_composed(w):
+            """(1 + w)^(-1/2) for w without constant term: the binomial series
+            b_k = b_(k-1) (1/2 - k) / k, composed with w by Horner's rule."""
+            b = [1.0]
+            for k in range(1, w.order + 1):
+                b.append(b[-1] * (-0.5 - (k - 1)) / k)
+            out = PowerSeries.constant(b[-1], w.order)
+            for c in reversed(b[:-1]):
+                out = out * w + c
+            return out
+
         def composed(params, coupling, center, order):
             vj = []
             for tau, d in zip(params.tau, params.d):
                 a = 4.0 * d * d + tau * tau * center * center
                 w = PowerSeries.from_coeffs([0.0, 2.0 * tau * tau * center / a,
                                              tau * tau / a], order)
-                y = (1.0 / math.sqrt(a)) * binomial_series(-0.5, order).compose(w)
+                y = (1.0 / math.sqrt(a)) * rsqrt_composed(w)
                 vj.append(tau * PowerSeries.from_coeffs([center, 1.0], order) * y)
             return eval_coupling(coupling, vj) + PowerSeries.from_coeffs(
                 [-SQRT2 / 3.0 * center, -SQRT2 / 3.0], order)

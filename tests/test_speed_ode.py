@@ -292,7 +292,8 @@ class TestIntegrate:
 
     def test_step_cap(self, monkeypatch):
         # a run needing exactly MAX_TAYLOR_STEPS steps ends; one more raises,
-        # for integrate and for lyapunov_max over all its chunks
+        # for integrate and for lyapunov_max over all its chunks; each shot
+        # and each branch run is a run too
         nf = ScaledNF.shilnikov(-1.0, -0.5, -3.9, a11=1.0)
         y0 = np.array([-0.98, 0.0, 0.0])
         steps = len(integrate(nf, y0, 50.0).t) - 1
@@ -304,6 +305,14 @@ class TestIntegrate:
         monkeypatch.setattr(speed_ode, "MAX_TAYLOR_STEPS", 20)
         with pytest.raises(FrontlabError, match="t_end=50.0 needs more than 20 Taylor"):
             lyapunov_max(nf, y0, 50.0, 5.0)
+        # a stiff form: uncapped, each shot and each branch run takes some
+        # 4,500 steps to time out
+        stiff = ScaledNF(nu0=-1e4, nu=(0.0, -1e4, -1.0), a11=1.0)
+        monkeypatch.setattr(speed_ode, "MAX_TAYLOR_STEPS", 1000)
+        with pytest.raises(FrontlabError, match="t_max=400.0 needs more than 1,000 Taylor"):
+            shilnikov_shoot(stiff, np.linspace(-1.0, -0.25, 3))
+        with pytest.raises(FrontlabError, match="needs more than 1,000 Taylor"):
+            speed_ode._branch_endpoints(stiff)
 
 
 class TestEquilibria:
@@ -418,6 +427,11 @@ class TestShilnikovShoot:
         with pytest.raises(FrontlabError, match="mu"):
             shilnikov_shoot(ScaledNF.shilnikov(-1.0, 0.5, 0.0, a11=1.0),
                             np.linspace(-1, 0, 3))
+        # a shot's time span must be one that its steps can end on
+        for t_max in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(FrontlabError, match="t_max"):
+                shilnikov_shoot(ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0),
+                                np.linspace(-1, 0, 3), t_max=t_max)
 
     def test_speed_ode_is_rejected(self):
         # only the scaled normal form names (nu0, mu_bar, nu_bar, a11)
