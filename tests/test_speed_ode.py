@@ -315,6 +315,73 @@ class TestIntegrate:
             speed_ode._branch_endpoints(stiff)
 
 
+class TestMarch:
+    """`_march`, the one Taylor step loop of integrate, the shots, the branch
+    runs and lyapunov_max."""
+
+    HARMONIC = SpeedODE(n_prime=2, a0=0.0, a_lin=(-1.0, 0.0), a_quad=(0.0, 0.0),
+                        epsilon=1.0)
+
+    def test_each_chunk_ends_on_a_clipped_step(self):
+        # a chunk's first step sees all of it left, each step takes its h off
+        # what is left, and only the last step, h == left, is clipped
+        spans = (0.3, 20.0, 0.7)
+        chunks, y = [[]], None
+        for _rows, h, y, left in speed_ode._march(self.HARMONIC, [1.0, 0.0], spans,
+                                                  1e-9, "t_end=21.0"):
+            chunks[-1].append((h, left))
+            if h == left:
+                chunks.append([])
+        assert chunks.pop() == [] and len(chunks) == len(spans)
+        assert len(chunks[1]) > 1
+        for span, steps in zip(spans, chunks):
+            assert steps[0][1] == span
+            assert all(0.0 < h < left for h, left in steps[:-1])
+            assert all(after == left - h for (h, left), (_h, after) in zip(steps, steps[1:]))
+        assert max(abs(y[0] - math.cos(21.0)), abs(y[1] + math.sin(21.0))) <= 1e-8
+
+    def test_each_step_starts_where_the_last_ended(self):
+        # the yielded y is the step polynomial at h, and the next step starts
+        # from it, after any change a caller makes in place (lyapunov_max
+        # rescales the tangent so)
+        nf = ScaledNF.shilnikov(-1.0, -0.5, -3.9, a11=1.0)
+        start, count = None, 0
+        for rows, h, y, _left in speed_ode._march(nf, [-0.98, 0.0, 0.0, 1.0, 0.0, 0.0],
+                                                  (5.0,), 1e-10, "t_end=5.0"):
+            if start is not None:
+                assert rows[0] == start
+            assert y == speed_ode._horner(rows, h)
+            y[3:] = [-x for x in y[3:]]
+            start, count = list(y), count + 1
+        assert count > 2
+
+    def test_ends_after_a_zero_step(self):
+        # c' = 5 c + c^2 from c = 1 has its pole at ln(6)/5: the steps
+        # shrink to the step floor there and the march ends on a step of
+        # h = 0.0, with a chunk still to go and far inside the step cap
+        pole = SpeedODE(n_prime=1, a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
+        steps = list(speed_ode._march(pole, [1.0], (1.0, 1.0), 1e-8, "t_end=2.0"))
+        assert steps[-1][1] == 0.0 and all(h > 0.0 for _rows, h, _y, _left in steps[:-1])
+        assert len(steps) < 100 and abs(1.0 - steps[-1][3] - math.log(6.0) / 5.0) <= 1e-6
+
+    def test_budget_spans_the_chunks(self, monkeypatch):
+        # MAX_TAYLOR_STEPS counts the steps of all chunks together: a march
+        # that needs exactly the cap ends, one step fewer raises, though each
+        # chunk alone takes far fewer
+        def march():
+            return list(speed_ode._march(self.HARMONIC, [1.0, 0.0], (1.0,) * 5,
+                                         1e-9, "t_end=5.0"))
+        steps = march()
+        ends = [i for i, (_rows, h, _y, left) in enumerate(steps) if h == left]
+        assert len(ends) == 5 and ends[-1] == len(steps) - 1
+        assert max(np.diff([-1] + ends)) < len(steps) - 1
+        monkeypatch.setattr(speed_ode, "MAX_TAYLOR_STEPS", len(steps))
+        assert len(march()) == len(steps)
+        monkeypatch.setattr(speed_ode, "MAX_TAYLOR_STEPS", len(steps) - 1)
+        with pytest.raises(FrontlabError, match=f"t_end=5.0 needs more than {len(steps) - 1} "):
+            march()
+
+
 class TestEquilibria:
     def test_scaled_nf_symmetric_pair(self):
         nf = ScaledNF.shilnikov(-1.0, 0.0, 0.0, a11=1.0)
