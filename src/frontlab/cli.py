@@ -13,13 +13,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .core_model import Coupling, SystemParams, model_from_dict, model_to_dict
+from .core_model import Coupling, SystemParams
 from .errors import FrontlabError
 
 CSV_HEADER = "# frontlab v1"
@@ -59,24 +59,40 @@ def _mode(value):
 
 
 _NUMBER = (int, float)
+_NUMBERS = list      # a JSON array of numbers
 
 
 class _Value(NamedTuple):
     convert: Callable    # raises ArgumentTypeError on a bad value
-    kind: type | tuple   # the JSON type: int, _NUMBER or str
+    kind: type | tuple   # the JSON type: int, _NUMBER, _NUMBERS or str
     default: object      # if the document leaves it out; None: computed where used
 
 
-#: How a run value of the wrong JSON type is reported, by its `kind`.
+#: How a value of the wrong JSON type is reported, by its `kind`.
 _WRONG_TYPE = {
     int: "{name}: {value!r} is not a JSON integer",
     _NUMBER: "{name}: {value!r} is not a JSON number",
+    _NUMBERS: "{name}: {value!r} is not a JSON array of numbers",
     str: "{name} must be a JSON string",
 }
 
-#: Every run key a config may set; a nested dict is a section, which must be
-#: a JSON object.  The model keys are read by `core_model.model_from_dict`.
-_RUN_TABLE = {
+
+def _floats(values):
+    return [float(x) for x in values]
+
+
+#: Every key a config may set; a nested dict is a section, which must be a
+#: JSON object.  The model keys are type-checked alone: SystemParams and
+#: Coupling check their ranges and finiteness.
+_CONFIG_TABLE = {
+    "n_slow": _Value(int, int, 0),
+    "epsilon": _Value(float, _NUMBER, None),
+    "tau": _Value(_floats, _NUMBERS, None),
+    "d": _Value(_floats, _NUMBERS, None),
+    "gamma": _Value(float, _NUMBER, 0.0),
+    "alpha": _Value(_floats, _NUMBERS, None),
+    "beta": _Value(_floats, _NUMBERS, None),
+    "higher": _Value(_floats, _NUMBERS, []),
     "seed": _Value(_natural, int, 0),
     "output_dir": _Value(str, str, "."),
     "pde": {
@@ -100,14 +116,32 @@ _RUN_TABLE = {
 }
 
 
+def _is_kind(value, kind):
+    """value is of the JSON type kind; a boolean is no number."""
+    if kind is _NUMBERS:
+        return isinstance(value, list) and all(_is_kind(x, _NUMBER) for x in value)
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
+def _check(name, value, entry):
+    """Raise FrontlabError naming `name` unless value is of the JSON type
+    entry.kind and passes entry.convert (an integer too large for a float
+    is no number)."""
+    if not _is_kind(value, entry.kind):
+        raise FrontlabError(_WRONG_TYPE[entry.kind].format(name=name, value=value))
+    try:
+        entry.convert(value)
+    except (argparse.ArgumentTypeError, OverflowError) as exc:
+        raise FrontlabError(f"{name}: {exc}") from None
+
+
 def _resolve(doc, table, prefix=""):
     """doc checked against table, with the default of each value it leaves
-    out filled in.  Errors name the entry as `section.key`; a number must be
-    a JSON number (not a string or boolean, nor an integer too large for a
-    float), an integer a JSON integer."""
+    out filled in.  Errors name the entry as `section.key`."""
     unknown = set(doc) - set(table)
     if unknown:
-        raise FrontlabError(f"unknown {prefix[:-1]} keys: {sorted(unknown)}")
+        raise FrontlabError(f"unknown {prefix[:-1] or 'configuration'} keys: "
+                            f"{sorted(unknown)}")
     out = {}
     for key, entry in table.items():
         name = prefix + key
@@ -116,16 +150,11 @@ def _resolve(doc, table, prefix=""):
             if not isinstance(section, dict):
                 raise FrontlabError(f"{name} must be a JSON object")
             out[key] = _resolve(section, entry, name + ".")
-            continue
-        value = out[key] = doc.get(key, entry.default)
-        if key not in doc:
-            continue
-        if isinstance(value, bool) or not isinstance(value, entry.kind):
-            raise FrontlabError(_WRONG_TYPE[entry.kind].format(name=name, value=value))
-        try:
-            entry.convert(value)
-        except (argparse.ArgumentTypeError, OverflowError) as exc:
-            raise FrontlabError(f"{name}: {exc}") from None
+        elif key in doc:
+            _check(name, doc[key], entry)
+            out[key] = doc[key]
+        else:
+            out[key] = entry.default
     return out
 
 
@@ -154,11 +183,18 @@ def load_run_config(path) -> RunConfig:
     doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise FrontlabError(f"config {path} must hold a JSON object")
-    params, coupling = model_from_dict(
-        {k: v for k, v in doc.items() if k not in _RUN_TABLE})
-    run = _resolve({k: v for k, v in doc.items() if k in _RUN_TABLE}, _RUN_TABLE)
-    return RunConfig(params=params, coupling=coupling, seed=run["seed"],
-                     output_dir=run["output_dir"], pde=run["pde"], ode=run["ode"],
+    cfg = _resolve(doc, _CONFIG_TABLE)
+    if not {"epsilon", "tau", "d"} <= set(doc):
+        raise FrontlabError("configuration requires `epsilon`, `tau` and `d`")
+    params = SystemParams(epsilon=cfg["epsilon"], tau=cfg["tau"], d=cfg["d"],
+                          n_slow=cfg["n_slow"])
+    n = params.n_slow
+    coupling = Coupling(cfg["gamma"], doc.get("alpha", [0.0] * n),
+                        doc.get("beta", [0.0] * n), cfg["higher"])
+    if coupling.n_slow != n:
+        raise FrontlabError(f"alpha has {coupling.n_slow} entries for {n} slow components")
+    return RunConfig(params=params, coupling=coupling, seed=cfg["seed"],
+                     output_dir=cfg["output_dir"], pde=cfg["pde"], ode=cfg["ode"],
                      raw=doc)
 
 
@@ -254,9 +290,11 @@ def _cmd_design(args, cfg, outdir):
         print("singular_limit_only: true")
     else:
         targets = _read_json(arg, "imprint targets")
+        _check(f"imprint targets {arg}", targets, _Value(_floats, _NUMBERS, None))
         coupling = designer.imprint_scalar_singularity(params, targets)
     path = os.path.join(outdir, "design.json")
-    _write_json(path, model_to_dict(params, coupling))
+    # the model keys of a config document, which `--config` reads back
+    _write_json(path, {"n_slow": params.n_slow, **asdict(params), **asdict(coupling)})
     print(path)
     return 0
 

@@ -371,45 +371,3 @@ def series_vstar(params: SystemParams, j: int, order: int = DEFAULT_SERIES_ORDER
         k += 1
     return PowerSeries(tuple(coeffs))
 
-
-# -- configuration document (de)serialization --------------------------------
-
-_MODEL_KEYS = ("n_slow", "epsilon", "tau", "d", "gamma", "alpha", "beta", "higher")
-
-
-def model_to_dict(params: SystemParams, coupling: Coupling) -> dict:
-    return {
-        "n_slow": params.n_slow,
-        "epsilon": params.epsilon,
-        "tau": list(params.tau),
-        "d": list(params.d),
-        "gamma": coupling.gamma,
-        "alpha": list(coupling.alpha),
-        "beta": list(coupling.beta),
-        "higher": list(coupling.higher),
-    }
-
-
-def model_from_dict(doc: dict):
-    """Build (SystemParams, Coupling) from a configuration mapping.
-
-    Unknown keys are rejected; missing coupling entries default to zero.
-    """
-    unknown = set(doc) - set(_MODEL_KEYS)
-    if unknown:
-        raise FrontlabError(f"unknown configuration keys: {sorted(unknown)}")
-    if "tau" not in doc or "d" not in doc or "epsilon" not in doc:
-        raise FrontlabError("configuration requires `epsilon`, `tau` and `d`")
-    params = SystemParams(epsilon=doc["epsilon"], tau=tuple(doc["tau"]),
-                          d=tuple(doc["d"]), n_slow=doc.get("n_slow", 0))
-    n = params.n_slow
-    coupling = Coupling(
-        gamma=doc.get("gamma", 0.0),
-        alpha=tuple(doc.get("alpha", [0.0] * n)),
-        beta=tuple(doc.get("beta", [0.0] * n)),
-        higher=tuple(doc.get("higher", [])),
-    )
-    if coupling.n_slow != n:
-        raise FrontlabError(f"alpha has {coupling.n_slow} entries for {n} slow components")
-    return params, coupling
-

@@ -233,7 +233,7 @@ def _taylor_step(ode, z, tol, w):
     eps = tol * max(1.0, max(map(abs, rows[0])))
     sizes = [(max(map(abs, rows[k])), k) for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER)]
     h = min(((eps / size) ** (1.0 / k) for size, k in sizes if size > 0.0), default=math.inf)
-    return rows, (h if h >= ode._step_floor else 0.0)
+    return rows, (h if h >= ode._step_floor and all(map(math.isfinite, z)) else 0.0)
 
 
 def _horner(rows, h):
@@ -297,6 +297,8 @@ def integrate(ode, initial, t_end: float, tol: float = 1e-8,
     t = np.zeros(0) if t_eval is None else np.asarray(t_eval, dtype=float)
     if not np.all((0.0 <= t) & (t <= t_end)):
         raise FrontlabError(f"t_eval must lie within [0, t_end = {t_end}]")
+    if np.any(np.diff(t) < 0.0):
+        raise FrontlabError("t_eval must be non-decreasing")
     z = np.asarray(initial, dtype=float).tolist()
     times, states, starts, polys, blew_up = [0.0], [z], [], [], False
     for rows, h, z, left in _march(ode, z, (float(t_end),), tol, f"t_end={float(t_end)!r}"):

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from frontlab import ScaledNF, chain_profile, gamma0_taylor, lyapunov_max
+from frontlab import (Coupling, ScaledNF, SystemParams, chain_profile, gamma0_taylor,
+                      lyapunov_max)
 from frontlab.cli import dispatch, load_run_config, main
-from frontlab.core_model import model_from_dict
 from frontlab.errors import FrontlabError
 
 
@@ -222,6 +222,31 @@ class TestDispatch:
         (N1 + '"output_dir": 5}', ["gamma", "--roots"], 1,
          "output_dir must be a JSON string"),
         (N1 + '"ode": "abc"}', ["gamma", "--roots"], 1, "ode must be a JSON object"),
+        ('{"epsilon": "abc", "tau": [1.0], "d": [1.0]}', ["gamma", "--roots"], 1,
+         "epsilon: 'abc' is not a JSON number"),
+        ('{"epsilon": true, "tau": [1.0], "d": [1.0]}', ["gamma", "--roots"], 1,
+         "epsilon: True is not a JSON number"),
+        (N1 + '"n_slow": true}', ["gamma", "--roots"], 1,
+         "n_slow: True is not a JSON integer"),
+        ('{"epsilon": 0.05, "tau": 5, "d": [1.0]}', ["gamma", "--roots"], 1,
+         "tau: 5 is not a JSON array of numbers"),
+        ('{"epsilon": 0.05, "tau": [true], "d": [1.0]}', ["gamma", "--roots"], 1,
+         "tau: [True] is not a JSON array of numbers"),
+        (N1 + '"higher": null}', ["gamma", "--roots"], 1,
+         "higher: None is not a JSON array of numbers"),
+        ('{"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": ["x"]}',
+         ["gamma", "--roots"], 1, "alpha: ['x'] is not a JSON array of numbers"),
+        ('{"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": {"a": 1}}',
+         ["gamma", "--roots"], 1, "alpha: {'a': 1} is not a JSON array of numbers"),
+        (N1 + '"gamma": [1]}', ["gamma", "--roots"], 1, "gamma: [1] is not a JSON number"),
+        # an `imprint:` target holds the content of the targets file it stands for
+        (None, ["design", "--target", 'imprint:["a", 1]'], 1,
+         "['a', 1] is not a JSON array of numbers"),
+        (None, ["design", "--target", "imprint:5"], 1, "5 is not a JSON array of numbers"),
+        (None, ["design", "--target", 'imprint:{"x": 1}'], 1,
+         "{'x': 1} is not a JSON array of numbers"),
+        (None, ["design", "--target", "imprint:[[1], 2]"], 1,
+         "[[1], 2] is not a JSON array of numbers"),
     ])
     def test_malformed_values_exit_2_bad_config_exit_1(self, n1_config, tmp_path, capsys,
                                                        config, argv, code, message):
@@ -230,6 +255,10 @@ class TestDispatch:
             path = n1_config
         elif config != "absent":
             path.write_text(config)
+        if argv[-1].startswith("imprint:") and argv[-1] != "imprint:":
+            targets = tmp_path / "targets.json"
+            targets.write_text(argv[-1][len("imprint:"):])
+            argv = argv[:-1] + [f"imprint:{targets}"]
         out = tmp_path / "run"
         rc = dispatch(["--config", str(path), "--output-dir", str(out), "--json-errors"]
                       + argv)
@@ -414,9 +443,9 @@ class TestDispatch:
         out = tmp_path / "imprint"
         assert dispatch(["--config", n1_config, "--output-dir", str(out),
                          "design", "--target", f"imprint:{targets}"]) == 0
-        params, coupling = model_from_dict(json.loads((out / "design.json").read_text()))
-        assert gamma0_taylor(params, coupling, 2).coeffs == pytest.approx([0.0, 0.0, 0.5],
-                                                                         abs=1e-12)
+        cfg = load_run_config(out / "design.json")
+        assert gamma0_taylor(cfg.params, cfg.coupling, 2).coeffs == pytest.approx(
+            [0.0, 0.0, 0.5], abs=1e-12)
 
     def test_gamma_folds_rows(self, n3_config, tmp_path):
         out = tmp_path / "folds"
@@ -487,6 +516,20 @@ class TestRunConfig:
                                        "bogus": 1})
         with pytest.raises(FrontlabError):
             load_run_config(path)
+
+    def test_model_keys_build_params_and_coupling(self, tmp_path):
+        # the model keys of design.json, read back to the values written
+        p = SystemParams(epsilon=0.037218913441, tau=(1.0, 2.25),
+                         d=(0.31415926535897931, 2.0))
+        c = Coupling(0.1234567890123456, (1.0, -2.5), (0.5, 0.0))
+        cfg = load_run_config(write_config(tmp_path, {
+            "n_slow": 2, "epsilon": p.epsilon, "tau": list(p.tau), "d": list(p.d),
+            "gamma": c.gamma, "alpha": list(c.alpha), "beta": list(c.beta), "higher": []}))
+        assert (cfg.params, cfg.coupling) == (p, c)
+        # alpha and beta left out are zeros
+        cfg = load_run_config(write_config(tmp_path, {"epsilon": 0.1, "tau": [1.0, 2.0],
+                                                      "d": [1.0, 1.0]}))
+        assert cfg.coupling == Coupling(0.0, (0.0, 0.0), (0.0, 0.0))
 
     def test_pde_section(self, tmp_path):
         path = write_config(tmp_path, {

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams,
                       coupling_gradient, double_factorial, eval_coupling,
                       series_vstar)
-from frontlab.core_model import (PAIR_TOL, REAL_IMAG_TOL, conjugate_pairs,
-                                 model_from_dict, model_to_dict)
+from frontlab.core_model import PAIR_TOL, REAL_IMAG_TOL, conjugate_pairs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -256,23 +255,6 @@ class TestSeriesVstar:
     def test_index_bounds(self, one_slow):
         with pytest.raises(FrontlabError):
             series_vstar(one_slow, 2, 5)
-
-
-def test_config_round_trip(tmp_path):
-    p = SystemParams(epsilon=0.037218913441, tau=(1.0, 2.25), d=(0.31415926535897931, 2.0))
-    c = Coupling(0.1234567890123456, (1.0, -2.5), (0.5, 0.0))
-    doc = model_to_dict(p, c)
-    import json
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    p2, c2 = model_from_dict(json.loads(path.read_text()))
-    assert p2 == p
-    assert c2 == c
-
-
-def test_config_rejects_unknown_keys():
-    with pytest.raises(FrontlabError):
-        model_from_dict({"epsilon": 0.1, "tau": [1.0], "d": [1.0], "bogus": 1})
 
 
 def test_conjugate_pairs_tidies_a_perturbed_pair():

@@ -9,8 +9,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_import_does_not_load_optimize_or_integrate():
     # scipy.optimize is a large share of the import time of the package and
-    # of every CLI call, so `gamma0_roots` imports it on first use;
-    # scipy.integrate is never loaded, since the speed ODE integrates itself
+    # of every CLI call, and no module of frontlab uses it; scipy.integrate
+    # is never loaded either, since the speed ODE integrates itself
     code = """if True:
         import sys, numpy as np, frontlab, frontlab.verify
         print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])

@@ -257,7 +257,8 @@ class TestIntegrate:
         with pytest.raises(FrontlabError, match="t_end"):
             lyapunov_max(ode, np.array([1.0]), t_end, 1.0)
 
-    @pytest.mark.parametrize("t_eval", [[-1.0, 0.0], [0.0, 10.5], [0.0, math.nan]])
+    @pytest.mark.parametrize("t_eval", [[-1.0, 0.0], [0.0, 10.5], [0.0, math.nan],
+                                        [0.5, 0.1, 0.2, 0.3]])
     def test_samples_outside_the_run_rejected(self, t_eval):
         ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(-1.0,), a_quad=(0.0,), epsilon=1.0)
         with pytest.raises(FrontlabError, match="t_eval"):
@@ -363,6 +364,15 @@ class TestMarch:
         steps = list(speed_ode._march(pole, [1.0], (1.0, 1.0), 1e-8, "t_end=2.0"))
         assert steps[-1][1] == 0.0 and all(h > 0.0 for _rows, h, _y, _left in steps[:-1])
         assert len(steps) < 100 and abs(1.0 - steps[-1][3] - math.log(6.0) / 5.0) <= 1e-6
+
+    def test_ends_at_once_on_a_non_finite_state(self):
+        # a NaN state allows no step, whichever entry holds it
+        pole = SpeedODE(n_prime=1, a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
+        steps = list(speed_ode._march(pole, [math.nan], (1.0, 1.0), 1e-8, "t_end=2.0"))
+        assert [h for _rows, h, _y, _left in steps] == [0.0]
+        nf = ScaledNF.shilnikov(-1.0, -0.5, -3.9, a11=1.0)
+        for z in ([math.nan, 0.0, 0.5], [0.0, 0.5, math.nan], [0.0, 0.5, math.inf]):
+            assert speed_ode._taylor_step(nf, z, 1e-8, [])[1] == 0.0
 
     def test_budget_spans_the_chunks(self, monkeypatch):
         # MAX_TAYLOR_STEPS counts the steps of all chunks together: a march
