@@ -68,11 +68,12 @@ class _Value(NamedTuple):
     default: object      # if the document leaves it out; None: computed where used
 
 
-#: How a value of the wrong JSON type is reported, by its `kind`.
+#: How a value of the wrong JSON type is reported, by its `kind`; the value
+#: is spelled as JSON.
 _WRONG_TYPE = {
-    int: "{name}: {value!r} is not a JSON integer",
-    _NUMBER: "{name}: {value!r} is not a JSON number",
-    _NUMBERS: "{name}: {value!r} is not a JSON array of numbers",
+    int: "{name}: {value} is not a JSON integer",
+    _NUMBER: "{name}: {value} is not a JSON number",
+    _NUMBERS: "{name}: {value} is not a JSON array of numbers",
     str: "{name} must be a JSON string",
 }
 
@@ -85,7 +86,7 @@ def _floats(values):
 #: JSON object.  The model keys are type-checked alone: SystemParams and
 #: Coupling check their ranges and finiteness.
 _CONFIG_TABLE = {
-    "n_slow": _Value(int, int, 0),
+    "n_slow": _Value(int, int, None),
     "epsilon": _Value(float, _NUMBER, None),
     "tau": _Value(_floats, _NUMBERS, None),
     "d": _Value(_floats, _NUMBERS, None),
@@ -128,7 +129,8 @@ def _check(name, value, entry):
     entry.kind and passes entry.convert (an integer too large for a float
     is no number)."""
     if not _is_kind(value, entry.kind):
-        raise FrontlabError(_WRONG_TYPE[entry.kind].format(name=name, value=value))
+        raise FrontlabError(_WRONG_TYPE[entry.kind].format(name=name,
+                                                           value=json.dumps(value)))
     try:
         entry.convert(value)
     except (argparse.ArgumentTypeError, OverflowError) as exc:
@@ -186,89 +188,84 @@ def load_run_config(path) -> RunConfig:
     cfg = _resolve(doc, _CONFIG_TABLE)
     if not {"epsilon", "tau", "d"} <= set(doc):
         raise FrontlabError("configuration requires `epsilon`, `tau` and `d`")
-    params = SystemParams(epsilon=cfg["epsilon"], tau=cfg["tau"], d=cfg["d"],
-                          n_slow=cfg["n_slow"])
-    n = params.n_slow
-    coupling = Coupling(cfg["gamma"], doc.get("alpha", [0.0] * n),
-                        doc.get("beta", [0.0] * n), cfg["higher"])
-    if coupling.n_slow != n:
-        raise FrontlabError(f"alpha has {coupling.n_slow} entries for {n} slow components")
+    n = len(cfg["tau"])
+    if cfg["n_slow"] not in (None, n):
+        raise FrontlabError(f"n_slow={cfg['n_slow']} inconsistent with len(tau)={n}")
+    for key in ("alpha", "beta"):
+        if cfg[key] is None:
+            cfg[key] = [0.0] * n
+        elif len(cfg[key]) != n:
+            raise FrontlabError(f"{key} has {len(cfg[key])} entries for {n} slow components")
+    params = SystemParams(epsilon=cfg["epsilon"], tau=cfg["tau"], d=cfg["d"])
+    coupling = Coupling(cfg["gamma"], cfg["alpha"], cfg["beta"], cfg["higher"])
     return RunConfig(params=params, coupling=coupling, seed=cfg["seed"],
                      output_dir=cfg["output_dir"], pde=cfg["pde"], ode=cfg["ode"],
                      raw=doc)
 
 
-def _write_json(path, obj, **options):
+def _write_json(outdir, name, obj):
+    """Write obj as indented JSON to the file `name` in outdir; print its path."""
+    path = os.path.join(outdir, name)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, **options)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
+    print(path)
 
 
-def _write_csv(path, names, columns):
-    """Column i named names[i] holds the values of columns[i]."""
+def _write_csv(outdir, name, names, columns):
+    """Write the file `name` in outdir, column i named names[i] holding the
+    values of columns[i]; print its path."""
+    path = os.path.join(outdir, name)
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.write("# " + ",".join(names) + "\n")
         for row in zip(*columns):
             fh.write(",".join(f"{val:.17g}" if isinstance(val, float) else str(val)
                               for val in row) + "\n")
+    print(path)
 
 
 # -- subcommand implementations -------------------------------------------------
 
 def _cmd_gamma(args, cfg, outdir):
+    if not (args.roots or args.taylor is not None or args.folds):
+        print("nothing requested: pass --roots, --taylor or --folds", file=sys.stderr)
+        return 2
     from . import existence
-    wrote = []
     if args.roots:
         report = existence.gamma0_roots(cfg.params, cfg.coupling)
-        path = os.path.join(outdir, "gamma_roots.csv")
-        _write_csv(path, ["root", "multiplicity"], zip(*report))
-        wrote.append(path)
+        _write_csv(outdir, "gamma_roots.csv", ["root", "multiplicity"], zip(*report))
     if args.taylor is not None:
         series = existence.gamma0_taylor(cfg.params, cfg.coupling, args.taylor)
-        path = os.path.join(outdir, "gamma_taylor.csv")
-        _write_csv(path, ["order", "coefficient"], zip(*enumerate(series.coeffs)))
-        wrote.append(path)
+        _write_csv(outdir, "gamma_taylor.csv", ["order", "coefficient"],
+                   zip(*enumerate(series.coeffs)))
     if args.folds:
         px, py, xmin, xmax, ymin, ymax, nx, ny = args.folds
         branches = existence.fold_curves(cfg.params, cfg.coupling, (px, py),
                                          (xmin, xmax, ymin, ymax), n_c=max(nx, ny))
-        path = os.path.join(outdir, "gamma_folds.csv")
-        _write_csv(path, ["branch", px, py, "c"],
+        _write_csv(outdir, "gamma_folds.csv", ["branch", px, py, "c"],
                    zip(*((bi, p1, p2, cval) for bi, branch in enumerate(branches)
                          for (p1, p2), cval in zip(branch.points, branch.c_values))))
-        wrote.append(path)
-    if not wrote:
-        print("nothing requested: pass --roots, --taylor or --folds", file=sys.stderr)
-        return 2
-    for path in wrote:
-        print(path)
     return 0
 
 
 def _cmd_evans(args, cfg, outdir):
     from . import evans
     ctx = evans.evans_context(cfg.params, cfg.coupling, c=args.at)
-    wrote = []
     if args.taylor is not None:
         if args.at != 0.0:
             raise FrontlabError("--taylor is defined at c = 0")
         series = evans.evans_taylor_c0(cfg.params, cfg.coupling, args.taylor)
-        path = os.path.join(outdir, "evans_taylor.csv")
-        _write_csv(path, ["order", "coefficient"], zip(*enumerate(series.coeffs)))
-        wrote.append(path)
+        _write_csv(outdir, "evans_taylor.csv", ["order", "coefficient"],
+                   zip(*enumerate(series.coeffs)))
     if args.bound:
         print(f"root bound: {evans.evans_root_bound(ctx):.17g}")
     if args.roots:
         rootset = evans.evans_roots(ctx, args.roots)
         roots = np.array(rootset.locations, dtype=complex)
-        path = os.path.join(outdir, "evans_roots.csv")
-        _write_csv(path, ["real", "imag", "multiplicity"],
+        _write_csv(outdir, "evans_roots.csv", ["real", "imag", "multiplicity"],
                    [roots.real, roots.imag, [m for _z, m in rootset.roots]])
-        wrote.append(path)
         print(f"winding total: {rootset.winding_total}")
-    for path in wrote:
-        print(path)
     return 0
 
 
@@ -292,10 +289,9 @@ def _cmd_design(args, cfg, outdir):
         targets = _read_json(arg, "imprint targets")
         _check(f"imprint targets {arg}", targets, _Value(_floats, _NUMBERS, None))
         coupling = designer.imprint_scalar_singularity(params, targets)
-    path = os.path.join(outdir, "design.json")
     # the model keys of a config document, which `--config` reads back
-    _write_json(path, {"n_slow": params.n_slow, **asdict(params), **asdict(coupling)})
-    print(path)
+    _write_json(outdir, "design.json",
+                {"n_slow": params.n_slow, **asdict(params), **asdict(coupling)})
     return 0
 
 
@@ -305,10 +301,8 @@ def _cmd_jordan(args, cfg, outdir):
     half = cfg.pde["domain_half_length"]
     y = np.linspace(-half, half, 2001)
     slow = range(1, cfg.params.n_slow + 1)
-    path = os.path.join(outdir, "jordan_profile.csv")
-    _write_csv(path, ["y", "u"] + [f"v{j}" for j in slow],
+    _write_csv(outdir, "jordan_profile.csv", ["y", "u"] + [f"v{j}" for j in slow],
                [y, np.real(profile.u(y))] + [np.real(profile.v(j, y)) for j in slow])
-    print(path)
     return 0
 
 
@@ -328,24 +322,19 @@ def _cmd_ode(args, cfg, outdir):
         report = [{"c": e.c_star, "kind": e.kind,
                    "eigenvalues": [[z.real, z.imag] for z in e.eigenvalues]}
                   for e in eqs]
-        path = os.path.join(outdir, "ode_equilibria.json")
-        _write_json(path, report)
-        print(path)
+        _write_json(outdir, "ode_equilibria.json", report)
     if args.integrate is not None:
         t_end = args.integrate
         traj = so.integrate(ode, np.full(ode.dim, 1e-3), t_end, tol=1e-9,
                             t_eval=np.linspace(0, t_end, 2001))
-        path = os.path.join(outdir, "ode_trajectory.csv")
-        _write_csv(path, ["t"] + [f"c{k + 1}" for k in range(ode.dim)], [traj.t, *traj.y])
-        print(path)
+        _write_csv(outdir, "ode_trajectory.csv", ["t"] + [f"c{k + 1}" for k in range(ode.dim)],
+                   [traj.t, *traj.y])
         if traj.blew_up:
             print(f"blew up at t={traj.t[-1]:.6g}", file=sys.stderr)
     if args.shoot:
         result = so.shilnikov_shoot(ode, np.linspace(*args.shoot))
-        path = os.path.join(outdir, "ode_shoot.csv")
-        _write_csv(path, ["nu_bar", "miss", "status", "rho_s"],
+        _write_csv(outdir, "ode_shoot.csv", ["nu_bar", "miss", "status", "rho_s"],
                    zip(*((p.nu_bar, p.miss, p.status, p.rho_s) for p in result.trace)))
-        print(path)
         for cand in result.candidates:
             print(f"candidate nu_bar={cand.nu_bar:.12g} miss={cand.miss:.3e} "
                   f"rho_s={cand.rho_s:.6g}")
@@ -380,16 +369,13 @@ def _cmd_pde_sim(args, cfg, outdir):
             state = pde_sim.perturb_with_profile(state, profile, pert["amplitude"])
     result = pde_sim.simulate(state, cfg.pde["t_end"],
                               output_stride=cfg.pde["output_stride"], dt=cfg.pde["dt"])
-    path = os.path.join(outdir, "pde_timeseries.csv")
-    _write_csv(path, ["t", "position", "speed", "sup_u", "sup_v"],
+    _write_csv(outdir, "pde_timeseries.csv", ["t", "position", "speed", "sup_u", "sup_v"],
                [result.t, result.position, result.speed, result.sup_u, result.sup_v])
-    print(path)
     if result.aborted:
         print(f"aborted: {result.aborted}", file=sys.stderr)
-    snap = os.path.join(outdir, "pde_final_profile.csv")
-    _write_csv(snap, ["x", "u"] + [f"v{j}" for j in range(1, cfg.params.n_slow + 1)],
+    _write_csv(outdir, "pde_final_profile.csv",
+               ["x", "u"] + [f"v{j}" for j in range(1, cfg.params.n_slow + 1)],
                [grid.x, result.final_state.u, *result.final_state.v])
-    print(snap)
     return 0
 
 
@@ -408,9 +394,7 @@ def _cmd_pde_continue(args, cfg, outdir):
     for i, eig in enumerate(eigs.T):
         names += [f"eig{i}_re", f"eig{i}_im"]
         columns += [eig.real, eig.imag]
-    path = os.path.join(outdir, "branch.csv")
-    _write_csv(path, names, columns)
-    print(path)
+    _write_csv(outdir, "branch.csv", names, columns)
     return 0
 
 
@@ -547,9 +531,10 @@ def dispatch(argv) -> int:
         cfg = load_run_config(args.config)
         outdir = args.output_dir or cfg.output_dir
         os.makedirs(outdir, exist_ok=True)
-        _write_json(os.path.join(outdir, "manifest.json"),
-                    {"tool": "frontlab", "version": __version__, "command": args.command,
-                     "config": cfg.raw, "seed": cfg.seed}, sort_keys=True)
+        with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+            json.dump({"tool": "frontlab", "version": __version__, "command": args.command,
+                       "config": cfg.raw, "seed": cfg.seed}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         return args.run(args, cfg, outdir)
     except FrontlabError as exc:
         if args.json_errors:

@@ -63,16 +63,14 @@ class SystemParams:
     """Structural parameters of the 1-fast/N-slow system.
 
     Attributes:
-        n_slow: number N of slow components (>= 1).
         epsilon: scale separation parameter, > 0.
-        tau: time-scale ratios tau_j > 0, length N.
+        tau: time-scale ratios tau_j > 0, length N >= 1.
         d: diffusion-length ratios d_j > 0, length N.
     """
 
     epsilon: float
     tau: tuple
     d: tuple
-    n_slow: int = 0
 
     def __post_init__(self):
         tau = tuple(float(t) for t in self.tau)
@@ -80,10 +78,6 @@ class SystemParams:
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "d", d)
         n = len(tau)
-        if self.n_slow and self.n_slow != n:
-            raise FrontlabError(
-                f"n_slow={self.n_slow} inconsistent with len(tau)={n}")
-        object.__setattr__(self, "n_slow", n)
         if n < 1:
             raise FrontlabError("need at least one slow component")
         if len(d) != n:
@@ -95,6 +89,11 @@ class SystemParams:
             raise FrontlabError(f"all tau_j must be positive, got {tau}")
         if any(x <= 0 for x in d):
             raise FrontlabError(f"all d_j must be positive, got {d}")
+
+    @property
+    def n_slow(self) -> int:
+        """The number N of slow components, len(tau)."""
+        return len(self.tau)
 
     @property
     def pairwise_distinct_tau(self) -> bool:

@@ -314,8 +314,6 @@ class FrontProfile:
     v_star: tuple
     lambda_plus: tuple
     lambda_minus: tuple
-    tau: tuple
-    d: tuple
 
     @property
     def interface_halfwidth(self) -> float:
@@ -363,8 +361,7 @@ def front_profile(params: SystemParams, coupling: Coupling, c: float,
     lam_m = (-c * tau - disc) / (2.0 * d * d)
     return FrontProfile(c=float(c), epsilon=params.epsilon,
                         v_star=tuple(v_star(params, c)),
-                        lambda_plus=tuple(lam_p), lambda_minus=tuple(lam_m),
-                        tau=params.tau, d=params.d)
+                        lambda_plus=tuple(lam_p), lambda_minus=tuple(lam_m))
 
 
 # -- fold curves --------------------------------------------------------------

@@ -16,7 +16,7 @@ Taylor steps (`_CompanionForm.taylor`) through one march (`_march`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import add, mul
 
@@ -131,7 +131,6 @@ class SpeedODE(_CompanionForm):
     a_lin: tuple
     a_quad: tuple
     epsilon: float
-    provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if len(self.a_lin) != self.n_prime or len(self.a_quad) != self.n_prime:
@@ -203,7 +202,7 @@ def build_from_analysis(params: SystemParams, coupling: Coupling,
     (alpha_j near 0 for j > n_prime); a0 = h * gamma and
     a11 = h * (c^2-coefficient of the existence expansion).  The cross
     coefficients a1j for j >= 2 are not reachable at leading order and
-    default to zero; `provenance` records which entries are analysis-derived.
+    default to zero.
     """
     if h <= 0:
         raise FrontlabError("the conjugation scale h must be positive")
@@ -215,12 +214,8 @@ def build_from_analysis(params: SystemParams, coupling: Coupling,
     taylor = gamma0_taylor(params, coupling, 2)
     a11 = h * taylor.coefficient(2)
     a_quad = (a11,) + (0.0,) * (n_prime - 1)
-    provenance = {"a0": "analysis", "a_lin": "analysis", "a_quad[0]": "analysis"}
-    for j in range(1, n_prime):
-        provenance[f"a_quad[{j}]"] = "default-zero"
     return SpeedODE(n_prime=n_prime, a0=h * coupling.gamma,
-                    a_lin=tuple(abar), a_quad=a_quad,
-                    epsilon=params.epsilon, provenance=provenance)
+                    a_lin=tuple(abar), a_quad=a_quad, epsilon=params.epsilon)
 
 
 def _taylor_step(ode, z, tol, w):

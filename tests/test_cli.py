@@ -205,17 +205,17 @@ class TestDispatch:
         (N1 + '"pde": {"output_stride": 0, "t_end": 0.1}}', ["pde-sim"], 1,
          "pde.output_stride: 0 is not a positive count"),
         (N1 + '"pde": {"n_x": "abc", "t_end": 0.1}}', ["pde-sim"], 1,
-         "pde.n_x: 'abc' is not a JSON integer"),
+         'pde.n_x: "abc" is not a JSON integer'),
         (N1 + '"pde": {"t_end": -1}}', ["pde-sim"], 1,
          "pde.t_end: -1 is not a positive number"),
         (N1 + '"pde": {"t_end": 0.1, "perturbation": {"mode": "bogus"}}}', ["pde-sim"], 1,
          "pde.perturbation.mode: 'bogus' is not 'bump' or 'eigenfunction'"),
         (N1 + '"seed": "abc"}', ["gamma", "--roots"], 1,
-         "seed: 'abc' is not a JSON integer"),
+         'seed: "abc" is not a JSON integer'),
         (N1 + '"ode": {"n_prime": "x"}}', ["ode", "--from-analysis", "--equilibria"], 1,
-         "ode.n_prime: 'x' is not a JSON integer"),
+         'ode.n_prime: "x" is not a JSON integer'),
         (N1 + '"ode": {"h": "x"}}', ["ode", "--from-analysis", "--equilibria"], 1,
-         "ode.h: 'x' is not a JSON number"),
+         'ode.h: "x" is not a JSON number'),
         (N1 + '"pde": []}', ["gamma", "--roots"], 1, "pde must be a JSON object"),
         (N1 + '"pde": {"perturbation": 3}}', ["gamma", "--roots"], 1,
          "pde.perturbation must be a JSON object"),
@@ -223,28 +223,37 @@ class TestDispatch:
          "output_dir must be a JSON string"),
         (N1 + '"ode": "abc"}', ["gamma", "--roots"], 1, "ode must be a JSON object"),
         ('{"epsilon": "abc", "tau": [1.0], "d": [1.0]}', ["gamma", "--roots"], 1,
-         "epsilon: 'abc' is not a JSON number"),
+         'epsilon: "abc" is not a JSON number'),
         ('{"epsilon": true, "tau": [1.0], "d": [1.0]}', ["gamma", "--roots"], 1,
-         "epsilon: True is not a JSON number"),
+         "epsilon: true is not a JSON number"),
         (N1 + '"n_slow": true}', ["gamma", "--roots"], 1,
-         "n_slow: True is not a JSON integer"),
+         "n_slow: true is not a JSON integer"),
+        (N1 + '"n_slow": 0}', ["gamma", "--taylor", "2"], 1,
+         "n_slow=0 inconsistent with len(tau)=1"),
+        (N1 + '"n_slow": 2}', ["gamma", "--taylor", "2"], 1,
+         "n_slow=2 inconsistent with len(tau)=1"),
+        # a short alpha or beta is named, also with the other left to its zeros
+        ('{"epsilon": 0.05, "tau": [1.0, 2.0], "d": [1.0, 1.0], "alpha": [1.0]}',
+         ["gamma", "--taylor", "2"], 1, "alpha has 1 entries for 2 slow components"),
+        ('{"epsilon": 0.05, "tau": [1.0, 2.0], "d": [1.0, 1.0], "beta": [1.0]}',
+         ["gamma", "--taylor", "2"], 1, "beta has 1 entries for 2 slow components"),
         ('{"epsilon": 0.05, "tau": 5, "d": [1.0]}', ["gamma", "--roots"], 1,
          "tau: 5 is not a JSON array of numbers"),
         ('{"epsilon": 0.05, "tau": [true], "d": [1.0]}', ["gamma", "--roots"], 1,
-         "tau: [True] is not a JSON array of numbers"),
+         "tau: [true] is not a JSON array of numbers"),
         (N1 + '"higher": null}', ["gamma", "--roots"], 1,
-         "higher: None is not a JSON array of numbers"),
+         "higher: null is not a JSON array of numbers"),
         ('{"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": ["x"]}',
-         ["gamma", "--roots"], 1, "alpha: ['x'] is not a JSON array of numbers"),
+         ["gamma", "--roots"], 1, 'alpha: ["x"] is not a JSON array of numbers'),
         ('{"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": {"a": 1}}',
-         ["gamma", "--roots"], 1, "alpha: {'a': 1} is not a JSON array of numbers"),
+         ["gamma", "--roots"], 1, 'alpha: {"a": 1} is not a JSON array of numbers'),
         (N1 + '"gamma": [1]}', ["gamma", "--roots"], 1, "gamma: [1] is not a JSON number"),
         # an `imprint:` target holds the content of the targets file it stands for
         (None, ["design", "--target", 'imprint:["a", 1]'], 1,
-         "['a', 1] is not a JSON array of numbers"),
+         '["a", 1] is not a JSON array of numbers'),
         (None, ["design", "--target", "imprint:5"], 1, "5 is not a JSON array of numbers"),
         (None, ["design", "--target", 'imprint:{"x": 1}'], 1,
-         "{'x': 1} is not a JSON array of numbers"),
+         '{"x": 1} is not a JSON array of numbers'),
         (None, ["design", "--target", "imprint:[[1], 2]"], 1,
          "[[1], 2] is not a JSON array of numbers"),
     ])
@@ -288,7 +297,8 @@ class TestDispatch:
 
     def test_deterministic_output(self, n3_config, tmp_path, capsys):
         # every subcommand twice: the same files with the same bytes, and
-        # the same standard output up to the output directory's name
+        # the same standard output up to the output directory's name, which
+        # prints the path of each file written but the manifest
         with open(n3_config) as fh:
             doc = json.load(fh)
         doc["pde"] = {"domain_half_length": 1.5, "n_x": 201, "dt": 0.01,
@@ -318,6 +328,10 @@ class TestDispatch:
                 assert rc == 0, argv
                 stdout.append(capsys.readouterr().out.replace(str(out), "OUT"))
                 files.update({(i, p.name): p.read_bytes() for p in out.iterdir()})
+                printed = [line[len("OUT/"):] for line in stdout[-1].splitlines()
+                           if line.startswith("OUT/")]
+                assert sorted(printed) == sorted(p.name for p in out.iterdir()
+                                                 if p.name != "manifest.json"), argv
             outs.append((files, stdout))
         files = outs[0][0]
         assert {name for _i, name in files} >= {

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,13 @@ class TestSystemParams:
         r = SystemParams(epsilon=0.1, tau=(1.0, 2.0), d=(1.0, 2.0))
         assert r.pairwise_distinct_tau
         assert not r.pairwise_distinct_ratio
+
+    def test_n_slow_follows_tau(self):
+        assert [f.name for f in fields(SystemParams)] == ["epsilon", "tau", "d"]
+        p = SystemParams(epsilon=0.1, tau=(1.0,), d=(1.0,))
+        q = replace(p, tau=(1.0, 2.0), d=(1.0, 1.0))
+        assert (p.n_slow, q.n_slow) == (1, 2)
+        assert replace(q, tau=(3.0,), d=(1.0,)).n_slow == 1
 
 
 class TestCoupling:

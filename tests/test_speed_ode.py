@@ -443,7 +443,7 @@ class TestBuildFromAnalysis:
         assert ode.a0 == 0.0
         assert np.allclose(ode.a_lin, 0.0, atol=1e-12)
         assert ode.a_quad[0] == pytest.approx(0.5)   # h/4 for the reference set
-        assert ode.provenance["a_quad[1]"] == "default-zero"
+        assert ode.a_quad[1:] == (0.0, 0.0)    # the cross coefficients default to zero
 
     @pytest.mark.parametrize("n_prime", [2, 3])
     def test_characteristic_polynomial_matches_unfolding(self, n_prime):
