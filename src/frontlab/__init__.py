@@ -11,7 +11,7 @@ sets with prescribed degeneracies), `jordan_chain` (eigenfunction chains),
 __version__ = "0.1.0"
 
 from .core_model import (Coupling, PowerSeries, SystemParams, coupling_gradient,
-                         double_factorial, eval_coupling, series_vstar)
+                         eval_coupling, series_vstar)
 from .errors import (BranchCutError, ConvergenceError, DesignError,
                      DistinctnessError, FrontlabError)
 from .existence import (FrontProfile, fold_curves, front_profile, gamma0,
@@ -22,7 +22,7 @@ from .evans import (EvansContext, RootSet, essential_spectrum_bound,
 from .designer import (design_evans_degeneracy, design_gamma_degeneracy,
                        design_simultaneous, imprint_scalar_singularity,
                        linear_unfolding_map, vandermonde_solve)
-from .jordan_chain import (ChainProfile, JordanPolynomial, chain_profile,
+from .jordan_chain import (ChainProfile, JordanPolynomial, chain_profile, double_factorial,
                            eigenfunction_c0, jordan_poly, verify_chain_ode)
 from .speed_ode import (ScaledNF, SpeedODE, build_from_analysis,
                         equilibria_and_classification, integrate, lyapunov_max,

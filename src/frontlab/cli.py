@@ -134,7 +134,9 @@ def _check(name, value, entry):
     try:
         entry.convert(value)
     except (argparse.ArgumentTypeError, OverflowError) as exc:
-        raise FrontlabError(f"{name}: {exc}") from None
+        # convert spells the value as Python does, for argparse; here as JSON
+        text = str(exc).replace(repr(value), json.dumps(value), 1)
+        raise FrontlabError(f"{name}: {text}") from None
 
 
 def _resolve(doc, table, prefix=""):

@@ -3,7 +3,9 @@
 Value types shared by every analytic layer: the slow-fast system's
 structural parameters (N, epsilon, tau_j, d_j), the coupling function as
 structured polynomial data, and a small truncated-Taylor arithmetic that
-drives all series expansions downstream.
+drives all series expansions downstream.  Every singular-limit series
+(the plateau values, Gamma0 at any speed, E0 at c = 0) expands
+w^(-1/2) for a quadratic w by one recurrence, `_rsqrt_series`.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -21,24 +23,6 @@ from .errors import FrontlabError
 # Vandermonde conditioning degrades well before exact coincidence, so the
 # designers must fail loudly rather than return garbage.
 DISTINCTNESS_RTOL = 1e-10
-
-#: Default truncation order for series work: covers degree-2N expansions for
-#: N <= 5 plus slack.
-DEFAULT_SERIES_ORDER = 12
-
-
-def double_factorial(n: int) -> int:
-    """n!! -- product of positive integers up to n with the parity of n.
-
-    By convention 0!! = (-1)!! = 1.
-    """
-    if n <= 0:
-        return 1
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
 
 
 def _min_relative_gap(values):
@@ -291,14 +275,6 @@ class PowerSeries:
             coeffs = (coeffs + [0.0] * (order + 1 - len(coeffs)))[:order + 1]
         return cls(tuple(coeffs))
 
-    @classmethod
-    def constant(cls, value, order):
-        return cls.from_coeffs([value], order=order)
-
-    @classmethod
-    def identity(cls, order):
-        return cls.from_coeffs([0.0, 1.0], order=order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -309,34 +285,19 @@ class PowerSeries:
         return self.coeffs[k]
 
     def __add__(self, other):
-        if isinstance(other, PowerSeries):
-            m = min(self.order, other.order)
-            a, b = self.coeffs[:m + 1], other.coeffs[:m + 1]
-            return PowerSeries(tuple(x + y for x, y in zip(a, b)))
+        if isinstance(other, PowerSeries):         # zip stops at the smaller order
+            return PowerSeries(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
         coeffs = list(self.coeffs)
         coeffs[0] += float(other)
         return PowerSeries(tuple(coeffs))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return PowerSeries(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, PowerSeries) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + float(other)
-
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             m = min(self.order, other.order)
-            out = np.zeros(m + 1)
-            a = np.asarray(self.coeffs[:m + 1])
-            b = np.asarray(other.coeffs[:m + 1])
-            for k in range(m + 1):
-                out[k] = np.dot(a[:k + 1], b[k::-1])
-            return PowerSeries(tuple(out))
+            return PowerSeries(tuple(
+                np.convolve(self.coeffs[:m + 1], other.coeffs[:m + 1])[:m + 1].tolist()))
         return PowerSeries(tuple(float(other) * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -348,7 +309,40 @@ class PowerSeries:
         return acc
 
 
-def series_vstar(params: SystemParams, j: int, order: int = DEFAULT_SERIES_ORDER) -> PowerSeries:
+def _rsqrt_series(a: float, b: float, c: float, order: int) -> list:
+    """Taylor coefficients y_0..y_order of w^(-1/2), w = a + b s + c s^2: from
+    w y' = -w' y / 2, y_0 = a^(-1/2) and (k+1) a y_(k+1) = -(k + 1/2) b y_k - k c y_(k-1).
+    All NaN unless a is positive and finite (4 d^2 underflows for a tiny d),
+    for the caller's finiteness check to report."""
+    if not 0.0 < a < math.inf:
+        return [math.nan] * (order + 1)
+    y = [0.0, 1.0 / math.sqrt(a)]          # y[k + 1] is the coefficient of s^k
+    for k in range(order):
+        y.append(-(b * (k + 0.5) * y[-1] + c * k * y[-2]) / (a * (k + 1)))
+    return y[1:]
+
+
+def _finite_series(coeffs, what: str) -> PowerSeries:
+    """The series of coeffs; FrontlabError naming `what` and its first
+    non-finite order unless every coefficient is finite."""
+    bad = [k for k, x in enumerate(coeffs) if not math.isfinite(x)]
+    if bad:
+        raise FrontlabError(f"{what} is not finite from order {bad[0]}: "
+                            "the parameters overflow")
+    return PowerSeries(tuple(coeffs))
+
+
+def _plateau_series(params: SystemParams, j: int, center: float, order: int) -> PowerSeries:
+    """Taylor series in s of the j-th plateau value at c = center + s,
+    tau (center + s) y(s) with y = w^(-1/2), w = 4 d^2 + tau^2 (center + s)^2."""
+    tau, d = params.tau[j - 1], params.d[j - 1]
+    y = _rsqrt_series(4.0 * d * d + tau * tau * center * center, 2.0 * tau * tau * center,
+                      tau * tau, order)
+    return _finite_series([tau * (center * yk + prev) for yk, prev in zip(y, [0.0] + y)],
+                          f"the plateau series of slow component {j}")
+
+
+def series_vstar(params: SystemParams, j: int, order: int) -> PowerSeries:
     """Taylor series in c of the j-th plateau value (j is 1-based).
 
     The plateau value is c*tau_j / sqrt(4 d_j^2 + c^2 tau_j^2); its series is
@@ -356,17 +350,4 @@ def series_vstar(params: SystemParams, j: int, order: int = DEFAULT_SERIES_ORDER
     """
     if not 1 <= j <= params.n_slow:
         raise FrontlabError(f"slow-component index {j} out of range 1..{params.n_slow}")
-    u = params.tau[j - 1] / (2.0 * params.d[j - 1])
-    coeffs = [0.0] * (order + 1)
-    k = 0
-    while 2 * k + 1 <= order:
-        try:
-            power = u ** (2 * k + 1)
-        except OverflowError:
-            raise FrontlabError(f"the plateau series of slow component {j} is not finite: "
-                                f"(tau/2d)^{2 * k + 1} overflows") from None
-        coeffs[2 * k + 1] = ((-1) ** k
-                             * double_factorial(2 * k - 1) / double_factorial(2 * k) * power)
-        k += 1
-    return PowerSeries(tuple(coeffs))
-
+    return _plateau_series(params, j, 0.0, order)

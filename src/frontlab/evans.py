@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import (Coupling, PowerSeries, SystemParams, conjugate_pairs, coupling_gradient,
-                         double_factorial)
+from .core_model import (Coupling, PowerSeries, SystemParams, _finite_series, _rsqrt_series,
+                         conjugate_pairs, coupling_gradient)
 from .errors import BranchCutError, FrontlabError
 from .existence import v_star
 
@@ -98,23 +98,19 @@ def evans_eval(ctx: EvansContext, lam: complex) -> complex:
 def evans_taylor_c0(params: SystemParams, coupling: Coupling, order: int) -> PowerSeries:
     """Taylor series at lambda = 0 of E0 for a stationary front (c = 0).
 
-    The constant term vanishes identically (translation root); coefficient k
-    follows from the binomial series of (1 + tau lambda)^(-1/2).
+    At c = 0, dF_j(Vstar) = alpha_j and G_j = 4 d_j^2 (1 + tau_j lambda), so
+    coefficient k >= 1 is [k = 1] + (3 sqrt(2)/2) sum_j alpha_j y_jk / d_j
+    with y_j = (1 + tau_j lambda)^(-1/2) (`core_model._rsqrt_series`); the
+    constant term vanishes identically (translation root).
     """
-    tau = np.asarray(params.tau)
-    d = np.asarray(params.d)
-    alpha = np.asarray(coupling.alpha)
-    coeffs = [0.0] * (order + 1)
-    with np.errstate(all="ignore"):     # an overflow is raised below instead
-        if order >= 1:
-            coeffs[1] = 1.0 - 0.75 * SQRT2 * float(np.sum(alpha * tau / d))
-        for k in range(2, order + 1):
-            weight = ((-1) ** k * double_factorial(2 * k - 1) / double_factorial(2 * k))
-            coeffs[k] = 1.5 * SQRT2 * weight * float(np.sum(alpha * tau ** k / d))
-    if not np.isfinite(coeffs).all():
-        raise FrontlabError(f"E0's Taylor series at c = 0 is not finite from order "
-                            f"{np.argmin(np.isfinite(coeffs))}: the parameters overflow")
-    return PowerSeries(tuple(coeffs))
+    sums = [0.0] * (order + 1)
+    for tau, d, alpha in zip(params.tau, params.d, coupling.alpha, strict=True):
+        for k, y in enumerate(_rsqrt_series(1.0, tau, 0.0, order)):
+            sums[k] += alpha * y / d
+    coeffs = [0.0] + [1.5 * SQRT2 * x for x in sums[1:]]
+    if order >= 1:
+        coeffs[1] += 1.0
+    return _finite_series(coeffs, "E0's Taylor series at c = 0")
 
 
 def evans_root_bound(ctx: EvansContext) -> float:

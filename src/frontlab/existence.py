@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import (Coupling, PowerSeries, SystemParams, coupling_gradient,
-                         eval_coupling, series_vstar)
+from .core_model import (Coupling, PowerSeries, SystemParams, _plateau_series,
+                         coupling_gradient, eval_coupling)
 from .errors import ConvergenceError, FrontlabError
 
 SQRT2 = math.sqrt(2.0)
@@ -63,30 +63,21 @@ def gamma0_derivative(params: SystemParams, coupling: Coupling, c):
 
 def gamma0_taylor(params: SystemParams, coupling: Coupling, order: int) -> PowerSeries:
     """Taylor series of Gamma0 at c = 0 to the given order."""
-    vj = [series_vstar(params, j, order) for j in range(1, params.n_slow + 1)]
-    return eval_coupling(coupling, vj) + PowerSeries.from_coeffs([0.0, -SQRT2 / 3.0], order)
+    return gamma0_series_at(params, coupling, 0.0, order)
 
 
 def gamma0_series_at(params: SystemParams, coupling: Coupling, center: float,
                      order: int) -> PowerSeries:
-    """Taylor series of Gamma0 recentred at c = center.
+    """Taylor series of Gamma0 recentred at c = center: F composed with the
+    plateau series (`core_model._plateau_series`), less sqrt(2)/3 (center + s).
 
-    Used to place roots and estimate their multiplicity; reduces to
-    gamma0_taylor when center = 0 up to rounding.  With
-    w(s) = A + B s + C s^2 = 4 d^2 + tau^2 (center + s)^2, the coefficients
-    of y = w^(-1/2) follow from w y' = -w' y / 2 as the three-term recurrence
-    A (k+1) y_{k+1} = -B (k + 1/2) y_k - C k y_{k-1}, and
-    Vstar(center + s) = tau (center + s) y(s).
+    Used to place roots and estimate their multiplicity; FrontlabError
+    naming the slow component whose plateau series overflows.
     """
-    vj = []
-    for tau, d in zip(params.tau, params.d):
-        a, b, c = 4.0 * d * d + tau * tau * center * center, 2.0 * tau * tau * center, tau * tau
-        y = [0.0, 1.0 / math.sqrt(a)]          # y[k + 1] is the coefficient of s^k
-        for k in range(order):
-            y.append(-(b * (k + 0.5) * y[-1] + c * k * y[-2]) / (a * (k + 1)))
-        vj.append(PowerSeries(tuple(tau * (center * y[k + 1] + y[k]) for k in range(order + 1))))
+    vj = [_plateau_series(params, j, center, order) for j in range(1, params.n_slow + 1)]
+    # + 0.0 turns -0.0 at center = 0 into 0.0, so Gamma0(0) = 0 never reads -0
     return eval_coupling(coupling, vj) + PowerSeries.from_coeffs(
-        [-SQRT2 / 3.0 * center, -SQRT2 / 3.0], order)
+        [-SQRT2 / 3.0 * center + 0.0, -SQRT2 / 3.0], order)
 
 
 def _multiplicity_cap(params: SystemParams, coupling: Coupling) -> int:

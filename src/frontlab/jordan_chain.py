@@ -20,9 +20,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core_model import Coupling, SystemParams, coupling_gradient, double_factorial
+from .core_model import Coupling, SystemParams, coupling_gradient
 from .errors import FrontlabError
 from .existence import SQRT2, front_profile
+
+
+def double_factorial(n: int) -> int:
+    """n!! -- product of positive integers up to n with the parity of n;
+    0!! = (-1)!! = 1, the empty product."""
+    return math.prod(range(n, 0, -2))
 
 
 def jordan_coeffs_closed(j: int):
@@ -98,12 +104,9 @@ class JordanPolynomial:
 
 
 def jordan_poly(j: int, tau: float, d: float) -> JordanPolynomial:
-    """Closed-form chain polynomial, cross-checked against the recurrences."""
-    coeffs = jordan_coeffs_closed(j)
-    if j <= 12 and coeffs != jordan_coeffs_recurrence(j):
-        raise FrontlabError(
-            f"closed form and recurrence disagree at chain index {j}")
-    return JordanPolynomial(j=j, tau=float(tau), d=float(d), coeffs=tuple(coeffs))
+    """Closed-form chain polynomial (`verify --suite full` checks the recurrences)."""
+    return JordanPolynomial(j=j, tau=float(tau), d=float(d),
+                            coeffs=tuple(jordan_coeffs_closed(j)))
 
 
 @dataclass(frozen=True)

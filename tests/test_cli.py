@@ -108,6 +108,8 @@ class TestDispatch:
         ({"tau": [1e308, 2.25, 2.89]}, ["gamma", "--roots"], "Gamma0 is not finite"),
         ({"tau": [1e308, 2.25, 2.89]}, ["gamma", "--taylor", "8"],
          "plateau series of slow component 1 is not finite"),
+        ({"d": [1e-200, 1.0, 1.0]}, ["gamma", "--taylor", "4"],
+         "plateau series of slow component 1 is not finite"),
         ({"tau": [1e308, 2.25, 2.89]}, ["evans", "--taylor", "4"],
          "E0's Taylor series at c = 0 is not finite"),
         ({"tau": [1e308, 2.25, 2.89]}, ["evans", "--at", "0.5", "--roots=-1,1,-1,1"],
@@ -197,9 +199,9 @@ class TestDispatch:
          '"beta": [1.0, 0.0, 0.0]}',
          ["ode", "--from-analysis", "--shoot=-1,0,3"], 1, "scaled normal form"),
         (N1 + '"pde": {"t_end": Infinity}}', ["pde-sim"], 1,
-         "pde.t_end: inf is not a finite number"),
+         "pde.t_end: Infinity is not a finite number"),
         (N1 + '"pde": {"domain_half_length": Infinity}}', ["pde-sim"], 1,
-         "pde.domain_half_length: inf is not a finite number"),
+         "pde.domain_half_length: Infinity is not a finite number"),
         (N1 + '"pde": {"dt": 0, "t_end": 0.1}}', ["pde-sim"], 1,
          "pde.dt: 0 is not a positive number"),
         (N1 + '"pde": {"output_stride": 0, "t_end": 0.1}}', ["pde-sim"], 1,
@@ -209,7 +211,7 @@ class TestDispatch:
         (N1 + '"pde": {"t_end": -1}}', ["pde-sim"], 1,
          "pde.t_end: -1 is not a positive number"),
         (N1 + '"pde": {"t_end": 0.1, "perturbation": {"mode": "bogus"}}}', ["pde-sim"], 1,
-         "pde.perturbation.mode: 'bogus' is not 'bump' or 'eigenfunction'"),
+         "pde.perturbation.mode: \"bogus\" is not 'bump' or 'eigenfunction'"),
         (N1 + '"seed": "abc"}', ["gamma", "--roots"], 1,
          'seed: "abc" is not a JSON integer'),
         (N1 + '"ode": {"n_prime": "x"}}', ["ode", "--from-analysis", "--equilibria"], 1,

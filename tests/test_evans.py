@@ -1,11 +1,12 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from frontlab import (BranchCutError, Coupling, FrontlabError, SystemParams,
+from frontlab import (BranchCutError, Coupling, FrontlabError, SystemParams, double_factorial,
                       essential_spectrum_bound, evans_context, evans_eval,
                       evans_root_bound, evans_roots, evans_taylor_c0)
 from frontlab import evans
@@ -169,6 +170,25 @@ class TestEvansTaylor:
             rich = (4 * deriv(k, h / 2) - deriv(k, h)) / 3
             want = rich / math.factorial(k)
             assert s.coefficient(k) == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+    def test_exact_rational_oracle(self):
+        # coefficient k >= 1 is [k = 1] + (3 sqrt(2)/2) S_k with the binomial
+        # sum S_k = sum_j alpha_j (-1)^k (2k-1)!!/(2k)!! tau_j^k / d_j taken
+        # in exact rationals of the float inputs
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            p = SystemParams(epsilon=0.1, tau=tuple(rng.uniform(0.3, 3, n)),
+                             d=tuple(rng.uniform(0.3, 3, n)))
+            c = Coupling(0.0, tuple(rng.uniform(-2, 2, n)), (0.0,) * n)
+            s = evans_taylor_c0(p, c, 8)
+            for k in range(1, 9):
+                weight = Fraction((-1) ** k * double_factorial(2 * k - 1),
+                                  double_factorial(2 * k))
+                exact = sum(Fraction(a) * weight * Fraction(t) ** k / Fraction(d)
+                            for a, t, d in zip(c.alpha, p.tau, p.d))
+                want = (k == 1) + 1.5 * SQRT2 * float(exact)
+                assert s.coefficient(k) == pytest.approx(want, rel=1e-14)
 
 
 class TestRootBound:
