@@ -1,7 +1,8 @@
 """Single `frontlab` executable exposing the analysis modules as subcommands.
 
-Configuration is a strict JSON document (unknown keys rejected); every run
-writes a manifest echoing the configuration as read and the tool version, and
+Configuration is a strict JSON document (unknown keys rejected), read by
+every subcommand but `verify`; every run writes a manifest echoing the
+configuration as read (null for `verify`) and the tool version, and
 all CSV output carries a `# frontlab v1` header so runs are diffable.
 Numeric output is deterministic given the configuration and seed.
 """
@@ -505,7 +506,7 @@ def build_parser():
     p.add_argument("--ds", type=_positive, default=0.01)
     p.add_argument("--max-points", type=_count, default=120)
 
-    p = command("verify", _cmd_verify, "run built-in verification suites")
+    p = command("verify", _cmd_verify, "run the singular-limit acceptance criteria")
     p.add_argument("--suite", default="paper-params", choices=("paper-params", "full"))
     return parser
 
@@ -528,14 +529,17 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if not args.config:
-            raise FrontlabError(f"{args.command} requires --config")
-        cfg = load_run_config(args.config)
-        outdir = args.output_dir or cfg.output_dir
+        cfg = None
+        if args.command != "verify":        # verify reads no configuration
+            if not args.config:
+                raise FrontlabError(f"{args.command} requires --config")
+            cfg = load_run_config(args.config)
+        outdir = args.output_dir or (cfg.output_dir if cfg else ".")
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "manifest.json"), "w") as fh:
             json.dump({"tool": "frontlab", "version": __version__, "command": args.command,
-                       "config": cfg.raw, "seed": cfg.seed}, fh, indent=2, sort_keys=True)
+                       "config": cfg and cfg.raw, "seed": cfg and cfg.seed},
+                      fh, indent=2, sort_keys=True)
             fh.write("\n")
         return args.run(args, cfg, outdir)
     except FrontlabError as exc:

@@ -8,6 +8,7 @@ import pytest
 
 from frontlab import (Coupling, ScaledNF, SystemParams, chain_profile, gamma0_taylor,
                       lyapunov_max)
+from frontlab import verify
 from frontlab.cli import dispatch, load_run_config, main
 from frontlab.errors import FrontlabError
 
@@ -509,21 +510,38 @@ class TestDispatch:
         assert [str(w.message) for w in caught] == [
             "grid spacing h=0.3 exceeds epsilon/2=0.1; the fast interface is under-resolved"]
 
-    def test_verify_full(self, n3_config, tmp_path, capsys):
-        rc = dispatch(["--config", n3_config, "--output-dir", str(tmp_path),
-                       "verify", "--suite", "full"])
+    def test_verify_full(self, tmp_path, capsys):
+        # the eight singular-limit criteria in number order, each line the
+        # one its criterion function gives; no --config needed
+        rc = dispatch(["--output-dir", str(tmp_path), "verify", "--suite", "full"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "imprint round-trip" in out
-        assert "verify[full]: all checks passed" in out
+        criteria = [verify.criterion_1_vandermonde, verify.criterion_2_fourfold_zero_root,
+                    verify.criterion_3_existence_degeneracies, verify.criterion_4_jordan_chain,
+                    verify.criterion_9_saddle_focus_classification,
+                    verify.criterion_10_shilnikov_shooting_contract,
+                    verify.criterion_11_unfolding_accuracy,
+                    verify.criterion_12_imprinting_round_trip]
+        verdicts = [criterion() for criterion in criteria]
+        assert [v.number for v in verdicts] == [1, 2, 3, 4, 9, 10, 11, 12]
+        assert [line for line in out.splitlines() if line.startswith("ACCEPTANCE")] == [
+            v.line for v in verdicts]
+        assert out.splitlines()[-1] == "verify[full]: all checks passed"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["command"], manifest["config"], manifest["seed"]) == (
+            "verify", None, None)
 
-    def test_verify_paper_params(self, n3_config, tmp_path, capsys):
-        rc = dispatch(["--config", n3_config, "--output-dir", str(tmp_path),
-                       "verify", "--suite", "paper-params"])
+    def test_verify_paper_params(self, tmp_path, capsys, monkeypatch):
+        # criteria 2 and 3, the ones that read the reference sets; without
+        # --output-dir the manifest goes to the working directory
+        monkeypatch.chdir(tmp_path)
+        rc = dispatch(["verify", "--suite", "paper-params"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "existence order 7" in out
-        assert "FAIL" not in out
+        assert capsys.readouterr().out.splitlines() == [
+            verify.criterion_2_fourfold_zero_root().line,
+            verify.criterion_3_existence_degeneracies().line,
+            "verify[paper-params]: all checks passed"]
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"] is None
 
 
 class TestRunConfig:

@@ -11,6 +11,7 @@ from frontlab import (BranchCutError, Coupling, FrontlabError, SystemParams, dou
                       evans_root_bound, evans_roots, evans_taylor_c0)
 from frontlab import evans
 from frontlab.evans import evans_pair, holomorphic_roots
+from frontlab.verify import reference_parameter_sets
 
 SQRT2 = math.sqrt(2.0)
 
@@ -136,11 +137,14 @@ class TestEvansTaylor:
         s = evans_taylor_c0(one_slow, c, 3)
         assert abs(s.coefficient(1)) < 1e-15
 
-    def test_transcritical_fourfold(self, transcritical_set):
-        params, coupling = transcritical_set
-        s = evans_taylor_c0(params, coupling, 5)
-        assert max(abs(s.coefficient(k)) for k in (1, 2, 3)) <= 1e-12
-        assert abs(s.coefficient(4)) > 1e-6
+    @pytest.mark.parametrize("ref", reference_parameter_sets(), ids=lambda ref: ref[0])
+    def test_reference_zero_root_multiplicity(self, ref):
+        # each reference set's E0 has a zero root of its printed multiplicity
+        # at c = 0: coefficients 1..mult-1 vanish, coefficient mult does not
+        _name, params, coupling, (_m, mult) = ref
+        s = evans_taylor_c0(params, coupling, mult + 1)
+        assert max(abs(s.coefficient(k)) for k in range(1, mult)) <= 1e-12
+        assert abs(s.coefficient(mult)) > 1e-6
 
     def test_matches_richardson_differences(self):
         p = SystemParams(epsilon=0.1, tau=(0.8, 1.7), d=(1.2, 0.9))
@@ -359,8 +363,7 @@ class TestEvansRoots:
     def test_fourfold_root_is_one_root(self, index):
         # each reference set's designed fourfold zero root comes back as one
         # root of multiplicity 4 at 0, from the small box and the bound box
-        from conftest import reference_sets
-        _name, params, coupling, _orders = reference_sets()[index]
+        _name, params, coupling, _orders = reference_parameter_sets()[index]
         ctx = evans_context(params, coupling, 0.0)
         bound = evans_root_bound(ctx)
         for box in ((-0.05, 0.05, -0.05, 0.05), (-bound, bound, -bound, bound)):

@@ -10,6 +10,7 @@ from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams, double
                       fold_curves, front_profile, gamma0, gamma0_roots, gamma0_taylor)
 from frontlab.core_model import eval_coupling
 from frontlab.existence import gamma0_derivative, gamma0_series_at, root_multiplicity, v_star
+from frontlab.verify import reference_parameter_sets
 
 SQRT2 = math.sqrt(2.0)
 
@@ -118,8 +119,7 @@ class TestGamma0:
         # loop bit for bit (the same float operations), on the reference
         # sets and on random N = 1 sets with a univariate tail; Gamma0' over
         # an array is its own scalar view
-        from conftest import reference_sets
-        sets = [(p, c) for _name, p, c, _orders in reference_sets()]
+        sets = [(p, c) for _name, p, c, _orders in reference_parameter_sets()]
         rng = np.random.default_rng(12)
         for _ in range(40):
             sets.append((SystemParams(epsilon=0.05, tau=(rng.uniform(0.3, 3),),
@@ -205,11 +205,10 @@ class TestGamma0Roots:
     def test_reference_set_root_lists(self):
         # each list as digits; the roots at 0 are exact zeros at a piece
         # endpoint
-        from conftest import reference_sets
         want = {"transcritical": [(0.0, 2), (4.222497670882614, 1)],
                 "pitchfork": [(-0.6890412483526043, 1), (0.0, 3), (3.4786093711707844, 1)],
                 "maximal": [(0.0, 7)]}
-        for name, params, coupling, _orders in reference_sets():
+        for name, params, coupling, _orders in reference_parameter_sets():
             found = gamma0_roots(params, coupling)
             assert [m for _r, m in found] == [m for _r, m in want[name]]
             for (r, _m), (w, _) in zip(found, want[name]):
@@ -353,7 +352,6 @@ class TestGamma0Taylor:
     def test_recentred_series_recurrence(self):
         # gamma0_taylor is the recentred series at 0; elsewhere the three-term
         # recurrence gives what the binomial composition it replaced gave
-        from conftest import reference_sets
 
         def rsqrt_composed(w):
             """(1 + w)^(-1/2) for w without constant term: the binomial series
@@ -377,7 +375,7 @@ class TestGamma0Taylor:
             return eval_coupling(coupling, vj) + PowerSeries.from_coeffs(
                 [-SQRT2 / 3.0 * center, -SQRT2 / 3.0], order)
 
-        for _name, params, coupling, _orders in reference_sets():
+        for _name, params, coupling, _orders in reference_parameter_sets():
             assert (gamma0_taylor(params, coupling, 9).coeffs
                     == gamma0_series_at(params, coupling, 0.0, 9).coeffs)
             for center in (0.7, -2.3, 5.0):

@@ -67,7 +67,7 @@ def test_singular_limit_paths_do_not_load_scipy(tmp_path):
     runs = [["gamma", "--roots"], ["evans", "--roots=-0.05,0.05,-0.05,0.05"],
             ["design", "--target", "gamma:7"], ["jordan", "--k", "1", "--ell", "3"],
             ["ode", "--from-analysis", "--integrate", "10"],
-            ["verify", "--suite", "paper-params"]]
+            ["verify", "--suite", "paper-params"], ["verify", "--suite", "full"]]
     code = f"""if True:
         import contextlib, io, sys, frontlab, frontlab.cli, frontlab.verify
 
@@ -126,11 +126,9 @@ def _defaulted_parameters(tree):
 
 def test_options_ledger():
     # Every defaulted parameter of the package that no call in src/ or
-    # bench/ sets.  Each one kept here has a reason: holomorphic_roots.tol
-    # and _shoot_once.integrator_tol are the references of acceptance
-    # criteria, normalize sets one up, direction is the only way onto the
-    # downward branch, c_range narrows the c window.  A test- or demo-only
-    # option added to the package fails this test.
+    # bench/ sets.  Each one kept here has a reason: direction is the only
+    # way onto the downward branch, c_range narrows the c window.  A test-
+    # or demo-only option added to the package fails this test.
     root = SRC.parent
     params = []
     for path in sorted((SRC / "frontlab").glob("*.py")):
@@ -158,6 +156,4 @@ def test_options_ledger():
     unset = sorted(f"{owner + '.' if owner else ''}{func}.{arg}"
                    for owner, func, call_name, arg, index in params
                    if not is_set(owner, call_name, arg, index))
-    assert unset == ["ScaledNF.shilnikov.normalize", "_shoot_once.integrator_tol",
-                     "continue_branch.direction", "fold_curves.c_range",
-                     "holomorphic_roots.tol"]
+    assert unset == ["continue_branch.direction", "fold_curves.c_range"]

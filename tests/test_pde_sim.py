@@ -13,8 +13,7 @@ from frontlab import Coupling, FrontlabError, SystemParams
 from frontlab import pde_sim as ps
 from frontlab.core_model import conjugate_pairs
 from frontlab.jordan_chain import eigenfunction_c0
-
-from conftest import deflated_evans
+from frontlab.verify import deflated_evans
 
 SQRT2 = math.sqrt(2.0)
 
