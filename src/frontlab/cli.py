@@ -254,13 +254,14 @@ def _cmd_gamma(args, cfg, outdir):
 
 def _cmd_evans(args, cfg, outdir):
     from . import evans
-    ctx = evans.evans_context(cfg.params, cfg.coupling, c=args.at)
     if args.taylor is not None:
         if args.at != 0.0:
             raise FrontlabError("--taylor is defined at c = 0")
         series = evans.evans_taylor_c0(cfg.params, cfg.coupling, args.taylor)
         _write_csv(outdir, "evans_taylor.csv", ["order", "coefficient"],
                    zip(*enumerate(series.coeffs)))
+    if args.bound or args.roots:    # the context's branch points are 0/0 if 4 d_j^2 underflows
+        ctx = evans.evans_context(cfg.params, cfg.coupling, c=args.at)
     if args.bound:
         print(f"root bound: {evans.evans_root_bound(ctx):.17g}")
     if args.roots:

@@ -126,15 +126,12 @@ class SpeedODE(_CompanionForm):
     """The speed ODE c' = eps^2 (c_2, .., c_N', a0 + a_lin.c + c_1 a_quad.c):
     the companion form with (a0, a, q, s) = (a0, a_lin, a_quad, eps^2)."""
 
-    n_prime: int
     a0: float
     a_lin: tuple
     a_quad: tuple
     epsilon: float
 
     def __post_init__(self):
-        if len(self.a_lin) != self.n_prime or len(self.a_quad) != self.n_prime:
-            raise FrontlabError("a_lin and a_quad must have n_prime entries")
         object.__setattr__(self, "a_lin", tuple(float(a) for a in self.a_lin))
         object.__setattr__(self, "a_quad", tuple(float(a) for a in self.a_quad))
         self._set_form(self.a0, self.a_lin, self.a_quad, self.epsilon ** 2)
@@ -163,21 +160,9 @@ class ScaledNF(_CompanionForm):
         self._set_form(self.nu0, self.nu, q, 1.0)
 
     @classmethod
-    def shilnikov(cls, lam_bar, mu_bar, nu_bar, a11, normalize=False):
+    def shilnikov(cls, lam_bar, mu_bar, nu_bar, a11):
         """Three-dimensional form with (lambda_bar, mu_bar, nu_bar) data."""
-        if normalize:
-            norm = math.sqrt(lam_bar ** 2 + mu_bar ** 2 + nu_bar ** 2)
-            if norm == 0.0:
-                raise FrontlabError("cannot normalize the zero coefficient triple")
-            lam_bar, mu_bar, nu_bar = lam_bar / norm, mu_bar / norm, nu_bar / norm
-            check = math.sqrt(lam_bar ** 2 + mu_bar ** 2 + nu_bar ** 2)
-            if abs(check - 1.0) > 1e-12:
-                raise FrontlabError("normalization failed to reach unit norm")
         return cls(nu0=lam_bar, nu=(0.0, mu_bar, nu_bar), a11=a11)
-
-    @property
-    def lam_bar(self):
-        return self.nu0
 
     @property
     def mu_bar(self):
@@ -186,10 +171,6 @@ class ScaledNF(_CompanionForm):
     @property
     def nu_bar(self):
         return self.nu[2] if len(self.nu) >= 3 else 0.0
-
-    @property
-    def epsilon(self):
-        return 1.0   # already in slow time
 
 
 def build_from_analysis(params: SystemParams, coupling: Coupling,
@@ -214,8 +195,8 @@ def build_from_analysis(params: SystemParams, coupling: Coupling,
     taylor = gamma0_taylor(params, coupling, 2)
     a11 = h * taylor.coefficient(2)
     a_quad = (a11,) + (0.0,) * (n_prime - 1)
-    return SpeedODE(n_prime=n_prime, a0=h * coupling.gamma,
-                    a_lin=tuple(abar), a_quad=a_quad, epsilon=params.epsilon)
+    return SpeedODE(a0=h * coupling.gamma, a_lin=tuple(abar), a_quad=a_quad,
+                    epsilon=params.epsilon)
 
 
 def _taylor_step(ode, z, tol, w):
@@ -399,9 +380,16 @@ class ShootCandidate:
 
 @dataclass(frozen=True)
 class ShootResult:
+    """`branch_equilibria` holds one (sign, end, c_star) for each branch
+    p + sign SEED_OFFSET v_u (v_u's first entry positive) of the unstable
+    manifold at the middle swept value.  `end` is `escape` (it left the
+    radius 10 max(1, |c*|) about the saddle-focus p), `blow-up` (a step of
+    h = 0 or a state norm above 1e8) or `horizon` (t = 400); only a `horizon`
+    run names c_star, that of the equilibrium nearest its end, the others None."""
+
     candidates: tuple
     trace: tuple             # ShootPoint per sweep value
-    branch_equilibria: tuple  # which equilibrium each seed branch approaches
+    branch_equilibria: tuple
 
     @property
     def has_sign_change(self) -> bool:
@@ -414,7 +402,14 @@ def _sign(x):
 
 
 def _saddle_focus_data(nf):
-    """(equilibrium, other, lambda_u, v_u, w_u, rho_s) or None."""
+    """(equilibrium, other, lambda_u, v_u, w_u, rho_s) or None.
+
+    lambda_u and the stable pair are the equilibrium's eigenvalues (sorted by
+    real part, descending), rho_s = -Re(pair) / lambda_u.  The Jacobian at
+    (c, 0, 0) is the companion matrix with last row r (s = 1 in the scaled
+    form), so the right and left eigenvectors for lambda_u are closed forms:
+    v_u = (1, lambda_u, lambda_u^2) / |.| and
+    w_u = (lambda_u (lambda_u - r_3) - r_2, lambda_u - r_3, 1)."""
     eqs = equilibria_and_classification(nf)
     if len(eqs) != 2:
         return None
@@ -423,18 +418,12 @@ def _saddle_focus_data(nf):
         return None
     eq = focus[0]
     other = eqs[0] if eqs[1] is eq else eqs[1]
-    jac = nf.jacobian_at(eq.state)
-    vals, vecs = np.linalg.eig(jac)
-    iu = int(np.argmax(vals.real))
-    lam_u = float(vals[iu].real)
-    v_u = vecs[:, iu].real
+    lam_u, stable_re = float(eq.eigenvalues[0].real), float(eq.eigenvalues[1].real)
+    _r1, r2, r3 = nf.jacobian_at(eq.state)[-1].tolist()
+    v_u = np.array([1.0, lam_u, lam_u * lam_u])
     v_u /= np.linalg.norm(v_u)
-    lvals, lvecs = np.linalg.eig(jac.T)
-    ju = int(np.argmin(np.abs(lvals - vals[iu])))
-    w_u = lvecs[:, ju].real
-    stable_re = float(np.max([v.real for v in vals if v.real < 0]))
-    rho_s = -stable_re / lam_u
-    return eq, other, lam_u, v_u, w_u, rho_s
+    w_u = np.array([lam_u * (lam_u - r3) - r2, lam_u - r3, 1.0])
+    return eq, other, lam_u, v_u, w_u, -stable_re / lam_u
 
 
 def _shoot_once(nf, t_max=400.0, integrator_tol=1e-10):
@@ -485,9 +474,8 @@ def _shoot_once(nf, t_max=400.0, integrator_tol=1e-10):
 
 
 def _branch_endpoints(nf):
-    """Which equilibrium each unstable-manifold branch ends up nearest: the
-    branch takes `integrate`'s steps (tolerance 1e-8) until it leaves the
-    shots' escape radius about the saddle-focus, blows up or reaches t = 400."""
+    """`ShootResult.branch_equilibria` for nf: each branch takes `integrate`'s
+    steps (tolerance 1e-8) until it escapes, blows up or reaches t = 400."""
     data = _saddle_focus_data(nf)
     if data is None:
         return ()
@@ -495,15 +483,17 @@ def _branch_endpoints(nf):
     p, escape_radius = eq.state.tolist(), 10.0 * max(1.0, abs(eq.c_star))
     out = []
     for sign in (+1.0, -1.0):
-        z = (eq.state + sign * SEED_OFFSET * v_u).tolist()
-        for _rows, h, y, _left in _march(nf, z, (400.0,), 1e-8, "t_max=400.0"):
-            if not (h > 0.0 and math.hypot(*y) <= BLOWUP_NORM):
+        z, end = (eq.state + sign * SEED_OFFSET * v_u).tolist(), "horizon"
+        for _rows, h, z, _left in _march(nf, z, (400.0,), 1e-8, "t_max=400.0"):
+            if not (h > 0.0 and math.hypot(*z) <= BLOWUP_NORM):
+                end = "blow-up"
                 break
-            z = y
             if math.dist(z, p) > escape_radius:
+                end = "escape"
                 break
-        nearest = min((eq, other), key=lambda e: math.dist(z, e.state))
-        out.append((sign, nearest.c_star))
+        c_star = (min((eq, other), key=lambda e: math.dist(z, e.state)).c_star
+                  if end == "horizon" else None)
+        out.append((sign, end, c_star))
     return tuple(out)
 
 
@@ -519,10 +509,8 @@ def shilnikov_shoot(nf: ScaledNF, sweep, tol: float = 1e-6,
     the return point.  Each sign change is narrowed by the Illinois variant of
     regula falsi (Dowell and Jarratt, BIT 11, 1971), at most 60 shots;
     returned candidates have |miss| < tol.  An empty candidate list always
-    carries the full trace.  `branch_equilibria` names, for each branch
-    (+v_u, -v_u) of the unstable manifold at the middle swept value, the
-    equilibrium nearest its state where it leaves the escape radius
-    10 max(1, |c*|) about the saddle-focus, blows up or reaches t = 400.
+    carries the full trace.  `branch_equilibria` says how each branch of the
+    unstable manifold at the middle swept value ends (see `ShootResult`).
     A shot or a branch run that needs more than MAX_TAYLOR_STEPS steps
     raises FrontlabError naming t_max (400.0 for a branch run).
     """

@@ -193,7 +193,8 @@ def criterion_4_jordan_chain():
 
 
 def criterion_9_saddle_focus_classification():
-    nf = ScaledNF.shilnikov(-1.0, -0.5, 0.0, a11=1.0, normalize=True)
+    triple = np.array([-1.0, -0.5, 0.0])     # (lambda_bar, mu_bar, nu_bar), scaled to norm 1
+    nf = ScaledNF.shilnikov(*triple / np.linalg.norm(triple), a11=1.0)
     eqs = equilibria_and_classification(nf)
     kinds = {round(e.c_star, 6): e.kind for e in eqs}
     focus = [e for e in eqs if e.kind == "saddle-focus(1u,2s)"]

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from frontlab import (Coupling, ScaledNF, SystemParams, chain_profile, gamma0_taylor,
-                      lyapunov_max)
+from frontlab import (Coupling, ScaledNF, SystemParams, chain_profile, evans_taylor_c0,
+                      gamma0_taylor, lyapunov_max)
 from frontlab import verify
 from frontlab.cli import dispatch, load_run_config, main
 from frontlab.errors import FrontlabError
@@ -115,6 +115,8 @@ class TestDispatch:
          "E0's Taylor series at c = 0 is not finite"),
         ({"tau": [1e308, 2.25, 2.89]}, ["evans", "--at", "0.5", "--roots=-1,1,-1,1"],
          "the Evans function at c = 0.5 is not finite"),
+        ({"d": [1e-200, 1.5, 1.7]}, ["evans", "--roots=-1,1,-1,1"],
+         "the Evans function at c = 0 is not finite"),
         ({"tau": [1e308, 2.25, 2.89]}, ["gamma", "--folds", "alpha1,gamma,0,1,0,1,5,5"],
          "the fold system is not finite"),
     ])
@@ -138,6 +140,21 @@ class TestDispatch:
         assert "Traceback" not in err
         obj = json.loads(err)
         assert obj["error"] == "FrontlabError" and message in obj["message"]
+
+    def test_evans_taylor_on_a_tiny_d(self, n3_config, tmp_path):
+        # 4 d_1^2 underflows, so E0's branch points are 0/0 and --roots exits
+        # 1 (above); --taylor needs no branch point and writes E0's series
+        with open(n3_config) as fh:
+            doc = {**json.load(fh), "d": [1e-200, 1.5, 1.7]}
+        out = tmp_path / "out"
+        assert dispatch(["--config", write_config(tmp_path, doc), "--output-dir", str(out),
+                         "evans", "--taylor", "4"]) == 0
+        rows = [line.split(",") for line in (out / "evans_taylor.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        params = SystemParams(epsilon=doc["epsilon"], tau=doc["tau"], d=doc["d"])
+        series = evans_taylor_c0(params, Coupling(doc["gamma"], doc["alpha"], doc["beta"]), 4)
+        assert [float(c) for _k, c in rows] == list(series.coeffs)
+        assert len(rows) == 5 and all(np.isfinite(series.coeffs))
 
     @pytest.mark.parametrize("argv", [["--integrate", "1e9"], ["--lyapunov", "1e12"]])
     def test_taylor_step_cap_exit_1(self, n3_config, tmp_path, capsys, monkeypatch, argv):

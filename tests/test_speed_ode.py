@@ -20,7 +20,7 @@ SQRT2 = math.sqrt(2.0)
 
 class TestStructure:
     def test_nilpotent_superdiagonal(self):
-        ode = SpeedODE(n_prime=4, a0=0.3, a_lin=(0.1, -0.2, 0.5, 0.7),
+        ode = SpeedODE(a0=0.3, a_lin=(0.1, -0.2, 0.5, 0.7),
                        a_quad=(1.0, 0.5, 0.0, -0.3), epsilon=0.2)
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -32,7 +32,7 @@ class TestStructure:
                 assert np.allclose(jac[k], row)
 
     def test_jacobian_matches_finite_differences(self):
-        ode = SpeedODE(n_prime=3, a0=0.2, a_lin=(0.4, -0.1, 0.9),
+        ode = SpeedODE(a0=0.2, a_lin=(0.4, -0.1, 0.9),
                        a_quad=(0.7, -0.4, 0.2), epsilon=0.3)
         nf = ScaledNF(nu0=-0.3, nu=(0.2, -0.5, 0.1), a11=0.8, a12=0.4, delta=0.05)
         rng = np.random.default_rng(2)
@@ -62,7 +62,7 @@ SUBNORMAL = np.finfo(float).smallest_subnormal
 def _speed_ode_rows(ode, c):
     """SpeedODE's scale, last-row terms and Jacobian-row terms, written out:
     eps^2 (a0 + a.c + c_1 a_quad.c)."""
-    n, a, q = ode.n_prime, ode.a_lin, ode.a_quad
+    n, a, q = ode.dim, ode.a_lin, ode.a_quad
     terms = [ode.a0] + [a[j] * c[j] for j in range(n)] + [c[0] * q[j] * c[j] for j in range(n)]
     grad = [[a[j], c[0] * q[j]] for j in range(n)]
     grad[0] += [q[j] * c[j] for j in range(n)]
@@ -106,7 +106,7 @@ def test_close_floor_covers_subnormal_roundings_only():
 def _forms(draw):
     n = draw(st.integers(1, 4))
     vec = st.lists(_coef, min_size=n, max_size=n).map(tuple)
-    ode = SpeedODE(n_prime=n, a0=draw(_coef), a_lin=draw(vec), a_quad=draw(vec),
+    ode = SpeedODE(a0=draw(_coef), a_lin=draw(vec), a_quad=draw(vec),
                    epsilon=draw(st.floats(0.01, 1.0)))
     nf = ScaledNF(nu0=draw(_coef), nu=draw(vec), a11=draw(_coef), a12=draw(_coef),
                   delta=draw(_coef))
@@ -159,7 +159,7 @@ class TestOneCompanionForm:
         # c' = s c^2 through c0 is c0 / (1 - s c0 t) = sum c0^(m+1) s^m t^m,
         # and its tangent w' = 2 s c w through w0 is w0 / (1 - s c0 t)^2
         s, c0, w0 = 0.49, 0.8, -1.3
-        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(0.0,), a_quad=(1.0,), epsilon=0.7)
+        ode = SpeedODE(a0=0.0, a_lin=(0.0,), a_quad=(1.0,), epsilon=0.7)
         rows = ode.taylor([c0], [w0])
         assert len(rows) == TAYLOR_ORDER + 1
         for m, (c, w) in enumerate(rows):
@@ -167,7 +167,7 @@ class TestOneCompanionForm:
             assert w == pytest.approx(w0 * (m + 1) * (s * c0) ** m, rel=1e-13)
         # the harmonic pair z1' = z2, z2' = -z1 through (1, 0) is
         # (cos t, -sin t); the zero coefficients are exact
-        pair = SpeedODE(n_prime=2, a0=0.0, a_lin=(-1.0, 0.0), a_quad=(0.0, 0.0),
+        pair = SpeedODE(a0=0.0, a_lin=(-1.0, 0.0), a_quad=(0.0, 0.0),
                         epsilon=1.0)
         for m, (z1, z2) in enumerate(pair.taylor([1.0, 0.0])):
             sign = (-1) ** (m // 2) / math.factorial(m)
@@ -180,7 +180,7 @@ def _taylor_written_out(form, z, w=()):
     every sum a generator over indices from 0, so its terms are added left
     to right in the order of the indices."""
     if isinstance(form, SpeedODE):
-        n, a0, a, q, s = form.n_prime, form.a0, form.a_lin, form.a_quad, form.epsilon ** 2
+        n, a0, a, q, s = form.dim, form.a0, form.a_lin, form.a_quad, form.epsilon ** 2
     else:
         n, a0, a, s = len(form.nu), form.nu0, form.nu, 1.0
         q = ((form.a11, form.a12 * form.delta) + (0.0,) * n)[:n]
@@ -208,7 +208,7 @@ def test_taylor_kernel_equals_the_written_out_recurrence():
     for n in range(1, 5):
         for a0 in (0.0, 0.37):
             a, q, nu = (tuple(rng.uniform(-2.0, 2.0, n)) for _ in range(3))
-            forms = [SpeedODE(n_prime=n, a0=a0, a_lin=a, a_quad=q,
+            forms = [SpeedODE(a0=a0, a_lin=a, a_quad=q,
                               epsilon=rng.uniform(0.01, 1.0)),
                      ScaledNF(nu0=a0, nu=nu, a11=rng.uniform(-2.0, 2.0),
                               a12=rng.uniform(0.5, 2.0), delta=rng.uniform(0.1, 1.0))]
@@ -221,14 +221,14 @@ def test_taylor_kernel_equals_the_written_out_recurrence():
 
 class TestIntegrate:
     def test_zero_field_constant(self):
-        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(0.0,), a_quad=(0.0,), epsilon=0.4)
+        ode = SpeedODE(a0=0.0, a_lin=(0.0,), a_quad=(0.0,), epsilon=0.4)
         tr = integrate(ode, np.array([0.37]), 50.0, tol=1e-10)
         assert np.allclose(tr.y, 0.37)
         assert not tr.blew_up
 
     def test_scalar_exponential_decay(self):
         eps, tol = 0.3, 1e-9
-        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(-1.0,), a_quad=(0.0,), epsilon=eps)
+        ode = SpeedODE(a0=0.0, a_lin=(-1.0,), a_quad=(0.0,), epsilon=eps)
         tr = integrate(ode, np.array([1.0]), 30.0, tol=tol,
                        t_eval=np.linspace(0, 30, 31))
         exact = np.exp(-eps ** 2 * tr.t)
@@ -237,7 +237,7 @@ class TestIntegrate:
     def test_harmonic_energy_drift(self):
         # c1'' = -c1 embedded as the linear part; epsilon = 1 so one period is 2 pi
         tol, periods = 1e-9, 1000
-        ode = SpeedODE(n_prime=2, a0=0.0, a_lin=(-1.0, 0.0), a_quad=(0.0, 0.0),
+        ode = SpeedODE(a0=0.0, a_lin=(-1.0, 0.0), a_quad=(0.0, 0.0),
                        epsilon=1.0)
         t_end = 2 * math.pi * periods
         tr = integrate(ode, np.array([1.0, 0.0]), t_end, tol=tol,
@@ -251,7 +251,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -5.0])
     def test_bad_t_end_rejected(self, t_end):
-        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(-1.0,), a_quad=(0.0,), epsilon=1.0)
+        ode = SpeedODE(a0=0.0, a_lin=(-1.0,), a_quad=(0.0,), epsilon=1.0)
         with pytest.raises(FrontlabError, match="t_end"):
             integrate(ode, np.array([1.0]), t_end)
         with pytest.raises(FrontlabError, match="t_end"):
@@ -260,12 +260,12 @@ class TestIntegrate:
     @pytest.mark.parametrize("t_eval", [[-1.0, 0.0], [0.0, 10.5], [0.0, math.nan],
                                         [0.5, 0.1, 0.2, 0.3]])
     def test_samples_outside_the_run_rejected(self, t_eval):
-        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(-1.0,), a_quad=(0.0,), epsilon=1.0)
+        ode = SpeedODE(a0=0.0, a_lin=(-1.0,), a_quad=(0.0,), epsilon=1.0)
         with pytest.raises(FrontlabError, match="t_eval"):
             integrate(ode, np.array([1.0]), 10.0, t_eval=np.array(t_eval))
 
     def test_blow_up_detection(self):
-        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
+        ode = SpeedODE(a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
         tr = integrate(ode, np.array([1.0]), 100.0, tol=1e-8)
         assert tr.blew_up
         assert tr.t[-1] < 100.0
@@ -282,7 +282,7 @@ class TestIntegrate:
     def test_fast_decay_is_not_a_blow_up(self, monkeypatch):
         # c' = -1e13 c takes steps of about 3e-13: a fast decay, not a pole,
         # as they lie far above STEP_FLOOR of its time scale 1e-13 (1e-25)
-        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(-1e13,), a_quad=(0.0,), epsilon=1.0)
+        ode = SpeedODE(a0=0.0, a_lin=(-1e13,), a_quad=(0.0,), epsilon=1.0)
         tr = integrate(ode, [1.0], 1e-10)
         assert not tr.blew_up and tr.t[-1] == 1e-10 and 100 < len(tr.t) < 1000
         assert abs(tr.y[0, -1]) <= 1e-8      # exp(-1000), at tol 1e-8 absolute
@@ -320,7 +320,7 @@ class TestMarch:
     """`_march`, the one Taylor step loop of integrate, the shots, the branch
     runs and lyapunov_max."""
 
-    HARMONIC = SpeedODE(n_prime=2, a0=0.0, a_lin=(-1.0, 0.0), a_quad=(0.0, 0.0),
+    HARMONIC = SpeedODE(a0=0.0, a_lin=(-1.0, 0.0), a_quad=(0.0, 0.0),
                         epsilon=1.0)
 
     def test_each_chunk_ends_on_a_clipped_step(self):
@@ -360,14 +360,14 @@ class TestMarch:
         # c' = 5 c + c^2 from c = 1 has its pole at ln(6)/5: the steps
         # shrink to the step floor there and the march ends on a step of
         # h = 0.0, with a chunk still to go and far inside the step cap
-        pole = SpeedODE(n_prime=1, a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
+        pole = SpeedODE(a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
         steps = list(speed_ode._march(pole, [1.0], (1.0, 1.0), 1e-8, "t_end=2.0"))
         assert steps[-1][1] == 0.0 and all(h > 0.0 for _rows, h, _y, _left in steps[:-1])
         assert len(steps) < 100 and abs(1.0 - steps[-1][3] - math.log(6.0) / 5.0) <= 1e-6
 
     def test_ends_at_once_on_a_non_finite_state(self):
         # a NaN state allows no step, whichever entry holds it
-        pole = SpeedODE(n_prime=1, a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
+        pole = SpeedODE(a0=0.0, a_lin=(5.0,), a_quad=(1.0,), epsilon=1.0)
         steps = list(speed_ode._march(pole, [math.nan], (1.0, 1.0), 1e-8, "t_end=2.0"))
         assert [h for _rows, h, _y, _left in steps] == [0.0]
         nf = ScaledNF.shilnikov(-1.0, -0.5, -3.9, a11=1.0)
@@ -475,7 +475,7 @@ class TestScalingConsistency:
         sups = []
         deltas = (0.1, 0.05, 0.025)
         for delta in deltas:
-            ode = SpeedODE(n_prime=3, a0=delta ** 6 * nu0,
+            ode = SpeedODE(a0=delta ** 6 * nu0,
                            a_lin=tuple(delta ** (3 - k + 1) * nu[k - 1]
                                        for k in (1, 2, 3)),
                            a_quad=(a11, a12, a13), epsilon=eps)
@@ -496,6 +496,19 @@ class TestScalingConsistency:
         assert cs[2] < 0.75 * cs[1]
 
 
+#: Criterion 10's form (also README's and the bench's), the bench's second
+#: sweep and the flat sweep of the bench and criterion 10, with their spans.
+SWEPT_FORMS = [((-1.0, -1.0, -0.6), (-1.0, -0.25)),
+               ((-1.0, -0.97, -0.6), (-1.0, -0.25)),
+               ((-1.0, -0.5, -1.6), (-2.0, -1.25))]
+
+
+def _swept(coeffs, span):
+    """The form at each of seven values of nu_bar across span."""
+    nf = ScaledNF.shilnikov(*coeffs, a11=1.0)
+    return [replace(nf, nu=(nf.nu[0], nf.nu[1], nb)) for nb in np.linspace(*span, 7)]
+
+
 class TestShilnikovShoot:
     def test_guard_rejects_wrong_signs(self):
         with pytest.raises(FrontlabError, match="a11"):
@@ -512,7 +525,7 @@ class TestShilnikovShoot:
 
     def test_speed_ode_is_rejected(self):
         # only the scaled normal form names (nu0, mu_bar, nu_bar, a11)
-        ode = SpeedODE(n_prime=3, a0=-1.0, a_lin=(0.0, -1.0, -0.6),
+        ode = SpeedODE(a0=-1.0, a_lin=(0.0, -1.0, -0.6),
                        a_quad=(1.0, 0.0, 0.0), epsilon=0.1)
         with pytest.raises(FrontlabError, match="scaled normal form"):
             shilnikov_shoot(ode, np.linspace(-1, 0, 3))
@@ -634,50 +647,82 @@ class TestShilnikovShoot:
         assert all(p.status == "ok" for p in result.trace)
         assert not result.has_sign_change
 
-    @pytest.mark.parametrize("coeffs, span", [
-        ((-1.0, -1.0, -0.6), (-1.0, -0.25)),     # criterion 10, README, the bench
-        ((-1.0, -0.97, -0.6), (-1.0, -0.25)),    # the bench's second sweep
-        ((-1.0, -0.5, -1.6), (-2.0, -1.25)),     # the bench's and criterion 10's flat sweep
+    @pytest.mark.parametrize("coeffs, span", SWEPT_FORMS)
+    def test_saddle_focus_eigenvectors_in_closed_form(self, coeffs, span):
+        # v_u = (1, l, l^2) / |.| and w_u = (l (l - r3) - r2, l - r3, 1) are
+        # right and left eigenvectors of the Jacobian for l = lambda_u, and
+        # parallel to numpy's, at every swept value
+        for form in _swept(coeffs, span):
+            eq, _other, lam, v_u, w_u, rho_s = speed_ode._saddle_focus_data(form)
+            jac = form.jacobian_at(eq.state)
+            scale = max(np.linalg.norm(jac), abs(lam))
+            assert np.linalg.norm(jac @ v_u - lam * v_u) <= 1e-12 * scale * np.linalg.norm(v_u)
+            assert np.linalg.norm(w_u @ jac - lam * w_u) <= 1e-12 * scale * np.linalg.norm(w_u)
+            vals, vecs = np.linalg.eig(jac)
+            iu = int(np.argmax(vals.real))
+            lvals, lvecs = np.linalg.eig(jac.T)
+            ju = int(np.argmin(np.abs(lvals - vals[iu])))
+            for mine, theirs in ((v_u, vecs[:, iu]), (w_u, lvecs[:, ju])):
+                mine, theirs = mine / np.linalg.norm(mine), theirs.real / np.linalg.norm(theirs)
+                assert np.linalg.norm(theirs - np.dot(mine, theirs) * mine) <= 1e-12
+            assert lam == pytest.approx(vals[iu].real, rel=1e-12, abs=0.0)
+            stable = max(v.real for v in vals if v.real < 0)
+            assert rho_s == pytest.approx(-stable / vals[iu].real, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("form, ends", [
+        *[pytest.param(form, {"escape"}, id=f"mu{form.mu_bar:g}-nu{form.nu_bar:g}")
+          for coeffs, span in SWEPT_FORMS for form in _swept(coeffs, span)],
+        # the -v_u branch settles on the equilibrium at c = -1
+        pytest.param(ScaledNF.shilnikov(-1.0, -1.0, -2.0, a11=1.0), {"escape", "horizon"},
+                     id="horizon"),
+        # c* = +-1e7: the +v_u branch passes norm 1e8 inside the escape
+        # radius 1e8, the -v_u branch settles on the sink at -1e7
+        pytest.param(ScaledNF(nu0=-1e7, nu=(0.0, -5.0, -1.0), a11=1e-7), {"blow-up", "horizon"},
+                     id="blow-up"),
     ])
-    def test_branch_endpoints_match_the_run_to_t_400(self, coeffs, span):
-        # stopping each branch at the escape radius names the equilibrium
-        # that the run to t = 400 (or to its blow-up) ends nearest, at every
-        # swept value of these forms
-        nf = ScaledNF.shilnikov(*coeffs, a11=1.0)
-        sweep = np.linspace(*span, 7)
-        for nb in sweep:
-            form = replace(nf, nu=(nf.nu[0], nf.nu[1], nb))
-            eq, other, _lam, v_u, _w, _rho = speed_ode._saddle_focus_data(form)
-            old = []
-            for sign in (1.0, -1.0):
-                y = integrate(form, eq.state + sign * speed_ode.SEED_OFFSET * v_u, 400.0,
-                              tol=1e-8).y[:, -1]
-                nearest = min((eq, other), key=lambda e: np.linalg.norm(y - e.state))
-                old.append((sign, nearest.c_star))
-            assert speed_ode._branch_endpoints(form) == tuple(old)
+    def test_branch_endpoints_say_how_each_run_ended(self, form, ends):
+        # each branch's end against `integrate`'s run of it to t = 400 (the
+        # same steps): `escape` if a step end leaves the radius, `blow-up` if
+        # the run blew up within it, else `horizon` naming the equilibrium
+        # nearest the last state
+        eq, other, _lam, v_u, _w, _rho = speed_ode._saddle_focus_data(form)
+        radius = 10.0 * max(1.0, abs(eq.c_star))
+        want = []
+        for sign in (1.0, -1.0):
+            run = integrate(form, eq.state + sign * speed_ode.SEED_OFFSET * v_u, 400.0, tol=1e-8)
+            if np.any(np.linalg.norm(run.y - eq.state[:, None], axis=0) > radius):
+                want.append((sign, "escape", None))
+            elif run.blew_up:
+                want.append((sign, "blow-up", None))
+            else:
+                end = run.y[:, -1]
+                nearest = min((eq, other), key=lambda e: np.linalg.norm(end - e.state))
+                want.append((sign, "horizon", nearest.c_star))
+        got = speed_ode._branch_endpoints(form)
+        assert got == tuple(want)
+        assert {e for _s, e, _c in got} == ends
+
+    def test_branches_at_the_middle_swept_value(self):
+        # criterion 10's sweep: at its middle value nu_bar = -0.625 both
+        # branches leave the escape radius, and neither names an equilibrium
+        nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
+        sweep = np.linspace(-1.0, -0.25, 7)
         result = shilnikov_shoot(nf, sweep, tol=1e-6, t_max=300.0)
+        assert result.branch_equilibria == ((1.0, "escape", None), (-1.0, "escape", None))
         assert result.branch_equilibria == speed_ode._branch_endpoints(
             replace(nf, nu=(nf.nu[0], nf.nu[1], sweep[3])))
-
-    def test_both_branches_reported(self):
-        nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
-        result = shilnikov_shoot(nf, np.linspace(-0.8, -0.7, 2), tol=1e-6,
-                                 t_max=300.0)
-        assert len(result.branch_equilibria) == 2
-        signs = {s for s, _c in result.branch_equilibria}
-        assert signs == {1.0, -1.0}
 
 
 class TestLyapunov:
     def test_linear_stable_system(self):
         # spectrum {-0.2, -1, -2}: the exponent is the least-negative real part
-        ode = SpeedODE(n_prime=3, a0=0.0, a_lin=(-0.4, -2.6, -3.2),
+        ode = SpeedODE(a0=0.0, a_lin=(-0.4, -2.6, -3.2),
                        a_quad=(0.0, 0.0, 0.0), epsilon=1.0)
         lam = lyapunov_max(ode, np.array([0.5, -0.3, 0.2]), 400.0, 2.0)
         assert lam == pytest.approx(-0.2, rel=0.05)
 
     def test_zero_field(self):
-        ode = SpeedODE(n_prime=1, a0=0.0, a_lin=(0.0,), a_quad=(0.0,), epsilon=1.0)
+        ode = SpeedODE(a0=0.0, a_lin=(0.0,), a_quad=(0.0,), epsilon=1.0)
         lam = lyapunov_max(ode, np.array([0.2]), 200.0, 2.0)
         assert abs(lam) <= 1e-6
 
