@@ -22,7 +22,7 @@ from .evans import (EvansContext, RootSet, essential_spectrum_bound,
 from .designer import (design_evans_degeneracy, design_gamma_degeneracy,
                        design_simultaneous, imprint_scalar_singularity,
                        linear_unfolding_map, vandermonde_solve)
-from .jordan_chain import (ChainProfile, JordanPolynomial, chain_profile, double_factorial,
+from .jordan_chain import (ChainProfile, JordanPolynomial, chain_profile,
                            eigenfunction_c0, jordan_poly, verify_chain_ode)
 from .speed_ode import (ScaledNF, SpeedODE, build_from_analysis,
                         equilibria_and_classification, integrate, lyapunov_max,

@@ -231,9 +231,6 @@ def _write_csv(outdir, name, names, columns):
 # -- subcommand implementations -------------------------------------------------
 
 def _cmd_gamma(args, cfg, outdir):
-    if not (args.roots or args.taylor is not None or args.folds):
-        print("nothing requested: pass --roots, --taylor or --folds", file=sys.stderr)
-        return 2
     from . import existence
     if args.roots:
         report = existence.gamma0_roots(cfg.params, cfg.coupling)
@@ -462,18 +459,20 @@ def build_parser():
                         help="emit machine-readable error objects on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):
+    def command(name, run, help, actions=()):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p, actions=actions)
         return p
 
-    p = command("gamma", _cmd_gamma, "existence function: roots, series, folds")
+    p = command("gamma", _cmd_gamma, "existence function: roots, series, folds",
+                ("roots", "taylor", "folds"))
     p.add_argument("--roots", action="store_true")
     p.add_argument("--taylor", type=int, metavar="M")
     p.add_argument("--folds", metavar="px,py,xmin,xmax,ymin,ymax,nx,ny",
                    type=_comma_list(str, str, *[_finite] * 4, _count, _count))
 
-    p = command("evans", _cmd_evans, "Evans function: series, bound, roots")
+    p = command("evans", _cmd_evans, "Evans function: series, bound, roots",
+                ("taylor", "bound", "roots"))
     p.add_argument("--at", type=_finite, default=0.0, metavar="c")
     p.add_argument("--taylor", type=int, metavar="M")
     p.add_argument("--roots", metavar="xmin,xmax,ymin,ymax",
@@ -488,7 +487,8 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
 
-    p = command("ode", _cmd_ode, "reduced speed ODE")
+    p = command("ode", _cmd_ode, "reduced speed ODE",
+                ("equilibria", "integrate", "shoot", "lyapunov"))
     p.add_argument("--from-analysis", action="store_true")
     p.add_argument("--nf", metavar="nu0,l,m,n,a11,a12,delta",
                    type=_comma_list(*[_finite] * 7))
@@ -512,6 +512,14 @@ def build_parser():
     return parser
 
 
+def _check_requested(args):
+    """A usage error if the subcommand lists actions and a run gives none."""
+    given = [getattr(args, a) for a in args.actions]
+    if given and all(v is None or v is False for v in given):
+        *most, last = (f"--{a}" for a in args.actions)
+        raise _UsageError(args.parser, f"nothing requested: pass {', '.join(most)} or {last}")
+
+
 def _print_json_error(name, exc):
     print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
 
@@ -521,6 +529,7 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_requested(args)
     except _UsageError as exc:
         if "--json-errors" in argv:
             _print_json_error("UsageError", exc)

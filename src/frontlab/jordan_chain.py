@@ -1,10 +1,10 @@
 """Eigenfunctions and generalized eigenfunctions at a stationary front.
 
-The translation eigenfunction extends, at designed parameters, to a Jordan
-chain whose slow components are closed-form polynomial-times-exponential
-profiles
+Where E0's Taylor coefficients 1..ell at c = 0 vanish (`evans_taylor_c0`),
+the translation eigenfunction extends to a Jordan chain of length ell with
+closed-form polynomial-times-exponential slow components
 
-    v^j_+(x) = (-1)^j ((2j-1)!!/(2j)!!) tau^j (e^(-x)/d) sum_i a_j^i x^i,
+    v^j_+(x) = C(-1/2, j) tau^j (e^(-x)/d) sum_i a_j^i x^i,
     a_j^i = (2^i / i!) C(2j-i, j) / C(2j, j),
 
 mirrored evenly onto the negative half-line.  The coefficients satisfy two
@@ -22,13 +22,8 @@ import numpy as np
 
 from .core_model import Coupling, SystemParams, coupling_gradient
 from .errors import FrontlabError
+from .evans import evans_taylor_c0
 from .existence import SQRT2, front_profile
-
-
-def double_factorial(n: int) -> int:
-    """n!! -- product of positive integers up to n with the parity of n;
-    0!! = (-1)!! = 1, the empty product."""
-    return math.prod(range(n, 0, -2))
 
 
 def jordan_coeffs_closed(j: int):
@@ -62,8 +57,9 @@ def jordan_coeffs_recurrence(j: int):
 
 
 def chain_prefactor(j: int) -> Fraction:
-    """Rational part of the prefactor: (-1)^j (2j-1)!!/(2j)!!."""
-    return Fraction((-1) ** j * double_factorial(2 * j - 1), double_factorial(2 * j))
+    """Rational part of the prefactor: the binomial coefficient C(-1/2, j),
+    the coefficient of s^j in (1 + s)^(-1/2) (`core_model._rsqrt_series`)."""
+    return Fraction(math.comb(2 * j, j), (-4) ** j)
 
 
 @dataclass(frozen=True)
@@ -187,8 +183,7 @@ class ChainProfile:
         """Fast-field value of slow component j (1-based)."""
         if self.k == 0:
             return 1.0 / self._hs[j - 1]
-        tau, d = self.params.tau[j - 1], self.params.d[j - 1]
-        return float(chain_prefactor(self.k)) * tau ** self.k / d
+        return self._polys[j - 1].prefactor / self.params.d[j - 1]
 
     def u(self, y):
         y = np.asarray(y, dtype=float)
@@ -243,30 +238,14 @@ def eigenfunction_c0(params: SystemParams, lam: complex,
     return ChainProfile(k=0, params=params, coupling=coupling, lam=complex(lam))
 
 
-def taylor_condition_residuals(params: SystemParams, coupling: Coupling,
-                               through_order: int) -> np.ndarray:
-    """Residuals of the zero-root conditions sum_j alpha_j tau_j^k / d_j.
-
-    Entry k-1 is the order-k condition, k = 1..through_order: the first must
-    equal 2 sqrt(2)/3 and the rest zero for the chain to extend.
-    """
-    tau = np.asarray(params.tau)
-    d = np.asarray(params.d)
-    alpha = np.asarray(coupling.alpha)
-    res = np.array([np.sum(alpha * tau ** k / d) for k in range(1, through_order + 1)])
-    if through_order >= 1:
-        res[0] -= 2.0 * SQRT2 / 3.0
-    return res
-
-
 def chain_profile(params: SystemParams, coupling: Coupling, k: int,
                   ell: int) -> ChainProfile:
     """k-th generalized eigenfunction for a multiplicity-(ell+1) zero root.
 
-    Checks the first k solvability conditions on the linear coefficients, to
-    1e-8 of max(1, max |alpha_j|), and raises naming the first violated
-    order.  K_1 = epsilon/(3 sqrt 2); the
-    fast values K_k for k >= 2 are one order smaller and set to zero here.
+    The solvability condition of order 1..k is that E0's Taylor coefficient
+    of that order at c = 0 (`evans_taylor_c0`) vanishes, to 1e-8 of
+    max(1, max |alpha_j|); raises naming the first violated order.  K_1 =
+    epsilon/(3 sqrt 2); K_k for k >= 2 is one order smaller, set to zero here.
     """
     if not 0 <= k <= ell:
         raise FrontlabError(f"chain index {k} must lie in 0..ell={ell}")
@@ -274,27 +253,13 @@ def chain_profile(params: SystemParams, coupling: Coupling, k: int,
         raise FrontlabError(f"chain length {ell} exceeds N = {params.n_slow}")
     if k == 0:
         return eigenfunction_c0(params, 0.0, coupling)
-    residuals = taylor_condition_residuals(params, coupling, k)
+    coeffs = evans_taylor_c0(params, coupling, k).coeffs[1:]
     scale = max(1.0, float(np.max(np.abs(np.asarray(coupling.alpha)))))
-    for order, res in enumerate(residuals, start=1):
-        if abs(res) > 1e-8 * scale:
+    for order, coeff in enumerate(coeffs, start=1):
+        if abs(coeff) > 1e-8 * scale:
             raise FrontlabError(
-                f"solvability condition violated at order {order}: "
-                f"residual {res:.3e} (needs multiplicity >= {k + 1} zero root)")
+                f"solvability condition violated at order {order}: E0's Taylor "
+                f"coefficient {coeff:.3e} at c = 0 (needs multiplicity >= {k + 1} zero root)")
     fast = params.epsilon / (3.0 * SQRT2) if k == 1 else 0.0
     return ChainProfile(k=k, params=params, coupling=coupling, fast_value=fast)
 
-
-def slow_field_u_limit(profile: ChainProfile) -> float:
-    """Limit of the slow-field U-component of the chain profile at y -> 0.
-
-    Evaluates -(eps/2) sum_j (alpha_j + dF_nl_j) Psi_{k,j} at the interface
-    edge, where the front's slow plateaus vanish so the nonlinear gradient
-    drops out; equals K_1 for k = 1 and 0 for k >= 2 at designed parameters.
-    """
-    if profile.k == 0:
-        raise FrontlabError("defined for generalized eigenfunctions (k >= 1)")
-    params, coupling = profile.params, profile.coupling
-    grad = coupling_gradient(coupling, np.zeros(params.n_slow))
-    total = sum(grad[j] * profile.plateau(j + 1) for j in range(params.n_slow))
-    return -0.5 * params.epsilon * total

@@ -201,12 +201,10 @@ def criterion_9_saddle_focus_classification():
     eig_ok = False
     if focus:
         eq = focus[0]
-        # companion-matrix oracle for the characteristic polynomial
-        jac = nf.jacobian_at(eq.state)
-        comp = np.zeros((3, 3))
-        comp[0, 1] = comp[1, 2] = 1.0
-        comp[2] = jac[2]
-        oracle = np.sort_complex(np.linalg.eigvals(comp))
+        # the roots of lambda^3 - r3 lambda^2 - r2 lambda - r1, r from nf in closed form
+        r1 = nf.nu[0] + 2.0 * nf.a11 * eq.c_star
+        r2 = nf.nu[1] + nf.a12 * nf.delta * eq.c_star
+        oracle = np.sort_complex(np.roots([1.0, -nf.nu[2], -r2, -r1]))
         eig_ok = bool(np.max(np.abs(np.sort_complex(np.array(eq.eigenvalues))
                                     - oracle)) <= 1e-10)
     guard_ok = False

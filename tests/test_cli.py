@@ -177,6 +177,14 @@ class TestDispatch:
         assert obj["message"] == (f"t_end={float(argv[1])!r} needs more than 1,000 "
                                   "Taylor steps (MAX_TAYLOR_STEPS)")
 
+    def test_taylor_order_0_is_a_request(self, n1_config, tmp_path, capsys):
+        # --taylor 0 asks for the constant term: the run is not "nothing requested"
+        for command in ("gamma", "evans"):
+            assert dispatch(["--config", n1_config, "--output-dir", str(tmp_path),
+                             command, "--taylor", "0"]) == 0
+            rows = (tmp_path / f"{command}_taylor.csv").read_text().splitlines()
+            assert len(rows) == 3
+
     def test_missing_config(self, capsys):
         assert dispatch(["gamma", "--roots"]) == 1
 
@@ -208,6 +216,15 @@ class TestDispatch:
         (None, ["pde-continue", "--free-param", "gamma", "--range=-1,1", "--ds", "nan"], 2,
          "'nan' is not a finite number"),
         (None, ["evans", "--at", "nan"], 2, "'nan' is not a finite number"),
+        # a subcommand with actions and none of them given
+        (None, ["gamma"], 2, "nothing requested: pass --roots, --taylor or --folds"),
+        (None, ["evans"], 2, "nothing requested: pass --taylor, --bound or --roots"),
+        (None, ["evans", "--at", "0.5"], 2,
+         "nothing requested: pass --taylor, --bound or --roots"),
+        (None, ["ode", "--nf=-1,0,-1,-0.6,1,0,0"], 2,
+         "nothing requested: pass --equilibria, --integrate, --shoot or --lyapunov"),
+        (None, ["ode", "--from-analysis"], 2,
+         "nothing requested: pass --equilibria, --integrate, --shoot or --lyapunov"),
         ('{"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": [0.9], "ode": '
          '{"nu0": -1, "nu": [0, -1, -0.6], "a11": 1, "a12": 0, "delta": 0}}',
          ["ode", "--nf=-1,0,-1,-0.6,1,0,0", "--equilibria"], 1,

@@ -8,18 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams,
-                      coupling_gradient, double_factorial, eval_coupling,
-                      series_vstar)
+                      coupling_gradient, eval_coupling, series_vstar)
 from frontlab.core_model import PAIR_TOL, REAL_IMAG_TOL, conjugate_pairs
+from oracles import double_factorial
 
 SQRT2 = math.sqrt(2.0)
-
-
-def test_double_factorial():
-    assert double_factorial(5) == 15
-    assert double_factorial(6) == 48
-    assert double_factorial(0) == 1
-    assert double_factorial(-1) == 1
 
 
 class TestSystemParams:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from frontlab import (BranchCutError, Coupling, FrontlabError, SystemParams, double_factorial,
+from frontlab import (BranchCutError, Coupling, FrontlabError, SystemParams,
                       essential_spectrum_bound, evans_context, evans_eval,
                       evans_root_bound, evans_roots, evans_taylor_c0)
 from frontlab import evans
 from frontlab.evans import evans_pair, holomorphic_roots
 from frontlab.verify import reference_parameter_sets
+from oracles import double_factorial
 
 SQRT2 = math.sqrt(2.0)
 

@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams, double_factorial,
+from frontlab import (Coupling, FrontlabError, PowerSeries, SystemParams,
                       fold_curves, front_profile, gamma0, gamma0_roots, gamma0_taylor)
 from frontlab.core_model import eval_coupling
 from frontlab.existence import gamma0_derivative, gamma0_series_at, root_multiplicity, v_star
 from frontlab.verify import reference_parameter_sets
+from oracles import double_factorial
 
 SQRT2 = math.sqrt(2.0)
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from frontlab import (Coupling, FrontlabError, SystemParams, chain_profile,
-                      double_factorial, eigenfunction_c0, jordan_poly,
+                      design_evans_degeneracy, eigenfunction_c0, jordan_poly,
                       verify_chain_ode)
 from frontlab.jordan_chain import (chain_prefactor, jordan_coeffs_closed,
-                                   jordan_coeffs_recurrence, slow_field_u_limit,
-                                   taylor_condition_residuals)
+                                   jordan_coeffs_recurrence)
+from oracles import double_factorial
 
 SQRT2 = math.sqrt(2.0)
 
@@ -162,10 +162,19 @@ class TestChainProfile:
             assert prof.v(2, y) == pytest.approx(poly.v_plus(y / params.d[1]), rel=1e-13)
             assert prof.v(2, -y) == pytest.approx(prof.v(2, y), rel=1e-13)
 
-    def test_solvability_conditions_at_designed_parameters(self, transcritical_set):
-        params, coupling = transcritical_set
-        res = taylor_condition_residuals(params, coupling, 3)
-        assert np.max(np.abs(res)) <= 1e-8
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_chain_ends_where_the_designed_root_does(self, transcritical_set, ell):
+        # evans:ell on the reference tau, d makes E0's Taylor coefficients
+        # 1..ell vanish at c = 0 and coefficient ell+1 not: the chain builds
+        # for every k <= ell and stops at order ell+1
+        params, _ = transcritical_set
+        alpha = design_evans_degeneracy(params, ell)
+        coupling = Coupling(0.0, tuple(alpha), (0.0,) * 3)
+        for k in range(ell + 1):
+            assert chain_profile(params, coupling, k, 3).k == k
+        with pytest.raises(FrontlabError, match=rf"order {ell + 1}: E0's Taylor coefficient "
+                                                rf".* \(needs multiplicity >= {ell + 2} zero"):
+            chain_profile(params, coupling, ell + 1, 3)
 
     def test_violated_order_reported(self, transcritical_set):
         params, _ = transcritical_set
@@ -182,11 +191,17 @@ class TestChainProfile:
         # the slow-field U-expression limits to K_1 for k = 1 and 0 for k >= 2
         params, coupling = transcritical_set
         eps = params.epsilon
+
+        def u_limit(prof):
+            # -(eps/2) sum_j alpha_j Psi_kj at the interface edge, where the
+            # front's slow plateaus vanish and the nonlinear gradient drops out
+            return -0.5 * eps * sum(a * prof.plateau(j)
+                                    for j, a in enumerate(coupling.alpha, start=1))
+
         prof1 = chain_profile(params, coupling, 1, 3)
-        assert slow_field_u_limit(prof1) == pytest.approx(eps / (3 * SQRT2), abs=1e-8 * eps)
+        assert u_limit(prof1) == pytest.approx(eps / (3 * SQRT2), abs=1e-8 * eps)
         for k in (2, 3):
-            prof = chain_profile(params, coupling, k, 3)
-            assert abs(slow_field_u_limit(prof)) <= 1e-8 * eps
+            assert abs(u_limit(chain_profile(params, coupling, k, 3))) <= 1e-8 * eps
 
     def test_chain_bounds(self, transcritical_set):
         params, coupling = transcritical_set
@@ -215,3 +230,7 @@ def test_prefactor_signs():
     assert chain_prefactor(1) == Fraction(-1, 2)
     assert chain_prefactor(2) == Fraction(3, 8)
     assert chain_prefactor(5) == Fraction(-945, 3840)
+    # the binomial C(-1/2, j) is (-1)^j (2j-1)!!/(2j)!!
+    for j in range(40):
+        assert chain_prefactor(j) == Fraction((-1) ** j * double_factorial(2 * j - 1),
+                                              double_factorial(2 * j))
