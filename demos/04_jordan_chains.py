@@ -10,13 +10,13 @@ chain profile.
 import numpy as np
 
 import frontlab as fl
-from frontlab.jordan_chain import verify_chain_ode
+from frontlab.jordan_chain import chain_prefactor, verify_chain_ode
 from frontlab.verify import reference_parameter_sets
 
 print("== chain polynomial data (exact rationals) ==")
 for j in range(5):
     poly = fl.jordan_poly(j, 1.0, 1.0)
-    print(f"  v^{j}: prefactor {poly.prefactor_fraction} tau^{j}, "
+    print(f"  v^{j}: prefactor {chain_prefactor(j)} tau^{j}, "
           f"coefficients {[str(c) for c in poly.coeffs]}")
 
 print("\n== ODE residuals |v'' - v - tau v_prev| (4th-order differences) ==")

@@ -312,12 +312,10 @@ def _cmd_ode(args, cfg, outdir):
     if args.nf:
         nu0, l_, m_, n_, a11, a12, delta = args.nf
         ode = so.ScaledNF(nu0=nu0, nu=(l_, m_, n_), a11=a11, a12=a12, delta=delta)
-    elif args.from_analysis:
+    else:
         ode = so.build_from_analysis(cfg.params, cfg.coupling,
                                      n_prime=cfg.ode["n_prime"] or cfg.params.n_slow,
                                      h=cfg.ode["h"])
-    else:
-        raise FrontlabError("pass --from-analysis or --nf")
     if args.equilibria:
         eqs = so.equilibria_and_classification(ode)
         report = [{"c": e.c_star, "kind": e.kind,
@@ -489,9 +487,10 @@ def build_parser():
 
     p = command("ode", _cmd_ode, "reduced speed ODE",
                 ("equilibria", "integrate", "shoot", "lyapunov"))
-    p.add_argument("--from-analysis", action="store_true")
-    p.add_argument("--nf", metavar="nu0,l,m,n,a11,a12,delta",
-                   type=_comma_list(*[_finite] * 7))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--from-analysis", action="store_true")
+    source.add_argument("--nf", metavar="nu0,l,m,n,a11,a12,delta",
+                        type=_comma_list(*[_finite] * 7))
     p.add_argument("--integrate", type=_positive, metavar="T")
     p.add_argument("--equilibria", action="store_true")
     p.add_argument("--shoot", metavar="numin,numax,steps",

@@ -7,8 +7,10 @@ closed-form polynomial-times-exponential slow components
     v^j_+(x) = C(-1/2, j) tau^j (e^(-x)/d) sum_i a_j^i x^i,
     a_j^i = (2^i / i!) C(2j-i, j) / C(2j, j),
 
-mirrored evenly onto the negative half-line.  The coefficients satisfy two
-exact recurrences which this module checks in rational arithmetic.
+mirrored evenly onto the negative half-line by `ChainProfile` alone, as
+v^j_+(|y| / d).  The mirror is smooth at 0 exactly when a_j^0 = a_j^1, the
+derivative jump that `verify_chain_ode` reports.  The coefficients satisfy
+two exact recurrences which this module checks in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -48,10 +50,9 @@ def jordan_coeffs_recurrence(j: int):
         cur = [Fraction(0)] * (jj + 1)
         cur[jj] = prev[jj - 1] / (2 * jj - 1)
         for i in range(jj - 2, -1, -1):
-            upper = cur[i + 2] if i + 2 <= jj else Fraction(0)
             cur[i + 1] = (Fraction(2 * jj, 2 * jj - 1) * prev[i]
-                          + (i + 1) * (i + 2) * upper) / (2 * (i + 1))
-        cur[0] = cur[1] if jj >= 1 else Fraction(1)
+                          + (i + 1) * (i + 2) * cur[i + 2]) / (2 * (i + 1))
+        cur[0] = cur[1]
         coeffs = cur
     return coeffs
 
@@ -66,9 +67,8 @@ def chain_prefactor(j: int) -> Fraction:
 class JordanPolynomial:
     """Slow-component profile v^j of the Jordan chain for scalars (tau, d).
 
-    v_plus(x) = prefactor * (e^(-x)/d) * sum_i coeffs[i] x^i on x >= 0 and
-    v_minus(x) = v_plus(-x).  coeffs are exact rationals; prefactor carries
-    the tau-power and sign.
+    v_plus(x) = prefactor * (e^(-x)/d) * sum_i coeffs[i] x^i on x >= 0.
+    coeffs are exact rationals; prefactor carries the tau-power and sign.
     """
 
     j: int
@@ -79,10 +79,6 @@ class JordanPolynomial:
     @property
     def prefactor(self) -> float:
         return float(chain_prefactor(self.j)) * self.tau ** self.j
-
-    @property
-    def prefactor_fraction(self) -> Fraction:
-        return chain_prefactor(self.j)
 
     def poly(self, x):
         acc = np.zeros_like(np.asarray(x, dtype=float))
@@ -95,9 +91,6 @@ class JordanPolynomial:
         out = self.prefactor / self.d * self.poly(x) * np.exp(-x)
         return float(out) if out.ndim == 0 else out
 
-    def v_minus(self, x):
-        return self.v_plus(-np.asarray(x, dtype=float))
-
 
 def jordan_poly(j: int, tau: float, d: float) -> JordanPolynomial:
     """Closed-form chain polynomial (`verify --suite full` checks the recurrences)."""
@@ -108,40 +101,28 @@ def jordan_poly(j: int, tau: float, d: float) -> JordanPolynomial:
 @dataclass(frozen=True)
 class ChainOdeReport:
     max_residual: float
-    value_mismatch: float
     derivative_mismatch: float
 
 
 def verify_chain_ode(profile_k: JordanPolynomial,
                      profile_km1: JordanPolynomial) -> ChainOdeReport:
-    """Residual of v_k'' = v_k + tau v_{k-1} on both half-lines.
+    """Residual of v_k'' = v_k + tau v_{k-1}, and the derivative jump at 0.
 
     Fourth-order central differences with step 0.005 on [0, 15), which
-    resolves the exponential decay; also reports the value and
-    first-derivative mismatches of the even reflection at zero.
+    resolves the exponential decay.  The negative half-line is the even
+    reflection, whose residual is the same numbers.  derivative_mismatch is
+    |v_k'(0+) - v_k'(0-)| = 2 |v_k'(0+)|, the kink of that reflection: zero,
+    to the differences' accuracy, exactly when a_k^0 = a_k^1.
     """
     step = 0.005
-    tau = profile_k.tau
     x = np.arange(0.0, 15.0, step)
-    res = []
-    for side in (+1, -1):
-        f = profile_k.v_plus(x) if side > 0 else profile_k.v_minus(-x[::-1])[::-1]
-        g = profile_km1.v_plus(x) if side > 0 else profile_km1.v_minus(-x[::-1])[::-1]
-        d2 = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) \
-            / (12.0 * step * step)
-        res.append(np.max(np.abs(d2 - f[2:-2] - tau * g[2:-2])))
-
-    # one-sided 4th-order first derivatives at the matching point
-    def d1(f0, fs):
-        return (-25 * f0 + 48 * fs[0] - 36 * fs[1] + 16 * fs[2] - 3 * fs[3]) / (12 * step)
-
-    vp0 = profile_k.v_plus(0.0)
-    vm0 = profile_k.v_minus(0.0)
-    dp = d1(vp0, [profile_k.v_plus(i * step) for i in range(1, 5)])
-    dm = -d1(vm0, [profile_k.v_minus(-i * step) for i in range(1, 5)])
-    return ChainOdeReport(max_residual=float(max(res)),
-                          value_mismatch=abs(vp0 - vm0),
-                          derivative_mismatch=abs(dp - dm))
+    f = profile_k.v_plus(x)
+    g = profile_km1.v_plus(x)
+    d2 = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12.0 * step * step)
+    residual = np.max(np.abs(d2 - f[2:-2] - profile_k.tau * g[2:-2]))
+    # one-sided 4th-order first derivative at 0+
+    dp = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * step)
+    return ChainOdeReport(max_residual=float(residual), derivative_mismatch=float(abs(2.0 * dp)))
 
 
 @dataclass(frozen=True)
@@ -195,10 +176,8 @@ class ChainProfile:
             inner = SQRT2 / (2.0 * eps) / np.cosh(np.clip(y, -w, w) / (SQRT2 * eps)) ** 2
             out = np.where(np.abs(y) <= w, inner, 0.0)
             return float(out) if out.ndim == 0 else out
-        # the front's slow fields, held at their interface-edge values inside
-        v0 = np.stack([np.where(y >= 0, self._front.v(j, np.maximum(y, w)),
-                                self._front.v(j, np.minimum(y, -w)))
-                       for j in range(1, self.params.n_slow + 1)])
+        # the front's slow fields; inside the interface u is K_k instead
+        v0 = np.stack([self._front.v(j, y) for j in range(1, self.params.n_slow + 1)])
         grad = coupling_gradient(self.coupling, v0)
         slow = np.zeros_like(y, dtype=float)
         for j in range(self.params.n_slow):
@@ -207,9 +186,8 @@ class ChainProfile:
         return float(out) if out.ndim == 0 else out
 
     def _slow_v(self, j, y):
-        # even reflection: v^k_-(x) = v^k_+(-x)
-        poly = self._polys[j - 1]
-        return poly.v_plus(np.abs(y) / self.params.d[j - 1])
+        # the module's one even reflection: v^k_-(x) = v^k_+(-x)
+        return self._polys[j - 1].v_plus(np.abs(y) / self.params.d[j - 1])
 
     def v(self, j, y):
         """Slow component j (1-based) at position y."""

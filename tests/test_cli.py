@@ -225,6 +225,11 @@ class TestDispatch:
          "nothing requested: pass --equilibria, --integrate, --shoot or --lyapunov"),
         (None, ["ode", "--from-analysis"], 2,
          "nothing requested: pass --equilibria, --integrate, --shoot or --lyapunov"),
+        # the model source: exactly one of --nf and --from-analysis
+        (None, ["ode", "--equilibria"], 2,
+         "one of the arguments --from-analysis --nf is required"),
+        (None, ["ode", "--nf=-1,0,-1,-0.6,1,0,0", "--from-analysis", "--equilibria"], 2,
+         "argument --from-analysis: not allowed with argument --nf"),
         ('{"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": [0.9], "ode": '
          '{"nu0": -1, "nu": [0, -1, -0.6], "a11": 1, "a12": 0, "delta": 0}}',
          ["ode", "--nf=-1,0,-1,-0.6,1,0,0", "--equilibria"], 1,
@@ -441,6 +446,15 @@ class TestDispatch:
         eqs = json.loads((out / "ode_equilibria.json").read_text())
         assert any(e["kind"] == "saddle-focus(1u,2s)" for e in eqs)
         assert (out / "ode_trajectory.csv").exists()
+
+    @pytest.mark.parametrize("source", [[], ["--nf=-1,0,-1,-0.6,1,0,0", "--from-analysis"]])
+    def test_ode_needs_exactly_one_model_source(self, n3_config, tmp_path, capsys, source):
+        out = tmp_path / "ode"
+        rc = dispatch(["--config", n3_config, "--output-dir", str(out),
+                       "ode", *source, "--equilibria"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage: frontlab ode")
+        assert not out.exists()
 
     def test_ode_blow_up_reported(self, n1_config, tmp_path, capsys):
         # the README's Shil'nikov form leaves every bounded set near t = 10;

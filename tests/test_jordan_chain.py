@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frontlab import (Coupling, FrontlabError, SystemParams, chain_profile,
-                      design_evans_degeneracy, eigenfunction_c0, jordan_poly,
-                      verify_chain_ode)
+from frontlab import (Coupling, FrontlabError, JordanPolynomial, SystemParams,
+                      chain_profile, design_evans_degeneracy, eigenfunction_c0,
+                      jordan_poly, verify_chain_ode)
 from frontlab.jordan_chain import (chain_prefactor, jordan_coeffs_closed,
                                    jordan_coeffs_recurrence)
 from oracles import double_factorial
@@ -29,7 +29,7 @@ class TestJordanPolynomials:
         }
         for j, (pref, coeffs) in expected.items():
             poly = jordan_poly(j, 1.0, 1.0)
-            assert poly.prefactor_fraction == pref
+            assert chain_prefactor(j) == pref
             assert list(poly.coeffs) == [Fraction(c) for c in coeffs]
 
     def test_base_case(self):
@@ -57,15 +57,9 @@ class TestJordanPolynomials:
                 prev = jordan_coeffs_closed(j - 1)
                 assert closed[j] == prev[j - 1] / (2 * j - 1)
                 for i in range(j - 1):
-                    upper = closed[i + 2] if i + 2 <= j else Fraction(0)
                     lhs = Fraction(2 * j, 2 * j - 1) * prev[i]
-                    rhs = 2 * (i + 1) * closed[i + 1] - (i + 1) * (i + 2) * upper
+                    rhs = 2 * (i + 1) * closed[i + 1] - (i + 1) * (i + 2) * closed[i + 2]
                     assert lhs == rhs
-
-    def test_parity(self):
-        poly = jordan_poly(3, 2.89, 1.7)
-        for x in (0.0, 0.3, 1.7, 6.2):
-            assert poly.v_plus(x) == poly.v_minus(-x)
 
 
 class TestChainOde:
@@ -75,12 +69,18 @@ class TestChainOde:
             report = verify_chain_ode(jordan_poly(j, tau, 1.0),
                                       jordan_poly(j - 1, tau, 1.0))
             assert report.max_residual <= 1e-6
-            assert report.value_mismatch <= 1e-14
             assert report.derivative_mismatch <= 1e-8
 
     def test_base_exponential(self):
         report = verify_chain_ode(jordan_poly(1, 1.0, 1.0), jordan_poly(0, 1.0, 1.0))
         assert report.max_residual <= 1e-8
+
+    def test_kinked_reflection_is_reported(self):
+        # a^0 != a^1: v = -(1/2)(1 + x/2) e^-x mirrors with slope jump 2 |v'(0+)| = 1/2
+        kinked = JordanPolynomial(j=1, tau=1.0, d=1.0, coeffs=(Fraction(1), Fraction(1, 2)))
+        report = verify_chain_ode(kinked, jordan_poly(0, 1.0, 1.0))
+        assert report.derivative_mismatch > 0.1
+        assert report.derivative_mismatch == pytest.approx(0.5, rel=1e-6)
 
 
 class TestEigenfunction:
@@ -153,6 +153,17 @@ class TestChainProfile:
             assert prof.plateau(j) == pytest.approx(want, rel=1e-14)
             assert prof.v(j, 0.0) == pytest.approx(want, rel=1e-14)
         assert prof.fast_value == pytest.approx(params.epsilon / (3 * SQRT2))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_slow_components_are_even(self, transcritical_set, k):
+        # the reflection is applied once, in ChainProfile: v(j, y) and v(j, -y)
+        # are the same bits inside and outside the interface
+        params, coupling = transcritical_set
+        prof = chain_profile(params, coupling, k, 3)
+        y = np.linspace(0.0, 6.0, 61)
+        for j in range(1, 4):
+            assert np.array_equal(prof.v(j, y), prof.v(j, -y))
+            assert prof.v(j, 0.7) == prof.v(j, -0.7)
 
     def test_k2_slow_profile_matches_polynomial(self, transcritical_set):
         params, coupling = transcritical_set

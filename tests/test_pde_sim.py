@@ -213,6 +213,30 @@ class TestSimulate:
         assert final.t == cur.t
         assert np.array_equal(final.u, cur.u) and np.array_equal(final.v, cur.v)
 
+    def test_dt_none_runs_at_default_dt(self, small_ac):
+        params, _zero, grid = small_ac
+        state = ps.initial_front_state(params, Coupling(0.1, (0.5,), (0.0,)), grid)
+        implicit = ps.simulate(state, 0.5, output_stride=7)
+        explicit = ps.simulate(state, 0.5, output_stride=7, dt=ps.default_dt(params))
+        for name in ("t", "position", "speed", "sup_u", "sup_v"):
+            assert np.array_equal(getattr(implicit, name), getattr(explicit, name))
+        assert np.array_equal(implicit.final_state.u, explicit.final_state.u)
+        assert np.array_equal(implicit.final_state.v, explicit.final_state.v)
+
+    def test_front_count_change_aborts(self, small_ac):
+        # U = 0.05 ahead of the front under the forcing eps gamma = 0.1 obeys
+        # U' ~ U - 0.1 and crosses zero near t = ln 2: a second and third
+        # front appear, and the run stops with the rows recorded before
+        params, _zero, grid = small_ac
+        state = ps.initial_front_state(params, Coupling(0.5, (0.0,), (0.0,)), grid)
+        state.u = np.where(grid.x > 3.0, 0.05, state.u)
+        out = ps.simulate(state, 2.0, output_stride=10, dt=0.01)
+        assert out.aborted == "front count changed"
+        assert 0.3 <= out.t[-1] < 0.8
+        assert np.all(np.abs(out.position) < 1.0)
+        with pytest.raises(FrontlabError, match="exactly one sign change"):
+            ps.front_position(out.final_state.u, grid.x)
+
     @pytest.mark.parametrize("call, kwargs", [
         ("simulate", dict(output_stride=0)),
         ("simulate", dict(output_stride=-3)),
@@ -814,6 +838,40 @@ def test_bad_parameter_name_rejected_alike(cusp_setup, name):
     with pytest.raises(FrontlabError, match="coupling parameter") as from_branch:
         ps.continue_branch(params, coupling, name, (0.0, 1.0), ds=0.1)
     assert str(from_folds.value) == str(from_branch.value)
+
+
+class TestContinuationFailures:
+    def test_corrector_failure_halves_to_the_minimum_step_then_truncates(
+            self, small_ac, monkeypatch):
+        params, zero, grid = small_ac
+        steps = []
+
+        def failing(system, free_param, w, tangent, w_old, step_len, profile_weight):
+            steps.append(step_len)
+            return None
+
+        monkeypatch.setattr(ps, "_bordered_correct", failing)
+        with pytest.warns(UserWarning,
+                          match="^branch truncated: corrector failed at minimum step$"):
+            points = ps.continue_branch(params, zero, "gamma", (-0.1, 0.1), ds=0.01,
+                                        grid=grid, n_eigs=2)
+        assert [pt.param for pt in points] == [0.0, 0.002]
+        assert steps == [0.01 * 0.5 ** i for i in range(14)] + [1e-6]
+
+    def test_first_step_turns_round_when_its_solve_fails(self, small_ac, monkeypatch):
+        params, zero, grid = small_ac
+        solve = ps.solve_travelling_front
+
+        def no_forward_step(params, coupling, guess=None, **kwargs):
+            if coupling.param("gamma") > 0.0:
+                raise ps.ConvergenceError("planted failure")
+            return solve(params, coupling, guess=guess, **kwargs)
+
+        monkeypatch.setattr(ps, "solve_travelling_front", no_forward_step)
+        points = ps.continue_branch(params, zero, "gamma", (-0.1, 0.1), ds=0.01,
+                                    grid=grid, max_points=2, n_eigs=2)
+        assert [pt.param for pt in points] == [0.0, -0.002]
+        assert -1e-2 < points[1].c < 0.0
 
 
 class TestSpectrum:

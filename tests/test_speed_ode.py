@@ -14,6 +14,7 @@ from frontlab.designer import design_evans_degeneracy, unfolding_polynomial_root
 from frontlab.errors import ConvergenceError
 from frontlab import speed_ode
 from frontlab.speed_ode import TAYLOR_ORDER, classify_eigenvalues
+from frontlab.verify import reference_parameter_sets
 
 SQRT2 = math.sqrt(2.0)
 
@@ -421,6 +422,23 @@ class TestEquilibria:
             == "saddle-focus(2u,1s)"
         assert classify_eigenvalues(np.array([1e-13, -1.0, -2.0])) == "nonhyperbolic"
 
+    def test_linear_last_row_has_one_equilibrium(self):
+        # a11 = 0: the last row on z = (c, 0, 0) is nu0 + nu_1 c, one root -nu0/nu_1
+        nf = ScaledNF(nu0=-1.5, nu=(0.5, -1.0, -0.6), a11=0.0)
+        eqs = equilibria_and_classification(nf)
+        assert [e.c_star for e in eqs] == [3.0]
+        assert not equilibria_and_classification(replace(nf, nu=(0.0, -1.0, -0.6)))
+
+    def test_organising_point_of_the_maximal_set(self):
+        # the maximal reference set has a0 = a_1 = a11 = 0: a line of
+        # equilibria, reported by its point at the origin, nonhyperbolic
+        _name, params, coupling, _orders = reference_parameter_sets()[2]
+        ode = build_from_analysis(params, coupling, 3, h=1.0)
+        assert ode.scalar_equilibrium_coeffs() == (0.0, 0.0, 0.0)
+        (eq,) = equilibria_and_classification(ode)
+        assert eq.c_star == 0.0
+        assert eq.kind == "nonhyperbolic"
+
     def test_root_correspondence_with_existence(self, transcritical_set):
         # equilibria of the analysis-built ODE sit at the existence roots near 0
         params, coupling0 = transcritical_set
@@ -637,6 +655,43 @@ class TestShilnikovShoot:
         ref = solve_ivp(lambda _t, y: orbit.field_at(y), (0.0, 300.0), y0,
                         method="DOP853", rtol=1e-13, atol=1e-15)
         assert np.max(np.abs(end - ref.y[:, -1])) <= 1e-9
+
+    def test_illinois_halves_a_low_end_kept_twice(self, monkeypatch):
+        # a miss concave across the planted root r keeps the low end on every
+        # step, so plain regula falsi creeps in from the high end; halving
+        # the kept low end's miss reaches |miss| < tol in a few shots
+        r, shots = -0.7, []
+
+        def planted(nf_, t_max=400.0):
+            shots.append(nf_.nu_bar)
+            miss = 1.0 - math.exp(-5.0 * (nf_.nu_bar - r))
+            return speed_ode.ShootPoint(nu_bar=nf_.nu_bar, miss=miss, status="ok")
+        monkeypatch.setattr(speed_ode, "_shoot_once", planted)
+        nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
+        # the middle swept value, nu_bar = 3, has no saddle-focus: no branch runs
+        result = shilnikov_shoot(nf, [-1.0, 3.0], tol=1e-6)
+        (cand,) = result.candidates
+        assert abs(cand.nu_bar - r) < 1e-6
+        assert len(shots) - len(result.trace) <= 12
+
+    @pytest.mark.parametrize("nu_bar, status", [(1.0, "escape"), (3.0, "no-saddle-focus")])
+    def test_shots_that_do_not_return(self, nu_bar, status):
+        # at nu_bar = 1 the unstable branch leaves the escape radius before
+        # its first return; at nu_bar = 3 neither equilibrium is a
+        # saddle-focus(1u,2s) and no shot is taken
+        nf = ScaledNF.shilnikov(-1.0, -1.0, nu_bar, a11=1.0)
+        point = speed_ode._shoot_once(nf, t_max=300.0)
+        assert point.status == status
+        assert math.isnan(point.miss)
+        focus = [e.kind for e in equilibria_and_classification(nf)].count("saddle-focus(1u,2s)")
+        assert focus == (status == "escape")
+
+    def test_no_saddle_focus_at_the_middle_value_leaves_no_branches(self):
+        nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)
+        result = shilnikov_shoot(nf, [0.3, 3.0, 5.0], tol=1e-6, t_max=300.0)
+        assert [p.status for p in result.trace] == ["ok", "no-saddle-focus", "no-saddle-focus"]
+        assert result.candidates == ()
+        assert result.branch_equilibria == ()
 
     def test_no_sign_change_returns_full_trace(self):
         nf = ScaledNF.shilnikov(-1.0, -0.5, -1.6, a11=1.0)
