@@ -16,11 +16,13 @@ from frontlab.verify import reference_parameter_sets
 print("== speed ODE from the existence/Evans analysis ==")
 _, params, coupling0, _ = reference_parameter_sets()[0]
 coupling = fl.Coupling(-0.002, coupling0.alpha, coupling0.beta)
-ode = fl.build_from_analysis(params, coupling, n_prime=3, h=1.0)
+ode = fl.build_from_analysis(params, coupling, n_prime=3)
 print(f"a0 = {ode.a0:+.4e}, a_lin = {np.round(ode.a_lin, 6)}, "
       f"a11 = {ode.a_quad[0]:.4f}")
-for eq in fl.equilibria_and_classification(ode):
-    print(f"  equilibrium c = {eq.c_star:+.5f}: {eq.kind}")
+# the equilibria are the travelling fronts: Gamma0's roots near c = 0
+roots = sorted(r for r, _m in fl.gamma0_roots(params, coupling, interval=(-0.3, 0.3)))
+for eq, root in zip(fl.equilibria_and_classification(ode), roots):
+    print(f"  equilibrium c = {eq.c_star:+.5f} (Gamma0 root {root:+.5f}): {eq.kind}")
 
 print("\n== rescaled normal form: saddle-focus pair ==")
 nf = ScaledNF.shilnikov(-1.0, -1.0, -0.6, a11=1.0)

@@ -113,7 +113,6 @@ _CONFIG_TABLE = {
     },
     "ode": {
         "n_prime": _Value(_count, int, None),
-        "h": _Value(_positive, _NUMBER, 1.0),
     },
 }
 
@@ -314,8 +313,7 @@ def _cmd_ode(args, cfg, outdir):
         ode = so.ScaledNF(nu0=nu0, nu=(l_, m_, n_), a11=a11, a12=a12, delta=delta)
     else:
         ode = so.build_from_analysis(cfg.params, cfg.coupling,
-                                     n_prime=cfg.ode["n_prime"] or cfg.params.n_slow,
-                                     h=cfg.ode["h"])
+                                     n_prime=cfg.ode["n_prime"] or cfg.params.n_slow)
     if args.equilibria:
         eqs = so.equilibria_and_classification(ode)
         report = [{"c": e.c_star, "kind": e.kind,

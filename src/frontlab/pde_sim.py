@@ -755,6 +755,10 @@ def continue_branch(params: SystemParams, coupling: Coupling, free_param: str,
     truncation reported in a warning) if the corrector fails at the
     minimum step.
     """
+    if not (math.isfinite(ds) and ds > 0):
+        raise FrontlabError(f"ds must be finite and > 0, got {ds!r}")
+    if not (isinstance(max_points, (int, np.integer)) and max_points >= 2):
+        raise FrontlabError(f"max_points must be an integer >= 2, got {max_points!r}")
     p_lo, p_hi = float(min(prange)), float(max(prange))
     p0 = coupling.param(free_param)
     if not p_lo <= p0 <= p_hi:

@@ -26,6 +26,7 @@ from numpy.polynomial.polynomial import polyval
 from .core_model import Coupling, SystemParams, _require_finite
 from .designer import design_evans_degeneracy, linear_unfolding_map
 from .errors import ConvergenceError, FrontlabError
+from .evans import evans_taylor_c0
 from .existence import gamma0_taylor
 
 BLOWUP_NORM = 1e8
@@ -123,8 +124,8 @@ class _CompanionForm:
 
 @dataclass(frozen=True)
 class SpeedODE(_CompanionForm):
-    """The speed ODE c' = eps^2 (c_2, .., c_N', a0 + a_lin.c + c_1 a_quad.c):
-    the companion form with (a0, a, q, s) = (a0, a_lin, a_quad, eps^2)."""
+    """The speed ODE c' = eps^2 (c_2, .., c_N', a0 + a_lin.c + c_1 a_quad.c), the
+    companion form with s = eps^2; `build_from_analysis` scales it to Gamma0."""
 
     a0: float
     a_lin: tuple
@@ -173,30 +174,26 @@ class ScaledNF(_CompanionForm):
         return self.nu[2] if len(self.nu) >= 3 else 0.0
 
 
-def build_from_analysis(params: SystemParams, coupling: Coupling,
-                        n_prime: int, h: float) -> SpeedODE:
+def build_from_analysis(params: SystemParams, coupling: Coupling, n_prime: int) -> SpeedODE:
     """Speed ODE coefficients from the existence and Evans expansions.
 
-    a_lin comes from the linear unfolding of the small Evans roots at the
-    multiplicity-(n_prime+1) base point `design_evans_degeneracy(params,
-    n_prime)`, so for n_prime < N the coupling must lie near that design
-    (alpha_j near 0 for j > n_prime); a0 = h * gamma and
-    a11 = h * (c^2-coefficient of the existence expansion).  The cross
-    coefficients a1j for j >= 2 are not reachable at leading order and
-    default to zero.
+    a_lin is the linear unfolding of the small Evans roots at the design
+    `design_evans_degeneracy(params, n_prime)` (for n_prime < N the coupling
+    must lie near it: alpha_j near 0 for j > n_prime).  E0's order-1
+    coefficient is -(3 sqrt(2)/2) Gamma0'(0), so a_1 = scale * Gamma0'(0)
+    with scale = (3 sqrt(2)/2) / e, e E0's order-(n_prime+1) coefficient at
+    the design, and a0 = scale * gamma, a11 = scale * (Gamma0's c^2
+    coefficient) make the last row scale * Gamma0 to O(c^3).  As e =
+    2 |binom(-1/2, n_prime+1)| tau_1 .. tau_n_prime > 0, time is never
+    reversed; the cross coefficients a1j (j >= 2) are 0 at leading order.
     """
-    if h <= 0:
-        raise FrontlabError("the conjugation scale h must be positive")
-    if n_prime > params.n_slow:
-        raise FrontlabError(f"n_prime={n_prime} exceeds N={params.n_slow}")
-    base = design_evans_degeneracy(params, n_prime)
-    delta = np.asarray(coupling.alpha) - base
-    abar = linear_unfolding_map(params, delta, ell=n_prime)
-    taylor = gamma0_taylor(params, coupling, 2)
-    a11 = h * taylor.coefficient(2)
-    a_quad = (a11,) + (0.0,) * (n_prime - 1)
-    return SpeedODE(a0=h * coupling.gamma, a_lin=tuple(abar), a_quad=a_quad,
-                    epsilon=params.epsilon)
+    base = design_evans_degeneracy(params, n_prime)   # checks 1 <= n_prime <= N
+    abar = linear_unfolding_map(params, np.asarray(coupling.alpha) - base, ell=n_prime)
+    e0_at_design = evans_taylor_c0(params, replace(coupling, alpha=base), n_prime + 1)
+    scale = 1.5 * math.sqrt(2.0) / e0_at_design.coefficient(n_prime + 1)
+    a11 = scale * gamma0_taylor(params, coupling, 2).coefficient(2)
+    return SpeedODE(a0=scale * coupling.gamma, a_lin=tuple(abar),
+                    a_quad=(a11,) + (0.0,) * (n_prime - 1), epsilon=params.epsilon)
 
 
 def _taylor_step(ode, z, tol, w):

@@ -256,8 +256,9 @@ class TestDispatch:
          'seed: "abc" is not a JSON integer'),
         (N1 + '"ode": {"n_prime": "x"}}', ["ode", "--from-analysis", "--equilibria"], 1,
          'ode.n_prime: "x" is not a JSON integer'),
-        (N1 + '"ode": {"h": "x"}}', ["ode", "--from-analysis", "--equilibria"], 1,
-         'ode.h: "x" is not a JSON number'),
+        # the speed ODE's scale comes from E0's series, not from the config
+        (N1 + '"ode": {"h": 1.0}}', ["ode", "--from-analysis", "--equilibria"], 1,
+         "unknown ode keys: ['h']"),
         (N1 + '"pde": []}', ["gamma", "--roots"], 1, "pde must be a JSON object"),
         (N1 + '"pde": {"perturbation": 3}}', ["gamma", "--roots"], 1,
          "pde.perturbation must be a JSON object"),
@@ -639,7 +640,7 @@ class TestRunConfig:
                            "t_end": 10.0, "output_stride": 10,
                            "perturbation": {"mode": "bump", "amplitude": 0.01,
                                             "width": 1.0, "center": 0.0, "lam": 0.0}}
-        assert cfg.ode == {"n_prime": None, "h": 1.0}
+        assert cfg.ode == {"n_prime": None}
 
     def test_manifest_echoes_the_document_as_written(self, tmp_path, capsys):
         doc = {"epsilon": 0.05, "tau": [1.0], "d": [1.0], "alpha": [0.9],
@@ -655,7 +656,7 @@ class TestRunConfig:
         cfg = load_run_config(path)
         assert cfg.pde["perturbation"] == {"mode": "bump", "amplitude": 0.01, "width": 2,
                                            "center": 0.0, "lam": 0.0}
-        assert cfg.pde["domain_half_length"] == 20.0 and cfg.ode["h"] == 1.0
+        assert cfg.pde["domain_half_length"] == 20.0 and cfg.ode == {"n_prime": None}
 
     def test_pde_sim_runs(self, tmp_path):
         path = write_config(tmp_path, {

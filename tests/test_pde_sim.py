@@ -169,7 +169,8 @@ class TestSimulate:
         assert out.aborted == "front reached boundary margin"
 
     def test_trapping_region(self):
-        # random single-front data inside [-1.2, 1.2] stays within [-1.3, 1.3]
+        # random single-front data inside [-1.2, 1.2] stays within [-1.3, 1.3],
+        # on 641 nodes over [-8, 8]: h = 0.025 <= eps/2 resolves every front
         rng = np.random.default_rng(17)
         for trial in range(50):
             n = int(rng.integers(1, 3))
@@ -178,7 +179,7 @@ class TestSimulate:
                                   d=tuple(rng.uniform(0.5, 2, n)))
             coup = Coupling(rng.uniform(-0.3, 0.3), tuple(rng.uniform(-1, 1, n)),
                             tuple(rng.uniform(-0.5, 0.5, n)))
-            grid = ps.make_grid(8.0, 321, params.epsilon)
+            grid = ps.make_grid(8.0, 641, params.epsilon)
             state = ps.initial_front_state(params, coup, grid)
             state.u = np.clip(state.u + rng.uniform(-0.2, 0.2), -1.2, 1.2)
             state.v = np.clip(state.v + rng.uniform(-0.2, 0.2, state.v.shape),
@@ -872,6 +873,22 @@ class TestContinuationFailures:
                                     grid=grid, max_points=2, n_eigs=2)
         assert [pt.param for pt in points] == [0.0, -0.002]
         assert -1e-2 < points[1].c < 0.0
+
+    # checked where they enter, before any solve: otherwise a NaN or infinite
+    # ds reaches the coupling as a non-finite alpha, 0 repeats the start, and
+    # a negative ds steps out of the range
+    @pytest.mark.parametrize("ds", [math.nan, math.inf, 0.0, -0.05])
+    def test_step_must_be_finite_and_positive(self, small_ac, ds):
+        params, zero, grid = small_ac
+        with pytest.raises(FrontlabError, match=r"^ds must be finite and > 0, got "):
+            ps.continue_branch(params, zero, "gamma", (-0.1, 0.1), ds=ds, grid=grid)
+
+    @pytest.mark.parametrize("max_points", [1, 0, 2.5, True])
+    def test_max_points_must_be_an_integer_of_at_least_two(self, small_ac, max_points):
+        params, zero, grid = small_ac
+        with pytest.raises(FrontlabError, match=r"^max_points must be an integer >= 2, got "):
+            ps.continue_branch(params, zero, "gamma", (-0.1, 0.1), ds=0.01, grid=grid,
+                               max_points=max_points)
 
 
 class TestSpectrum:

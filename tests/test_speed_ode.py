@@ -12,9 +12,10 @@ from frontlab import (Coupling, FrontlabError, ScaledNF, SpeedODE,
                       gamma0_roots, integrate, lyapunov_max, shilnikov_shoot)
 from frontlab.designer import design_evans_degeneracy, unfolding_polynomial_roots, linear_unfolding_map
 from frontlab.errors import ConvergenceError
+from frontlab.evans import holomorphic_roots
 from frontlab import speed_ode
 from frontlab.speed_ode import TAYLOR_ORDER, classify_eigenvalues
-from frontlab.verify import reference_parameter_sets
+from frontlab.verify import deflated_evans, hausdorff, reference_parameter_sets
 
 SQRT2 = math.sqrt(2.0)
 
@@ -433,23 +434,55 @@ class TestEquilibria:
         # the maximal reference set has a0 = a_1 = a11 = 0: a line of
         # equilibria, reported by its point at the origin, nonhyperbolic
         _name, params, coupling, _orders = reference_parameter_sets()[2]
-        ode = build_from_analysis(params, coupling, 3, h=1.0)
+        ode = build_from_analysis(params, coupling, 3)
         assert ode.scalar_equilibrium_coeffs() == (0.0, 0.0, 0.0)
         (eq,) = equilibria_and_classification(ode)
         assert eq.c_star == 0.0
         assert eq.kind == "nonhyperbolic"
 
-    def test_root_correspondence_with_existence(self, transcritical_set):
-        # equilibria of the analysis-built ODE sit at the existence roots near 0
+    @pytest.mark.parametrize("gamma", [-2e-3, -2e-4, -2e-5])
+    def test_root_correspondence_with_existence(self, transcritical_set, gamma):
+        # the last row is a multiple of Gamma0 to O(c^3), so the equilibria
+        # sit at Gamma0's roots near 0 within K |c*|^3 (K = 0.09-0.16 here).
+        # Off the design a_1 != 0 and the scale matters: with a scale of 1
+        # the miss is 1.1-1.3, 35-41 and 0.9-1.5e3 |c*|^3 at these gammas
         params, coupling0 = transcritical_set
+        alpha = np.asarray(coupling0.alpha) + (3.5e-4, 8.2e-4, 3.3e-4)
         # gamma must oppose the quadratic coefficient for nearby roots
-        coupling = Coupling(-0.002, coupling0.alpha, coupling0.beta)
-        ode = build_from_analysis(params, coupling, 3, h=1.0)
-        eqs = equilibria_and_classification(ode)
+        coupling = Coupling(gamma, tuple(alpha), coupling0.beta)
+        eqs = equilibria_and_classification(build_from_analysis(params, coupling, 3))
         roots = [r for r, _m in gamma0_roots(params, coupling, interval=(-0.3, 0.3))]
         assert len(eqs) == len(roots) == 2
         for eq, root in zip(eqs, sorted(roots)):
-            assert eq.c_star == pytest.approx(root, abs=5e-3)
+            assert abs(eq.c_star - root) <= 0.5 * abs(eq.c_star) ** 3
+
+    def test_linearization_tends_to_evans_roots(self, transcritical_set):
+        # at each equilibrium c*, eig(J(c*)) / eps^2 tends to the three small
+        # roots of E0(.; c*) / lambda; the relative gap (likely the O(delta)
+        # term a12 delta z_1 z_2 the form drops) is of order c*^(1/3), falling by
+        # about 10^(-1/6) = 0.68 per decade of gamma (0.64-0.67 measured;
+        # 0.84-0.88 with a scale of 1, whose eigenvalues are off by 19%)
+        params, coupling0 = transcritical_set
+        gaps = {}
+        for gamma in (-2e-5, -2e-6, -2e-7):
+            coupling = Coupling(gamma, coupling0.alpha, coupling0.beta)
+            ode = build_from_analysis(params, coupling, 3)
+            for eq in equilibria_and_classification(ode):
+                eig = np.linalg.eigvals(ode.jacobian_at([eq.c_star, 0.0, 0.0]))
+                eig = eig / params.epsilon ** 2
+                ctx = evans_context(params, coupling, eq.c_star)
+                r = 2.0 * max(abs(eig))
+                roots, _ = holomorphic_roots(deflated_evans(ctx), (-r, r, -r, r),
+                                             tol=1e-10, cuts=ctx.branch_points)
+                small = [z for z, m in roots for _ in range(m)]
+                assert len(small) == 3
+                gaps.setdefault(np.sign(eq.c_star), []).append(
+                    hausdorff(eig, small) / max(abs(eig)))
+        assert sorted(gaps) == [-1.0, 1.0]
+        for side in gaps.values():
+            for coarse, fine in zip(side, side[1:]):
+                assert 0.60 <= fine / coarse <= 0.72
+            assert side[-1] < 0.15
 
 
 class TestBuildFromAnalysis:
@@ -457,10 +490,14 @@ class TestBuildFromAnalysis:
         p = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
         alpha = design_evans_degeneracy(p)
         coupling = Coupling(0.0, tuple(alpha), (1.0, 0.0, 0.0))
-        ode = build_from_analysis(p, coupling, 3, h=2.0)
+        ode = build_from_analysis(p, coupling, 3)
         assert ode.a0 == 0.0
         assert np.allclose(ode.a_lin, 0.0, atol=1e-12)
-        assert ode.a_quad[0] == pytest.approx(0.5)   # h/4 for the reference set
+        # scale (3 sqrt(2)/2) / e with E0's order-4 coefficient at the design,
+        # e = 2 |binom(-1/2, 4)| tau_1 tau_2 tau_3, times Gamma0's c^2
+        # coefficient 1/4 for the reference set
+        e = 2.0 * (35.0 / 128.0) * 1.0 * 2.25 * 2.89
+        assert ode.a_quad[0] == pytest.approx(1.5 * SQRT2 / e / 4.0)
         assert ode.a_quad[1:] == (0.0, 0.0)    # the cross coefficients default to zero
 
     @pytest.mark.parametrize("n_prime", [2, 3])
@@ -469,18 +506,13 @@ class TestBuildFromAnalysis:
         base = design_evans_degeneracy(p, n_prime)
         delta = np.array([3e-3, -2e-3, 1e-3])
         coupling = Coupling(0.0, tuple(base + delta), (1.0, 0.0, 0.0))
-        ode = build_from_analysis(p, coupling, n_prime, h=1.0)
+        ode = build_from_analysis(p, coupling, n_prime)
         assert isinstance(ode, SpeedODE) and ode.dim == n_prime
         jac = ode.jacobian_at(np.zeros(n_prime)) / p.epsilon ** 2
         eigs = np.sort_complex(np.linalg.eigvals(jac))
         abar = linear_unfolding_map(p, delta, ell=n_prime)
         pred = np.sort_complex(unfolding_polynomial_roots(abar))
         assert np.max(np.abs(eigs - pred)) < 1e-10
-
-    def test_requires_positive_scale(self, transcritical_set):
-        params, coupling = transcritical_set
-        with pytest.raises(FrontlabError):
-            build_from_analysis(params, coupling, 3, h=0.0)
 
 
 class TestScalingConsistency:
