@@ -40,17 +40,19 @@ def _positive(text):
     return value
 
 
-def _count(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive count")
-    return value
+def _integer(least, what):
+    """argparse `type=`, and a config value's check: an integer >= least."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = "int"          # argparse's "invalid int value: ..."
+    return parse
 
 
-def _natural(value):
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a non-negative integer")
-    return value
+_count = _integer(1, "a positive count")
+_natural = _integer(0, "a non-negative integer")
 
 
 def _mode(value):
@@ -463,14 +465,14 @@ def build_parser():
     p = command("gamma", _cmd_gamma, "existence function: roots, series, folds",
                 ("roots", "taylor", "folds"))
     p.add_argument("--roots", action="store_true")
-    p.add_argument("--taylor", type=int, metavar="M")
+    p.add_argument("--taylor", type=_natural, metavar="M")
     p.add_argument("--folds", metavar="px,py,xmin,xmax,ymin,ymax,nx,ny",
                    type=_comma_list(str, str, *[_finite] * 4, _count, _count))
 
     p = command("evans", _cmd_evans, "Evans function: series, bound, roots",
                 ("taylor", "bound", "roots"))
     p.add_argument("--at", type=_finite, default=0.0, metavar="c")
-    p.add_argument("--taylor", type=int, metavar="M")
+    p.add_argument("--taylor", type=_natural, metavar="M")
     p.add_argument("--roots", metavar="xmin,xmax,ymin,ymax",
                    type=_comma_list(*[_finite] * 4))
     p.add_argument("--bound", action="store_true")
@@ -502,7 +504,8 @@ def build_parser():
     p.add_argument("--range", required=True, metavar="lo,hi",
                    type=_comma_list(_finite, _finite))
     p.add_argument("--ds", type=_positive, default=0.01)
-    p.add_argument("--max-points", type=_count, default=120)
+    p.add_argument("--max-points", default=120,
+                   type=_integer(2, "an integer >= 2 (a branch starts with two points)"))
 
     p = command("verify", _cmd_verify, "run the singular-limit acceptance criteria")
     p.add_argument("--suite", default="paper-params", choices=("paper-params", "full"))

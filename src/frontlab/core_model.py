@@ -19,23 +19,6 @@ import numpy as np
 
 from .errors import FrontlabError
 
-# Relative tolerance below which tau's (or tau/d ratios) count as coincident.
-# Vandermonde conditioning degrades well before exact coincidence, so the
-# designers must fail loudly rather than return garbage.
-DISTINCTNESS_RTOL = 1e-10
-
-
-def _min_relative_gap(values):
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2:
-        return math.inf
-    scale = np.max(np.abs(values))
-    if scale == 0.0:
-        return 0.0
-    sorted_vals = np.sort(values)
-    return float(np.min(np.diff(sorted_vals))) / scale
-
-
 def _require_finite(**fields):
     for name, values in fields.items():
         if not all(math.isfinite(x) for x in values):
@@ -78,21 +61,6 @@ class SystemParams:
     def n_slow(self) -> int:
         """The number N of slow components, len(tau)."""
         return len(self.tau)
-
-    @property
-    def pairwise_distinct_tau(self) -> bool:
-        """True iff min gap of the tau_j exceeds DISTINCTNESS_RTOL * max tau."""
-        return _min_relative_gap(self.tau) > DISTINCTNESS_RTOL
-
-    @property
-    def ratio(self) -> np.ndarray:
-        """The ratios tau_j / d_j."""
-        return np.asarray(self.tau) / np.asarray(self.d)
-
-    @property
-    def pairwise_distinct_ratio(self) -> bool:
-        """True iff the ratios tau_j/d_j are pairwise distinct (same tolerance)."""
-        return _min_relative_gap(self.ratio) > DISTINCTNESS_RTOL
 
 
 @dataclass(frozen=True)
@@ -314,6 +282,8 @@ def _rsqrt_series(a: float, b: float, c: float, order: int) -> list:
     w y' = -w' y / 2, y_0 = a^(-1/2) and (k+1) a y_(k+1) = -(k + 1/2) b y_k - k c y_(k-1).
     All NaN unless a is positive and finite (4 d^2 underflows for a tiny d),
     for the caller's finiteness check to report."""
+    if order < 0:
+        raise FrontlabError(f"a Taylor order must be >= 0, got {order}")
     if not 0.0 < a < math.inf:
         return [math.nan] * (order + 1)
     y = [0.0, 1.0 / math.sqrt(a)]          # y[k + 1] is the coefficient of s^k
@@ -334,12 +304,21 @@ def _finite_series(coeffs, what: str) -> PowerSeries:
 
 def _plateau_series(params: SystemParams, j: int, center: float, order: int) -> PowerSeries:
     """Taylor series in s of the j-th plateau value at c = center + s,
-    tau (center + s) y(s) with y = w^(-1/2), w = 4 d^2 + tau^2 (center + s)^2."""
+    tau (center + s) y(s) with y = w^(-1/2), w = 4 d^2 + tau^2 (center + s)^2.
+    At c = 0, where an overflowing tau^2 times 0 spoils every order, a series
+    that is not finite is formed again as the odd tau s z(s^2), to name the
+    first order that overflows (3 for "tau": [1e308])."""
     tau, d = params.tau[j - 1], params.d[j - 1]
     y = _rsqrt_series(4.0 * d * d + tau * tau * center * center, 2.0 * tau * tau * center,
                       tau * tau, order)
-    return _finite_series([tau * (center * yk + prev) for yk, prev in zip(y, [0.0] + y)],
-                          f"the plateau series of slow component {j}")
+    coeffs = [tau * (center * yk + prev) for yk, prev in zip(y, [0.0] + y)]
+    if center == 0.0 and not all(map(math.isfinite, coeffs)):
+        z = _rsqrt_series(4.0 * d * d, tau * tau, 0.0, order // 2)
+        coeffs = [0.0 * z[0]]           # NaN, order 0, where 4 d^2 underflows
+        for zk in z:
+            coeffs += [tau * zk, 0.0]
+        coeffs = coeffs[:order + 1]
+    return _finite_series(coeffs, f"the plateau series of slow component {j}")
 
 
 def series_vstar(params: SystemParams, j: int, order: int) -> PowerSeries:

@@ -15,11 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import (Coupling, DISTINCTNESS_RTOL, SystemParams, _min_relative_gap,
-                         series_vstar)
+from .core_model import Coupling, SystemParams, series_vstar
 from .errors import DesignError, DistinctnessError
 from .evans import evans_taylor_c0
 from .existence import SQRT2
+
+#: Relative gap at or below which nodes count as coincident.  Vandermonde
+#: conditioning degrades well before exact coincidence, so a design fails
+#: loudly rather than return garbage.
+DISTINCTNESS_RTOL = 1e-10
 
 #: Estimated condition number above which node clustering makes the closed
 #: forms untrustworthy.
@@ -27,7 +31,14 @@ CONDITION_WARN = 1e8
 
 
 def _check_distinct(nodes, what):
-    gap = _min_relative_gap(nodes)
+    """DistinctnessError, with the gap, unless the nodes' least gap exceeds
+    DISTINCTNESS_RTOL times their largest magnitude (0 for an all-zero set);
+    a design checks the nodes it solves on, before its conditioning warning."""
+    nodes = np.sort(np.asarray(nodes, dtype=float))
+    if len(nodes) < 2:
+        return
+    scale = np.max(np.abs(nodes))
+    gap = float(np.min(np.diff(nodes))) / scale if scale else 0.0
     if gap <= DISTINCTNESS_RTOL:
         raise DistinctnessError(
             f"{what} are too close for a Vandermonde solve "
@@ -75,7 +86,8 @@ def design_evans_degeneracy(params: SystemParams, ell: int | None = None) -> np.
         alpha_j = (2 sqrt(2) d_j / (3 tau_j)) prod_{k <= ell, k != j} tau_k/(tau_k - tau_j)
     for j <= ell, and alpha_j = 0 for j > ell.  For ell < N the E0
     coefficient of order ell+1 is then a nonzero multiple of
-    tau_1 ... tau_ell, so the multiplicity is exactly ell+1.
+    tau_1 ... tau_ell, so the multiplicity is exactly ell+1.  Only
+    tau_1..tau_ell must be distinct.
     """
     n = params.n_slow
     if ell is None:
@@ -84,22 +96,15 @@ def design_evans_degeneracy(params: SystemParams, ell: int | None = None) -> np.
         raise DesignError(
             f"Evans zero-root multiplicity {ell + 1} out of range; "
             f"the maximum is N+1 = {n + 1}")
-    if not params.pairwise_distinct_tau:
-        raise DistinctnessError("tau values must be pairwise distinct")
     tau = np.asarray(params.tau)[:ell]
     d = np.asarray(params.d)[:ell]
-    _warn_conditioning(tau, "design_evans_degeneracy")
     # Conditions: sum_j alpha_j tau_j^k / d_j = (2 sqrt(2)/3) delta_{k,1},
-    # k = 1..ell; a Vandermonde system in alpha_j tau_j / d_j.
+    # k = 1..ell; a Vandermonde system in alpha_j tau_j / d_j, whose solve
+    # checks the tau_j.
     alpha = np.zeros(n)
     alpha[:ell] = d * vandermonde_solve(tau, 2.0 * SQRT2 / 3.0) / tau
+    _warn_conditioning(tau, "design_evans_degeneracy")
     return alpha
-
-
-def _odd_condition_matrix(params, rows, cols):
-    ratio = params.ratio
-    return np.array([[ratio[j] ** (2 * k + 1) for j in cols]
-                     for k in range(rows)])
 
 
 def design_gamma_degeneracy(params: SystemParams, m: int):
@@ -114,20 +119,15 @@ def design_gamma_degeneracy(params: SystemParams, m: int):
         r = tau/d;
       * beta = 0 for m = 2N+1; otherwise normalized to beta_1 = 1 with
         trailing zeros and the even-order conditions solved in between.
+
+    m = 0 and 1 solve nothing; from m = 2 on, the tau_j and the ratios
+    tau_j/d_j must be distinct.
     """
     n = params.n_slow
     if not 0 <= m <= 2 * n + 1:
         raise DesignError(
             f"existence degeneracy order {m} out of range; "
             f"the maximum is 2N+1 = {2 * n + 1}")
-    if not params.pairwise_distinct_ratio:
-        raise DistinctnessError("ratios tau_j/d_j must be pairwise distinct")
-    if not params.pairwise_distinct_tau:
-        raise DistinctnessError("tau values must be pairwise distinct")
-    ratio = params.ratio
-    chi = ratio ** 2
-    _warn_conditioning(chi, "design_gamma_degeneracy")
-
     if m == 0:
         return (np.zeros(n), np.zeros(n), 1.0)
     if m == 1:
@@ -135,19 +135,23 @@ def design_gamma_degeneracy(params: SystemParams, m: int):
         # -sqrt(2)/3 survives, so the order is exactly one.
         return (np.zeros(n), np.zeros(n), 0.0)
 
+    ratio = np.asarray(params.tau) / np.asarray(params.d)
+    _check_distinct(ratio, "ratios tau_j/d_j")
+    alpha = design_evans_degeneracy(params)
+    chi = ratio ** 2
+    _warn_conditioning(chi, "design_gamma_degeneracy")
+
     n_odd = min(m // 2, n)            # odd orders 1, 3, .. among 1..m-1
     n_even = min((m - 1) // 2, n - 1)  # even orders 2, 4, .. among 2..m-1
 
-    alpha = design_evans_degeneracy(params)
     if n_odd >= 1:
         # Odd-order conditions: sum_j alpha_j r_j^(2k+1) = (2 sqrt 2/3) delta_k0,
         # k = 0..n_odd-1; solve for alpha_1..alpha_{n_odd} with the Evans-side
         # tail fixed.
         rhs = np.zeros(n_odd)
         rhs[0] = 2.0 * SQRT2 / 3.0
-        m_head = _odd_condition_matrix(params, n_odd, range(n_odd))
-        m_tail = _odd_condition_matrix(params, n_odd, range(n_odd, n))
-        head = np.linalg.solve(m_head, rhs - m_tail @ alpha[n_odd:])
+        odd = np.array([[r ** (2 * k + 1) for r in ratio] for k in range(n_odd)])
+        head = np.linalg.solve(odd[:, :n_odd], rhs - odd[:, n_odd:] @ alpha[n_odd:])
         alpha = np.concatenate([head, alpha[n_odd:]])
 
     beta = np.zeros(n)
@@ -239,21 +243,26 @@ def imprint_scalar_singularity(params: SystemParams, targets) -> Coupling:
     return Coupling(gamma, (alpha,), (beta,), higher)
 
 
-def linear_unfolding_map(params: SystemParams, alpha_perturbation,
-                         ell: int | None = None) -> np.ndarray:
-    """Characteristic coefficients of the small Evans roots under perturbation.
+def linear_unfolding_map(params: SystemParams, alpha_perturbation) -> np.ndarray:
+    """Characteristic coefficients (a_1, .., a_N) of the small Evans roots
+    when the maximal design `design_evans_degeneracy(params)` is perturbed;
+    the predicted roots are those of lambda^N - a_N lambda^(N-1) - ... - a_1.
+    `_unfold` gives them below the maximum as well."""
+    n = params.n_slow
+    return _unfold(params, design_evans_degeneracy(params), alpha_perturbation, n)[0]
 
-    At a multiplicity-(ell+1) base point, the Evans function divided by
+
+def _unfold(params: SystemParams, base, alpha_perturbation, ell: int):
+    """(a_1..a_ell, e) at base = `design_evans_degeneracy(params, ell)`.
+
+    At this multiplicity-(ell+1) base point, the Evans function divided by
     lambda factors as (lambda^ell - a_ell lambda^(ell-1) - ... - a_1) times a
-    unit; to leading order the a_j follow from the base Taylor coefficients
-    through a lower-triangular Toeplitz solve frozen at the base point.
-    Returns (a_1, .., a_ell); the predicted roots are those of
-        lambda^ell - a_ell lambda^(ell-1) - ... - a_1.
+    unit, whose leading coefficient e is E0's order-(ell+1) Taylor
+    coefficient at the base.  To leading order the a_j follow from the base
+    Taylor coefficients through a lower-triangular Toeplitz solve frozen at
+    the base point.
     """
     n = params.n_slow
-    if ell is None:
-        ell = n
-    base = design_evans_degeneracy(params, ell)
     delta = np.asarray(alpha_perturbation, dtype=float)
     if delta.shape != (n,):
         raise DesignError(f"alpha_perturbation must have {n} entries")
@@ -279,7 +288,7 @@ def linear_unfolding_map(params: SystemParams, alpha_perturbation,
     x = np.zeros(ell)
     for i in range(ell):            # forward substitution, row by row
         x[i] = (e_pert[i] - b[i, :i] @ x[:i]) / b[i, i]
-    return -x
+    return -x, e_base[ell]
 
 
 def unfolding_polynomial_roots(abar) -> np.ndarray:

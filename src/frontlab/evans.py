@@ -181,11 +181,14 @@ def _split_around_cuts(box, cuts):
 #: panel still open after _PANEL_LEVELS cuts (1e-12 of its edge) means a
 #: root on or next to the edge.  The node count is odd: a root at a panel's
 #: midpoint then sits on a node, where the two symmetric rules would
-#: otherwise agree on its principal value.
+#: otherwise agree on its principal value.  Where f'/f is rounding noise, as
+#: near a root of high multiplicity, no panel converges: the search stops
+#: before the open panels pass _MAX_PANELS (an edge root opens up to 10,836).
 _PANEL_NODES = 13
 _PANEL_TOL = 1e-8
 _PANEL_SPLIT = 4
 _PANEL_LEVELS = 20
+_MAX_PANELS = 40_000
 _X1, _W1 = np.polynomial.legendre.leggauss(_PANEL_NODES)
 _X2, _W2 = np.polynomial.legendre.leggauss(2 * _PANEL_NODES)
 # all nodes moved to [0, 1], and the two rules' weights there (w / 2) over
@@ -293,6 +296,9 @@ def _moments(fdf, boxes, cuts, searched):
         if done.all():
             return sums, centre, radius
         keep = ~done
+        if _PANEL_SPLIT * np.count_nonzero(keep) > _MAX_PANELS:
+            raise FrontlabError(f"the contour moments of the searched box {searched} need "
+                                f"more than {_MAX_PANELS:,} open panels (_MAX_PANELS)")
         owner, sign = owner[keep].repeat(_PANEL_SPLIT), sign[keep].repeat(_PANEL_SPLIT)
         span = (span[keep] / _PANEL_SPLIT).repeat(_PANEL_SPLIT)
         start = start[keep].repeat(_PANEL_SPLIT) + span * (np.arange(len(span)) % _PANEL_SPLIT)

@@ -24,9 +24,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .core_model import Coupling, SystemParams, _require_finite
-from .designer import design_evans_degeneracy, linear_unfolding_map
+from .designer import _unfold, design_evans_degeneracy
 from .errors import ConvergenceError, FrontlabError
-from .evans import evans_taylor_c0
 from .existence import gamma0_taylor
 
 BLOWUP_NORM = 1e8
@@ -188,9 +187,8 @@ def build_from_analysis(params: SystemParams, coupling: Coupling, n_prime: int) 
     reversed; the cross coefficients a1j (j >= 2) are 0 at leading order.
     """
     base = design_evans_degeneracy(params, n_prime)   # checks 1 <= n_prime <= N
-    abar = linear_unfolding_map(params, np.asarray(coupling.alpha) - base, ell=n_prime)
-    e0_at_design = evans_taylor_c0(params, replace(coupling, alpha=base), n_prime + 1)
-    scale = 1.5 * math.sqrt(2.0) / e0_at_design.coefficient(n_prime + 1)
+    abar, e = _unfold(params, base, np.asarray(coupling.alpha) - base, n_prime)
+    scale = 1.5 * math.sqrt(2.0) / e
     a11 = scale * gamma0_taylor(params, coupling, 2).coefficient(2)
     return SpeedODE(a0=scale * coupling.gamma, a_lin=tuple(abar),
                     a_quad=(a11,) + (0.0,) * (n_prime - 1), epsilon=params.epsilon)

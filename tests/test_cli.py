@@ -108,9 +108,9 @@ class TestDispatch:
         ({"pde": {"t_end": 1e300, "dt": 1e-3}}, ["pde-sim"], "t_end=1e+300 and dt=0.001"),
         ({"tau": [1e308, 2.25, 2.89]}, ["gamma", "--roots"], "Gamma0 is not finite"),
         ({"tau": [1e308, 2.25, 2.89]}, ["gamma", "--taylor", "8"],
-         "plateau series of slow component 1 is not finite"),
+         "plateau series of slow component 1 is not finite from order 3"),
         ({"d": [1e-200, 1.0, 1.0]}, ["gamma", "--taylor", "4"],
-         "plateau series of slow component 1 is not finite"),
+         "plateau series of slow component 1 is not finite from order 0"),
         ({"tau": [1e308, 2.25, 2.89]}, ["evans", "--taylor", "4"],
          "E0's Taylor series at c = 0 is not finite"),
         ({"tau": [1e308, 2.25, 2.89]}, ["evans", "--at", "0.5", "--roots=-1,1,-1,1"],
@@ -198,7 +198,12 @@ class TestDispatch:
         (None, ["ode", "--shoot=1,2"], 2, "expected 3"),
         (None, ["pde-continue", "--free-param", "gamma", "--range", "1"], 2, "expected 2"),
         (None, ["pde-continue", "--free-param", "gamma", "--range=0,0.01",
-                "--max-points", "-3"], 2, "'-3' is not a positive count"),
+                "--max-points", "-3"], 2, "'-3' is not an integer >= 2"),
+        # a branch starts with two points
+        (None, ["pde-continue", "--free-param", "gamma", "--range=0,0.01",
+                "--max-points", "1"], 2, "'1' is not an integer >= 2"),
+        (None, ["gamma", "--taylor", "-1"], 2, "'-1' is not a non-negative integer"),
+        (None, ["evans", "--taylor", "-1"], 2, "'-1' is not a non-negative integer"),
         ("absent", ["gamma", "--roots"], 1, "cannot read config"),
         ('{"epsilon": 0.05,', ["gamma", "--roots"], 1, "not valid JSON"),
         ("[1, 2]", ["gamma", "--roots"], 1, "JSON object"),

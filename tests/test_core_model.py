@@ -31,17 +31,6 @@ class TestSystemParams:
         with pytest.raises(FrontlabError, match="must be finite"):
             SystemParams(**{**base, **kwargs})
 
-    def test_distinctness_flags(self):
-        p = SystemParams(epsilon=0.1, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
-        assert p.pairwise_distinct_tau
-        assert p.pairwise_distinct_ratio
-        q = SystemParams(epsilon=0.1, tau=(1.0, 1.0 + 1e-12), d=(1.0, 1.0))
-        assert not q.pairwise_distinct_tau
-        # distinct tau but coincident ratios tau/d
-        r = SystemParams(epsilon=0.1, tau=(1.0, 2.0), d=(1.0, 2.0))
-        assert r.pairwise_distinct_tau
-        assert not r.pairwise_distinct_ratio
-
     def test_n_slow_follows_tau(self):
         assert [f.name for f in fields(SystemParams)] == ["epsilon", "tau", "d"]
         p = SystemParams(epsilon=0.1, tau=(1.0,), d=(1.0,))
@@ -256,6 +245,22 @@ class TestSeriesVstar:
     def test_index_bounds(self, one_slow):
         with pytest.raises(FrontlabError):
             series_vstar(one_slow, 2, 5)
+
+    def test_negative_order_rejected(self, one_slow):
+        with pytest.raises(FrontlabError, match="Taylor order must be >= 0, got -1"):
+            series_vstar(one_slow, 1, -1)
+
+    def test_overflow_names_the_first_infinite_order(self):
+        # tau^2 overflows, yet coefficients 0-2 are finite: 0, tau/(2d), 0;
+        # order 3, -(tau/(2d))^3 / 2, is the first to overflow
+        p = SystemParams(epsilon=0.1, tau=(1e308,), d=(1.0,))
+        assert series_vstar(p, 1, 2).coeffs == (0.0, 5e307, 0.0)
+        with pytest.raises(FrontlabError, match="not finite from order 3"):
+            series_vstar(p, 1, 8)
+        # 4 d^2 underflows to 0: nothing is finite
+        tiny = SystemParams(epsilon=0.1, tau=(1.0,), d=(1e-200,))
+        with pytest.raises(FrontlabError, match="not finite from order 0"):
+            series_vstar(tiny, 1, 4)
 
 
 def test_conjugate_pairs_tidies_a_perturbed_pair():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from frontlab import (Coupling, DesignError, DistinctnessError, SystemParams,
                       evans_taylor_c0, gamma0_roots, gamma0_taylor,
                       imprint_scalar_singularity, linear_unfolding_map,
                       vandermonde_solve)
-from frontlab.designer import unfolding_polynomial_roots
+from frontlab.designer import _unfold, unfolding_polynomial_roots
 from frontlab.verify import hausdorff, reference_parameter_sets
 
 SQRT2 = math.sqrt(2.0)
@@ -29,6 +30,61 @@ class TestVandermondeSolve:
         with pytest.raises(DistinctnessError) as exc:
             vandermonde_solve(np.array([1.0, 1.0 + 1e-12]), 1.0)
         assert exc.value.gap is not None
+
+    def test_all_zero_nodes(self):
+        with pytest.raises(DistinctnessError) as exc:
+            vandermonde_solve(np.zeros(2), 1.0)
+        assert exc.value.gap == 0.0
+
+
+class TestDistinctness:
+    """Each design checks the nodes it solves on: tau_1..tau_ell for the Evans
+    conditions, and from order 2 the ratios tau_j/d_j for the existence
+    conditions, before any conditioning warning."""
+
+    P = SystemParams(epsilon=0.03, tau=(1.0, 2.0, 2.0), d=(1.0, 1.5, 1.7))
+
+    def test_evans_design_solves_the_leading_tau_alone(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = design_evans_degeneracy(self.P, 1)
+        s = evans_taylor_c0(self.P, Coupling(0.0, tuple(alpha), (0.0,) * 3), 2)
+        assert abs(s.coefficient(1)) <= 1e-15
+        assert abs(s.coefficient(2)) > 0.1
+
+    def test_orders_0_and_1_solve_nothing(self):
+        for p in (self.P, SystemParams(epsilon=0.03, tau=(1.0, 2.0), d=(1.0, 2.0))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for m, gamma in ((0, 1.0), (1, 0.0)):
+                    alpha, beta, g = design_gamma_degeneracy(p, m)
+                    assert not alpha.any() and not beta.any() and g == gamma
+
+    @pytest.mark.parametrize("tau, design", [
+        ((1.0, 2.0, 2.0), lambda p: design_evans_degeneracy(p)),
+        ((1.0, 2.0, 2.0), lambda p: design_gamma_degeneracy(p, 2)),
+        ((1.0, 2.0, 2.0), lambda p: design_gamma_degeneracy(p, 7)),
+        ((1.0, 1.0 + 1e-12, 3.0), lambda p: design_evans_degeneracy(p, 2)),
+        ((1.0, 1.0 + 1e-12, 3.0), lambda p: design_gamma_degeneracy(p, 3))])
+    def test_coincident_solved_tau_raise_before_any_warning(self, tau, design):
+        p = SystemParams(epsilon=0.03, tau=tau, d=(1.0, 1.5, 1.7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DistinctnessError) as exc:
+                design(p)
+        assert exc.value.gap <= 1e-10
+
+    def test_coincident_ratios_raise_from_order_2(self):
+        # distinct tau, coincident tau/d: the Evans design stands, the
+        # existence conditions from order 2 on cannot be solved
+        p = SystemParams(epsilon=0.1, tau=(1.0, 2.0), d=(1.0, 2.0))
+        design_evans_degeneracy(p)
+        for m in range(2, 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DistinctnessError, match="tau_j/d_j") as exc:
+                    design_gamma_degeneracy(p, m)
+            assert exc.value.gap == 0.0
 
 
 class TestDesignEvansDegeneracy:
@@ -191,6 +247,11 @@ class TestImprint:
             imprint_scalar_singularity(p, [0.0, 1.0])
 
 
+def unfolding(params, delta, ell):
+    """(a_1..a_ell) at the multiplicity-(ell+1) design, as the speed ODE takes them."""
+    return _unfold(params, design_evans_degeneracy(params, ell), delta, ell)[0]
+
+
 class TestLinearUnfoldingMap:
     def test_zero_perturbation(self):
         p = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
@@ -250,8 +311,10 @@ class TestLinearUnfoldingMap:
             delta = 10 ** rng.uniform(-3, -1) * direction / np.linalg.norm(direction)
             cases.append((params, delta, 1 + i % 3))
         for params, delta, ell in cases:
-            assert np.array_equal(linear_unfolding_map(params, delta, ell=ell),
-                                  by_lapack(params, delta, ell))
+            assert np.array_equal(unfolding(params, delta, ell), by_lapack(params, delta, ell))
+            if ell == params.n_slow:
+                assert np.array_equal(linear_unfolding_map(params, delta),
+                                      by_lapack(params, delta, ell))
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_partial_root_prediction(self, ell):
@@ -260,7 +323,7 @@ class TestLinearUnfoldingMap:
         p = SystemParams(epsilon=0.03, tau=(1.0, 2.25, 2.89), d=(1.0, 1.5, 1.7))
         delta = 1e-3 * np.array([1.0, -0.5, 0.25])
         base = design_evans_degeneracy(p, ell)
-        pred = unfolding_polynomial_roots(linear_unfolding_map(p, delta, ell=ell))
+        pred = unfolding_polynomial_roots(unfolding(p, delta, ell))
         assert len(pred) == ell
         ctx = evans_context(p, Coupling(0.0, tuple(base + delta), (0.0,) * 3), 0.0)
         r = 3.0 * float(np.max(np.abs(pred)))

@@ -128,6 +128,10 @@ class TestEvansEval:
 
 
 class TestEvansTaylor:
+    def test_negative_order_rejected(self, one_slow):
+        with pytest.raises(FrontlabError, match="Taylor order must be >= 0, got -1"):
+            evans_taylor_c0(one_slow, Coupling(0.0, (1.0,), (0.0,)), -1)
+
     def test_no_coupling_series_is_lambda(self, one_slow):
         c = Coupling(0.0, (0.0,), (0.0,))
         s = evans_taylor_c0(one_slow, c, 5)
@@ -497,6 +501,24 @@ class TestHolomorphicRoots:
         assert sorted(m for _z, m in roots) == [1, 1]
         for r, _m in planted:
             assert min(abs(z - r) for z, _m in roots) <= 1e-12
+
+    def test_open_panels_are_bounded(self, monkeypatch):
+        # f'/f = cos(1e8 Re z) is noise on every panel the levels reach, so no
+        # panel converges; the search stops before the open panels pass
+        # _MAX_PANELS and names the searched box and the bound
+        monkeypatch.setattr(evans, "_MAX_PANELS", 1000)
+        sizes = []
+
+        def noise(z):
+            sizes.append(len(z))
+            return np.ones_like(z), np.cos(1e8 * z.real).astype(complex)
+
+        box = (-1.0, 1.0, -1.0, 1.0)
+        with pytest.raises(FrontlabError, match=r"need more than 1,000 open panels "
+                                                r"\(_MAX_PANELS\)") as info:
+            holomorphic_roots(noise, box)
+        assert str(box) in str(info.value)
+        assert len(sizes) > 2 and max(sizes) <= 1000 * 3 * evans._PANEL_NODES
 
     def test_square_that_misses_a_root_falls_back_to_quadrisection(self, monkeypatch):
         # a pencil whose roots all sit in one corner gives a square that

@@ -244,6 +244,10 @@ class TestGamma0Roots:
 
 
 class TestGamma0Taylor:
+    def test_negative_order_rejected(self, one_slow):
+        with pytest.raises(FrontlabError, match="Taylor order must be >= 0, got -2"):
+            gamma0_taylor(one_slow, Coupling(0.0, (1.0,), (0.0,)), -2)
+
     def test_one_slow_general_coefficients(self):
         # sympy series oracle for the full composition
         sympy = pytest.importorskip("sympy")

@@ -10,7 +10,7 @@ from frontlab import (Coupling, FrontlabError, ScaledNF, SpeedODE,
                       SystemParams, build_from_analysis,
                       equilibria_and_classification, evans_context,
                       gamma0_roots, integrate, lyapunov_max, shilnikov_shoot)
-from frontlab.designer import design_evans_degeneracy, unfolding_polynomial_roots, linear_unfolding_map
+from frontlab.designer import _unfold, design_evans_degeneracy, unfolding_polynomial_roots
 from frontlab.errors import ConvergenceError
 from frontlab.evans import holomorphic_roots
 from frontlab import speed_ode
@@ -510,9 +510,20 @@ class TestBuildFromAnalysis:
         assert isinstance(ode, SpeedODE) and ode.dim == n_prime
         jac = ode.jacobian_at(np.zeros(n_prime)) / p.epsilon ** 2
         eigs = np.sort_complex(np.linalg.eigvals(jac))
-        abar = linear_unfolding_map(p, delta, ell=n_prime)
+        abar, _e = _unfold(p, base, delta, n_prime)
         pred = np.sort_complex(unfolding_polynomial_roots(abar))
         assert np.max(np.abs(eigs - pred)) < 1e-10
+
+    def test_designs_the_base_point_once(self):
+        # tau within 1e-4 of each other: the design warns on its conditioning,
+        # once, as build_from_analysis designs and expands the base only once
+        p = SystemParams(epsilon=0.03, tau=(1.0, 1.0001, 1.0002), d=(1.0, 1.5, 1.7))
+        with pytest.warns(UserWarning, match="design_evans_degeneracy"):
+            base = design_evans_degeneracy(p)
+        coupling = Coupling(0.0, tuple(base), (1.0, 0.0, 0.0))
+        with pytest.warns(UserWarning) as record:
+            build_from_analysis(p, coupling, 3)
+        assert len(record) == 1
 
 
 class TestScalingConsistency:
